@@ -77,8 +77,6 @@ from .steiner import (
     superadditivity_check,
 )
 from .volumes import (
-    MixedVolumeMethod,
-    MixedVolumeResult,
     VolumePolynomial,
     combine,
     mixed_area,

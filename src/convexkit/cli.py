@@ -17,21 +17,20 @@ from fractions import Fraction
 from . import io
 from .bodies import random_polytope
 from .errors import GeometryError
-from .geometry import Subspace, bodies_equal, project, support
+from .geometry import Subspace, project, support
 from .homothety import (
     default_direction_set,
     detect_homothety,
-    functional_equality_sweep,
     homothetic_projections_conclude,
+    strict_refutation,
 )
 from .inequalities import (
     Verdict,
     bm_check,
-    default_lambda_grid,
     minkowski_check,
     normalized_check,
 )
-from .numeric import DEFAULT_DIGITS, format_fixed
+from .numeric import DEFAULT_DIGITS
 from .reconstruction import (
     corner_normalize,
     farey_directions,
@@ -50,6 +49,14 @@ EXIT_USAGE = 2
 EXIT_GEOMETRY = 3
 EXIT_VIOLATION = 4
 
+# Limits on numeric arguments, so that no argument can start unbounded work.
+# Fixed-point renderings convert integers of about `digits` decimal digits,
+# and Python refuses int/str conversions past 4300 digits; each rounding step
+# costs about 2.5 times the one before it.
+MAX_DIGITS = 1000
+MAX_STEPS = 10
+MAX_VERTICES = 1000
+
 
 def _frac(text: str) -> Fraction:
     try:
@@ -58,15 +65,17 @@ def _frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}") from exc
 
 
-def _seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in unsigned 64 bits")
-    return value
+def _int_in(lo: int, hi: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must be an integer in {lo}..{hi}")
+        return value
+
+    return integer
 
 
-def _grid(text: str):
-    return tuple(_frac(part) for part in text.split(","))
+_seed = _int_in(0, 2**64 - 1)  # seeds fit in unsigned 64 bits
 
 
 def _vector(text: str):
@@ -77,13 +86,8 @@ def _basis(text: str):
     return tuple(_vector(part) for part in text.split(";"))
 
 
-def _fr(x) -> str:
-    return io.fraction_to_str(x)
-
-
-def _emit(args, report: dict) -> None:
-    text = io.dumps_report(report)
-    if getattr(args, "out", None):
+def _emit(args, text: str) -> None:
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -99,27 +103,31 @@ def _base_report(args, paths) -> dict:
     }
 
 
+def _witness_payload(witness) -> dict:
+    return {"a": str(witness.ratio), "x": [str(c) for c in witness.shift]}
+
+
 def _verdict_payload(report) -> dict:
     payload = {
         "form": report.form.value,
         "verdict": report.verdict.value,
         "slack": report.slack_numeric,
         "degenerate": report.degenerate,
-        "quantities": {k: _fr(v) for k, v in report.quantities.items()},
+        "quantities": {k: str(v) for k, v in report.quantities.items()},
     }
     if report.lhs_exact is not None:
-        payload["lhs"] = _fr(report.lhs_exact)
-        payload["rhs"] = _fr(report.rhs_exact)
+        payload["lhs"] = str(report.lhs_exact)
+        payload["rhs"] = str(report.rhs_exact)
     if report.lam is not None:
-        payload["lambda"] = _fr(report.lam)
+        payload["lambda"] = str(report.lam)
     return payload
 
 
 def cmd_volume(args) -> int:
     body = io.load_body(args.body)
     out = _base_report(args, [args.body])
-    out["result"] = {"volume": _fr(volume(body))}
-    _emit(args, out)
+    out["result"] = {"volume": str(volume(body))}
+    _emit(args, io.dumps_report(out))
     return EXIT_OK
 
 
@@ -128,14 +136,14 @@ def cmd_mixedvol(args) -> int:
     second = io.load_body(args.body_b, allow_degenerate=True)
     result = {}
     if args.method in ("base-height", "both"):
-        result["base_height"] = _fr(mixed_volume_base_height(first, second).value)
+        result["base_height"] = str(mixed_volume_base_height(first, second))
     if args.method in ("interp", "both"):
-        result["interp"] = _fr(mixed_volume_interp(first, second).value)
+        result["interp"] = str(mixed_volume_interp(first, second))
     if args.method == "both":
         result["agree"] = result["base_height"] == result["interp"]
     out = _base_report(args, [args.body_a, args.body_b])
     out["result"] = result
-    _emit(args, out)
+    _emit(args, io.dumps_report(out))
     return EXIT_OK
 
 
@@ -153,18 +161,17 @@ def cmd_check(args) -> int:
     out = _base_report(args, [args.body_a, args.body_b])
     out["result"] = _verdict_payload(report)
     if args.form == "mmv1":
-        out["result"]["quotient"] = _fr(report.lhs_exact)
-    if report.verdict is Verdict.VIOLATION:
+        out["result"]["quotient"] = str(report.lhs_exact)
+    violated = report.verdict is Verdict.VIOLATION
+    if violated:
         out["counterexample"] = {
             "body_a": io.body_to_json(first),
             "body_b": io.body_to_json(second),
-            "quantities": {k: _fr(v) for k, v in report.quantities.items()},
+            "quantities": {k: str(v) for k, v in report.quantities.items()},
             "seed": getattr(args, "seed", None),
         }
-        _emit(args, out)
-        return EXIT_VIOLATION
-    _emit(args, out)
-    return EXIT_OK
+    _emit(args, io.dumps_report(out))
+    return EXIT_VIOLATION if violated else EXIT_OK
 
 
 def cmd_equality_diagnose(args) -> int:
@@ -175,83 +182,37 @@ def cmd_equality_diagnose(args) -> int:
     result = {"verdict": mmv.verdict.value, "mmv": _verdict_payload(mmv)}
     consistent = True
     if mmv.verdict is Verdict.EQUALITY:
-        # Orient the witness so it reads second = a * first + x.
-        decision = detect_homothety(second, first)
+        decision = detect_homothety(first, second)
         if decision.homothetic:
-            result["witness"] = {
-                "a": _fr(decision.witness.ratio),
-                "x": [_fr(c) for c in decision.witness.shift],
-            }
+            result["witness"] = _witness_payload(decision.witness)
         else:
             consistent = False
             result["witness"] = None
             result["inconsistency"] = decision.reason
     elif mmv.verdict is Verdict.STRICT:
-        result["refutation"] = _strict_refutation(first, second, args.lambda_grid)
-        consistent = result["refutation"] is not None
+        ref = strict_refutation(first, second, args.lambda_grid)
+        consistent = ref is not None
+        if consistent:
+            ref = {k: str(v) if isinstance(v, Fraction) else v for k, v in ref.items()}
+        result["refutation"] = ref
     out["result"] = result
-    if mmv.verdict is Verdict.VIOLATION or not consistent:
+    violated = mmv.verdict is Verdict.VIOLATION or not consistent
+    if violated:
         out["counterexample"] = {
             "body_a": io.body_to_json(first),
             "body_b": io.body_to_json(second),
             "seed": getattr(args, "seed", None),
         }
-        _emit(args, out)
-        return EXIT_VIOLATION
-    _emit(args, out)
-    return EXIT_OK
-
-
-def _strict_refutation(first, second, lambda_grid):
-    """Concrete evidence against homothety for a strict pair.
-
-    With equal volumes the functional sweep itself refutes; otherwise the
-    first-argument-scale-free quotients mv(K_lam, M)^n / V(K_lam)^(n-1) are
-    compared (homothetic pairs make them agree for every lam and M, and the
-    row lam = 0, M = second body always differs on a strict pair).
-    """
-    grid = default_lambda_grid() if lambda_grid is None else lambda_grid
-    if first.volume == second.volume:
-        trace = functional_equality_sweep(first, second, grid)
-        ref = trace.refutation
-        if ref is None:
-            return None
-        payload = {k: _fr(v) if isinstance(v, Fraction) else v for k, v in ref.items()}
-        if "direction" in ref:
-            payload["direction"] = [_fr(c) for c in ref["direction"]]
-        return payload
-    from .volumes import combine
-
-    n = first.dim
-    bodies = [second, first]
-    for lam in grid:
-        mid = combine(1 - lam, first, lam, second)
-        for idx, m in enumerate(bodies):
-            q_mid = mixed_volume_base_height(mid, m).value ** n / mid.volume ** (n - 1)
-            q_ref = (
-                mixed_volume_base_height(second, m).value ** n
-                / second.volume ** (n - 1)
-            )
-            if q_mid != q_ref:
-                return {
-                    "kind": "scale-free-quotient",
-                    "lambda": _fr(lam),
-                    "body_index": idx,
-                    "quotient_mix": _fr(q_mid),
-                    "quotient_second": _fr(q_ref),
-                }
-    return None
+    _emit(args, io.dumps_report(out))
+    return EXIT_VIOLATION if violated else EXIT_OK
 
 
 def cmd_random_body(args) -> int:
+    if args.vertices <= args.dim:
+        raise argparse.ArgumentTypeError("--vertices must be at least --dim + 1")
     rng = random.Random(args.seed)
     body = random_polytope(args.dim, args.vertices, rng)
-    text = io.dumps_body(body)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, io.dumps_body(body))
     return EXIT_OK
 
 
@@ -263,10 +224,10 @@ def cmd_project(args) -> int:
     out["result"] = {
         "body": io.body_to_json(shadow),
         "full_dimensional": shadow.is_full_dimensional,
-        "gram": [[_fr(x) for x in row] for row in xi.gram()],
-        "gram_det": _fr(xi.gram_det()),
+        "gram": [[str(x) for x in row] for row in xi.gram()],
+        "gram_det": str(xi.gram_det()),
     }
-    _emit(args, out)
+    _emit(args, io.dumps_report(out))
     return EXIT_OK
 
 
@@ -280,8 +241,8 @@ def cmd_steiner(args) -> int:
             "trace": [
                 {
                     "step": step,
-                    "direction": None if w is None else [_fr(c) for c in w],
-                    "volume": _fr(vol),
+                    "direction": None if w is None else [str(c) for c in w],
+                    "volume": str(vol),
                     "isoperimetric_ratio": f"{ratio:.12f}",
                 }
                 for step, w, vol, ratio in trace.rows
@@ -293,9 +254,9 @@ def cmd_steiner(args) -> int:
             "symmetral": io.body_to_json(res.symmetral),
             "exactness": res.exactness.value,
             "inner_approximation": res.inner_approximation,
-            "volume": _fr(res.symmetral.volume),
+            "volume": str(res.symmetral.volume),
         }
-    _emit(args, out)
+    _emit(args, io.dumps_report(out))
     return EXIT_OK
 
 
@@ -312,20 +273,20 @@ def cmd_reconstruct(args) -> int:
         all_agree &= agree
         rows.append(
             {
-                "direction": [_fr(c) for c in w],
-                "recovered": _fr(recovered),
-                "direct": _fr(direct),
+                "direction": [str(c) for c in w],
+                "recovered": str(recovered),
+                "direct": str(direct),
                 "agree": agree,
             }
         )
     out = _base_report(args, [args.body])
     out["result"] = {
-        "applied_translation": [_fr(c) for c in cn.applied_translation],
+        "applied_translation": [str(c) for c in cn.applied_translation],
         "directions": len(rows),
         "all_agree": all_agree,
         "trace": rows,
     }
-    _emit(args, out)
+    _emit(args, io.dumps_report(out))
     return EXIT_OK
 
 
@@ -338,26 +299,21 @@ def cmd_homothety(args) -> int:
         report = homothetic_projections_conclude(first, second, dirs)
         result = {"conclusion": report.conclusion.value}
         if report.witness is not None:
-            result["witness"] = {
-                "a": _fr(report.witness.ratio),
-                "x": [_fr(c) for c in report.witness.shift],
-            }
+            result["witness"] = _witness_payload(report.witness)
         if report.failing_direction is not None:
-            result["failing_direction"] = [_fr(c) for c in report.failing_direction]
+            result["failing_direction"] = [str(c) for c in report.failing_direction]
         if report.reason:
             result["reason"] = report.reason
     else:
-        decision = detect_homothety(first, second)
+        # This report reads its witness as first = a * second + x.
+        decision = detect_homothety(second, first)
         result = {"homothetic": decision.homothetic}
         if decision.homothetic:
-            result["witness"] = {
-                "a": _fr(decision.witness.ratio),
-                "x": [_fr(c) for c in decision.witness.shift],
-            }
+            result["witness"] = _witness_payload(decision.witness)
         else:
             result["reason"] = decision.reason
     out["result"] = result
-    _emit(args, out)
+    _emit(args, io.dumps_report(out))
     return EXIT_OK
 
 
@@ -371,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
+        p.add_argument("--digits", type=_int_in(0, MAX_DIGITS), default=DEFAULT_DIGITS)
         p.add_argument("--out", default=None, help="write the report to a file")
         p.add_argument("--seed", type=_seed, default=None)
 
@@ -401,13 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("body_a")
     p.add_argument("body_b")
-    p.add_argument("--lambda-grid", dest="lambda_grid", type=_grid, default=None)
+    p.add_argument("--lambda-grid", dest="lambda_grid", type=_vector, default=None)
     common(p)
     p.set_defaults(func=cmd_equality_diagnose)
 
     p = sub.add_parser("random-body", help="seeded random full-dimensional body")
     p.add_argument("--dim", type=int, required=True, choices=[2, 3, 4])
-    p.add_argument("--vertices", type=int, required=True)
+    p.add_argument("--vertices", type=_int_in(3, MAX_VERTICES), required=True)
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_random_body)
@@ -421,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("steiner", help="Steiner symmetral or rounding trace")
     p.add_argument("body")
     p.add_argument("--direction", type=_vector, required=True, metavar="P/Q,P/Q")
-    p.add_argument("--steps", type=int, default=0)
+    p.add_argument("--steps", type=_int_in(0, MAX_STEPS), default=0)
     p.add_argument("--schedule", type=_basis, default=None, metavar="D1;D2;...")
     common(p)
     p.set_defaults(func=cmd_steiner)

@@ -23,7 +23,6 @@ functions, so everything here may be used concurrently without locking.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,7 +36,6 @@ from .errors import (
     ZeroDirectionError,
 )
 from .linalg import (
-    Vec,
     as_scalar,
     as_vec,
     cross_normal,
@@ -102,11 +100,6 @@ class Polytope:
     @property
     def is_full_dimensional(self) -> bool:
         return self.affine_dim == self.dim
-
-    @property
-    def digest(self) -> str:
-        payload = f"{self.dim}|{self.vertices}".encode()
-        return hashlib.sha256(payload).hexdigest()[:12]
 
 
 @dataclass(frozen=True)

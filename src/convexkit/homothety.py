@@ -1,11 +1,10 @@
 """Homothety detection, shadow normalization, and the equality-case pipeline.
 
-A pair is homothetic when K = aL + x with a > 0.  For rational-vertex
+A pair is homothetic when L = aK + x with a > 0.  For rational-vertex
 polytopes the decision is exact and total: a is forced to be the n-th root
 of the volume ratio (rational whenever a homothety exists, since a is a
 difference quotient of rational support values), x is forced by vertex
-centroids, and the candidate is confirmed by canonical equality.  The
-numeric fallback exists only as a cross-check and is off by default.
+centroids, and the candidate is confirmed by canonical equality.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .errors import (
 )
 from .geometry import (
     Polytope,
-    Subspace,
     bodies_equal,
     convex_hull,
     hyperplane_subspace,
@@ -36,19 +34,14 @@ from .geometry import (
     translate,
     vertex_centroid,
 )
-from .linalg import as_scalar, as_vec, dot, rational_nth_root, vadd, vscale, vsub
+from .inequalities import default_lambda_grid
+from .linalg import as_scalar, as_vec, rational_nth_root, vadd, vscale, vsub
 from .volumes import combine, mixed_volume_base_height, projection_prism_volume
 
 
 @dataclass(frozen=True)
 class HomothetyWitness:
-    """An exact homothety: one body equals ratio * (the other) + shift.
-
-    detect_homothety returns first = ratio * second + shift;
-    homothetic_projections_conclude returns second = ratio * first + shift
-    (the round-trip form for constructed pairs).  Each docstring states
-    which orientation applies.
-    """
+    """An exact homothety of a pair: second = ratio * first + shift."""
 
     ratio: Fraction
     shift: tuple
@@ -58,55 +51,30 @@ class HomothetyWitness:
 class HomothetyDecision:
     witness: Optional[HomothetyWitness]
     reason: Optional[str] = None  # set when witness is None
-    fallback_agrees: Optional[bool] = None
 
     @property
     def homothetic(self) -> bool:
         return self.witness is not None
 
 
-def apply_witness(second: Polytope, witness: HomothetyWitness) -> Polytope:
-    return translate(scale(second, witness.ratio), witness.shift)
+def apply_witness(first: Polytope, witness: HomothetyWitness) -> Polytope:
+    return translate(scale(first, witness.ratio), witness.shift)
 
 
-def _numeric_fallback(first: Polytope, second: Polytope, directions) -> bool:
-    """Float cross-check: support ratios of the centered bodies, 1e-9 band."""
-    c1, c2 = vertex_centroid(first), vertex_centroid(second)
-    k0 = translate(first, vscale(Fraction(-1), c1))
-    l0 = translate(second, vscale(Fraction(-1), c2))
-    ratios = []
-    for w in directions:
-        denom = support(l0, w)
-        if denom == 0:
-            return False
-        ratios.append(float(support(k0, w) / denom))
-    return max(ratios) - min(ratios) <= 1e-9 * max(abs(r) for r in ratios)
-
-
-def detect_homothety(
-    first: Polytope, second: Polytope, *, numeric_fallback: bool = False
-) -> HomothetyDecision:
+def detect_homothety(first: Polytope, second: Polytope) -> HomothetyDecision:
     """Exact homothety decision for full-dimensional rational polytopes."""
     if first.dim != second.dim:
         raise DimensionMismatchError("bodies live in different dimensions")
     if not (first.is_full_dimensional and second.is_full_dimensional):
         raise LowerDimensionalError("homothety detection needs full-dimensional bodies")
-    ratio = rational_nth_root(first.volume / second.volume, first.dim)
-    fallback = None
-    if numeric_fallback:
-        dirs = default_direction_set(first.dim, seed=0, random_count=8)
-        fallback = _numeric_fallback(first, second, dirs)
+    ratio = rational_nth_root(second.volume / first.volume, first.dim)
     if ratio is None:
-        return HomothetyDecision(
-            None, reason="volume-ratio-not-rational-power", fallback_agrees=fallback
-        )
-    shift = vsub(vertex_centroid(first), vscale(ratio, vertex_centroid(second)))
+        return HomothetyDecision(None, reason="volume-ratio-not-rational-power")
+    shift = vsub(vertex_centroid(second), vscale(ratio, vertex_centroid(first)))
     witness = HomothetyWitness(ratio, shift)
-    if bodies_equal(first, apply_witness(second, witness)):
-        return HomothetyDecision(witness, fallback_agrees=fallback)
-    return HomothetyDecision(
-        None, reason="candidate-transform-mismatch", fallback_agrees=fallback
-    )
+    if bodies_equal(second, apply_witness(first, witness)):
+        return HomothetyDecision(witness)
+    return HomothetyDecision(None, reason="candidate-transform-mismatch")
 
 
 def default_direction_set(dim: int, seed: int = 2024, random_count: int = 20):
@@ -164,7 +132,8 @@ def normalize_shadows(first: Polytope, second: Polytope):
     if not (first.is_full_dimensional and second.is_full_dimensional):
         raise LowerDimensionalError("shadow normalization needs full-dimensional bodies")
     floor = hyperplane_subspace(_last_axis(n))
-    decision = detect_homothety(project(first, floor), project(second, floor))
+    # The homothety carrying L's shadow onto K's: K_shadow = a L_shadow + v.
+    decision = detect_homothety(project(second, floor), project(first, floor))
     if not decision.homothetic:
         raise NotHomotheticProjectionError(
             f"bottom shadows are not homothetic ({decision.reason})"
@@ -232,9 +201,7 @@ def homothetic_projections_conclude(
             ProjectionConclusion.NOT_HOMOTHETIC,
             reason="normalized-bodies-differ",
         )
-    # K + fs = a L + ss, solved for L: the returned witness reads
-    # second = ratio * first + shift, so constructed pairs (K, aK + x)
-    # round-trip to exactly (a, x).
+    # K + fs = a L + ss, solved for L.
     ratio = 1 / tf.ratio
     shift = vscale(ratio, vsub(tf.first_shift, tf.second_shift))
     witness = HomothetyWitness(ratio, shift)
@@ -338,8 +305,8 @@ def functional_equality_sweep(
         if mid.volume != first.volume and refutation is None:
             refutation = {"kind": "volume", "lambda": lam, "value": mid.volume}
         for idx, m in enumerate(test_bodies):
-            a = mixed_volume_base_height(mid, m).value
-            b = mixed_volume_base_height(second, m).value
+            a = mixed_volume_base_height(mid, m)
+            b = mixed_volume_base_height(second, m)
             mixed_pairs.append((lam, idx, a, b))
             if a != b and refutation is None:
                 refutation = {"kind": "mixed", "lambda": lam, "body_index": idx}
@@ -366,6 +333,36 @@ def functional_equality_sweep(
         witness=witness,
         refutation=refutation,
     )
+
+
+def strict_refutation(first: Polytope, second: Polytope, lambda_grid=None):
+    """Concrete evidence against homothety for a strict pair, or None.
+
+    With equal volumes the functional sweep itself refutes; otherwise the
+    first-argument-scale-free quotients mv(K_lam, M)^n / V(K_lam)^(n-1) are
+    compared (homothetic pairs make them agree for every lam and M, and the
+    row lam = 0, M = second body always differs on a strict pair).
+    """
+    grid = default_lambda_grid() if lambda_grid is None else lambda_grid
+    grid = tuple(as_scalar(t) for t in grid)
+    if first.volume == second.volume:
+        return functional_equality_sweep(first, second, grid).refutation
+    n = first.dim
+    bodies = (second, first)
+    for lam in grid:
+        mid = combine(1 - lam, first, lam, second)
+        for idx, m in enumerate(bodies):
+            q_mid = mixed_volume_base_height(mid, m) ** n / mid.volume ** (n - 1)
+            q_ref = mixed_volume_base_height(second, m) ** n / second.volume ** (n - 1)
+            if q_mid != q_ref:
+                return {
+                    "kind": "scale-free-quotient",
+                    "lambda": lam,
+                    "body_index": idx,
+                    "quotient_mix": q_mid,
+                    "quotient_second": q_ref,
+                }
+    return None
 
 
 def projection_equality_step(first: Polytope, second: Polytope, lam, w):

@@ -68,8 +68,8 @@ class InequalityReport:
 
 def _mixed_volume(first: Polytope, second: Polytope) -> Fraction:
     if first.is_full_dimensional:
-        return mixed_volume_base_height(first, second).value
-    return mixed_volume_interp(first, second).value
+        return mixed_volume_base_height(first, second)
+    return mixed_volume_interp(first, second)
 
 
 def _mmv_sides(first: Polytope, second: Polytope):
@@ -280,7 +280,7 @@ def derivative_identity_check(first: Polytope, second: Polytope) -> Fraction:
         raise LowerDimensionalError("derivative identity needs full-dimensional first body")
     symbolic = profile_polynomial(first, second)[1]
     n = first.dim
-    independent = -n * first.volume + n * mixed_volume_base_height(first, second).value
+    independent = -n * first.volume + n * mixed_volume_base_height(first, second)
     return symbolic - independent
 
 
@@ -308,8 +308,8 @@ def mmv_implies_bm_trace(first: Polytope, second: Polytope, t) -> DecompositionT
         raise LowerDimensionalError("decomposition needs full-dimensional bodies")
     n = first.dim
     mid = combine(1 - t, first, t, second)
-    term_first = mixed_volume_base_height(mid, first).value
-    term_second = mixed_volume_base_height(mid, second).value
+    term_first = mixed_volume_base_height(mid, first)
+    term_second = mixed_volume_base_height(mid, second)
     v_mid = mid.volume
     identity = v_mid == (1 - t) * term_first + t * term_second
     bound_first = term_first**n >= v_mid ** (n - 1) * first.volume

@@ -23,12 +23,9 @@ class BodyFileError(ValueError):
     """Malformed body file (parse / schema errors; CLI exit code 2)."""
 
 
-def fraction_to_str(q: Fraction) -> str:
-    return str(q)
-
-
 def parse_fraction(text) -> Fraction:
-    if isinstance(text, int):
+    # JSON true/false arrive as bool, a subclass of int: reject them.
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str):
         try:
@@ -39,7 +36,7 @@ def parse_fraction(text) -> Fraction:
 
 
 def vector_to_json(v):
-    return [fraction_to_str(x) for x in v]
+    return [str(x) for x in v]
 
 
 def body_to_json(body: Polytope) -> dict:
@@ -59,7 +56,7 @@ def parse_body(data, *, allow_degenerate: bool = False) -> Polytope:
     if "dim" not in data or "vertices" not in data:
         raise BodyFileError('body file needs "dim" and "vertices" keys')
     dim = data["dim"]
-    if not isinstance(dim, int):
+    if not isinstance(dim, int) or isinstance(dim, bool):
         raise BodyFileError('"dim" must be an integer')
     rows = data["vertices"]
     if not isinstance(rows, list) or not rows:

@@ -12,10 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-Scalar = Fraction
-Vec = tuple  # tuple of Fraction (or int inside the hull fast path)
-
-
 def as_scalar(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
@@ -51,11 +47,6 @@ def vscale(c, u):
 
 def is_zero_vec(u) -> bool:
     return all(a == 0 for a in u)
-
-
-def perp_ccw(u):
-    """Rotate a 2-vector by +90 degrees."""
-    return (-u[1], u[0])
 
 
 def det2(a, b, c, d):
@@ -98,16 +89,18 @@ def cross_normal(rows):
     return tuple(out)
 
 
-def mat_rank(rows) -> int:
-    """Rank over the rationals (Gaussian elimination on Fraction copies)."""
-    a = [[as_scalar(x) for x in row] for row in rows]
-    if not a:
-        return 0
-    rank = 0
-    ncols = len(a[0])
+def _eliminate(a, ncols) -> list:
+    """Gauss-Jordan elimination in place on the Fraction rows ``a`` over their
+    first ``ncols`` columns; returns the pivot columns, one per leading row.
+
+    Stops as soon as every row holds a pivot.
+    """
+    m = len(a)
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         pivot = None
-        for i in range(rank, len(a)):
+        for i in range(rank, m):
             if a[i][col] != 0:
                 pivot = i
                 break
@@ -116,14 +109,22 @@ def mat_rank(rows) -> int:
         a[rank], a[pivot] = a[pivot], a[rank]
         inv = 1 / a[rank][col]
         a[rank] = [x * inv for x in a[rank]]
-        for i in range(len(a)):
+        for i in range(m):
             if i != rank and a[i][col] != 0:
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == len(a):
+        pivots.append(col)
+        if rank + 1 == m:
             break
-    return rank
+    return pivots
+
+
+def mat_rank(rows) -> int:
+    """Rank over the rationals (Gaussian elimination on Fraction copies)."""
+    a = [[as_scalar(x) for x in row] for row in rows]
+    if not a:
+        return 0
+    return len(_eliminate(a, len(a[0])))
 
 
 def solve(rows, rhs):
@@ -134,34 +135,13 @@ def solve(rows, rhs):
     """
     m, n = len(rows), len(rows[0])
     a = [[as_scalar(x) for x in rows[i]] + [as_scalar(rhs[i])] for i in range(m)]
-    row = 0
-    pivots = []
-    for col in range(n):
-        pivot = None
-        for i in range(row, m):
-            if a[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for i in range(m):
-            if i != row and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
-        pivots.append(col)
-        row += 1
-    if len(pivots) < n:
+    if len(_eliminate(a, n)) < n:
         return None
-    for i in range(row, m):
-        if a[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        x[col] = a[r][n]
-    return tuple(x)
+    # Full column rank puts the pivots on columns 0..n-1 of rows 0..n-1;
+    # a nonzero right-hand side below them makes the system inconsistent.
+    if any(a[i][n] != 0 for i in range(n, m)):
+        return None
+    return tuple(a[i][n] for i in range(n))
 
 
 def gram_matrix(basis):

@@ -34,10 +34,6 @@ def nth_root_fraction(q: Fraction, n: int, digits: int = DEFAULT_DIGITS) -> Frac
     return Fraction(r, scale)
 
 
-def nth_root_str(q: Fraction, n: int, digits: int = DEFAULT_DIGITS) -> str:
-    return format_fixed(nth_root_fraction(q, n, digits + _GUARD), digits)
-
-
 def sqrt_fraction(q: Fraction, digits: int = DEFAULT_DIGITS) -> Fraction:
     return nth_root_fraction(q, 2, digits)
 

@@ -12,7 +12,6 @@ computed by two independent routes that must agree exactly:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,18 +34,6 @@ from .linalg import (
     vscale,
 )
 from .numeric import DEFAULT_DIGITS, format_fixed, sqrt_fraction
-
-
-class MixedVolumeMethod(enum.Enum):
-    BASE_HEIGHT = "base-height"
-    INTERPOLATION = "interpolation"
-
-
-@dataclass(frozen=True)
-class MixedVolumeResult:
-    value: Fraction
-    method: MixedVolumeMethod
-    body_refs: tuple
 
 
 @dataclass(frozen=True)
@@ -114,16 +101,13 @@ def volume_polynomial(first: Polytope, second: Polytope) -> VolumePolynomial:
     return VolumePolynomial(coeffs)
 
 
-def mixed_volume_interp(first: Polytope, second: Polytope) -> MixedVolumeResult:
+def mixed_volume_interp(first: Polytope, second: Polytope) -> Fraction:
     """V_{n-1,1}(K, L) as (1/n) d/deps V_n(K + eps L) at eps = 0."""
     poly = volume_polynomial(first, second)
-    value = poly.derivative_at_zero() / first.dim
-    return MixedVolumeResult(
-        value, MixedVolumeMethod.INTERPOLATION, (first.digest, second.digest)
-    )
+    return poly.derivative_at_zero() / first.dim
 
 
-def mixed_volume_base_height(first: Polytope, second: Polytope) -> MixedVolumeResult:
+def mixed_volume_base_height(first: Polytope, second: Polytope) -> Fraction:
     """V_{n-1,1}(P, K) = (1/n) sum h_K(u) V_{n-1}(P^u) over facet normals of P.
 
     With pseudo_volume = V_{n-1}(facet) |normal| and h_K evaluated on the
@@ -137,11 +121,7 @@ def mixed_volume_base_height(first: Polytope, second: Polytope) -> MixedVolumeRe
     total = Fraction(0)
     for f in first.facets:
         total += support(second, f.normal) * f.pseudo_volume / f.normal_sq()
-    return MixedVolumeResult(
-        total / first.dim,
-        MixedVolumeMethod.BASE_HEIGHT,
-        (first.digest, second.digest),
-    )
+    return total / first.dim
 
 
 def mixed_area(first: Polytope, second: Polytope) -> Fraction:
@@ -149,10 +129,10 @@ def mixed_area(first: Polytope, second: Polytope) -> Fraction:
     if first.dim != 2 or second.dim != 2:
         raise DimensionError("mixed area is the 2-dimensional mixed volume")
     if first.is_full_dimensional:
-        return mixed_volume_base_height(first, second).value
+        return mixed_volume_base_height(first, second)
     if second.is_full_dimensional:
-        return mixed_volume_base_height(second, first).value
-    return mixed_volume_interp(first, second).value
+        return mixed_volume_base_height(second, first)
+    return mixed_volume_interp(first, second)
 
 
 def projection_prism_volume(body: Polytope, w) -> Fraction:

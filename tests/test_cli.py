@@ -199,3 +199,39 @@ def test_console_entry_point(corpus):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["volume"] == "1"
+
+
+def test_numeric_argument_bounds(corpus, capsys):
+    # Each value is rejected while the arguments are parsed, before any work.
+    square = corpus["square"]
+    for argv, option in [
+        (["volume", square, "--digits", "-1"], "--digits"),
+        (["check", square, square, "--form", "mmv", "--digits", "1001"], "--digits"),
+        (["steiner", square, "--direction", "1,0", "--steps", "11"], "--steps"),
+        (["steiner", square, "--direction", "1,0", "--steps", "-2"], "--steps"),
+        (["random-body", "--dim", "2", "--vertices", "1", "--seed", "1"], "--vertices"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv)
+        assert exc.value.code == 2 and option in capsys.readouterr().err
+    code, out, err = run_cli(
+        capsys, ["random-body", "--dim", "3", "--vertices", "3", "--seed", "1"]
+    )
+    assert code == 2 and out == "" and "--vertices" in err
+
+
+def test_parse_body_rejects_booleans():
+    # bool is a subclass of int, so JSON true must not pass as 1.
+    for data in (
+        {"dim": True, "vertices": [["0"], ["1"]]},
+        {"dim": 2, "vertices": [[True, "0"], ["1", "0"], ["0", "1"]]},
+    ):
+        with pytest.raises(io.BodyFileError):
+            io.parse_body(data)
+
+
+def test_boolean_body_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"dim": True, "vertices": [["0"], ["1"]]}))
+    code, out, err = run_cli(capsys, ["volume", str(path)])
+    assert code == 2 and out == "" and "parse error" in err

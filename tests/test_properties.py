@@ -86,8 +86,8 @@ def test_projection_restriction(body, a_coords):
 @given(polytope_strategy(2), polytope_strategy(2))
 def test_mixed_volume_routes_agree(first, second):
     assert (
-        mixed_volume_interp(first, second).value
-        == mixed_volume_base_height(first, second).value
+        mixed_volume_interp(first, second)
+        == mixed_volume_base_height(first, second)
     )
 
 
@@ -114,12 +114,12 @@ def test_translation_invariance_of_mixed_volume(body, shift):
     other = combine(1, body, 1, body)
     moved = translate(body, shift)
     assert (
-        mixed_volume_base_height(moved, other).value
-        == mixed_volume_base_height(body, other).value
+        mixed_volume_base_height(moved, other)
+        == mixed_volume_base_height(body, other)
     )
     assert (
-        mixed_volume_base_height(other, moved).value
-        == mixed_volume_base_height(other, body).value
+        mixed_volume_base_height(other, moved)
+        == mixed_volume_base_height(other, body)
     )
 
 

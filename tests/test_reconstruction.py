@@ -86,7 +86,7 @@ def test_recover_auxiliary_independence(square):
 
 def test_recovery_with_interpolation_oracle(square):
     # The oracle interface accepts any exact mixed-area functional.
-    oracle = lambda probe_body: mixed_volume_interp(square, probe_body).value
+    oracle = lambda probe_body: mixed_volume_interp(square, probe_body)
     assert recover_support(oracle, (1, 1)) == 2
     assert recover_support_other_quadrants(oracle, (-1, 1)) == 1
 

@@ -19,7 +19,6 @@ from convexkit.errors import (
 )
 from convexkit.geometry import bodies_equal, convex_hull, scale, translate
 from convexkit.volumes import (
-    MixedVolumeMethod,
     combine,
     mixed_area,
     mixed_volume_base_height,
@@ -72,17 +71,15 @@ def test_volume_polynomial_examples(square, cube):
 
 
 def test_mixed_volume_interp_examples(square, cube):
-    assert mixed_volume_interp(square, square).value == 1
-    assert mixed_volume_interp(square, axis_segment(2, 0)).value == F(1, 2)
-    r = mixed_volume_interp(cube, axis_segment(3, 0))
-    assert r.value == F(1, 3)
-    assert r.method is MixedVolumeMethod.INTERPOLATION
+    assert mixed_volume_interp(square, square) == 1
+    assert mixed_volume_interp(square, axis_segment(2, 0)) == F(1, 2)
+    assert mixed_volume_interp(cube, axis_segment(3, 0)) == F(1, 3)
 
 
 def test_mixed_volume_base_height_examples(square, dia, tri):
-    assert mixed_volume_base_height(square, square).value == 1
-    assert mixed_volume_base_height(square, dia).value == 2
-    assert mixed_volume_base_height(square, tri).value == 1
+    assert mixed_volume_base_height(square, square) == 1
+    assert mixed_volume_base_height(square, dia) == 2
+    assert mixed_volume_base_height(square, tri) == 1
 
 
 def test_base_height_cross_checked_by_sum_area(square, dia, tri):
@@ -116,8 +113,8 @@ def test_oracle_equivalence_fixed_bodies(square, dia, tri, cube):
     ]
     for first, second in pairs:
         assert (
-            mixed_volume_interp(first, second).value
-            == mixed_volume_base_height(first, second).value
+            mixed_volume_interp(first, second)
+            == mixed_volume_base_height(first, second)
         )
 
 
@@ -136,7 +133,7 @@ def test_projection_prism_identity(square, cube):
     ]:
         n = body.dim
         seg = segment(zero, w)
-        assert n * mixed_volume_interp(body, seg).value == projection_prism_volume(
+        assert n * mixed_volume_interp(body, seg) == projection_prism_volume(
             body, w
         )
 
