@@ -3,9 +3,11 @@
 Deliberately separate from the library code paths: the cycle ordering uses
 float angles around the centroid (safe for extreme points of a convex
 polygon at test scale) and the area is the plain shoelace sum on that
-cycle.
+cycle.  The brute-force hull tries every n-subset of the points as a facet
+and runs its own Fraction elimination.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -49,3 +51,92 @@ def perimeter_float(points) -> float:
         dy = float(cyc[(i + 1) % len(cyc)][1] - cyc[i][1])
         total += math.hypot(dx, dy)
     return total
+
+
+def _rref(rows):
+    """Reduced row echelon form over Fractions; returns (rows, pivot columns)."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    ncols = len(a[0]) if a else 0
+    for col in range(ncols):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if pick is None:
+            continue
+        a[r], a[pick] = a[pick], a[r]
+        a[r] = [x / a[r][col] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] != 0:
+                a[i] = [x - a[i][col] * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, pivots
+
+
+def affine_rank(points) -> int:
+    pts = [tuple(Fraction(x) for x in p) for p in points]
+    return len(_rref([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]])[1])
+
+
+def _hyperplane_normal(simplex):
+    """Normal of the hyperplane through n points in R^n, or None when the
+    points are affinely dependent."""
+    n = len(simplex[0])
+    edges = [[x - y for x, y in zip(p, simplex[0])] for p in simplex[1:]]
+    a, pivots = _rref(edges)
+    if len(pivots) != n - 1:
+        return None
+    free = next(c for c in range(n) if c not in pivots)
+    normal = [Fraction(0)] * n
+    normal[free] = Fraction(1)
+    for r, col in enumerate(pivots):
+        normal[col] = -a[r][free]
+    return normal
+
+
+def _primitive(v):
+    scale = 1
+    for x in v:
+        scale = scale * x.denominator // math.gcd(scale, x.denominator)
+    ints = [int(x * scale) for x in v]
+    g = 0
+    for x in ints:
+        g = math.gcd(g, x)
+    return tuple(x // g for x in ints)
+
+
+def brute_hull(points):
+    """Extreme points and facets of a full-dimensional finite point set.
+
+    Facets are the supporting hyperplanes through affinely independent
+    n-subsets; a point is a vertex when the normals of the facets through
+    it have rank n.  Returns (sorted vertices, facets) with facets sorted
+    by outward primitive integer normal, each as (normal, offset,
+    indices of the vertices on it).
+    """
+    pts = sorted({tuple(Fraction(x) for x in p) for p in points})
+    n = len(pts[0])
+    offsets = {}
+    for simplex in itertools.combinations(pts, n):
+        normal = _hyperplane_normal(simplex)
+        if normal is None:
+            continue
+        level = sum(a * b for a, b in zip(normal, simplex[0]))
+        values = [sum(a * b for a, b in zip(normal, p)) for p in pts]
+        if all(v >= level for v in values):
+            normal, level = [-a for a in normal], -level
+        elif not all(v <= level for v in values):
+            continue
+        prim = _primitive(normal)
+        offsets[prim] = max(sum(a * b for a, b in zip(prim, p)) for p in pts)
+
+    def on(prim, p):
+        return sum(a * b for a, b in zip(prim, p)) == offsets[prim]
+
+    vertices = [
+        p for p in pts if len(_rref([list(u) for u in offsets if on(u, p)])[1]) == n
+    ]
+    facets = [
+        (prim, offsets[prim], tuple(k for k, v in enumerate(vertices) if on(prim, v)))
+        for prim in sorted(offsets)
+    ]
+    return vertices, facets
