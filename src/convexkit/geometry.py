@@ -10,6 +10,10 @@ Conventions used throughout the package:
 * ``Facet.pseudo_volume`` is the facet's (n-1)-volume multiplied by the
   euclidean length of the stored normal.  This product is always rational,
   which is what keeps every downstream volume formula exact;
+* hull predicates run on lifted rows: a point p becomes the integer row
+  (X_1, ..., X_n, d) with X / d == p and d the lcm of p's own
+  denominators.  Determinants of such rows are the affine ones times the
+  positive product of the d's, so their signs decide orientation exactly;
 * projections return coordinates obtained by pairing points with the
   subspace basis vectors (x maps to (x.b1, ..., x.bd)).  Under this chart
   a direction for the projected body is a coefficient vector a, standing
@@ -26,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, prod
 
 from .errors import (
     AmbientDimError,
@@ -42,7 +46,6 @@ from .linalg import (
     dot,
     gram_matrix,
     is_zero_vec,
-    lcm_denominators,
     mat_det,
     mat_rank,
     primitive_int_vector,
@@ -56,10 +59,6 @@ from .linalg import (
 
 MIN_AMBIENT = 2
 MAX_AMBIENT = 4
-
-# Above this lcm-of-denominators size, hull predicates run on Fractions
-# directly instead of rescaled integers.
-_INT_SCALE_BIT_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -158,77 +157,63 @@ def _affine_rank_with_basis(points):
     return len(rows), chosen
 
 
-def _chain_2d(pts):
-    """Monotone chain on deduplicated 2D points; returns CCW index cycle.
+def _lift(points):
+    """Integer row (X_1, ..., X_n, d) of each point, with X / d == p and d the
+    lcm of that point's own denominators."""
+    rows = []
+    for p in points:
+        d = lcm(*(x.denominator for x in p))
+        rows.append(tuple(x.numerator * (d // x.denominator) for x in p) + (d,))
+    return rows
+
+
+def _chain_2d(rows):
+    """Monotone chain on the rows of sorted, deduplicated 2D points; returns
+    the CCW index cycle.
 
     Strict turns only, so collinear midpoints are dropped and the cycle
     contains exactly the extreme points.
     """
-    order = sorted(range(len(pts)), key=lambda i: pts[i])
 
     def half(indices):
         out = []
         for i in indices:
-            while len(out) > 1:
-                o, a = pts[out[-2]], pts[out[-1]]
-                cross = (a[0] - o[0]) * (pts[i][1] - o[1]) - (a[1] - o[1]) * (
-                    pts[i][0] - o[0]
-                )
-                if cross <= 0:
-                    out.pop()
-                else:
-                    break
+            # Positive exactly for a left turn: the row weights are positive.
+            while len(out) > 1 and mat_det([rows[out[-2]], rows[out[-1]], rows[i]]) <= 0:
+                out.pop()
             out.append(i)
         return out
 
-    lower = half(order)
-    upper = half(order[::-1])
+    lower = half(range(len(rows)))
+    upper = half(reversed(range(len(rows))))
     return lower[:-1] + upper[:-1]
 
 
-def _edge_simplices_2d(pts, cycle):
-    out = []
-    for k in range(len(cycle)):
-        i, j = cycle[k], cycle[(k + 1) % len(cycle)]
-        d = vsub(pts[j], pts[i])
-        normal = (d[1], -d[0])  # outward for a CCW cycle
-        out.append(((i, j), normal, dot(normal, pts[i])))
-    return out
+def _oriented(rows, interior, vert_ids):
+    """(vert_ids, h) for the simplex on these rows: h = cross_normal of the
+    rows, oriented so that dot(h, row) > 0 exactly beyond its hyperplane."""
+    h = cross_normal([rows[i] for i in vert_ids])
+    if dot(h, interior) > 0:
+        h = vneg(h)
+    return tuple(vert_ids), h
 
 
-def _incremental_hull(pts, n):
-    """Simplicial outward-oriented boundary facets of a full-dimensional set.
+def _incremental_hull(rows, n, base, interior):
+    """Simplicial boundary of a full-dimensional set, as oriented simplices.
 
-    ``pts`` are deduplicated coordinate tuples (ints or Fractions) affinely
-    spanning R^n.  Returns a list of (vertex_indices, raw_normal, offset)
-    where raw_normal is the edge cross product of the simplex (so its length
-    encodes the simplex (n-1)-volume).
+    ``rows`` are lifted points affinely spanning R^n, and ``base`` indexes
+    n+1 of them that are affinely independent.
     """
-    rank, base = _affine_rank_with_basis(pts)
-    assert rank == n, "caller must guarantee full affine rank"
-    interior = [0] * n  # centroid of the initial simplex, times n+1
-    for i in base:
-        interior = [c + x for c, x in zip(interior, pts[i])]
-
-    def oriented(vert_ids):
-        vs = [pts[i] for i in vert_ids]
-        normal = cross_normal([vsub(v, vs[0]) for v in vs[1:]])
-        off = dot(normal, vs[0])
-        side = dot(normal, interior) - (n + 1) * off
-        if side > 0:
-            normal, off = vneg(normal), -off
-        return tuple(vert_ids), normal, off
-
     facets = {}
     next_id = itertools.count()
     for subset in itertools.combinations(base, n):
-        facets[next(next_id)] = oriented(subset)
+        facets[next(next_id)] = _oriented(rows, interior, subset)
 
     in_base = set(base)
-    for pi, p in enumerate(pts):
+    for pi, row in enumerate(rows):
         if pi in in_base:
             continue
-        visible = [fid for fid, (_, nf, off) in facets.items() if dot(nf, p) > off]
+        visible = [fid for fid, (_, h) in facets.items() if dot(h, row) > 0]
         if not visible:
             continue
         ridge_count = {}
@@ -241,95 +226,70 @@ def _incremental_hull(pts, n):
             del facets[fid]
         for ridge, count in ridge_count.items():
             if count == 1:
-                facets[next(next_id)] = oriented(ridge + (pi,))
+                facets[next(next_id)] = _oriented(rows, interior, ridge + (pi,))
     return list(facets.values())
 
 
-def _build_full_dimensional(points, n):
-    """Canonical Polytope of affinely spanning, deduplicated Fraction points."""
-    scale = lcm_denominators(points, bit_limit=_INT_SCALE_BIT_LIMIT)
-    if scale == 1:
-        work = [tuple(int(x) for x in p) for p in points]
-    elif scale.bit_length() <= _INT_SCALE_BIT_LIMIT:
-        work = [tuple(int(x * scale) for x in p) for p in points]
+def _build_full_dimensional(points, n, base):
+    """Canonical Polytope of affinely spanning, sorted, deduplicated Fraction
+    points; ``base`` indexes n+1 affinely independent ones."""
+    rows = _lift(points)
+    # A sum of rows stands for the average of its points weighted by their
+    # d's, so this one lies inside the simplex on ``base``, inside the hull.
+    interior = [sum(col) for col in zip(*(rows[i] for i in base))]
+    if n >= 3:
+        simplices = _incremental_hull(rows, n, base, interior)
     else:
-        work, scale = points, 1  # Fraction predicates; exact, just slower
-
-    if n == 2:
-        simplices = _edge_simplices_2d(work, _chain_2d(work))
-    elif n == 1:
-        lo = min(range(len(work)), key=lambda i: work[i])
-        hi = max(range(len(work)), key=lambda i: work[i])
-        simplices = [((hi,), (1,), work[hi][0]), ((lo,), (-1,), -work[lo][0])]
-    else:
-        simplices = _incremental_hull(work, n)
-
-    vol_scaled = tree_sum(dot(normal, work[verts[0]]) for verts, normal, _ in simplices)
-    volume = Fraction(vol_scaled) / (factorial(n) * Fraction(scale) ** n)
+        # The edges of the chain's cycle in 2D, the two end points in 1D.
+        cycle = _chain_2d(rows) if n == 2 else [0, len(rows) - 1]
+        faces = zip(cycle, cycle[1:] + cycle[:1]) if n == 2 else zip(cycle)
+        simplices = [_oriented(rows, interior, f) for f in faces]
 
     # Merge coplanar simplices into maximal facets, keyed by the primitive
-    # outward normal (unique per facet of a convex body).  The cross-product
-    # normal of a simplex computed on coordinates scaled by ``scale`` equals
-    # scale**(n-1) times the one on original coordinates, so the positive
-    # ratio lam below ties the stored primitive normal back to true areas:
-    # (n-1)-volume of the simplex = lam * |prim| / (n-1)!.
+    # outward normal (unique per facet of a convex body).  For a simplex
+    # whose row weights multiply to s, c = h[:n] / s is the outward cross
+    # product of its edges and c.v = -h[n] / s at each of its vertices v.
+    # So the ratio lam below ties the stored primitive normal back to true
+    # areas, (n-1)-volume of the simplex = lam * |prim| / (n-1)!, and the
+    # cone over the simplex from the origin has signed volume -h[n] / (s * n!).
     merged = {}
-    for verts, normal, _ in simplices:
-        prim = primitive_int_vector(normal)
+    cones = []
+    for verts, h in simplices:
+        s = prod(rows[i][n] for i in verts)
+        cones.append(Fraction(-h[n], s))
+        prim = primitive_int_vector(h[:n])
         j = next(i for i, x in enumerate(prim) if x != 0)
-        lam = as_scalar(normal[j]) / (prim[j] * Fraction(scale) ** (n - 1))
         entry = merged.setdefault(prim, [Fraction(0), set()])
-        entry[0] += lam
+        entry[0] += Fraction(h[j], prim[j] * s)
         entry[1].update(verts)
+    volume = tree_sum(cones) / factorial(n)
 
+    # Every vertex of a facet is a vertex of its triangulation, so incidence
+    # is membership; a member is extreme iff n of its facets' normals are
+    # linearly independent.
     norm_keys = sorted(merged)
-    facet_offsets = {}
+    member_of = {}
     for prim in norm_keys:
-        some_vertex = next(iter(merged[prim][1]))
-        facet_offsets[prim] = as_scalar(dot(prim, points[some_vertex]))
-
-    if n <= 2:
-        # The chain (resp. the 1D extremes) already produced exactly the
-        # extreme points, each group is a single edge, and incidence is the
-        # membership itself -- no quadratic point-vs-facet scan needed.
-        extreme = sorted(
-            {i for prim in norm_keys for i in merged[prim][1]},
-            key=lambda i: points[i],
-        )
-        incidence = {prim: merged[prim][1] for prim in norm_keys}
-    else:
-        # Extreme points carry incident facet normals of full rank; only
-        # simplex members can be extreme, so scan just those.
-        candidates = sorted({i for prim in norm_keys for i in merged[prim][1]})
-        extreme = []
-        incidence = {prim: set() for prim in norm_keys}
-        for i in candidates:
-            p = points[i]
-            inc = [
-                prim for prim in norm_keys if dot(prim, p) == facet_offsets[prim]
-            ]
-            if mat_rank(inc) == n:
-                extreme.append(i)
-                for prim in inc:
-                    incidence[prim].add(i)
-        extreme.sort(key=lambda i: points[i])
-
+        for i in merged[prim][1]:
+            member_of.setdefault(i, []).append(prim)
+    extreme = [
+        i
+        for i in sorted(member_of)
+        if any(mat_det(sub) != 0 for sub in itertools.combinations(member_of[i], n))
+    ]
     vertices = tuple(points[i] for i in extreme)
     canonical_index = {i: k for k, i in enumerate(extreme)}
 
     facets = []
     for prim in norm_keys:
-        lam_sum = merged[prim][0]
-        on_facet = tuple(
-            sorted(canonical_index[i] for i in incidence[prim] if i in canonical_index)
-        )
-        pseudo = lam_sum * dot(prim, prim) / factorial(n - 1)
+        lam_sum, members = merged[prim]
+        on_facet = tuple(sorted(canonical_index[i] for i in members if i in canonical_index))
         facets.append(
             Facet(
                 normal=tuple(Fraction(c) for c in prim),
-                offset=facet_offsets[prim],
+                offset=dot(prim, vertices[on_facet[0]]),
                 vertex_indices=on_facet,
-                pseudo_volume=pseudo,
+                pseudo_volume=lam_sum * dot(prim, prim) / factorial(n - 1),
             )
         )
     return Polytope(
@@ -390,7 +350,7 @@ def convex_hull(points, *, allow_degenerate: bool = False, _ambient_check: bool 
                 f"points span an affine subspace of dimension {rank} < {n}"
             )
         return _build_degenerate(pts, n, rank, basis_ids)
-    return _build_full_dimensional(pts, n)
+    return _build_full_dimensional(pts, n, basis_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +480,7 @@ def polygon_cycle(body: Polytope):
         raise DimensionError("polygon cycle requires ambient dimension 2")
     if len(body.vertices) <= 2:
         return list(body.vertices)
-    cyc = _chain_2d(list(body.vertices))
+    cyc = _chain_2d(_lift(body.vertices))
     return [body.vertices[i] for i in cyc]
 
 

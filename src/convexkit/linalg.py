@@ -1,10 +1,10 @@
 """Small exact linear algebra kernel.
 
 Scalars are ``fractions.Fraction``; vectors are plain tuples.  The hull
-predicates also run on integer tuples (rescaled copies of rational points),
-so every routine here is written to preserve the entry type: determinants
-use division-free minor expansion, and only the explicitly named helpers
-convert to Fraction.
+predicates also run on lifted rows, integer tuples (X_1, ..., X_n, d) that
+stand for the rational points X / d, so every routine here is written to
+preserve the entry type: determinants use division-free minor expansion,
+and only the explicitly named helpers convert to Fraction.
 """
 
 from __future__ import annotations
@@ -164,18 +164,6 @@ def tree_sum(values):
             nxt.append(vals[-1])
         vals = nxt
     return vals[0]
-
-
-def lcm_denominators(points, bit_limit=None) -> int:
-    """lcm of all coordinate denominators; bails out early past bit_limit
-    (callers that only rescale when the lcm is small need no exact value)."""
-    out = 1
-    for p in points:
-        for x in p:
-            out = lcm(out, x.denominator)
-            if bit_limit is not None and out.bit_length() > bit_limit:
-                return out
-    return out
 
 
 def primitive_int_vector(v) -> tuple:

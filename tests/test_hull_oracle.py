@@ -32,10 +32,12 @@ def hull_inputs(draw):
             axis = draw(st.integers(0, n - 1))
             nudge = F(draw(st.sampled_from([-1, 1])), prime)
             pts[i] = tuple(x + nudge if k == axis else x for k, x in enumerate(pts[i]))
-    extras = draw(st.lists(st.sampled_from(["duplicate", "midpoint", "centroid"]), max_size=8 - len(pts)))
+    kinds = st.sampled_from(["duplicate", "midpoint", "centroid"])
+    extras = draw(st.lists(kinds, max_size=8 - len(pts)))
     for kind in extras:
         size = {"duplicate": 1, "midpoint": 2, "centroid": n}[kind]
-        ids = draw(st.lists(st.integers(0, len(pts) - 1), min_size=size, max_size=size, unique=True))
+        index = st.integers(0, len(pts) - 1)
+        ids = draw(st.lists(index, min_size=size, max_size=size, unique=True))
         pts.append(tuple(sum(pts[i][k] for i in ids) / size for k in range(n)))
     return draw(st.permutations(pts))
 
