@@ -52,10 +52,10 @@ EXIT_VIOLATION = 4
 # Limits on numeric arguments, so that no argument can start unbounded work.
 # Fixed-point renderings convert integers of about `digits` decimal digits,
 # and Python refuses int/str conversions past 4300 digits; each rounding step
-# costs about 2.5 times the one before it.
+# costs about 2.5 times the one before it.  `--vertices` shares the cap on
+# body files, io.MAX_VERTICES.
 MAX_DIGITS = 1000
 MAX_STEPS = 10
-MAX_VERTICES = 1000
 
 
 def _frac(text: str) -> Fraction:
@@ -295,7 +295,7 @@ def cmd_homothety(args) -> int:
     second = io.load_body(args.body_b)
     out = _base_report(args, [args.body_a, args.body_b])
     if args.via_projections:
-        dirs = default_direction_set(first.dim, seed=args.seed or 2024)
+        dirs = default_direction_set(first.dim, seed=2024 if args.seed is None else args.seed)
         report = homothetic_projections_conclude(first, second, dirs)
         result = {"conclusion": report.conclusion.value}
         if report.witness is not None:
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random-body", help="seeded random full-dimensional body")
     p.add_argument("--dim", type=int, required=True, choices=[2, 3, 4])
-    p.add_argument("--vertices", type=_int_in(3, MAX_VERTICES), required=True)
+    p.add_argument("--vertices", type=_int_in(3, io.MAX_VERTICES), required=True)
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_random_body)

@@ -126,19 +126,28 @@ def normalize_shadows(first: Polytope, second: Polytope):
     Requires n >= 3 and homothetic shadows onto the last coordinate
     hyperplane (their scale pins the dilation).  Returns (K', L', transforms).
     """
+    return _normalize_shadows(first, second)
+
+
+def _normalize_shadows(first: Polytope, second: Polytope, shadow=None):
+    """``normalize_shadows``, given the bottom shadows' homothety
+    (L_shadow = ratio * K_shadow + shift) when the caller has decided it."""
     n = first.dim
     if n < 3:
         raise DimensionError("shadow normalization needs ambient dimension >= 3")
     if not (first.is_full_dimensional and second.is_full_dimensional):
         raise LowerDimensionalError("shadow normalization needs full-dimensional bodies")
     floor = hyperplane_subspace(_last_axis(n))
-    # The homothety carrying L's shadow onto K's: K_shadow = a L_shadow + v.
-    decision = detect_homothety(project(second, floor), project(first, floor))
-    if not decision.homothetic:
-        raise NotHomotheticProjectionError(
-            f"bottom shadows are not homothetic ({decision.reason})"
-        )
-    a, v = decision.witness.ratio, decision.witness.shift
+    if shadow is None:
+        decision = detect_homothety(project(first, floor), project(second, floor))
+        if not decision.homothetic:
+            raise NotHomotheticProjectionError(
+                f"bottom shadows are not homothetic ({decision.reason})"
+            )
+        shadow = decision.witness
+    # Its inverse carries L's shadow onto K's: K_shadow = a L_shadow + v.
+    a = 1 / shadow.ratio
+    v = vscale(-a, shadow.shift)
     # The floor basis is e_1..e_(n-1), so chart coordinates embed directly.
     v_embedded = tuple(v) + (Fraction(0),)
     second_scaled = translate(scale(second, a), v_embedded)
@@ -186,6 +195,7 @@ def homothetic_projections_conclude(
     e_last = _last_axis(n)
     if not any(_parallel_same_ray(w, e_last) for w in directions):
         raise ValueError("direction set must contain the last axis direction")
+    bottom = None
     for w in directions:
         xi = hyperplane_subspace(w)
         decision = detect_homothety(project(first, xi), project(second, xi))
@@ -195,7 +205,10 @@ def homothetic_projections_conclude(
                 failing_direction=w,
                 reason=decision.reason,
             )
-    first_n, second_n, tf = normalize_shadows(first, second)
+        if bottom is None and _parallel_same_ray(w, e_last):
+            # Every w on the ray of e_n has the floor's basis e_1..e_(n-1).
+            bottom = decision.witness
+    first_n, second_n, tf = _normalize_shadows(first, second, bottom)
     if not bodies_equal(first_n, second_n):
         return ProjectionsReport(
             ProjectionConclusion.NOT_HOMOTHETIC,

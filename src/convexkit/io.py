@@ -18,6 +18,9 @@ from fractions import Fraction
 
 from .geometry import Polytope, convex_hull
 
+# Most vertex rows a body file may hold; `random-body --vertices` shares it.
+MAX_VERTICES = 1000
+
 
 class BodyFileError(ValueError):
     """Malformed body file (parse / schema errors; CLI exit code 2)."""
@@ -61,6 +64,8 @@ def parse_body(data, *, allow_degenerate: bool = False) -> Polytope:
     rows = data["vertices"]
     if not isinstance(rows, list) or not rows:
         raise BodyFileError('"vertices" must be a non-empty array')
+    if len(rows) > MAX_VERTICES:
+        raise BodyFileError(f"at most {MAX_VERTICES} vertex rows allowed, got {len(rows)}")
     pts = []
     for row in rows:
         if not isinstance(row, list) or len(row) != dim:

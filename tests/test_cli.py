@@ -235,3 +235,34 @@ def test_boolean_body_file_exit_code(tmp_path, capsys):
     path.write_text(json.dumps({"dim": True, "vertices": [["0"], ["1"]]}))
     code, out, err = run_cli(capsys, ["volume", str(path)])
     assert code == 2 and out == "" and "parse error" in err
+
+
+def test_homothety_seed_zero_picks_directions(corpus, capsys, monkeypatch):
+    # --seed 0 is a seed like any other, not a request for the default.
+    seeds = []
+    real = cli.default_direction_set
+
+    def spy(dim, seed):
+        seeds.append(seed)
+        return real(dim, seed=seed)
+
+    monkeypatch.setattr(cli, "default_direction_set", spy)
+    code, out, _ = run_cli(
+        capsys,
+        ["homothety", corpus["cube"], corpus["cube"], "--via-projections", "--seed", "0"],
+    )
+    assert code == 0 and json.loads(out)["seed"] == 0
+    assert seeds == [0]
+
+
+def test_body_file_vertex_cap(tmp_path, capsys, monkeypatch):
+    # Rows past the cap are refused while parsing, before any hull work.
+    assert io.MAX_VERTICES == 1000
+    parabola = [[str(i), str(i * i)] for i in range(1001)]
+    io.parse_body({"dim": 2, "vertices": parabola[:1000]})
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": 2, "vertices": parabola}))
+    monkeypatch.setattr(io, "convex_hull", lambda *args, **kwargs: pytest.fail("hull built"))
+    code, out, err = run_cli(capsys, ["volume", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("parse error:") and err.count("\n") == 1 and "1000" in err

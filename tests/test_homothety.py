@@ -161,3 +161,23 @@ def test_base_case_equal_sweep_means_translates(square):
     assert trace.conclusion is SweepConclusion.HOMOTHETIC
     assert trace.witness.ratio == 1
     assert translates_decision(square, moved).are_translates
+
+
+def test_conclude_decides_bottom_shadow_once(cube, monkeypatch):
+    # The loop's decision for the direction e_n is the bottom shadow's, so
+    # the 27 default directions take 27 decisions, not 28.
+    import convexkit.homothety as homothety
+
+    calls = []
+    real = homothety.detect_homothety
+
+    def counting(first, second):
+        calls.append(1)
+        return real(first, second)
+
+    monkeypatch.setattr(homothety, "detect_homothety", counting)
+    dirs = default_direction_set(3)
+    assert len(dirs) == 27
+    rep = homothetic_projections_conclude(cube, translate(scale(cube, 3), (2, 0, 1)), dirs)
+    assert rep.conclusion is ProjectionConclusion.HOMOTHETIC
+    assert len(calls) == 27

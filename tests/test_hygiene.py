@@ -3,7 +3,11 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "convexkit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "convexkit"
+# Where a library definition may be read: the package and its callers.
+READERS = (SRC, ROOT / "tests", ROOT / "scripts", ROOT / "perfbench")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(path: Path) -> list:
@@ -25,3 +29,36 @@ def test_no_unused_imports():
     # __init__.py imports only to re-export.
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert [hit for path in modules for hit in unused_imports(path)] == []
+
+
+def _read_names(node, own=None) -> set:
+    """Names ``node`` reads (loads, attribute lookups, imports), leaving out
+    ``own``, the name of the definition being walked."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names - {own}
+
+
+def dead_definitions() -> list:
+    """Top-level functions and classes of the package that nothing reads
+    outside their own definition, as "file:line name"."""
+    read = set()
+    for path in sorted(p for folder in READERS for p in folder.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            read |= _read_names(node, node.name if isinstance(node, DEFINITIONS) else None)
+    return [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, DEFINITIONS) and node.name not in read
+    ]
+
+
+def test_no_dead_definitions():
+    assert dead_definitions() == []
