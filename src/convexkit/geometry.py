@@ -237,13 +237,14 @@ def _build_full_dimensional(points, n, base):
     # A sum of rows stands for the average of its points weighted by their
     # d's, so this one lies inside the simplex on ``base``, inside the hull.
     interior = [sum(col) for col in zip(*(rows[i] for i in base))]
-    if n >= 3:
-        simplices = _incremental_hull(rows, n, base, interior)
+    if n == 1:
+        simplices = [_oriented(rows, interior, (i,)) for i in (0, len(rows) - 1)]
+    elif n == 2:
+        cycle = _chain_2d(rows)
+        edges = zip(cycle, cycle[1:] + cycle[:1])
+        simplices = [_oriented(rows, interior, edge) for edge in edges]
     else:
-        # The edges of the chain's cycle in 2D, the two end points in 1D.
-        cycle = _chain_2d(rows) if n == 2 else [0, len(rows) - 1]
-        faces = zip(cycle, cycle[1:] + cycle[:1]) if n == 2 else zip(cycle)
-        simplices = [_oriented(rows, interior, f) for f in faces]
+        simplices = _incremental_hull(rows, n, base, interior)
 
     # Merge coplanar simplices into maximal facets, keyed by the primitive
     # outward normal (unique per facet of a convex body).  For a simplex
