@@ -230,6 +230,24 @@ def _incremental_hull(rows, n, base, interior):
     return list(facets.values())
 
 
+def _spans(vectors, n):
+    """True iff the integer vectors span R^n.  The first n mostly settle it by
+    one determinant; otherwise each is reduced once, fraction-free, against
+    those kept so far, so the cost is linear in their number: a point inside
+    an edge of a 4D hull lies on every facet around that edge.
+    """
+    if len(vectors) >= n and mat_det(vectors[:n]) != 0:
+        return True
+    kept = []
+    for v in vectors:
+        for j, b in kept:
+            if v[j]:
+                v = [b[j] * x - v[j] * y for x, y in zip(v, b)]
+        if any(v):
+            kept.append((next(j for j, x in enumerate(v) if x), v))
+    return len(kept) == n
+
+
 def _build_full_dimensional(points, n, base):
     """Canonical Polytope of affinely spanning, sorted, deduplicated Fraction
     points; ``base`` indexes n+1 affinely independent ones."""
@@ -266,18 +284,13 @@ def _build_full_dimensional(points, n, base):
     volume = tree_sum(cones) / factorial(n)
 
     # Every vertex of a facet is a vertex of its triangulation, so incidence
-    # is membership; a member is extreme iff n of its facets' normals are
-    # linearly independent.
+    # is membership; a member is extreme iff its facets' normals span R^n.
     norm_keys = sorted(merged)
     member_of = {}
     for prim in norm_keys:
         for i in merged[prim][1]:
             member_of.setdefault(i, []).append(prim)
-    extreme = [
-        i
-        for i in sorted(member_of)
-        if any(mat_det(sub) != 0 for sub in itertools.combinations(member_of[i], n))
-    ]
+    extreme = [i for i in sorted(member_of) if _spans(member_of[i], n)]
     vertices = tuple(points[i] for i in extreme)
     canonical_index = {i: k for k, i in enumerate(extreme)}
 

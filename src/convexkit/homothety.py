@@ -126,25 +126,24 @@ def normalize_shadows(first: Polytope, second: Polytope):
     Requires n >= 3 and homothetic shadows onto the last coordinate
     hyperplane (their scale pins the dilation).  Returns (K', L', transforms).
     """
-    return _normalize_shadows(first, second)
+    floor = hyperplane_subspace(_last_axis(first.dim))
+    decision = detect_homothety(project(first, floor), project(second, floor))
+    if not decision.homothetic:
+        raise NotHomotheticProjectionError(
+            f"bottom shadows are not homothetic ({decision.reason})"
+        )
+    return _normalize_shadows(first, second, decision.witness)
 
 
-def _normalize_shadows(first: Polytope, second: Polytope, shadow=None):
-    """``normalize_shadows``, given the bottom shadows' homothety
-    (L_shadow = ratio * K_shadow + shift) when the caller has decided it."""
+def _normalize_shadows(first: Polytope, second: Polytope, shadow):
+    """``normalize_shadows`` given the bottom shadows' homothety
+    (L_shadow = ratio * K_shadow + shift)."""
     n = first.dim
     if n < 3:
         raise DimensionError("shadow normalization needs ambient dimension >= 3")
     if not (first.is_full_dimensional and second.is_full_dimensional):
         raise LowerDimensionalError("shadow normalization needs full-dimensional bodies")
     floor = hyperplane_subspace(_last_axis(n))
-    if shadow is None:
-        decision = detect_homothety(project(first, floor), project(second, floor))
-        if not decision.homothetic:
-            raise NotHomotheticProjectionError(
-                f"bottom shadows are not homothetic ({decision.reason})"
-            )
-        shadow = decision.witness
     # Its inverse carries L's shadow onto K's: K_shadow = a L_shadow + v.
     a = 1 / shadow.ratio
     v = vscale(-a, shadow.shift)

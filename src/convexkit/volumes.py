@@ -45,10 +45,6 @@ class VolumePolynomial:
     def __post_init__(self):
         assert all(c >= 0 for c in self.coefficients), "negative Steiner coefficient"
 
-    def evaluate(self, eps) -> Fraction:
-        eps = as_scalar(eps)
-        return sum(c * eps**i for i, c in enumerate(self.coefficients))
-
     def derivative_at_zero(self) -> Fraction:
         return self.coefficients[1]
 

@@ -22,9 +22,10 @@ from convexkit.geometry import (
     translate,
     validate_polytope,
 )
+from convexkit import geometry
 from convexkit.volumes import combine
 
-from oracles import brute_support
+from oracles import brute_support, shoelace_area
 
 
 def test_hull_drops_interior_point():
@@ -184,3 +185,31 @@ def test_4d_hull_box():
     assert body.volume == 2
     assert len(body.facets) == 8
     validate_polytope(body)
+
+
+def test_hull_edge_point_on_many_facets(monkeypatch):
+    # The join of the segment [A, B] on the x1 axis with an m-gon in the
+    # plane x1 = 0, x2 = 1.  Its midpoint M = 0 lies in the triangulation of
+    # every one of the m facets around [A, B], whose normals span only the
+    # hyperplane x1 = 0.  Deciding that M is not a vertex must cost work
+    # linear in m, not one determinant per 4 of those facets: at most one
+    # determinant per input point.
+    m = 40
+    polygon = [(F(t), F(t * t)) for t in range(m)]
+    ends = [(-1, 0, 0, 0), (1, 0, 0, 0)]
+    gon = [(0, 1, x, y) for x, y in polygon]
+    without_m = convex_hull(ends + gon)
+    calls = []
+
+    def counting(rows):
+        calls.append(1)
+        return real(rows)
+
+    real = geometry.mat_det
+    monkeypatch.setattr(geometry, "mat_det", counting)
+    body = convex_hull(ends + [(0, 0, 0, 0)] + gon)
+    assert bodies_equal(body, without_m)
+    assert len(body.facets) == m + 2
+    # vol(S * P) = |S| * area(P) * 1! 2! / 4! for unit separation.
+    assert body.volume == shoelace_area(polygon) / 6
+    assert len(calls) <= m + 3
