@@ -1,37 +1,58 @@
 #!/usr/bin/env python3
 """Seeded fuzz sweep over random polytope pairs: counts Strict vs Equality
-verdicts and aborts loudly if a Violation ever appears (it must not).
+verdicts and exits 4 if a Violation ever appears (it must not) or if the
+two routes to the equality case disagree.
 
-Usage: python3 scripts/inequality_fuzz.py [--pairs N] [--dim {2,3}] [--seed S]
+Each pair gets the mixed-volume check and the Brunn-Minkowski check at
+lambda = 1/2, which decides equality from volumes alone.  Every fifth pair
+is a body and a scaled, translated copy of it, so Equality occurs too.
+
+Usage: python3 scripts/inequality_fuzz.py [--pairs N] [--dim {2,3,4}] [--seed S]
 """
 
 import argparse
 import random
 import sys
+from fractions import Fraction
 
 from convexkit.bodies import random_polytope
-from convexkit.inequalities import Verdict, minkowski_check
+from convexkit.geometry import scale, translate
+from convexkit.inequalities import Verdict, bm_check, minkowski_check
+
+EXIT_VIOLATION = 4
 
 
-def main():
+def _fail(message, first, second):
+    print(f"{message} -- this is an implementation bug", file=sys.stderr)
+    print("first:", first.vertices, file=sys.stderr)
+    print("second:", second.vertices, file=sys.stderr)
+    sys.exit(EXIT_VIOLATION)
+
+
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pairs", type=int, default=200)
-    parser.add_argument("--dim", type=int, default=2, choices=[2, 3])
+    parser.add_argument("--dim", type=int, default=2, choices=[2, 3, 4])
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     rng = random.Random(args.seed)
     counts = {Verdict.STRICT: 0, Verdict.EQUALITY: 0}
     for i in range(args.pairs):
         first = random_polytope(args.dim, args.dim + 3, rng)
-        second = random_polytope(args.dim, args.dim + 3, rng)
-        report = minkowski_check(first, second)
-        if report.verdict is Verdict.VIOLATION:
-            print("VIOLATION -- this is an implementation bug", file=sys.stderr)
-            print("first:", first.vertices, file=sys.stderr)
-            print("second:", second.vertices, file=sys.stderr)
-            sys.exit(4)
-        counts[report.verdict] += 1
+        if i % 5 == 4:
+            ratio = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            shift = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(args.dim))
+            second = translate(scale(first, ratio), shift)
+        else:
+            second = random_polytope(args.dim, args.dim + 3, rng)
+        mmv = minkowski_check(first, second).verdict
+        bm = bm_check(first, second, Fraction(1, 2)).verdict
+        if Verdict.VIOLATION in (mmv, bm):
+            _fail("VIOLATION", first, second)
+        if mmv is not bm:
+            _fail(f"bm gave {bm.value} but mmv gave {mmv.value}", first, second)
+        counts[mmv] += 1
     print(f"{args.pairs} pairs in dimension {args.dim} (seed {args.seed}):")
     print(f"  Strict:   {counts[Verdict.STRICT]}")
     print(f"  Equality: {counts[Verdict.EQUALITY]}")

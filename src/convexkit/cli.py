@@ -3,8 +3,9 @@
 Every subcommand reads canonical body files, runs one library pipeline and
 emits a deterministic JSON report on stdout (diagnostics go to stderr).
 Exit codes: 0 success, 2 usage or parse error, 3 geometric error, 4
-inequality violation -- the last one must never occur and ships a
-counterexample bundle when it does.
+inequality violation or failed invariant check -- the last one must never
+occur; a violation ships a counterexample bundle, a failed invariant a
+one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from . import io
 from .bodies import random_polytope
-from .errors import GeometryError
+from .errors import GeometryError, InvariantError
 from .geometry import Subspace, project, support
 from .homothety import (
     default_direction_set,
@@ -411,6 +412,9 @@ def run(argv=None) -> int:
     except argparse.ArgumentTypeError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InvariantError as exc:
+        print(f"InvariantError: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     except GeometryError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY

@@ -60,3 +60,8 @@ class EmptyScheduleError(GeometryError):
 
 class OracleError(GeometryError):
     """A user-supplied mixed-area oracle failed."""
+
+
+class InvariantError(GeometryError):
+    """An exact consistency check failed: a bug signal, never a legitimate
+    outcome of valid input."""

@@ -307,6 +307,7 @@ def functional_equality_sweep(
     test_bodies = (second, first, *test_bodies)
     directions = tuple(as_vec(w) for w in directions)
 
+    reference = [mixed_volume_base_height(second, m) for m in test_bodies]
     volumes = []
     mixed_pairs = []
     direction_pairs = []
@@ -316,9 +317,8 @@ def functional_equality_sweep(
         volumes.append((lam, mid.volume))
         if mid.volume != first.volume and refutation is None:
             refutation = {"kind": "volume", "lambda": lam, "value": mid.volume}
-        for idx, m in enumerate(test_bodies):
+        for idx, (m, b) in enumerate(zip(test_bodies, reference)):
             a = mixed_volume_base_height(mid, m)
-            b = mixed_volume_base_height(second, m)
             mixed_pairs.append((lam, idx, a, b))
             if a != b and refutation is None:
                 refutation = {"kind": "mixed", "lambda": lam, "body_index": idx}
@@ -361,11 +361,11 @@ def strict_refutation(first: Polytope, second: Polytope, lambda_grid=None):
         return functional_equality_sweep(first, second, grid).refutation
     n = first.dim
     bodies = (second, first)
+    references = [mixed_volume_base_height(second, m) ** n / second.volume ** (n - 1) for m in bodies]
     for lam in grid:
         mid = combine(1 - lam, first, lam, second)
-        for idx, m in enumerate(bodies):
+        for idx, (m, q_ref) in enumerate(zip(bodies, references)):
             q_mid = mixed_volume_base_height(mid, m) ** n / mid.volume ** (n - 1)
-            q_ref = mixed_volume_base_height(second, m) ** n / second.volume ** (n - 1)
             if q_mid != q_ref:
                 return {
                     "kind": "scale-free-quotient",

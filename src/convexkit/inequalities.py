@@ -3,10 +3,12 @@
 The n-th root of volume is concave along Minkowski interpolation, and
 equivalently V_{n-1,1}(K, L)^n >= V_n(K)^(n-1) V_n(L); for full-dimensional
 bodies equality holds exactly when K and L are homothetic.  Verdicts here
-are decided on exact rationals: root-bearing comparisons are reduced to
-their equivalent rational power form, and numeric slack strings (50 digits
-by default) are attached for display only.  A Violation verdict is a bug
-signal, never a legitimate outcome.
+are decided on exact rationals.  The mixed-volume forms compare rational
+powers; the Brunn-Minkowski form decides equality from its three volumes
+alone, so its verdict and the mixed-volume verdict are independent routes
+to the same answer.  Numeric slack strings (50 digits by default) are
+attached for display only.  A Violation verdict is a bug signal, never a
+legitimate outcome.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
     ZeroVolumeError,
 )
 from .geometry import Polytope
-from .linalg import as_scalar
+from .linalg import as_scalar, rational_nth_root
 from .numeric import DEFAULT_DIGITS, format_fixed, nth_root_fraction, root_combination
 from .volumes import (
     combine,
@@ -83,8 +85,11 @@ def bm_check(
 ) -> InequalityReport:
     """Concavity of V^(1/n) at one interpolation weight.
 
-    Equality for interior weights is decided exactly through the equivalent
-    rational mixed-volume comparison; the displayed slack is numeric.
+    Equality for interior weights is decided exactly from the three volumes:
+    it holds iff a = (V(L) / V(K))^(1/n) is rational and
+    V((1-lam)K + lam L) == ((1-lam) + lam a)^n V(K), which is the equality
+    case itself once V(L)^(1/n) = a V(K)^(1/n) is substituted (the ratio of
+    a rational homothety is rational).  The displayed slack is numeric.
     """
     lam = as_scalar(lam)
     if not 0 <= lam <= 1:
@@ -101,8 +106,8 @@ def bm_check(
     if lam == 0 or lam == 1:
         verdict = Verdict.EQUALITY
     else:
-        _, lhs_pow, rhs_pow = _mmv_sides(first, second)
-        if lhs_pow == rhs_pow:
+        a = rational_nth_root(v_second / v_first, n)
+        if a is not None and v_mid == (1 - lam + lam * a) ** n * v_first:
             verdict = Verdict.EQUALITY
         elif slack > -STRICTNESS_TOLERANCE:
             verdict = Verdict.STRICT

@@ -10,7 +10,7 @@ and only the explicitly named helpers convert to Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 def as_scalar(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -167,17 +167,9 @@ def tree_sum(values):
 
 
 def primitive_int_vector(v) -> tuple:
-    """Scale a rational vector to a primitive integer vector, keeping its sign."""
-    scale = 1
-    for x in v:
-        scale = lcm(scale, as_scalar(x).denominator)
-    ints = [int(x * scale) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    """Divide a nonzero integer vector by the gcd of its entries, keeping its sign."""
+    g = gcd(*v)
+    return tuple(x // g for x in v)
 
 
 def integer_nth_root(x: int, n: int) -> int:

@@ -8,10 +8,22 @@ computed by two independent routes that must agree exactly:
   linear coefficient (which equals n V_{n-1,1}(K, L));
 * base-height: (1/n) sum over facets of P of h_K(u) V_{n-1}(P^u), carried
   out in the pseudo-volume convention so every summand is rational.
+
+Volumes of Minkowski combinations feed the interpolation route and the
+Brunn-Minkowski check, which decides equality from three of them.  For
+a, b > 0 the faces of aK + bL are aF_K(u) + bF_L(u) (Fukuda 2004), so which
+vertex pairs (x, y) give the vertices a x + b y of aK + bL does not depend
+on a and b, and each vertex has exactly one such pair.  ``combine`` records
+the pairs on the first positive combination of an ordered pair of bodies
+and hulls only those points on later ones.  The record is a small FIFO memo
+behind a lock; what it holds depends only on the two bodies, so no result
+depends on call order.  The checks on the volume polynomial raise
+``InvariantError``, so ``python -O`` keeps them.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +31,7 @@ from .bodies import segment
 from .errors import (
     DimensionError,
     DimensionMismatchError,
+    InvariantError,
     LowerDimensionalError,
     NegativeCoefficientError,
     ZeroDirectionError,
@@ -43,25 +56,51 @@ class VolumePolynomial:
     coefficients: tuple
 
     def __post_init__(self):
-        assert all(c >= 0 for c in self.coefficients), "negative Steiner coefficient"
+        if any(c < 0 for c in self.coefficients):
+            raise InvariantError("negative Steiner coefficient")
 
     def derivative_at_zero(self) -> Fraction:
         return self.coefficients[1]
 
 
+# Vertex pairs of recent (first, second) bodies, oldest first.
+_VERTEX_PAIRS_LIMIT = 8
+_vertex_pairs = {}
+_vertex_pairs_lock = threading.Lock()
+
+
 def combine(a, first: Polytope, b, second: Polytope) -> Polytope:
-    """Minkowski combination a*K + b*L (hull of pairwise point combinations)."""
+    """Minkowski combination a*K + b*L (hull of pairwise point combinations).
+
+    For a, b > 0 only the vertex pairs recorded by an earlier positive
+    combination of the same ordered pair are combined, when there is one.
+    """
     a, b = as_scalar(a), as_scalar(b)
     if a < 0 or b < 0:
         raise NegativeCoefficientError("combination coefficients must be >= 0")
     if first.dim != second.dim:
         raise DimensionMismatchError("bodies live in different dimensions")
-    pts = {
-        vadd(vscale(a, x), vscale(b, y))
+    if a == 0 or b == 0:
+        pts = {vadd(vscale(a, x), vscale(b, y)) for x in first.vertices for y in second.vertices}
+        return convex_hull(pts, allow_degenerate=True)
+    key = (first, second)
+    with _vertex_pairs_lock:
+        pairs = _vertex_pairs.get(key)
+    if pairs is not None:
+        pts = [vadd(vscale(a, x), vscale(b, y)) for x, y in pairs]
+        return convex_hull(pts, allow_degenerate=True)
+    origin = {
+        vadd(vscale(a, x), vscale(b, y)): (x, y)
         for x in first.vertices
         for y in second.vertices
     }
-    return convex_hull(pts, allow_degenerate=True)
+    body = convex_hull(origin, allow_degenerate=True)
+    with _vertex_pairs_lock:
+        if key not in _vertex_pairs:
+            if len(_vertex_pairs) >= _VERTEX_PAIRS_LIMIT:
+                del _vertex_pairs[next(iter(_vertex_pairs))]
+            _vertex_pairs[key] = tuple(origin[v] for v in body.vertices)
+    return body
 
 
 def volume(body: Polytope) -> Fraction:
@@ -79,9 +118,11 @@ def minkowski_interpolate(values) -> tuple:
     n = len(values) - 2
     rows = [[Fraction(e) ** i for i in range(n + 1)] for e in range(n + 1)]
     coeffs = solve(rows, values[: n + 1])
-    assert coeffs is not None
+    if coeffs is None:
+        raise InvariantError("volume interpolation system is singular")
     check = sum(c * Fraction(n + 1) ** i for i, c in enumerate(coeffs))
-    assert check == values[n + 1], "volume polynomial failed the redundant-node check"
+    if check != values[n + 1]:
+        raise InvariantError("volume polynomial failed the redundant-node check")
     return tuple(coeffs)
 
 
@@ -93,7 +134,8 @@ def volume_polynomial(first: Polytope, second: Polytope) -> VolumePolynomial:
     for eps in range(1, n + 2):
         values.append(combine(1, first, eps, second).volume)
     coeffs = minkowski_interpolate(values)
-    assert coeffs[0] == first.volume and coeffs[n] == second.volume
+    if coeffs[0] != first.volume or coeffs[n] != second.volume:
+        raise InvariantError("volume polynomial end coefficients differ from the volumes")
     return VolumePolynomial(coeffs)
 
 

@@ -266,3 +266,38 @@ def test_body_file_vertex_cap(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["volume", str(path)])
     assert code == 2 and out == ""
     assert err.startswith("parse error:") and err.count("\n") == 1 and "1000" in err
+
+
+OPTIMIZED_INVARIANTS = """
+import sys
+from convexkit import cli, volumes
+from convexkit.errors import InvariantError
+from convexkit.geometry import scale
+
+assert not __debug__, "run me under python -O"
+for bad in (lambda: volumes.VolumePolynomial((-1,)),
+            lambda: volumes.minkowski_interpolate([0, 1, 4, 10])):
+    try:
+        bad()
+    except InvariantError:
+        pass
+    else:
+        sys.exit("invariant check stripped")
+
+# Corrupt the last interpolation node: the redundant-node check must fire
+# inside a real CLI call and end it with exit 4.
+real = volumes.combine
+volumes.combine = lambda a, k, b, l: scale(real(a, k, b, l), 2) if b == 3 else real(a, k, b, l)
+sys.exit(cli.run(["mixedvol", sys.argv[1], sys.argv[1], "--method", "interp"]))
+"""
+
+
+def test_invariant_checks_survive_optimize(corpus):
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_INVARIANTS, corpus["square"]],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "InvariantError: volume polynomial failed the redundant-node check\n"

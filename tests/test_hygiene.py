@@ -45,18 +45,43 @@ def _read_names(node, own=None) -> set:
     return names - {own}
 
 
+def _top_level_reads(node) -> set:
+    """Names a top-level node reads outside its own definition; a method's
+    reads of its own name do not count either."""
+    if not isinstance(node, ast.ClassDef):
+        return _read_names(node, node.name if isinstance(node, DEFINITIONS) else None)
+    names = set()
+    for part in [*node.bases, *node.keywords, *node.decorator_list, *node.body]:
+        names |= _read_names(part, part.name if isinstance(part, DEFINITIONS) else None)
+    return names - {node.name}
+
+
+def _definitions(tree):
+    """Top-level functions and classes, and the non-dunder methods of those
+    classes, as (node, name) pairs."""
+    for node in tree.body:
+        if not isinstance(node, DEFINITIONS):
+            continue
+        yield node, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, DEFINITIONS) and not item.name.startswith("__"):
+                    yield item, f"{node.name}.{item.name}"
+
+
 def dead_definitions() -> list:
-    """Top-level functions and classes of the package that nothing reads
-    outside their own definition, as "file:line name"."""
+    """Top-level functions and classes of the package, and methods of its
+    classes, that nothing reads outside their own definition, as
+    "file:line name"."""
     read = set()
     for path in sorted(p for folder in READERS for p in folder.rglob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            read |= _read_names(node, node.name if isinstance(node, DEFINITIONS) else None)
+            read |= _top_level_reads(node)
     return [
-        f"{path.name}:{node.lineno} {node.name}"
+        f"{path.name}:{node.lineno} {name}"
         for path in sorted(SRC.glob("*.py"))
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, DEFINITIONS) and node.name not in read
+        for node, name in _definitions(ast.parse(path.read_text(encoding="utf-8")))
+        if node.name not in read
     ]
 
 

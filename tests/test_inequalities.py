@@ -1,10 +1,21 @@
+import importlib.util
+import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from convexkit.bodies import axis_segment, box, diamond, unit_cube, unit_square
+from convexkit.bodies import (
+    axis_segment,
+    box,
+    diamond,
+    random_polytope,
+    standard_simplex,
+    unit_cube,
+    unit_square,
+)
 from convexkit.errors import LambdaRangeError, LowerDimensionalError, ZeroVolumeError
-from convexkit.geometry import scale, translate
+from convexkit.geometry import convex_hull, scale, translate
 from convexkit.inequalities import (
     Verdict,
     bm_check,
@@ -41,6 +52,37 @@ def test_bm_validation(square):
         bm_check(square, square, F(3, 2))
     with pytest.raises(LowerDimensionalError):
         bm_check(square, axis_segment(2, 0), F(1, 2))
+
+
+def test_bm_verdict_matches_mmv_verdict():
+    # Two routes to the equality case: bm from the three volumes alone, mmv
+    # from the mixed volume.  They must agree on random pairs and on
+    # homothetic copies (the second body scaled and moved).
+    rng = random.Random(4)
+    for dim in (2, 3):
+        for _ in range(4):
+            first = random_polytope(dim, dim + 3, rng)
+            second = random_polytope(dim, dim + 3, rng)
+            ratio = F(rng.randint(1, 9), rng.randint(1, 4))
+            shift = tuple(F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(dim))
+            for other in (second, translate(scale(first, ratio), shift)):
+                expected = minkowski_check(first, other).verdict
+                for lam in (F(1, 3), F(1, 2), F(5, 7)):
+                    assert bm_check(first, other, lam).verdict is expected
+    assert expected is Verdict.EQUALITY
+
+
+def test_bm_strict_for_equal_volumes_not_homothetic():
+    # Equal volumes make the ratio a = 1 rational, so the volume of the
+    # combination must refute equality on its own.
+    simplex = standard_simplex(3)
+    mirror = convex_hull([tuple(-x for x in v) for v in simplex.vertices])
+    assert mirror.volume == simplex.volume
+    assert bm_check(simplex, mirror, F(1, 2)).verdict is Verdict.STRICT
+    thin = box(2, F(1, 2))
+    assert thin.volume == 1
+    assert bm_check(unit_square(), thin, F(1, 2)).verdict is Verdict.STRICT
+    assert minkowski_check(simplex, mirror).verdict is Verdict.STRICT
 
 
 def test_minkowski_strict(square, dia):
@@ -125,3 +167,15 @@ def test_mmv_implies_bm_trace(square, rect, cube):
     assert tr3.volume_mix == F(27, 8)
     assert (tr3.term_first, tr3.term_second) == (F(9, 4), F(9, 2))
     assert tr3.identity_holds
+
+
+def test_inequality_fuzz_script_4d(capsys):
+    # Every fifth pair is a homothetic copy, so six pairs give one Equality.
+    path = Path(__file__).resolve().parent.parent / "scripts" / "inequality_fuzz.py"
+    spec = importlib.util.spec_from_file_location("inequality_fuzz", path)
+    fuzz = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fuzz)
+    fuzz.main(["--pairs", "6", "--dim", "4"])
+    out = capsys.readouterr().out
+    assert "6 pairs in dimension 4" in out
+    assert "Strict:   5" in out and "Equality: 1" in out
