@@ -8,6 +8,7 @@ small memo holds.  Pools mix full-dimensional, flat and segment bodies.
 """
 
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
@@ -121,5 +122,13 @@ def test_combine_shared_pairs_across_threads():
             for i, j, a, b in order
         )
 
-    with ThreadPoolExecutor(max_workers=4) as pool_exec:
-        assert all(pool_exec.map(work, (0, 20, 40, 60)))
+    # Nine pairs, so the threads also evict each other's records; a short
+    # switch interval makes them interleave inside combine.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool_exec:
+            futures = [pool_exec.submit(work, offset) for offset in (0, 20, 40, 60)]
+            assert all(f.result(timeout=120) for f in futures)
+    finally:
+        sys.setswitchinterval(interval)
