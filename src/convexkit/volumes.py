@@ -80,26 +80,26 @@ def combine(a, first: Polytope, b, second: Polytope) -> Polytope:
         raise NegativeCoefficientError("combination coefficients must be >= 0")
     if first.dim != second.dim:
         raise DimensionMismatchError("bodies live in different dimensions")
-    if a == 0 or b == 0:
-        pts = {vadd(vscale(a, x), vscale(b, y)) for x in first.vertices for y in second.vertices}
-        return convex_hull(pts, allow_degenerate=True)
     key = (first, second)
-    with _vertex_pairs_lock:
-        pairs = _vertex_pairs.get(key)
-    if pairs is not None:
-        pts = [vadd(vscale(a, x), vscale(b, y)) for x, y in pairs]
-        return convex_hull(pts, allow_degenerate=True)
+    reuse = a > 0 and b > 0
+    if reuse:
+        with _vertex_pairs_lock:
+            pairs = _vertex_pairs.get(key)
+        if pairs is not None:
+            pts = [vadd(vscale(a, x), vscale(b, y)) for x, y in pairs]
+            return convex_hull(pts, allow_degenerate=True)
     origin = {
         vadd(vscale(a, x), vscale(b, y)): (x, y)
         for x in first.vertices
         for y in second.vertices
     }
     body = convex_hull(origin, allow_degenerate=True)
-    with _vertex_pairs_lock:
-        if key not in _vertex_pairs:
-            if len(_vertex_pairs) >= _VERTEX_PAIRS_LIMIT:
-                del _vertex_pairs[next(iter(_vertex_pairs))]
-            _vertex_pairs[key] = tuple(origin[v] for v in body.vertices)
+    if reuse:
+        with _vertex_pairs_lock:
+            if key not in _vertex_pairs:
+                if len(_vertex_pairs) >= _VERTEX_PAIRS_LIMIT:
+                    del _vertex_pairs[next(iter(_vertex_pairs))]
+                _vertex_pairs[key] = tuple(origin[v] for v in body.vertices)
     return body
 
 
