@@ -4,18 +4,23 @@ Inputs mix the degeneracies the kernel must resolve exactly: repeated
 points, edge midpoints and centroids of n points (which lie on a facet
 when those points span one), and, on request, coordinates whose
 denominators are three large coprime primes, so that the lcm of all
-denominators passes 256 bits.
+denominators passes 256 bits.  Flat inputs of every affine rank below the
+ambient dimension are checked in the chart of their affine hull, and
+``mat_rank`` against the oracle's elimination.
 """
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from convexkit.errors import DimensionError
 from convexkit.geometry import convex_hull
+from convexkit.linalg import mat_rank
 from convexkit.volumes import mixed_volume_base_height
 
-from oracles import affine_rank, brute_hull, shoelace_area
+from oracles import _rref, affine_rank, brute_hull, shoelace_area
 
 # Mersenne primes 2^89 - 1, 2^107 - 1 and 2^127 - 1: their product has 323 bits.
 BIG_PRIMES = (2**89 - 1, 2**107 - 1, 2**127 - 1)
@@ -54,3 +59,81 @@ def test_hull_matches_brute_force(points):
     if n == 2:
         assert body.volume == shoelace_area(vertices)
     assert mixed_volume_base_height(body, body) == body.volume
+
+
+@st.composite
+def flat_inputs(draw):
+    """Points origin + sum c_k e_k over at most n - 1 integer directions e_k,
+    with repeated points and midpoints mixed in."""
+    n = draw(st.integers(2, 4))
+    rank = draw(st.integers(0, n - 1))
+    origin = draw(st.tuples(*[coords] * n))
+    directions = draw(
+        st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=rank, max_size=rank)
+    )
+    weights = draw(st.lists(st.tuples(*[coords] * rank), min_size=1, max_size=rank + 4))
+    pts = [
+        tuple(o + sum(c * e[k] for c, e in zip(w, directions)) for k, o in enumerate(origin))
+        for w in weights
+    ]
+    for kind in draw(st.lists(st.sampled_from(["duplicate", "midpoint"]), max_size=4)):
+        ids = draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=2, unique=True))
+        if kind == "duplicate":
+            ids = ids[:1]
+        pts.append(tuple(sum(pts[i][k] for i in ids) / len(ids) for k in range(n)))
+    return draw(st.permutations(pts))
+
+
+def flat_oracle(points):
+    """(affine rank, sorted extreme points) of a finite point set.
+
+    The coordinates at the pivot columns of the reduced differences chart
+    the affine hull injectively; extreme points are taken in that chart.
+    """
+    pts = sorted({tuple(F(x) for x in p) for p in points})
+    _, pivots = _rref([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]])
+    chart = {p: tuple(p[j] for j in pivots) for p in pts}
+    if not pivots:
+        return 0, pts
+    if len(pivots) == 1:
+        keep = {min(chart.values()), max(chart.values())}
+    else:
+        keep = set(brute_hull(list(chart.values()))[0])
+    return len(pivots), [p for p in pts if chart[p] in keep]
+
+
+@settings(max_examples=150, deadline=None)
+@given(flat_inputs())
+def test_flat_hull_matches_chart_oracle(points):
+    n = len(points[0])
+    rank, vertices = flat_oracle(points)
+    assert rank < n
+    body = convex_hull(points, allow_degenerate=True)
+    assert body.affine_dim == rank
+    assert list(body.vertices) == vertices
+    assert body.facets == () and body.volume == 0
+    with pytest.raises(DimensionError):
+        convex_hull(points)
+
+
+entries = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def matrices(draw):
+    """Rows of equal length with zero rows and repeated rows mixed in."""
+    width = draw(st.integers(1, 5))
+    row = st.lists(entries, min_size=width, max_size=width)
+    rows = draw(st.lists(row, max_size=5))
+    for kind in draw(st.lists(st.sampled_from(["zero", "repeat"]), max_size=3)):
+        if kind == "zero" or not rows:
+            rows.append([0] * width)
+        else:
+            rows.append(list(rows[draw(st.integers(0, len(rows) - 1))]))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_mat_rank_matches_oracle(rows):
+    assert mat_rank(rows) == len(_rref(rows)[1])
