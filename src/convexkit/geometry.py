@@ -45,11 +45,11 @@ from .linalg import (
     cross_normal,
     dot,
     gram_matrix,
+    independent_rows,
     is_zero_vec,
     mat_det,
     mat_rank,
     primitive_int_vector,
-    solve,
     tree_sum,
     vadd,
     vneg,
@@ -142,19 +142,12 @@ class Subspace:
 # ---------------------------------------------------------------------------
 
 
-def _affine_rank_with_basis(points):
-    """Affine rank plus indices [i0, i1, ...] of an affinely independent subset."""
-    base = 0
-    chosen = [0]
-    rows = []
-    for i in range(1, len(points)):
-        cand = rows + [vsub(points[i], points[base])]
-        if mat_rank(cand) == len(cand):
-            rows = cand
-            chosen.append(i)
-            if len(rows) == len(points[0]):
-                break
-    return len(rows), chosen
+def _affine_rank_with_basis(rows):
+    """Affine rank of the points of these lifted rows, and the indices of a
+    greedy affinely independent subset: points are affinely independent
+    exactly when their rows are linearly independent."""
+    chosen = [i for i, _ in independent_rows(rows, len(rows[0]))]
+    return len(chosen) - 1, chosen
 
 
 def _lift(points):
@@ -238,20 +231,13 @@ def _spans(vectors, n):
     """
     if len(vectors) >= n and mat_det(vectors[:n]) != 0:
         return True
-    kept = []
-    for v in vectors:
-        for j, b in kept:
-            if v[j]:
-                v = [b[j] * x - v[j] * y for x, y in zip(v, b)]
-        if any(v):
-            kept.append((next(j for j, x in enumerate(v) if x), v))
-    return len(kept) == n
+    return len(independent_rows(vectors, n)) == n
 
 
-def _build_full_dimensional(points, n, base):
+def _build_full_dimensional(points, rows, n, base):
     """Canonical Polytope of affinely spanning, sorted, deduplicated Fraction
-    points; ``base`` indexes n+1 affinely independent ones."""
-    rows = _lift(points)
+    points with lifted ``rows``; ``base`` indexes n+1 affinely independent
+    ones."""
     # A sum of rows stands for the average of its points weighted by their
     # d's, so this one lies inside the simplex on ``base``, inside the hull.
     interior = [sum(col) for col in zip(*(rows[i] for i in base))]
@@ -316,26 +302,20 @@ def _build_full_dimensional(points, n, base):
 
 
 def _build_degenerate(points, n, rank, basis_ids):
-    """Lower-dimensional hull: find extreme points inside the affine hull."""
-    if rank == 0:
-        verts = (points[0],)
-    else:
+    """Flat hull of sorted, deduplicated points of affine rank ``rank`` < n.
+
+    The coordinates at the pivot columns of the affine hull's direction
+    vectors chart that hull one to one (the reduced directions are
+    triangular there); the extreme points chart onto the chart hull's.
+    """
+    verts = tuple(points)  # rank 0: a single point
+    if rank:
         origin = points[basis_ids[0]]
-        basis = [vsub(points[i], origin) for i in basis_ids[1:]]
-        coords = []
-        for p in points:
-            a = solve([[b[j] for b in basis] for j in range(n)], vsub(p, origin))
-            assert a is not None, "point outside its own affine hull"
-            coords.append(a)
-        if rank == 1:
-            lo = min(range(len(points)), key=lambda i: coords[i])
-            hi = max(range(len(points)), key=lambda i: coords[i])
-            keep = {lo, hi}
-        else:
-            inner = convex_hull(coords, allow_degenerate=False, _ambient_check=False)
-            kept_coords = set(inner.vertices)
-            keep = {i for i in range(len(points)) if coords[i] in kept_coords}
-        verts = tuple(sorted(points[i] for i in keep))
+        directions = [vsub(points[i], origin) for i in basis_ids[1:]]
+        columns = [j for _, j in independent_rows(directions)]
+        chart = [tuple(p[j] for j in columns) for p in points]
+        extreme = set(convex_hull(chart, _ambient_check=False).vertices)
+        verts = tuple(p for p, c in zip(points, chart) if c in extreme)
     return Polytope(
         dim=n, vertices=verts, facets=(), affine_dim=rank, volume=Fraction(0)
     )
@@ -357,14 +337,15 @@ def convex_hull(points, *, allow_degenerate: bool = False, _ambient_check: bool 
     if _ambient_check and not MIN_AMBIENT <= n <= MAX_AMBIENT:
         raise AmbientDimError(f"ambient dimension {n} outside {MIN_AMBIENT}..{MAX_AMBIENT}")
     pts = sorted(set(pts))
-    rank, basis_ids = _affine_rank_with_basis(pts)
+    rows = _lift(pts)
+    rank, basis_ids = _affine_rank_with_basis(rows)
     if rank < n:
         if not allow_degenerate:
             raise DimensionError(
                 f"points span an affine subspace of dimension {rank} < {n}"
             )
         return _build_degenerate(pts, n, rank, basis_ids)
-    return _build_full_dimensional(pts, n, basis_ids)
+    return _build_full_dimensional(pts, rows, n, basis_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -511,5 +492,5 @@ def validate_polytope(body: Polytope) -> None:
         assert on >= body.dim
         assert len(f.vertex_indices) == on
     if body.is_full_dimensional and body.dim > 1:
-        rank, _ = _affine_rank_with_basis(list(body.vertices))
+        rank, _ = _affine_rank_with_basis(_lift(body.vertices))
         assert rank == body.dim

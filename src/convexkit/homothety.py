@@ -19,6 +19,7 @@ from .bodies import segment, standard_simplex
 from .errors import (
     DimensionError,
     DimensionMismatchError,
+    InvariantError,
     LowerDimensionalError,
     NotHomotheticProjectionError,
     VolumeMismatchError,
@@ -155,7 +156,8 @@ def _normalize_shadows(first: Polytope, second: Polytope, shadow):
     lift_second = support(second_scaled, tuple(-x for x in e_last))
     first_n = translate(first, vscale(lift_first, e_last))
     second_n = translate(second_scaled, vscale(lift_second, e_last))
-    assert bodies_equal(project(first_n, floor), project(second_n, floor))
+    if not bodies_equal(project(first_n, floor), project(second_n, floor)):
+        raise InvariantError("normalized bottom shadows differ")
     transforms = ShadowTransforms(
         first_shift=vscale(lift_first, e_last),
         ratio=a,
@@ -217,7 +219,8 @@ def homothetic_projections_conclude(
     ratio = 1 / tf.ratio
     shift = vscale(ratio, vsub(tf.first_shift, tf.second_shift))
     witness = HomothetyWitness(ratio, shift)
-    assert bodies_equal(second, apply_witness(first, witness))
+    if not bodies_equal(second, apply_witness(first, witness)):
+        raise InvariantError("projection witness does not map the first body onto the second")
     return ProjectionsReport(ProjectionConclusion.HOMOTHETIC, witness=witness)
 
 
@@ -308,6 +311,7 @@ def functional_equality_sweep(
     directions = tuple(as_vec(w) for w in directions)
 
     reference = [mixed_volume_base_height(second, m) for m in test_bodies]
+    prisms = [projection_prism_volume(second, w) for w in directions]
     volumes = []
     mixed_pairs = []
     direction_pairs = []
@@ -322,8 +326,8 @@ def functional_equality_sweep(
             mixed_pairs.append((lam, idx, a, b))
             if a != b and refutation is None:
                 refutation = {"kind": "mixed", "lambda": lam, "body_index": idx}
-        for w in directions:
-            pa, pb = projection_equality_step(first, second, lam, w)
+        for w, pb in zip(directions, prisms):
+            pa = projection_prism_volume(mid, w)
             direction_pairs.append((lam, w, pa, pb))
             if pa != pb and refutation is None:
                 refutation = {"kind": "direction", "lambda": lam, "direction": w}

@@ -4,7 +4,8 @@ Scalars are ``fractions.Fraction``; vectors are plain tuples.  The hull
 predicates also run on lifted rows, integer tuples (X_1, ..., X_n, d) that
 stand for the rational points X / d, so every routine here is written to
 preserve the entry type: determinants use division-free minor expansion,
-and only the explicitly named helpers convert to Fraction.
+ranks the fraction-free ``independent_rows``, and only ``solve`` (the one
+Gauss-Jordan routine) and the other explicitly named helpers use Fractions.
 """
 
 from __future__ import annotations
@@ -89,42 +90,30 @@ def cross_normal(rows):
     return tuple(out)
 
 
-def _eliminate(a, ncols) -> list:
-    """Gauss-Jordan elimination in place on the Fraction rows ``a`` over their
-    first ``ncols`` columns; returns the pivot columns, one per leading row.
+def independent_rows(rows, limit=None) -> list:
+    """(index, pivot column) of each row of ``rows`` that is independent of
+    the rows kept before it, up to ``limit`` kept rows.
 
-    Stops as soon as every row holds a pivot.
+    Each row is reduced once, fraction-free, against the kept rows: a kept
+    row b with pivot j turns v into b[j] v - v[j] b, so integer rows stay
+    integer.  The kept rows are triangular on their distinct pivot columns.
     """
-    m = len(a)
-    pivots = []
-    for col in range(ncols):
-        rank = len(pivots)
-        pivot = None
-        for i in range(rank, m):
-            if a[i][col] != 0:
-                pivot = i
+    kept = []
+    for i, v in enumerate(rows):
+        for _, j, b in kept:
+            if v[j]:
+                v = [b[j] * x - v[j] * y for x, y in zip(v, b)]
+        j = next((j for j, x in enumerate(v) if x), None)
+        if j is not None:
+            kept.append((i, j, v))
+            if len(kept) == limit:
                 break
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(m):
-            if i != rank and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        pivots.append(col)
-        if rank + 1 == m:
-            break
-    return pivots
+    return [(i, j) for i, j, _ in kept]
 
 
 def mat_rank(rows) -> int:
-    """Rank over the rationals (Gaussian elimination on Fraction copies)."""
-    a = [[as_scalar(x) for x in row] for row in rows]
-    if not a:
-        return 0
-    return len(_eliminate(a, len(a[0])))
+    """Rank over the rationals: the number of rows ``independent_rows`` keeps."""
+    return len(independent_rows(rows))
 
 
 def solve(rows, rhs):
@@ -135,8 +124,17 @@ def solve(rows, rhs):
     """
     m, n = len(rows), len(rows[0])
     a = [[as_scalar(x) for x in rows[i]] + [as_scalar(rhs[i])] for i in range(m)]
-    if len(_eliminate(a, n)) < n:
-        return None
+    for col in range(n):
+        pivot = next((i for i in range(col, m) if a[i][col] != 0), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for i in range(m):
+            if i != col and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
     # Full column rank puts the pivots on columns 0..n-1 of rows 0..n-1;
     # a nonzero right-hand side below them makes the system inconsistent.
     if any(a[i][n] != 0 for i in range(n, m)):

@@ -24,6 +24,7 @@ from typing import Callable, Optional
 from .errors import (
     DimensionError,
     GeometryError,
+    InvariantError,
     OracleError,
     QuadrantError,
     ZeroDirectionError,
@@ -280,10 +281,10 @@ def translates_decision(
         if ha != hb and witness is None:
             witness = w
     equal = bodies_equal(cn_first.body, cn_second.body)
-    if equal:
-        assert witness is None, "recovered supports disagree on equal bodies"
     translation = None
     if equal:
+        if witness is not None:
+            raise InvariantError("recovered supports disagree on equal bodies")
         translation = tuple(
             a - b
             for a, b in zip(cn_first.applied_translation, cn_second.applied_translation)

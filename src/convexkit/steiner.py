@@ -22,6 +22,7 @@ from fractions import Fraction
 from .errors import (
     DimensionError,
     EmptyScheduleError,
+    InvariantError,
     LowerDimensionalError,
     ZeroDirectionError,
 )
@@ -56,7 +57,8 @@ def _chord_interval(body: Polytope, point, w):
             hi = t if hi is None else min(hi, t)
         else:
             lo = t if lo is None else max(lo, t)
-    assert lo is not None and hi is not None and lo <= hi
+    if lo is None or hi is None or lo > hi:
+        raise InvariantError("chord through a vertex misses the body")
     return lo, hi
 
 
@@ -82,11 +84,13 @@ def steiner_symmetral(body: Polytope, w) -> SteinerResult:
     symmetral = convex_hull(points, allow_degenerate=True)
     if body.dim == 2:
         exactness = SteinerExactness.EXACT_2D
-        assert symmetral.volume == body.volume, "planar symmetral must preserve area"
+        if symmetral.volume != body.volume:
+            raise InvariantError("planar symmetral must preserve area")
         inner = False
     else:
         exactness = SteinerExactness.TRIANGULATED_3D
-        assert symmetral.volume <= body.volume, "inner approximant exceeded true volume"
+        if symmetral.volume > body.volume:
+            raise InvariantError("inner approximant exceeded true volume")
         inner = symmetral.volume < body.volume
     return SteinerResult(symmetral, w, exactness, inner)
 
@@ -151,7 +155,8 @@ def rounding_iteration(body: Polytope, schedule, steps: int) -> RoundingTrace:
     for step in range(1, steps + 1):
         w = schedule[(step - 1) % len(schedule)]
         current = steiner_symmetral(current, w).symmetral
-        assert current.volume == body.volume
+        if current.volume != body.volume:
+            raise InvariantError("symmetrization changed the volume")
         rows.append((step, w, current.volume, _isoperimetric_ratio(current)))
     return RoundingTrace(tuple(rows))
 

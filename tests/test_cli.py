@@ -270,13 +270,17 @@ def test_body_file_vertex_cap(tmp_path, capsys, monkeypatch):
 
 OPTIMIZED_INVARIANTS = """
 import sys
+from dataclasses import replace
 from convexkit import cli, volumes
+from convexkit.bodies import unit_square
 from convexkit.errors import InvariantError
 from convexkit.geometry import scale
+from convexkit.steiner import steiner_symmetral
 
 assert not __debug__, "run me under python -O"
 for bad in (lambda: volumes.VolumePolynomial((-1,)),
-            lambda: volumes.minkowski_interpolate([0, 1, 4, 10])):
+            lambda: volumes.minkowski_interpolate([0, 1, 4, 10]),
+            lambda: steiner_symmetral(replace(unit_square(), volume=2), (1, 0))):
     try:
         bad()
     except InvariantError:

@@ -143,6 +143,26 @@ def test_sweep_direction_pairs(cube):
     assert all(a == b for _, _, a, b in trace.direction_pairs)
 
 
+def test_sweep_prisms_second_once_per_direction(cube, monkeypatch):
+    # prism(L, w) does not depend on lam: 5 lam x 3 directions take 15
+    # prisms of the combination and 3 of the second body, not 30.
+    import convexkit.homothety as homothety
+
+    calls = []
+    real = homothety.projection_prism_volume
+
+    def counting(body, w):
+        calls.append(1)
+        return real(body, w)
+
+    monkeypatch.setattr(homothety, "projection_prism_volume", counting)
+    directions = ((1, 0, 0), (0, 1, 0), (1, 1, 0))
+    trace = functional_equality_sweep(cube, translate(cube, (1, 2, 3)), directions=directions)
+    assert len(trace.direction_pairs) == 15
+    assert all(a == b for _, _, a, b in trace.direction_pairs)
+    assert len(calls) == 18
+
+
 def test_projection_equality_step(cube, square):
     assert projection_equality_step(cube, translate(cube, (1, 2, 3)), F(1, 2), (1, 0, 0)) == (1, 1)
     assert projection_equality_step(cube, cube, F(1, 4), (1, 1, 0)) == (2, 2)

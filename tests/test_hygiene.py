@@ -87,3 +87,21 @@ def dead_definitions() -> list:
 
 def test_no_dead_definitions():
     assert dead_definitions() == []
+
+
+def stray_asserts() -> list:
+    """``assert`` statements in the package, as "file:line".  ``python -O``
+    strips them, so invariant checks raise ``InvariantError`` instead; only
+    ``geometry.validate_polytope``, a test helper documented to raise
+    ``AssertionError``, keeps them."""
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if getattr(node, "name", None) == "validate_polytope":
+                continue
+            hits += [f"{path.name}:{sub.lineno}" for sub in ast.walk(node) if isinstance(sub, ast.Assert)]
+    return hits
+
+
+def test_no_asserts_in_package():
+    assert stray_asserts() == []
