@@ -146,7 +146,7 @@ def _affine_rank_with_basis(rows):
     """Affine rank of the points of these lifted rows, and the indices of a
     greedy affinely independent subset: points are affinely independent
     exactly when their rows are linearly independent."""
-    chosen = [i for i, _ in independent_rows(rows, len(rows[0]))]
+    chosen = [i for i, _ in independent_rows(rows)]
     return len(chosen) - 1, chosen
 
 
@@ -231,7 +231,7 @@ def _spans(vectors, n):
     """
     if len(vectors) >= n and mat_det(vectors[:n]) != 0:
         return True
-    return len(independent_rows(vectors, n)) == n
+    return len(independent_rows(vectors)) == n
 
 
 def _build_full_dimensional(points, rows, n, base):

@@ -90,9 +90,9 @@ def cross_normal(rows):
     return tuple(out)
 
 
-def independent_rows(rows, limit=None) -> list:
+def independent_rows(rows) -> list:
     """(index, pivot column) of each row of ``rows`` that is independent of
-    the rows kept before it, up to ``limit`` kept rows.
+    the rows kept before it; stops once the kept rows span the row space.
 
     Each row is reduced once, fraction-free, against the kept rows: a kept
     row b with pivot j turns v into b[j] v - v[j] b, so integer rows stay
@@ -106,7 +106,7 @@ def independent_rows(rows, limit=None) -> list:
         j = next((j for j, x in enumerate(v) if x), None)
         if j is not None:
             kept.append((i, j, v))
-            if len(kept) == limit:
+            if len(kept) == len(v):
                 break
     return [(i, j) for i, j, _ in kept]
 
