@@ -125,3 +125,28 @@ def test_translates_decision(square, tri):
     assert not d2.are_translates and d2.witness_direction is not None
     d3 = translates_decision(tri, scale(tri, 2))
     assert not d3.are_translates
+
+
+def _differential_directions(rng):
+    axes = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    negated_aux = [(-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1)]
+    signed = [
+        (sx * F(rng.randint(1, 9), rng.randint(1, 5)), sy * F(rng.randint(1, 9), rng.randint(1, 5)))
+        for sx, sy in [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+        for _ in range(4)
+    ]
+    return list(farey_directions()) + axes + negated_aux + signed
+
+
+def test_recover_support_any_matches_support_differential():
+    # Every direction class (grid, axes, antiparallel to a candidate, random
+    # in each quadrant) under both exact mixed-area routes.
+    rng = make_rng(61)
+    bodies = [corner_normalize(random_polytope(2, k, rng)).body for k in range(3, 10)]
+    bodies += [unit_square(), convex_hull([(0, 0), (3, 0), (0, 2)])]
+    directions = _differential_directions(rng)
+    for body in bodies:
+        oracles = (mixed_area_oracle(body), lambda probe, b=body: mixed_volume_interp(b, probe))
+        for oracle in oracles:
+            for w in directions:
+                assert recover_support_any(oracle, w) == support(body, w), (body, w)
