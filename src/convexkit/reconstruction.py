@@ -1,22 +1,21 @@
 """Support-function recovery of a planar body from mixed areas with probe
 triangles, and the resulting translate decision.
 
-After sliding a polygon into the positive corner (support 0 at -e1 and -e2),
-the mixed area against a right triangle whose third outward normal points
-into the open first quadrant exposes one support value:
+A probe triangle T with outward normals n_0, n_1, n_2 and edges
+lam_i * rot(n_i), where sum lam_i n_i = 0, has the mixed area
 
-    2 A(K, T_w) = h_K(w) * lam_w        (pseudo-length convention)
+    2 A(K, T) = sum_i lam_i h_K(n_i)        (pseudo-length convention)
 
-where lam_w = |edge| / |w| is rational.  Directions outside the closed first
-quadrant are reached with a triangle built from w, one coordinate axis
-normal, and an already-recovered first-quadrant normal.  Everything stays
-rational because lengths only ever appear multiplied by their own normal's
-length.
+so one probe exposes h_K(n_0) once h_K(n_1) and h_K(n_2) are known.  After
+sliding a polygon into the positive corner its support vanishes at -e1 and
+-e2; these corner normals close every direction of the closed first
+quadrant, and one corner normal with a recovered first-quadrant normal
+closes every other direction.  The multipliers are 2x2 minors of the
+normals, so everything stays rational.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -35,12 +34,15 @@ from .volumes import mixed_area
 
 # First-quadrant auxiliary normals tried, in order, when recovering a
 # direction outside the closed first quadrant; the first candidate whose
-# closing system has a strictly positive solution is used, and the recovered
-# value is independent of the choice.
+# closing multipliers are first positive, others nonnegative, is used, and
+# the recovered value is independent of the choice.
 _AUX_CANDIDATES = (
     (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2),
     (1, 4), (4, 1), (3, 4), (4, 3), (1, 5), (5, 1),
 )
+
+# Outward normals at which a corner-normalized body has support 0.
+_CORNER = ((-1, 0), (0, -1))
 
 
 @dataclass(frozen=True)
@@ -56,12 +58,9 @@ class ProbeTriangle:
     """Right probe with outward normals -e1, -e2 and w (positive quadrant).
 
     ``hypotenuse_pseudo_length`` is |hypotenuse| * |w|, always rational.
-    Probes for boundary directions (w on a positive axis) degenerate to a
-    segment; the recovery formula extends continuously to them.
     """
 
     triangle: Polytope
-    hypotenuse_normal: tuple
     hypotenuse_pseudo_length: Fraction
 
 
@@ -75,14 +74,6 @@ def corner_normalize(body: Polytope) -> CornerNormalizedBody:
     return CornerNormalizedBody(translate(body, shift), shift)
 
 
-def _probe_points(w, scale):
-    return [
-        (Fraction(0), Fraction(0)),
-        (w[1] * scale, Fraction(0)),
-        (Fraction(0), w[0] * scale),
-    ]
-
-
 def probe_triangle(w, scale=Fraction(1)) -> ProbeTriangle:
     """Triangle conv{0, (w2 c, 0), (0, w1 c)} whose hypotenuse normal is w."""
     w = as_vec(w)
@@ -93,14 +84,8 @@ def probe_triangle(w, scale=Fraction(1)) -> ProbeTriangle:
         raise QuadrantError("probe normal must lie in the open positive quadrant")
     if scale <= 0:
         raise ValueError("probe scale must be positive")
-    tri = convex_hull(_probe_points(w, scale))
-    return ProbeTriangle(tri, w, scale * dot(w, w))
-
-
-def _boundary_probe(w, scale=Fraction(1)) -> ProbeTriangle:
-    """Degenerate probe for w on a positive coordinate axis."""
-    tri = convex_hull(_probe_points(w, scale), allow_degenerate=True)
-    return ProbeTriangle(tri, w, scale * dot(w, w))
+    tri = convex_hull([(0, 0), (w[1] * scale, 0), (0, w[0] * scale)])
+    return ProbeTriangle(tri, scale * dot(w, w))
 
 
 # An oracle is any exact mixed-area functional A(K, .); tests may feed
@@ -122,57 +107,62 @@ def _call_oracle(oracle: Oracle, probe_body: Polytope) -> Fraction:
         raise OracleError(f"mixed-area oracle failed: {exc}") from exc
 
 
-def recover_support(oracle: Oracle, w) -> Fraction:
-    """h_K(w) for w in the open positive quadrant, from mixed areas alone.
-
-    The value is exact and independent of the probe scale.
-    """
-    w = as_vec(w)
-    probe = probe_triangle(w)
-    area = _call_oracle(oracle, probe.triangle)
-    return 2 * area * dot(w, w) / probe.hypotenuse_pseudo_length
+def _cross(u, v):
+    return det2(u[0], v[0], u[1], v[1])
 
 
 def _closing_solution(normals):
-    """Positive multipliers lam with sum lam_i n_i = 0 (lam for the last is 1),
-    or None when the normals do not positively span the plane."""
-    n1, n2, n3 = normals
-    d = det2(n1[0], n2[0], n1[1], n2[1])
-    if d == 0:
+    """Multipliers lam with sum lam_i n_i = 0, the first positive and the
+    others nonnegative, or None when there are none.  They are the 2x2
+    minors of the normals, so integer normals give integer multipliers."""
+    n0, n1, n2 = normals
+    lams = (_cross(n1, n2), _cross(n2, n0), _cross(n0, n1))
+    if lams[0] < 0:
+        lams = tuple(-lam for lam in lams)
+    if lams[0] == 0 or min(lams) < 0:
         return None
-    l1 = det2(-n3[0], n2[0], -n3[1], n2[1]) / d
-    l2 = det2(n1[0], -n3[0], n1[1], -n3[1]) / d
-    if l1 <= 0 or l2 <= 0:
-        return None
-    return (l1, l2, Fraction(1))
+    return lams
 
 
-def _angle_order_key(v):
-    """Total exact ordering of directions by angle from the positive x-axis."""
-    upper = 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-    return (upper, v)
+def _probe(normals, lams) -> Polytope:
+    """Probe whose outward normals are ``normals``, walking the edges
+    lam_i rot(n_i) counterclockwise; the walk closes because
+    sum lam_i n_i = 0, and its order is 0, 1, 2 exactly when n_0 x n_1 > 0.
+    A zero multiplier leaves a segment."""
+    pts = [(0, 0)]
+    for i in (0, 1) if _cross(normals[0], normals[1]) > 0 else (0, 2):
+        pts.append(vadd(pts[-1], vscale(lams[i], (-normals[i][1], normals[i][0]))))
+    return convex_hull(pts, allow_degenerate=True)
 
 
-def _triangle_from_normals(normals, lams) -> Polytope:
-    """Triangle whose outward normals are ``normals`` with edge lengths
-    lam_i |n_i|; the boundary closes because sum lam_i n_i = 0."""
+def _recover(oracle: Oracle, w, candidates) -> Fraction:
+    """h_K(w) from one probe with outward normals w and two normals of known
+    support: the corner pair inside the closed first quadrant, otherwise one
+    corner normal and the first candidate q that closes, with h_K(q)
+    recovered by the same routine."""
+    if w[0] >= 0 and w[1] >= 0:
+        normals = (w, *_CORNER)
+        lams, known = _closing_solution(normals), 0
+    else:
+        for normals in ((w, axis, q) for q in candidates for axis in _CORNER):
+            lams = _closing_solution(normals)
+            if lams is not None:
+                break
+        else:
+            raise QuadrantError("no valid auxiliary normal closes a probe triangle")
+        known = lams[2] * _recover(oracle, normals[2], ())
+    area = _call_oracle(oracle, _probe(normals, lams))
+    return (2 * area - known) / lams[0]
 
-    def cmp(i, j):
-        a, b = normals[i], normals[j]
-        ka, kb = _angle_order_key(a)[0], _angle_order_key(b)[0]
-        if ka != kb:
-            return -1 if ka < kb else 1
-        cross = a[0] * b[1] - a[1] * b[0]
-        return 0 if cross == 0 else (-1 if cross > 0 else 1)
 
-    order = sorted(range(3), key=functools.cmp_to_key(cmp))
-    v = (Fraction(0), Fraction(0))
-    pts = [v]
-    for i in order[:-1]:
-        edge = vscale(lams[i], (-normals[i][1], normals[i][0]))
-        v = vadd(v, edge)
-        pts.append(v)
-    return convex_hull(pts)
+def recover_support(oracle: Oracle, w) -> Fraction:
+    """h_K(w) for w in the open positive quadrant, from mixed areas alone."""
+    w = as_vec(w)
+    if len(w) != 2:
+        raise DimensionError("recovery is planar")
+    if not (w[0] > 0 and w[1] > 0):
+        raise QuadrantError("probe normal must lie in the open positive quadrant")
+    return _recover(oracle, w, ())
 
 
 def recover_support_other_quadrants(
@@ -180,11 +170,11 @@ def recover_support_other_quadrants(
 ) -> Fraction:
     """h_K(w) for w outside the open positive quadrant.
 
-    Positive-axis boundary directions use the degenerate probe directly.
-    Otherwise a triangle with outward normals {w, -e_i, q} is built for a
-    first-quadrant q (the first valid candidate, or the supplied ``aux``),
-    and h_K(w) is solved from the mixed area using h_K(-e_i) = 0 and the
-    separately recovered h_K(q).
+    Positive-axis directions are closed by the corner normals -e1, -e2.
+    Otherwise a probe with outward normals {w, -e_i, q} is built for a
+    first-quadrant q (the first candidate that closes, or the supplied
+    ``aux``), and h_K(w) is solved from its mixed area using h_K(-e_i) = 0
+    and the separately recovered h_K(q).
     """
     w = as_vec(w)
     if len(w) != 2:
@@ -194,34 +184,20 @@ def recover_support_other_quadrants(
     if w[0] > 0 and w[1] > 0:
         raise QuadrantError("direction lies in the open positive quadrant; "
                             "use recover_support")
-    if w[0] >= 0 and w[1] >= 0:  # positive axis boundary
-        probe = _boundary_probe(w)
-        area = _call_oracle(oracle, probe.triangle)
-        return 2 * area * dot(w, w) / probe.hypotenuse_pseudo_length
-
-    axes = ((Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1)))
-    candidates = [as_vec(aux)] if aux is not None else [as_vec(q) for q in _AUX_CANDIDATES]
-    for q in candidates:
-        if not (q[0] > 0 and q[1] > 0):
-            raise QuadrantError("auxiliary normal must lie in the open positive quadrant")
-        for axis in axes:
-            lams = _closing_solution((w, axis, q))
-            if lams is None:
-                continue
-            tri = _triangle_from_normals((w, axis, q), lams)
-            area = _call_oracle(oracle, tri)
-            h_q = recover_support(oracle, q)
-            # 2A = lam_w h(w) + lam_axis * 0 + lam_q h(q)
-            return (2 * area - lams[2] * h_q) / lams[0]
-    raise QuadrantError("no valid auxiliary normal closes a probe triangle")
+    candidates = _AUX_CANDIDATES if aux is None else (as_vec(aux),)
+    if not all(q[0] > 0 and q[1] > 0 for q in candidates):
+        raise QuadrantError("auxiliary normal must lie in the open positive quadrant")
+    return _recover(oracle, w, candidates)
 
 
 def recover_support_any(oracle: Oracle, w) -> Fraction:
-    """Dispatch between the two recovery routes."""
+    """h_K(w) for any nonzero planar direction w."""
     w = as_vec(w)
-    if len(w) == 2 and w[0] > 0 and w[1] > 0:
-        return recover_support(oracle, w)
-    return recover_support_other_quadrants(oracle, w)
+    if len(w) != 2:
+        raise DimensionError("recovery is planar")
+    if is_zero_vec(w):
+        raise ZeroDirectionError("direction must be nonzero")
+    return _recover(oracle, w, _AUX_CANDIDATES)
 
 
 def farey_fractions(order: int = 8):

@@ -76,7 +76,8 @@ def test_recover_other_quadrants(square):
 
 def test_recover_auxiliary_independence(square):
     o = mixed_area_oracle(square)
-    for w in [(-2, 1), (-1, -3), (3, -2)]:
+    # (-1, -1) and (-2, -4) are antiparallel to a candidate: the probe is a segment.
+    for w in [(-2, 1), (-1, -3), (3, -2), (-1, -1), (-2, -4)]:
         vals = {
             recover_support_other_quadrants(o, w, aux=q)
             for q in [(1, 1), (1, 2), (3, 1), (2, 3)]
