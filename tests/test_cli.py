@@ -305,3 +305,21 @@ def test_invariant_checks_survive_optimize(corpus):
     assert proc.returncode == 4, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == "InvariantError: volume polynomial failed the redundant-node check\n"
+
+
+def test_run_builds_parser_at_most_once(monkeypatch, capsys):
+    import argparse
+
+    # Every build of the parser adds its subcommands once.
+    built = []
+    real = argparse.ArgumentParser.add_subparsers
+
+    def counting(self, **kwargs):
+        built.append(self.prog)
+        return real(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    argv = ["random-body", "--dim", "2", "--vertices", "4", "--seed", "3"]
+    reports = [(cli.run(argv), capsys.readouterr().out) for _ in range(2)]
+    assert reports[0] == reports[1] and reports[0][0] == 0
+    assert len(built) <= 1
