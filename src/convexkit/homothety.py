@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .bodies import segment, standard_simplex
+from .bodies import random_direction, segment, standard_simplex
 from .errors import (
     DimensionError,
     DimensionMismatchError,
@@ -97,8 +97,8 @@ def default_direction_set(dim: int, seed: int = 2024, random_count: int = 20):
     seen = set(dirs)
     target = len(dirs) + random_count
     while len(dirs) < target:
-        w = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(dim))
-        if any(x != 0 for x in w) and w not in seen:
+        w = random_direction(dim, rng)
+        if w not in seen:
             dirs.append(w)
             seen.add(w)
     return tuple(dirs)
@@ -193,8 +193,7 @@ def homothetic_projections_conclude(
     if n < 3:
         raise DimensionError("projection pipeline needs ambient dimension >= 3")
     directions = [as_vec(w) for w in directions]
-    e_last = _last_axis(n)
-    if not any(_parallel_same_ray(w, e_last) for w in directions):
+    if not any(w[-1] > 0 and not any(w[:-1]) for w in directions):
         raise ValueError("direction set must contain the last axis direction")
     bottom = None
     for w in directions:
@@ -206,7 +205,7 @@ def homothetic_projections_conclude(
                 failing_direction=w,
                 reason=decision.reason,
             )
-        if bottom is None and _parallel_same_ray(w, e_last):
+        if bottom is None and w[-1] > 0 and not any(w[:-1]):
             # Every w on the ray of e_n has the floor's basis e_1..e_(n-1).
             bottom = decision.witness
     first_n, second_n, tf = _normalize_shadows(first, second, bottom)
@@ -222,19 +221,6 @@ def homothetic_projections_conclude(
     if not bodies_equal(second, apply_witness(first, witness)):
         raise InvariantError("projection witness does not map the first body onto the second")
     return ProjectionsReport(ProjectionConclusion.HOMOTHETIC, witness=witness)
-
-
-def _parallel_same_ray(u, v) -> bool:
-    ratio = None
-    for a, b in zip(u, v):
-        if (a == 0) != (b == 0):
-            return False
-        if b != 0:
-            r = as_scalar(a) / b
-            if r <= 0 or (ratio is not None and r != ratio):
-                return False
-            ratio = r
-    return ratio is not None
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +340,19 @@ def functional_equality_sweep(
 def strict_refutation(first: Polytope, second: Polytope, lambda_grid=None):
     """Concrete evidence against homothety for a strict pair, or None.
 
-    With equal volumes the functional sweep itself refutes; otherwise the
-    first-argument-scale-free quotients mv(K_lam, M)^n / V(K_lam)^(n-1) are
-    compared (homothetic pairs make them agree for every lam and M, and the
-    row lam = 0, M = second body always differs on a strict pair).
+    With equal volumes the functional sweep itself refutes, against the
+    pair alone: at its first lam < 1 either V(K_lam) != V(L), or
+    mv(K_lam, L) > V(L) by Minkowski's first inequality (equality would make
+    K_lam, hence K, homothetic to L), so no other test body can hold the
+    first failing row.  Otherwise the first-argument-scale-free quotients
+    mv(K_lam, M)^n / V(K_lam)^(n-1) are compared (homothetic pairs make them
+    agree for every lam and M, and the row lam = 0, M = second body always
+    differs on a strict pair).
     """
     grid = default_lambda_grid() if lambda_grid is None else lambda_grid
     grid = tuple(as_scalar(t) for t in grid)
     if first.volume == second.volume:
-        return functional_equality_sweep(first, second, grid).refutation
+        return functional_equality_sweep(first, second, grid, test_bodies=()).refutation
     n = first.dim
     bodies = (second, first)
     references = [mixed_volume_base_height(second, m) ** n / second.volume ** (n - 1) for m in bodies]

@@ -5,6 +5,7 @@ import pytest
 from convexkit.bodies import box, random_polytope, unit_cube, unit_square
 from convexkit.errors import (
     DimensionError,
+    NegativeCoefficientError,
     NotHomotheticProjectionError,
     VolumeMismatchError,
 )
@@ -20,7 +21,9 @@ from convexkit.homothety import (
     hyperplane_subspace,
     normalize_shadows,
     projection_equality_step,
+    strict_refutation,
 )
+from convexkit.inequalities import default_lambda_grid
 from conftest import make_rng
 
 
@@ -201,3 +204,58 @@ def test_conclude_decides_bottom_shadow_once(cube, monkeypatch):
     rep = homothetic_projections_conclude(cube, translate(scale(cube, 3), (2, 0, 1)), dirs)
     assert rep.conclusion is ProjectionConclusion.HOMOTHETIC
     assert len(calls) == 27
+
+
+def _stretched_to_volume(body, volume):
+    # Scaling the first coordinate multiplies the volume by the same factor.
+    c = volume / body.volume
+    return convex_hull([(c * p[0], *p[1:]) for p in body.vertices])
+
+
+def _equal_volume_strict_pairs():
+    rng = make_rng(37)
+    pairs = []
+    for dim in (2, 3):
+        for _ in range(2):
+            first = random_polytope(dim, 6, rng)
+            pairs.append((first, _stretched_to_volume(random_polytope(dim, 6, rng), first.volume)))
+        sheared = [(p[0] + F(3, 2) * p[1], *p[1:]) for p in first.vertices]
+        pairs.append((first, convex_hull(sheared)))
+    return pairs
+
+
+def test_strict_refutation_matches_full_sweep():
+    # Only the pair itself can hold the first failing row of an
+    # equal-volume sweep, so the extra test bodies change nothing.
+    for first, second in _equal_volume_strict_pairs():
+        assert first.volume == second.volume
+        assert not detect_homothety(first, second).homothetic
+        for grid in (None, (1, F(1, 2)), (F(1, 3), 0)):
+            full = functional_equality_sweep(
+                first, second, default_lambda_grid() if grid is None else grid
+            )
+            assert strict_refutation(first, second, grid) == full.refutation
+            assert full.refutation is not None
+        for call in (strict_refutation, functional_equality_sweep):
+            with pytest.raises(NegativeCoefficientError):
+                call(first, second, (0, 2))
+
+
+def test_strict_refutation_sweeps_the_pair_only(monkeypatch):
+    # A sheared hexagon against the original: 9 lam x 2 rows plus the 2
+    # references, where the default test bodies would take 60 calls.
+    import convexkit.homothety as homothety
+
+    calls = []
+    real = homothety.mixed_volume_base_height
+
+    def counting(first, second):
+        calls.append(1)
+        return real(first, second)
+
+    monkeypatch.setattr(homothety, "mixed_volume_base_height", counting)
+    hexagon = convex_hull([(60, 1), (31, 52), (-30, F(105, 2)), (-59, 0), (-30, -52), (30, -51)])
+    sheared = convex_hull([(x + F(7, 3) * y, y) for x, y in hexagon.vertices])
+    refutation = strict_refutation(hexagon, sheared)
+    assert refutation == {"kind": "mixed", "lambda": 0, "body_index": 0}
+    assert len(calls) == 20
