@@ -16,6 +16,7 @@ normals, so everything stays rational.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -94,8 +95,9 @@ Oracle = Callable[[Polytope], Fraction]
 
 
 def mixed_area_oracle(body: Polytope) -> Oracle:
-    """The canonical oracle A(K, .) for a corner-normalized body."""
-    return lambda probe_body: mixed_area(body, probe_body)
+    """The canonical oracle A(K, .) for a corner-normalized body; it
+    evaluates each distinct probe once, such as the auxiliary normal's."""
+    return functools.cache(lambda probe_body: mixed_area(body, probe_body))
 
 
 def _call_oracle(oracle: Oracle, probe_body: Polytope) -> Fraction:

@@ -151,3 +151,22 @@ def test_recover_support_any_matches_support_differential():
         for oracle in oracles:
             for w in directions:
                 assert recover_support_any(oracle, w) == support(body, w), (body, w)
+
+
+def test_oracle_evaluates_each_probe_once(monkeypatch):
+    import convexkit.reconstruction as reconstruction
+
+    calls = []
+    real = reconstruction.mixed_area
+
+    def counting(body, probe):
+        calls.append(1)
+        return real(body, probe)
+
+    monkeypatch.setattr(reconstruction, "mixed_area", counting)
+    body = corner_normalize(random_polytope(2, 7, make_rng(8))).body
+    oracle = mixed_area_oracle(body)
+    assert all(recover_support_any(oracle, w) == support(body, w) for w in farey_directions())
+    # One probe per grid direction, plus the auxiliary normal (1, 1)'s,
+    # which every direction outside the closed first quadrant shares.
+    assert len(calls) == 65
