@@ -20,12 +20,14 @@ from convexkit.inequalities import (
     Verdict,
     bm_check,
     concavity_profile,
+    default_lambda_grid,
     derivative_identity_check,
     minkowski_check,
     mmv_implies_bm_trace,
     normalized_check,
     profile_polynomial,
 )
+from convexkit.volumes import combine
 
 
 def test_bm_strict_rectangle(square, rect):
@@ -84,6 +86,22 @@ def test_bm_strict_for_equal_volumes_not_homothetic():
     assert bm_check(unit_square(), thin, F(1, 2)).verdict is Verdict.STRICT
     assert minkowski_check(simplex, mirror).verdict is Verdict.STRICT
 
+
+def test_bm_volume_matches_combination_differential():
+    # bm's volume of (1-lam)K + lam L against the hull of that combination on
+    # the 9-point grid, lam = 0 and 1 included: seeded pairs in 2D-4D, a
+    # homothetic copy of the first body (ratio and shift) and a translate.
+    rng = random.Random(17)
+    for dim, size, count in ((2, 6, 3), (3, 6, 2), (4, 5, 1)):
+        for _ in range(count):
+            first = random_polytope(dim, size, rng)
+            second = random_polytope(dim, size, rng)
+            ratio = F(rng.randint(1, 9), rng.randint(1, 4))
+            shift = tuple(F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(dim))
+            for other in (second, translate(scale(first, ratio), shift), translate(first, shift)):
+                for lam in default_lambda_grid():
+                    got = bm_check(first, other, lam).quantities["volume_mix"]
+                    assert got == combine(1 - lam, first, lam, other).volume
 
 def test_minkowski_strict(square, dia):
     r = minkowski_check(square, dia)
