@@ -5,9 +5,11 @@ equivalently V_{n-1,1}(K, L)^n >= V_n(K)^(n-1) V_n(L); for full-dimensional
 bodies equality holds exactly when K and L are homothetic.  Verdicts here
 are decided on exact rationals.  The mixed-volume forms compare rational
 powers; the Brunn-Minkowski form decides equality from its three volumes
-alone, so its verdict and the mixed-volume verdict are independent routes
-to the same answer.  Numeric slack strings (50 digits by default) are
-attached for display only.  A Violation verdict is a bug signal, never a
+alone, reading the volume of (1-lam)K + lam L from the pair's volume
+polynomial (interpolated from hulls of K + eps L, not from K's facets), so
+its verdict and the mixed-volume verdict are independent routes to the
+same answer.  Numeric slack strings (50 digits by default) are attached
+for display only.  A Violation verdict is a bug signal, never a
 legitimate outcome.
 """
 
@@ -85,7 +87,9 @@ def bm_check(
 ) -> InequalityReport:
     """Concavity of V^(1/n) at one interpolation weight.
 
-    Equality for interior weights is decided exactly from the three volumes:
+    The volume of (1-lam)K + lam L is read from the pair's volume
+    polynomial.  Equality for interior weights is decided exactly from the
+    three volumes:
     it holds iff a = (V(L) / V(K))^(1/n) is rational and
     V((1-lam)K + lam L) == ((1-lam) + lam a)^n V(K), which is the equality
     case itself once V(L)^(1/n) = a V(K)^(1/n) is substituted (the ratio of
@@ -97,8 +101,8 @@ def bm_check(
     if not (first.is_full_dimensional and second.is_full_dimensional):
         raise LowerDimensionalError("concavity check needs full-dimensional bodies")
     n = first.dim
-    mid = combine(1 - lam, first, lam, second)
-    v_mid, v_first, v_second = mid.volume, first.volume, second.volume
+    v_mid = volume_polynomial(first, second).combination_volume(lam)
+    v_first, v_second = first.volume, second.volume
     slack = root_combination(
         [(Fraction(1), v_mid, n), (lam - 1, v_first, n), (-lam, v_second, n)],
         digits,
@@ -241,7 +245,8 @@ def concavity_profile(
     if any(t < 0 or t > 1 for t in grid):
         raise LambdaRangeError("grid values must lie in [0, 1]")
     n = first.dim
-    samples = tuple((t, combine(1 - t, first, t, second).volume) for t in grid)
+    poly = volume_polynomial(first, second)
+    samples = tuple((t, poly.combination_volume(t)) for t in grid)
     roots = tuple(format_fixed(nth_root_fraction(f, n, digits), digits) for _, f in samples)
     certs = []
     for i in range(len(samples) - 2):

@@ -9,16 +9,21 @@ computed by two independent routes that must agree exactly:
 * base-height: (1/n) sum over facets of P of h_K(u) V_{n-1}(P^u), carried
   out in the pseudo-volume convention so every summand is rational.
 
-Volumes of Minkowski combinations feed the interpolation route and the
-Brunn-Minkowski check, which decides equality from three of them.  For
+By Minkowski's theorem on mixed volumes the same polynomial gives every
+combination volume, V((1-lam)K + lam L) = sum_i c_i lam^i (1-lam)^(n-i)
+(Schneider, Convex Bodies, ch. 5), and the Brunn-Minkowski check reads its
+three volumes from it instead of hulling a combination per lam.  For
 a, b > 0 the faces of aK + bL are aF_K(u) + bF_L(u) (Fukuda 2004), so which
 vertex pairs (x, y) give the vertices a x + b y of aK + bL does not depend
-on a and b, and each vertex has exactly one such pair.  ``combine`` records
-the pairs on the first positive combination of an ordered pair of bodies
-and hulls only those points on later ones.  The record is a small FIFO memo
-behind a lock; what it holds depends only on the two bodies, so no result
-depends on call order.  The checks on the volume polynomial raise
-``InvariantError``, so ``python -O`` keeps them.
+on a and b, and each vertex has exactly one such pair.  Each ordered pair
+of bodies gets one record: ``combine`` stores the vertex pairs on the
+first positive combination and hulls only those points on later ones, and
+``volume_polynomial`` stores the node volumes V(K + eps L), eps = 0..n+1,
+once they pass its checks.  The records sit in a small FIFO memo behind a
+lock; what they hold depends only on the two bodies, so no result depends
+on call order.  The checks on the volume polynomial -- the redundant node,
+the end coefficients and the Aleksandrov-Fenchel inequalities -- run on
+every call and raise ``InvariantError``, so ``python -O`` keeps them.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+from typing import Optional
 
 from .bodies import segment
 from .errors import (
@@ -56,17 +63,41 @@ class VolumePolynomial:
     coefficients: tuple
 
     def __post_init__(self):
-        if any(c < 0 for c in self.coefficients):
+        c = self.coefficients
+        if any(x < 0 for x in c):
             raise InvariantError("negative Steiner coefficient")
+        # c_i = C(n, i) W_i with W_i = V(K[n-i], L[i]); W_i^2 >= W_(i-1) W_(i+1)
+        # holds for all convex bodies, here cross-multiplied by the binomials.
+        n = len(c) - 1
+        if any(
+            c[i] ** 2 * comb(n, i - 1) * comb(n, i + 1) < c[i - 1] * c[i + 1] * comb(n, i) ** 2
+            for i in range(1, n)
+        ):
+            raise InvariantError("volume polynomial violates the Aleksandrov-Fenchel inequalities")
 
     def derivative_at_zero(self) -> Fraction:
         return self.coefficients[1]
 
+    def combination_volume(self, lam) -> Fraction:
+        """V((1-lam)K + lam L) = sum_i c_i lam^i (1-lam)^(n-i) for 0 <= lam <= 1."""
+        n = len(self.coefficients) - 1
+        return sum(
+            c * lam**i * (1 - lam) ** (n - i) for i, c in enumerate(self.coefficients)
+        )
 
-# Vertex pairs of recent (first, second) bodies, oldest first.
-_VERTEX_PAIRS_LIMIT = 8
-_vertex_pairs = {}
-_vertex_pairs_lock = threading.Lock()
+
+@dataclass
+class _PairRecord:
+    """What one ordered pair of bodies has shown so far."""
+
+    vertex_pairs: tuple
+    node_volumes: Optional[tuple] = None
+
+
+# Records of recent (first, second) bodies, oldest first.
+_RECORDS_LIMIT = 8
+_records = {}
+_records_lock = threading.Lock()
 
 
 def combine(a, first: Polytope, b, second: Polytope) -> Polytope:
@@ -83,10 +114,10 @@ def combine(a, first: Polytope, b, second: Polytope) -> Polytope:
     key = (first, second)
     reuse = a > 0 and b > 0
     if reuse:
-        with _vertex_pairs_lock:
-            pairs = _vertex_pairs.get(key)
-        if pairs is not None:
-            pts = [vadd(vscale(a, x), vscale(b, y)) for x, y in pairs]
+        with _records_lock:
+            record = _records.get(key)
+        if record is not None:
+            pts = [vadd(vscale(a, x), vscale(b, y)) for x, y in record.vertex_pairs]
             return convex_hull(pts, allow_degenerate=True)
     origin = {
         vadd(vscale(a, x), vscale(b, y)): (x, y)
@@ -95,11 +126,11 @@ def combine(a, first: Polytope, b, second: Polytope) -> Polytope:
     }
     body = convex_hull(origin, allow_degenerate=True)
     if reuse:
-        with _vertex_pairs_lock:
-            if key not in _vertex_pairs:
-                if len(_vertex_pairs) >= _VERTEX_PAIRS_LIMIT:
-                    del _vertex_pairs[next(iter(_vertex_pairs))]
-                _vertex_pairs[key] = tuple(origin[v] for v in body.vertices)
+        with _records_lock:
+            if key not in _records:
+                if len(_records) >= _RECORDS_LIMIT:
+                    del _records[next(iter(_records))]
+                _records[key] = _PairRecord(tuple(origin[v] for v in body.vertices))
     return body
 
 
@@ -127,16 +158,33 @@ def minkowski_interpolate(values) -> tuple:
 
 
 def volume_polynomial(first: Polytope, second: Polytope) -> VolumePolynomial:
+    """V_n(K + eps L) from the node volumes at eps = 0..n+1.
+
+    The nodes are hulled once per recorded pair; the interpolation and its
+    checks run on every call.
+    """
     n = first.dim
     if second.dim != n:
         raise DimensionMismatchError("bodies live in different dimensions")
-    values = [first.volume]
-    for eps in range(1, n + 2):
-        values.append(combine(1, first, eps, second).volume)
+    key = (first, second)
+    with _records_lock:
+        record = _records.get(key)
+        values = None if record is None else record.node_volumes
+    fresh = values is None
+    if fresh:
+        values = (first.volume,) + tuple(
+            combine(1, first, eps, second).volume for eps in range(1, n + 2)
+        )
     coeffs = minkowski_interpolate(values)
     if coeffs[0] != first.volume or coeffs[n] != second.volume:
         raise InvariantError("volume polynomial end coefficients differ from the volumes")
-    return VolumePolynomial(coeffs)
+    poly = VolumePolynomial(coeffs)
+    if fresh:
+        with _records_lock:
+            record = _records.get(key)
+            if record is not None:
+                record.node_volumes = values
+    return poly
 
 
 def mixed_volume_interp(first: Polytope, second: Polytope) -> Fraction:

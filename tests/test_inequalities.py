@@ -1,5 +1,6 @@
 import importlib.util
 import random
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -27,7 +28,8 @@ from convexkit.inequalities import (
     normalized_check,
     profile_polynomial,
 )
-from convexkit.volumes import combine
+from convexkit import volumes
+from convexkit.volumes import combine, mixed_volume_interp
 
 
 def test_bm_strict_rectangle(square, rect):
@@ -102,6 +104,27 @@ def test_bm_volume_matches_combination_differential():
                 for lam in default_lambda_grid():
                     got = bm_check(first, other, lam).quantities["volume_mix"]
                     assert got == combine(1 - lam, first, lam, other).volume
+
+def test_bm_sweep_combines_nothing_after_interpolation(monkeypatch):
+    # The interpolated mixed volume hulls K + eps L at n + 1 nodes; a bm
+    # sweep over the 9-point grid then reads every volume from that pair's
+    # polynomial and combines nothing more.
+    calls = []
+    real = volumes.combine
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("convexkit") and getattr(module, "combine", None) is real:
+            monkeypatch.setattr(module, "combine", counting)
+    first, second = (random_polytope(3, 6, random.Random(seed)) for seed in (7001, 7002))
+    mixed_volume_interp(first, second)
+    assert len(calls) == 4
+    for lam in default_lambda_grid():
+        bm_check(first, second, lam)
+    assert len(calls) == 4
 
 def test_minkowski_strict(square, dia):
     r = minkowski_check(square, dia)

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +16,7 @@ from convexkit.bodies import (
 )
 from convexkit.errors import (
     DimensionError,
+    InvariantError,
     LowerDimensionalError,
     NegativeCoefficientError,
 )
@@ -25,6 +28,7 @@ from convexkit.volumes import (
     mixed_volume_interp,
     projection_prism_volume,
     surface_area,
+    VolumePolynomial,
     volume,
     volume_polynomial,
 )
@@ -69,6 +73,47 @@ def test_volume_polynomial_examples(square, cube):
     moved = translate(cube, (5, 5, 5))
     assert volume_polynomial(cube, moved).coefficients == (1, 3, 3, 1)
 
+
+def test_aleksandrov_fenchel_guard(square, cube):
+    # W_i = c_i / C(n, i) must be log-concave: (1, 0, 1) gives W_1^2 = 0 < 1.
+    for bad in ((1, 0, 1), (1, 3, 0, 1), (F(1, 2), 1, 1)):
+        with pytest.raises(InvariantError, match="Aleksandrov-Fenchel"):
+            VolumePolynomial(bad)
+    # Equality cases, flat and segment second bodies and a flat first body pass.
+    flat = convex_hull([(0, 0, 0), (1, 0, 0), (0, 2, 0)], allow_degenerate=True)
+    pairs = [
+        (square, scale(square, 3)),
+        (square, axis_segment(2, 0)),
+        (cube, flat),
+        (cube, axis_segment(3, 2)),
+        (flat, cube),
+        (axis_segment(2, 0), axis_segment(2, 1)),
+    ]
+    for first, second in pairs:
+        volume_polynomial(first, second)
+
+
+AF_UNDER_OPTIMIZE = """
+import sys
+from convexkit.errors import InvariantError
+from convexkit.volumes import VolumePolynomial
+
+assert not __debug__, "run me under python -O"
+try:
+    VolumePolynomial((1, 0, 1))
+except InvariantError as exc:
+    print(exc)
+else:
+    sys.exit("Aleksandrov-Fenchel check stripped")
+"""
+
+
+def test_aleksandrov_fenchel_guard_survives_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", AF_UNDER_OPTIMIZE], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "volume polynomial violates the Aleksandrov-Fenchel inequalities\n"
 
 def test_mixed_volume_interp_examples(square, cube):
     assert mixed_volume_interp(square, square) == 1
