@@ -126,11 +126,13 @@ def _closing_solution(normals):
     return lams
 
 
+@functools.lru_cache(maxsize=256)
 def _probe(normals, lams) -> Polytope:
     """Probe whose outward normals are ``normals``, walking the edges
     lam_i rot(n_i) counterclockwise; the walk closes because
     sum lam_i n_i = 0, and its order is 0, 1, 2 exactly when n_0 x n_1 > 0.
-    A zero multiplier leaves a segment."""
+    A zero multiplier leaves a segment.  The probe depends on nothing else,
+    so it is built once for every body and direction that shares it."""
     pts = [(0, 0)]
     for i in (0, 1) if _cross(normals[0], normals[1]) > 0 else (0, 2):
         pts.append(vadd(pts[-1], vscale(lams[i], (-normals[i][1], normals[i][0]))))

@@ -170,3 +170,26 @@ def test_oracle_evaluates_each_probe_once(monkeypatch):
     # One probe per grid direction, plus the auxiliary normal (1, 1)'s,
     # which every direction outside the closed first quadrant shares.
     assert len(calls) == 65
+
+
+def test_probe_hulls_are_shared(monkeypatch):
+    import convexkit.reconstruction as reconstruction
+
+    calls = []
+    real = reconstruction.convex_hull
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    bodies = [corner_normalize(random_polytope(2, 6, make_rng(seed))).body for seed in (21, 22)]
+    reconstruction._probe.cache_clear()
+    monkeypatch.setattr(reconstruction, "convex_hull", counting)
+    counts = []
+    for body in bodies:
+        oracle = mixed_area_oracle(body)
+        assert all(recover_support_any(oracle, w) == support(body, w) for w in farey_directions())
+        counts.append(len(calls))
+    # One probe per grid direction plus the auxiliary normal (1, 1)'s, built
+    # once; the second body's probes are the first body's.
+    assert counts == [65, 65]
