@@ -238,7 +238,8 @@ def default_lambda_grid():
 def concavity_profile(
     first: Polytope, second: Polytope, grid=None, digits: int = DEFAULT_DIGITS
 ) -> ConcavityProfile:
-    """Exact volume profile f(t) = V_n((1-t)K + tL) with midpoint certificates."""
+    """Exact volume profile f(t) = V_n((1-t)K + tL), read from the pair's
+    volume polynomial, with midpoint certificates."""
     if not (first.is_full_dimensional and second.is_full_dimensional):
         raise LowerDimensionalError("profile needs full-dimensional bodies")
     grid = default_lambda_grid() if grid is None else tuple(as_scalar(t) for t in grid)

@@ -170,8 +170,7 @@ def volume_polynomial(first: Polytope, second: Polytope) -> VolumePolynomial:
     with _records_lock:
         record = _records.get(key)
         values = None if record is None else record.node_volumes
-    fresh = values is None
-    if fresh:
+    if values is None:
         values = (first.volume,) + tuple(
             combine(1, first, eps, second).volume for eps in range(1, n + 2)
         )
@@ -179,11 +178,10 @@ def volume_polynomial(first: Polytope, second: Polytope) -> VolumePolynomial:
     if coeffs[0] != first.volume or coeffs[n] != second.volume:
         raise InvariantError("volume polynomial end coefficients differ from the volumes")
     poly = VolumePolynomial(coeffs)
-    if fresh:
-        with _records_lock:
-            record = _records.get(key)
-            if record is not None:
-                record.node_volumes = values
+    with _records_lock:
+        record = _records.get(key)
+        if record is not None:
+            record.node_volumes = values
     return poly
 
 

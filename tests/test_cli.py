@@ -279,6 +279,7 @@ from convexkit.steiner import steiner_symmetral
 
 assert not __debug__, "run me under python -O"
 for bad in (lambda: volumes.VolumePolynomial((-1,)),
+            lambda: volumes.VolumePolynomial((1, 0, 1)),
             lambda: volumes.minkowski_interpolate([0, 1, 4, 10]),
             lambda: steiner_symmetral(replace(unit_square(), volume=2), (1, 0))):
     try:

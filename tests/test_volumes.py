@@ -1,5 +1,3 @@
-import subprocess
-import sys
 from fractions import Fraction as F
 
 import pytest
@@ -92,28 +90,6 @@ def test_aleksandrov_fenchel_guard(square, cube):
     for first, second in pairs:
         volume_polynomial(first, second)
 
-
-AF_UNDER_OPTIMIZE = """
-import sys
-from convexkit.errors import InvariantError
-from convexkit.volumes import VolumePolynomial
-
-assert not __debug__, "run me under python -O"
-try:
-    VolumePolynomial((1, 0, 1))
-except InvariantError as exc:
-    print(exc)
-else:
-    sys.exit("Aleksandrov-Fenchel check stripped")
-"""
-
-
-def test_aleksandrov_fenchel_guard_survives_optimize():
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", AF_UNDER_OPTIMIZE], capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "volume polynomial violates the Aleksandrov-Fenchel inequalities\n"
 
 def test_mixed_volume_interp_examples(square, cube):
     assert mixed_volume_interp(square, square) == 1
