@@ -63,11 +63,11 @@ class VolumePolynomial:
     coefficients: tuple
 
     def __post_init__(self):
-        c = self.coefficients
-        if any(x < 0 for x in c):
+        if any(c < 0 for c in self.coefficients):
             raise InvariantError("negative Steiner coefficient")
         # c_i = C(n, i) W_i with W_i = V(K[n-i], L[i]); W_i^2 >= W_(i-1) W_(i+1)
         # holds for all convex bodies, here cross-multiplied by the binomials.
+        c = self.coefficients
         n = len(c) - 1
         if any(
             c[i] ** 2 * comb(n, i - 1) * comb(n, i + 1) < c[i - 1] * c[i + 1] * comb(n, i) ** 2
