@@ -6,7 +6,7 @@ when those points span one), and, on request, coordinates whose
 denominators are three large coprime primes, so that the lcm of all
 denominators passes 256 bits.  Flat inputs of every affine rank below the
 ambient dimension are checked in the chart of their affine hull, and
-``mat_rank`` against the oracle's elimination.
+``mat_rank`` and ``solve`` against the oracle's elimination.
 """
 
 from fractions import Fraction as F
@@ -15,10 +15,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from convexkit.errors import DimensionError
+from convexkit.errors import DimensionError, InvariantError
 from convexkit.geometry import convex_hull
-from convexkit.linalg import mat_rank
-from convexkit.volumes import mixed_volume_base_height
+from convexkit.linalg import mat_rank, solve
+from convexkit.volumes import minkowski_interpolate, mixed_volume_base_height
 
 from oracles import _rref, affine_rank, brute_hull, shoelace_area
 
@@ -137,3 +137,61 @@ def matrices(draw):
 @given(matrices())
 def test_mat_rank_matches_oracle(rows):
     assert mat_rank(rows) == len(_rref(rows)[1])
+
+
+@st.composite
+def systems(draw):
+    """(rows, rhs) of m x n systems, m up to n + 3, mostly consistent: the
+    rhs is rows x for a drawn x, unless an entry is nudged off it.  Zero
+    rows, repeated rows and dependent columns make singular systems."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, n + 3))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    index = st.integers(0, m - 1)
+    for kind in draw(st.lists(st.sampled_from(["zero", "repeat", "column"]), max_size=2)):
+        if kind == "zero":
+            rows[draw(index)] = [0] * n
+        elif kind == "repeat":
+            rows[draw(index)] = list(rows[draw(index)])
+        elif n > 1:
+            j, c = draw(st.integers(0, n - 2)), draw(entries)
+            for row in rows:
+                row[n - 1] = c * row[j]
+    x = draw(st.lists(entries, min_size=n, max_size=n))
+    rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    if draw(st.booleans()):
+        rhs[draw(st.integers(0, m - 1))] += draw(st.sampled_from([1, -1, F(1, 3)]))
+    return rows, rhs
+
+
+def rref_solve(rows, rhs):
+    """The unique solution by the oracle's elimination, or None: the
+    augmented rows must have their pivots on exactly the n unknowns."""
+    n = len(rows[0])
+    a, pivots = _rref([[*row, b] for row, b in zip(rows, rhs)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(a[i][n] for i in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_solve_matches_oracle(system):
+    rows, rhs = system
+    assert solve(rows, rhs) == rref_solve(rows, rhs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=0, max_value=9, max_denominator=6), min_size=2, max_size=5),
+    st.sampled_from([0, 1, -1, F(1, 7)]),
+)
+def test_interpolation_checks_the_redundant_node(coeffs, nudge):
+    n = len(coeffs) - 1
+    values = [sum(c * e**i for i, c in enumerate(coeffs)) for e in range(n + 2)]
+    values[-1] += nudge
+    if nudge:
+        with pytest.raises(InvariantError, match="^volume polynomial failed the redundant-node check$"):
+            minkowski_interpolate(values)
+    else:
+        assert minkowski_interpolate(values) == tuple(coeffs)
