@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from .errors import AmbientDimError
 from .geometry import MAX_AMBIENT, MIN_AMBIENT, Polytope, convex_hull
-from .linalg import as_scalar, as_vec
+from .linalg import as_scalar, as_vec, unit_vector
 
 
 def box(*sides) -> Polytope:
@@ -29,12 +29,7 @@ def unit_cube() -> Polytope:
 
 def standard_simplex(n: int) -> Polytope:
     """conv{0, e1, ..., en}."""
-    pts = [tuple(Fraction(0) for _ in range(n))]
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        pts.append(tuple(e))
-    return convex_hull(pts)
+    return convex_hull([(Fraction(0),) * n, *(unit_vector(n, i) for i in range(n))])
 
 
 def diamond(r=1) -> Polytope:
@@ -49,9 +44,7 @@ def segment(a, b) -> Polytope:
 
 def axis_segment(n: int, i: int, length=1) -> Polytope:
     """Segment from the origin to length*e_i in R^n."""
-    e = [Fraction(0)] * n
-    e[i] = as_scalar(length)
-    return segment(tuple(Fraction(0) for _ in range(n)), tuple(e))
+    return segment((Fraction(0),) * n, unit_vector(n, i, length))
 
 
 def disc_polygon(m: int) -> Polytope:

@@ -146,7 +146,7 @@ def _affine_rank_with_basis(rows):
     """Affine rank of the points of these lifted rows, and the indices of a
     greedy affinely independent subset: points are affinely independent
     exactly when their rows are linearly independent."""
-    chosen = [i for i, _ in independent_rows(rows)]
+    chosen = [i for i, _, _ in independent_rows(rows)]
     return len(chosen) - 1, chosen
 
 
@@ -312,7 +312,7 @@ def _build_degenerate(points, n, rank, basis_ids):
     if rank:
         origin = points[basis_ids[0]]
         directions = [vsub(points[i], origin) for i in basis_ids[1:]]
-        columns = [j for _, j in independent_rows(directions)]
+        columns = [j for _, j, _ in independent_rows(directions)]
         chart = [tuple(p[j] for j in columns) for p in points]
         extreme = set(convex_hull(chart, _ambient_check=False).vertices)
         verts = tuple(p for p, c in zip(points, chart) if c in extreme)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .bodies import random_direction, segment, standard_simplex
+from .bodies import axis_segment, box, random_direction, standard_simplex
 from .errors import (
     DimensionError,
     DimensionMismatchError,
@@ -27,7 +27,6 @@ from .errors import (
 from .geometry import (
     Polytope,
     bodies_equal,
-    convex_hull,
     hyperplane_subspace,
     project,
     scale,
@@ -36,7 +35,7 @@ from .geometry import (
     vertex_centroid,
 )
 from .inequalities import default_lambda_grid
-from .linalg import as_scalar, as_vec, rational_nth_root, vadd, vscale, vsub
+from .linalg import as_scalar, as_vec, rational_nth_root, unit_vector, vadd, vscale, vsub
 from .volumes import combine, mixed_volume_base_height, projection_prism_volume
 
 
@@ -84,11 +83,7 @@ def default_direction_set(dim: int, seed: int = 2024, random_count: int = 20):
     The last axis direction e_n comes first, as the projection pipeline
     requires it to be present.
     """
-    dirs = []
-    for i in reversed(range(dim)):
-        e = [Fraction(0)] * dim
-        e[i] = Fraction(1)
-        dirs.append(tuple(e))
+    dirs = [unit_vector(dim, i) for i in reversed(range(dim))]
     diag = [[Fraction(1)]]
     for _ in range(dim - 1):
         diag = [d + [s] for d in diag for s in (Fraction(1), Fraction(-1))]
@@ -114,12 +109,6 @@ class ShadowTransforms:
     second_shift: tuple
 
 
-def _last_axis(dim: int):
-    e = [Fraction(0)] * dim
-    e[-1] = Fraction(1)
-    return tuple(e)
-
-
 def normalize_shadows(first: Polytope, second: Polytope):
     """Translate K and scale-translate L so both rest on the upper halfspace
     of the last axis and share the same bottom shadow.
@@ -127,7 +116,7 @@ def normalize_shadows(first: Polytope, second: Polytope):
     Requires n >= 3 and homothetic shadows onto the last coordinate
     hyperplane (their scale pins the dilation).  Returns (K', L', transforms).
     """
-    floor = hyperplane_subspace(_last_axis(first.dim))
+    floor = hyperplane_subspace(unit_vector(first.dim, first.dim - 1))
     decision = detect_homothety(project(first, floor), project(second, floor))
     if not decision.homothetic:
         raise NotHomotheticProjectionError(
@@ -144,14 +133,14 @@ def _normalize_shadows(first: Polytope, second: Polytope, shadow):
         raise DimensionError("shadow normalization needs ambient dimension >= 3")
     if not (first.is_full_dimensional and second.is_full_dimensional):
         raise LowerDimensionalError("shadow normalization needs full-dimensional bodies")
-    floor = hyperplane_subspace(_last_axis(n))
+    floor = hyperplane_subspace(unit_vector(n, n - 1))
     # Its inverse carries L's shadow onto K's: K_shadow = a L_shadow + v.
     a = 1 / shadow.ratio
     v = vscale(-a, shadow.shift)
     # The floor basis is e_1..e_(n-1), so chart coordinates embed directly.
     v_embedded = tuple(v) + (Fraction(0),)
     second_scaled = translate(scale(second, a), v_embedded)
-    e_last = _last_axis(n)
+    e_last = unit_vector(n, n - 1)
     lift_first = support(first, tuple(-x for x in e_last))
     lift_second = support(second_scaled, tuple(-x for x in e_last))
     first_n = translate(first, vscale(lift_first, e_last))
@@ -257,16 +246,7 @@ def default_test_bodies(reference: Polytope):
     """Unit axis box, standard simplex, and axis segments; the sweep itself
     prepends the pair under test.  Segments realize the projection step."""
     n = reference.dim
-    zero = tuple(Fraction(0) for _ in range(n))
-    cube_pts = [()]
-    for _ in range(n):
-        cube_pts = [p + (c,) for p in cube_pts for c in (Fraction(0), Fraction(1))]
-    bodies = [convex_hull(cube_pts), standard_simplex(n)]
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        bodies.append(segment(zero, tuple(e)))
-    return tuple(bodies)
+    return (box(*[1] * n), standard_simplex(n), *(axis_segment(n, i) for i in range(n)))
 
 
 def functional_equality_sweep(

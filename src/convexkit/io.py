@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 from .geometry import Polytope, convex_hull
@@ -21,21 +22,43 @@ from .geometry import Polytope, convex_hull
 # Most vertex rows a body file may hold; `random-body --vertices` shares it.
 MAX_VERTICES = 1000
 
+# Caps on one rational literal, checked before Fraction() builds it: "1e5000000"
+# takes seconds, and Python refuses int/str conversions past 4300 digits.
+MAX_LITERAL_CHARS = 1000
+MAX_LITERAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+
 
 class BodyFileError(ValueError):
     """Malformed body file (parse / schema errors; CLI exit code 2)."""
 
 
-def parse_fraction(text) -> Fraction:
-    # JSON true/false arrive as bool, a subclass of int: reject them.
-    if isinstance(text, int) and not isinstance(text, bool):
+def fraction_literal(text: str) -> Fraction:
+    """Fraction of a "p/q" or decimal literal, for body files and CLI
+    arguments alike; ValueError when it is malformed or past the caps."""
+    exponent = _EXPONENT.search(text)
+    if len(text) > MAX_LITERAL_CHARS or exponent and abs(int(exponent[1])) > MAX_LITERAL_EXPONENT:
+        raise ValueError(
+            f"rational literal past {MAX_LITERAL_CHARS} characters"
+            f" or exponent {MAX_LITERAL_EXPONENT}"
+        )
+    try:
         return Fraction(text)
-    if isinstance(text, str):
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise BodyFileError(f"bad rational literal {text!r}") from exc
-    raise BodyFileError(f"coordinate must be a string or integer, got {type(text).__name__}")
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational literal {text!r}") from exc
+
+
+def parse_fraction(text) -> Fraction:
+    # JSON true/false arrive as bool, a subclass of int: reject them.  JSON
+    # integers are checked as the literal they were in the file.
+    if isinstance(text, int) and not isinstance(text, bool):
+        text = str(text)
+    if not isinstance(text, str):
+        raise BodyFileError(f"coordinate must be a string or integer, got {type(text).__name__}")
+    try:
+        return fraction_literal(text)
+    except ValueError as exc:
+        raise BodyFileError(str(exc)) from exc
 
 
 def vector_to_json(v):
@@ -82,7 +105,7 @@ def load_body(path, *, allow_degenerate: bool = False) -> Polytope:
         raise BodyFileError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also integers past Python's 4300-digit limit
         raise BodyFileError(f"{path}: invalid JSON: {exc}") from exc
     return parse_body(data, allow_degenerate=allow_degenerate)
 

@@ -4,8 +4,9 @@ Scalars are ``fractions.Fraction``; vectors are plain tuples.  The hull
 predicates also run on lifted rows, integer tuples (X_1, ..., X_n, d) that
 stand for the rational points X / d, so every routine here is written to
 preserve the entry type: determinants use division-free minor expansion,
-ranks the fraction-free ``independent_rows``, and only ``solve`` (the one
-Gauss-Jordan routine) and the other explicitly named helpers use Fractions.
+and ``independent_rows`` is the one elimination loop, fraction-free.  Ranks
+count its kept rows, and ``solve`` back-substitutes over them; only ``solve``
+and the other explicitly named helpers use Fractions.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ def as_scalar(x) -> Fraction:
 
 def as_vec(v) -> tuple:
     return tuple(as_scalar(x) for x in v)
+
+
+def unit_vector(n: int, i: int, length=1) -> tuple:
+    """length * e_i in R^n."""
+    return tuple(as_scalar(length) if k == i else Fraction(0) for k in range(n))
 
 
 def vec(*coords) -> tuple:
@@ -91,12 +97,14 @@ def cross_normal(rows):
 
 
 def independent_rows(rows) -> list:
-    """(index, pivot column) of each row of ``rows`` that is independent of
-    the rows kept before it; stops once the kept rows span the row space.
+    """(index, pivot column, reduced row) of each row of ``rows`` that is
+    independent of the rows kept before it; stops once the kept rows span the
+    row space.
 
     Each row is reduced once, fraction-free, against the kept rows: a kept
     row b with pivot j turns v into b[j] v - v[j] b, so integer rows stay
-    integer.  The kept rows are triangular on their distinct pivot columns.
+    integer.  Each kept row is zero at the pivots of the rows kept before it,
+    so the kept rows are triangular on their distinct pivot columns.
     """
     kept = []
     for i, v in enumerate(rows):
@@ -108,7 +116,7 @@ def independent_rows(rows) -> list:
             kept.append((i, j, v))
             if len(kept) == len(v):
                 break
-    return [(i, j) for i, j, _ in kept]
+    return kept
 
 
 def mat_rank(rows) -> int:
@@ -120,26 +128,19 @@ def solve(rows, rhs):
     """Solve a consistent linear system A x = b exactly.
 
     ``rows`` may be rectangular (m >= n); returns the unique solution tuple
-    or None when the system is singular/inconsistent.
+    or None when the system is singular/inconsistent.  The augmented rows
+    (A | b) go through ``independent_rows``: a unique solution needs n kept
+    rows with no pivot on b, and back-substitution over them in reverse
+    order meets each pivot unknown after all the unknowns its row also holds.
     """
-    m, n = len(rows), len(rows[0])
-    a = [[as_scalar(x) for x in rows[i]] + [as_scalar(rhs[i])] for i in range(m)]
-    for col in range(n):
-        pivot = next((i for i in range(col, m) if a[i][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(m):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    # Full column rank puts the pivots on columns 0..n-1 of rows 0..n-1;
-    # a nonzero right-hand side below them makes the system inconsistent.
-    if any(a[i][n] != 0 for i in range(n, m)):
+    n = len(rows[0])
+    kept = independent_rows([[*row, b] for row, b in zip(rows, rhs)])
+    if len(kept) != n or any(j == n for _, j, _ in kept):
         return None
-    return tuple(a[i][n] for i in range(n))
+    x = {}
+    for _, j, b in reversed(kept):
+        x[j] = Fraction(b[n] - sum(b[k] * v for k, v in x.items()), b[j])
+    return tuple(x[j] for j in range(n))
 
 
 def gram_matrix(basis):

@@ -142,19 +142,16 @@ def volume(body: Polytope) -> Fraction:
 def minkowski_interpolate(values) -> tuple:
     """Exact polynomial coefficients through values at eps = 0, 1, 2, ...
 
-    The last node is redundant: the unique polynomial of degree <= n is
-    interpolated through the first n+1 values and the extra node acts as a
-    consistency check on the hull/volume pipeline.
+    The last node is redundant: the n+2 distinct nodes give the integer
+    Vandermonde rows full column rank, so ``solve`` finds the n+1
+    coefficients exactly when the extra node lies on the polynomial through
+    the others -- a consistency check on the hull/volume pipeline.
     """
     n = len(values) - 2
-    rows = [[Fraction(e) ** i for i in range(n + 1)] for e in range(n + 1)]
-    coeffs = solve(rows, values[: n + 1])
+    coeffs = solve([[e**i for i in range(n + 1)] for e in range(n + 2)], values)
     if coeffs is None:
-        raise InvariantError("volume interpolation system is singular")
-    check = sum(c * Fraction(n + 1) ** i for i, c in enumerate(coeffs))
-    if check != values[n + 1]:
         raise InvariantError("volume polynomial failed the redundant-node check")
-    return tuple(coeffs)
+    return coeffs
 
 
 def volume_polynomial(first: Polytope, second: Polytope) -> VolumePolynomial:

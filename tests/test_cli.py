@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +192,13 @@ def test_out_flag_writes_file(corpus, tmp_path, capsys):
     assert json.loads(target.read_text())["result"]["volume"] == "1"
 
 
+def test_out_flag_unwritable_path(corpus, tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, ["volume", corpus["square"], "--out", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1 and str(target) in err
+
+
 def test_console_entry_point(corpus):
     proc = subprocess.run(
         [sys.executable, "-m", "convexkit.cli", "volume", corpus["square"]],
@@ -266,6 +274,33 @@ def test_body_file_vertex_cap(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["volume", str(path)])
     assert code == 2 and out == ""
     assert err.startswith("parse error:") and err.count("\n") == 1 and "1000" in err
+
+
+def test_rational_literal_caps(corpus, tmp_path, capsys):
+    # Past the caps a literal is refused before Fraction() builds it; python
+    # refuses to print integers past 4300 digits, so none could be reported.
+    bad = {
+        "exponent": '"1e4400"',
+        "length": '"' + "1" * 1001 + '"',
+        "json-int": "1" * 5000,
+    }
+    for name, literal in bad.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text('{"dim": 2, "vertices": [["0", "0"], [%s, "0"], ["0", "1"]]}' % literal)
+        code, out, err = run_cli(capsys, ["volume", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("parse error:") and err.count("\n") == 1
+    square = corpus["square"]
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["check", square, square, "--form", "bm", "--lambda", "1e5000000"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "--lambda" in err and "exponent 1000" in err
+    # At the caps, and in every golden body file, literals parse.
+    for literal in ("1e1000", "1E-1000", "1" * 1000, "-7/3", " 2.5e-3 "):
+        assert io.fraction_literal(literal) == F(literal)
+    for path in (Path(__file__).parent / "golden" / "bodies").glob("*.json"):
+        if path.name != "garbage.json":
+            io.load_body(path, allow_degenerate=True)
 
 
 OPTIMIZED_INVARIANTS = """

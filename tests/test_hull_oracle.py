@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from convexkit.errors import DimensionError, InvariantError
 from convexkit.geometry import convex_hull
-from convexkit.linalg import mat_rank, solve
+from convexkit.linalg import independent_rows, mat_rank, solve
 from convexkit.volumes import minkowski_interpolate, mixed_volume_base_height
 
 from oracles import _rref, affine_rank, brute_hull, shoelace_area
@@ -136,7 +136,11 @@ def matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_mat_rank_matches_oracle(rows):
-    assert mat_rank(rows) == len(_rref(rows)[1])
+    kept = independent_rows(rows)
+    assert mat_rank(rows) == len(kept) == len(_rref(rows)[1])
+    # solve's back-substitution relies on this triangular shape.
+    for k, (_, _, row) in enumerate(kept):
+        assert all(row[j] == 0 for _, j, _ in kept[:k])
 
 
 @st.composite
