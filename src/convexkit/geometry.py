@@ -14,6 +14,11 @@ Conventions used throughout the package:
   (X_1, ..., X_n, d) with X / d == p and d the lcm of p's own
   denominators.  Determinants of such rows are the affine ones times the
   positive product of the d's, so their signs decide orientation exactly;
+* a Polytope keeps the lifted rows of its canonical vertices as
+  ``lifted``, built on first use.  ``support``, ``support_set``,
+  ``polygon_cycle`` and the facet offsets run on them: a direction
+  w = W / e is lifted once, X.W / d is compared across vertices by integer
+  cross-multiplication, and one Fraction is built per result;
 * projections return coordinates obtained by pairing points with the
   subspace basis vectors (x maps to (x.b1, ..., x.bd)).  Under this chart
   a direction for the projected body is a coefficient vector a, standing
@@ -30,7 +35,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, lcm, prod
+from operator import mul
 
 from .errors import (
     AmbientDimError,
@@ -77,7 +84,7 @@ class Facet:
     pseudo_volume: Fraction
 
     def normal_sq(self) -> Fraction:
-        return dot(self.normal, self.normal)
+        return Fraction(sum(c.numerator**2 for c in self.normal))
 
 
 @dataclass(frozen=True)
@@ -99,6 +106,13 @@ class Polytope:
     @property
     def is_full_dimensional(self) -> bool:
         return self.affine_dim == self.dim
+
+    @cached_property
+    def lifted(self) -> tuple:
+        """Integer row (X, d) of each canonical vertex, as ``_lift`` makes it.
+        Not a field: equality, hashing and ``repr`` ignore it, and a body
+        derived from this one lifts its own vertices."""
+        return tuple(_lift(self.vertices))
 
 
 @dataclass(frozen=True)
@@ -284,10 +298,11 @@ def _build_full_dimensional(points, rows, n, base):
     for prim in norm_keys:
         lam_sum, members = merged[prim]
         on_facet = tuple(sorted(canonical_index[i] for i in members if i in canonical_index))
+        first = rows[extreme[on_facet[0]]]
         facets.append(
             Facet(
                 normal=tuple(Fraction(c) for c in prim),
-                offset=dot(prim, vertices[on_facet[0]]),
+                offset=Fraction(sum(map(mul, prim, first)), first[n]),
                 vertex_indices=on_facet,
                 pseudo_volume=lam_sum * dot(prim, prim) / factorial(n - 1),
             )
@@ -362,17 +377,38 @@ def _check_direction(body, w):
     return w
 
 
+def _lifted_values(body: Polytope, w):
+    """(e, values): w lifted once to W / e, and (X.W, d) for each lifted
+    vertex row (X, d), so that vertex's v.w is X.W / (d e)."""
+    *lifted_w, e = _lift((_check_direction(body, w),))[0]
+    return e, [(sum(map(mul, row, lifted_w)), row[-1]) for row in body.lifted]
+
+
+def _largest(values):
+    """The largest of the quotients x / d (d > 0), as its pair (x, d)."""
+    best, best_d = values[0]
+    for x, d in values[1:]:
+        if x * best_d > best * d:
+            best, best_d = x, d
+    return best, best_d
+
+
 def support(body: Polytope, w) -> Fraction:
-    """Support value h_K(w) = max over vertices of v.w (exact)."""
-    w = _check_direction(body, w)
-    return max(dot(v, w) for v in body.vertices)
+    """Support value h_K(w) = max over vertices of v.w, exact: the vertex
+    values are compared as integer quotients on ``body.lifted`` and the
+    largest becomes the one Fraction returned."""
+    e, values = _lifted_values(body, w)
+    best, best_d = _largest(values)
+    return Fraction(best, best_d * e)
 
 
 def support_set(body: Polytope, w) -> Polytope:
-    """Face of K attaining h_K(w); may be lower-dimensional."""
-    w = _check_direction(body, w)
-    h = support(body, w)
-    face = [v for v in body.vertices if dot(v, w) == h]
+    """Face of K attaining h_K(w); may be lower-dimensional.  Its vertices
+    are picked by the same integer comparison as ``support``'s, so ties
+    are exact."""
+    _, values = _lifted_values(body, w)
+    best, best_d = _largest(values)
+    face = [v for v, (x, d) in zip(body.vertices, values) if x * best_d == best * d]
     return convex_hull(face, allow_degenerate=True, _ambient_check=False)
 
 
@@ -475,7 +511,7 @@ def polygon_cycle(body: Polytope):
         raise DimensionError("polygon cycle requires ambient dimension 2")
     if len(body.vertices) <= 2:
         return list(body.vertices)
-    cyc = _chain_2d(_lift(body.vertices))
+    cyc = _chain_2d(body.lifted)
     return [body.vertices[i] for i in cyc]
 
 
@@ -492,5 +528,5 @@ def validate_polytope(body: Polytope) -> None:
         assert on >= body.dim
         assert len(f.vertex_indices) == on
     if body.is_full_dimensional and body.dim > 1:
-        rank, _ = _affine_rank_with_basis(_lift(body.vertices))
+        rank, _ = _affine_rank_with_basis(body.lifted)
         assert rank == body.dim

@@ -50,6 +50,7 @@ from .linalg import (
     is_zero_vec,
     rational_nth_root,
     solve,
+    tree_sum,
     vadd,
     vscale,
 )
@@ -193,16 +194,16 @@ def mixed_volume_base_height(first: Polytope, second: Polytope) -> Fraction:
 
     With pseudo_volume = V_{n-1}(facet) |normal| and h_K evaluated on the
     unnormalized normal, each summand h_K(normal) pseudo / |normal|^2 equals
-    the unit-normal summand exactly and stays rational.
+    the unit-normal summand exactly and stays rational.  ``support`` reads
+    h_K off K's integer rows; the summands, whose denominators are
+    unrelated (a 400-gon has 400), are added by ``tree_sum``.
     """
     if not first.is_full_dimensional:
         raise LowerDimensionalError("base-height formula needs a full-dimensional body")
     if first.dim != second.dim:
         raise DimensionMismatchError("bodies live in different dimensions")
-    total = Fraction(0)
-    for f in first.facets:
-        total += support(second, f.normal) * f.pseudo_volume / f.normal_sq()
-    return total / first.dim
+    terms = (support(second, f.normal) * f.pseudo_volume / f.normal_sq() for f in first.facets)
+    return tree_sum(terms) / first.dim
 
 
 def mixed_area(first: Polytope, second: Polytope) -> Fraction:

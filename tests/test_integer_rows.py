@@ -102,8 +102,9 @@ def fraction_base_height(first, second):
 
 
 def compute_rows(body):
-    """Make ``body`` build whatever it keeps for its support values."""
-    support(body, (1,) * body.dim)
+    """Build ``body.lifted`` and check each row (X, d) against its vertex."""
+    for v, row in zip(body.vertices, body.lifted, strict=True):
+        assert tuple(F(x, row[-1]) for x in row[:-1]) == v
 
 
 @settings(max_examples=120, deadline=None)
