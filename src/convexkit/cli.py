@@ -2,10 +2,10 @@
 
 Every subcommand reads canonical body files, runs one library pipeline and
 emits a deterministic JSON report on stdout (diagnostics go to stderr).
-Exit codes: 0 success, 2 usage or parse error, 3 geometric error, 4
-inequality violation or failed invariant check -- the last one must never
-occur; a violation ships a counterexample bundle, a failed invariant a
-one-line message on stderr.
+Exit codes: 0 success, 2 usage or parse error, 3 geometric error or a
+result too large to render, 4 inequality violation or failed invariant
+check -- the last one must never occur; a violation ships a counterexample
+bundle, a failed invariant a one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -422,6 +422,14 @@ def run(argv=None) -> int:
         return EXIT_VIOLATION
     except GeometryError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_GEOMETRY
+    except ValueError as exc:
+        # Reports render exact values as decimal strings, and str() refuses
+        # integers past sys.get_int_max_str_digits() digits; the limit stays.
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"value too large to render: a result has more than {limit} digits", file=sys.stderr)
         return EXIT_GEOMETRY
 
 

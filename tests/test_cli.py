@@ -303,6 +303,25 @@ def test_rational_literal_caps(corpus, tmp_path, capsys):
             io.load_body(path, allow_degenerate=True)
 
 
+def test_result_past_the_int_str_limit(tmp_path, capsys):
+    # A side within both literal caps (1000 characters, exponent 1000) has
+    # about 1995 digits: a square's area renders, a 4D box's volume (about
+    # 7980 digits) is past Python's int/str limit and ends with exit 3.
+    side = "9" * 995 + "e1000"
+    limit = sys.get_int_max_str_digits()
+    for dim, code_wanted in ((2, 0), (4, 3)):
+        corners = [[side if (i >> k) & 1 else "0" for k in range(dim)] for i in range(2**dim)]
+        path = tmp_path / f"box{dim}.json"
+        path.write_text(json.dumps({"dim": dim, "vertices": corners}))
+        code, out, err = run_cli(capsys, ["volume", str(path)])
+        assert code == code_wanted
+        if code_wanted:
+            assert out == "" and err == f"value too large to render: a result has more than {limit} digits\n"
+        else:
+            assert json.loads(out)["result"]["volume"] == str(F(side) ** 2)
+    assert sys.get_int_max_str_digits() == limit
+
+
 OPTIMIZED_INVARIANTS = """
 import sys
 from dataclasses import replace
