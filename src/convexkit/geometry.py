@@ -268,9 +268,11 @@ def _build_full_dimensional(points, rows, n, base):
     # outward normal (unique per facet of a convex body).  For a simplex
     # whose row weights multiply to s, c = h[:n] / s is the outward cross
     # product of its edges and c.v = -h[n] / s at each of its vertices v.
-    # So the ratio lam below ties the stored primitive normal back to true
-    # areas, (n-1)-volume of the simplex = lam * |prim| / (n-1)!, and the
-    # cone over the simplex from the origin has signed volume -h[n] / (s * n!).
+    # So lam = h[j] / (prim[j] * s) ties the stored primitive normal back to
+    # true areas, (n-1)-volume of the simplex = lam * |prim| / (n-1)!, which
+    # makes the simplex's share of the facet's pseudo-volume the one Fraction
+    # lam * |prim|^2 / (n-1)!.  The cone over the simplex from the origin has
+    # signed volume -h[n] / (s * n!).
     merged = {}
     cones = []
     for verts, h in simplices:
@@ -278,9 +280,9 @@ def _build_full_dimensional(points, rows, n, base):
         cones.append(Fraction(-h[n], s))
         prim = primitive_int_vector(h[:n])
         j = next(i for i, x in enumerate(prim) if x != 0)
-        entry = merged.setdefault(prim, [Fraction(0), set()])
-        entry[0] += Fraction(h[j], prim[j] * s)
-        entry[1].update(verts)
+        pieces, members = merged.setdefault(prim, ([], set()))
+        pieces.append(Fraction(h[j] * sum(c * c for c in prim), prim[j] * s * factorial(n - 1)))
+        members.update(verts)
     volume = tree_sum(cones) / factorial(n)
 
     # Every vertex of a facet is a vertex of its triangulation, so incidence
@@ -296,7 +298,7 @@ def _build_full_dimensional(points, rows, n, base):
 
     facets = []
     for prim in norm_keys:
-        lam_sum, members = merged[prim]
+        pieces, members = merged[prim]
         on_facet = tuple(sorted(canonical_index[i] for i in members if i in canonical_index))
         first = rows[extreme[on_facet[0]]]
         facets.append(
@@ -304,7 +306,7 @@ def _build_full_dimensional(points, rows, n, base):
                 normal=tuple(Fraction(c) for c in prim),
                 offset=Fraction(sum(map(mul, prim, first)), first[n]),
                 vertex_indices=on_facet,
-                pseudo_volume=lam_sum * dot(prim, prim) / factorial(n - 1),
+                pseudo_volume=tree_sum(pieces),
             )
         )
     return Polytope(

@@ -3,7 +3,9 @@
 ``support``, ``support_set``, every facet's offset and ``normal_sq``, and
 ``mixed_volume_base_height`` are checked against their ``Fraction``
 definitions: the max of the dot products, the hull of the vertices that
-attain it, and the running sum over facets.  Inputs mix small rationals,
+attain it, and the running sum over facets.  Facet pseudo-volumes must
+satisfy Minkowski's relation and give the body's volume by the pyramid
+formula.  Inputs mix small rationals,
 coordinates with 300-bit denominators (rational points on the unit circle
 and sphere among them), flat bodies and single points, bodies from
 ``translate``, ``scale`` and ``combine``, and directions with
@@ -130,6 +132,13 @@ def test_facets_and_base_height_match_fraction_definitions(pair):
         nsq = f.normal_sq()
         assert type(nsq) is F and nsq == dot(f.normal, f.normal)
     if first.is_full_dimensional:
+        # With V(F) u_F = pseudo * normal / |normal|^2: Minkowski's relation
+        # sum V(F) u_F = 0, and the pyramid formula V = (1/n) sum h(u_F) V(F).
+        weights = [f.pseudo_volume / f.normal_sq() for f in first.facets]
+        assert all(f.pseudo_volume > 0 for f in first.facets)
+        for k in range(first.dim):
+            assert sum(wt * f.normal[k] for wt, f in zip(weights, first.facets)) == 0
+        assert sum(wt * f.offset for wt, f in zip(weights, first.facets)) / first.dim == first.volume
         mixed = mixed_volume_base_height(first, second)
         assert type(mixed) is F and mixed == fraction_base_height(first, second)
 
