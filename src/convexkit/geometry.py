@@ -379,28 +379,24 @@ def _check_direction(body, w):
     return w
 
 
-def _lifted_values(body: Polytope, w):
-    """(e, values): w lifted once to W / e, and (X.W, d) for each lifted
-    vertex row (X, d), so that vertex's v.w is X.W / (d e)."""
+def _lifted_support(body: Polytope, w):
+    """(e, values, best): w lifted once to W / e, the pair (X.W, d) for each
+    lifted vertex row (X, d), so that vertex's v.w is X.W / (d e), and the
+    pair of largest quotient, found by integer cross-multiplication."""
     *lifted_w, e = _lift((_check_direction(body, w),))[0]
-    return e, [(sum(map(mul, row, lifted_w)), row[-1]) for row in body.lifted]
-
-
-def _largest(values):
-    """The largest of the quotients x / d (d > 0), as its pair (x, d)."""
+    values = [(sum(map(mul, row, lifted_w)), row[-1]) for row in body.lifted]
     best, best_d = values[0]
     for x, d in values[1:]:
         if x * best_d > best * d:
             best, best_d = x, d
-    return best, best_d
+    return e, values, (best, best_d)
 
 
 def support(body: Polytope, w) -> Fraction:
     """Support value h_K(w) = max over vertices of v.w, exact: the vertex
     values are compared as integer quotients on ``body.lifted`` and the
     largest becomes the one Fraction returned."""
-    e, values = _lifted_values(body, w)
-    best, best_d = _largest(values)
+    e, _, (best, best_d) = _lifted_support(body, w)
     return Fraction(best, best_d * e)
 
 
@@ -408,8 +404,7 @@ def support_set(body: Polytope, w) -> Polytope:
     """Face of K attaining h_K(w); may be lower-dimensional.  Its vertices
     are picked by the same integer comparison as ``support``'s, so ties
     are exact."""
-    _, values = _lifted_values(body, w)
-    best, best_d = _largest(values)
+    _, values, (best, best_d) = _lifted_support(body, w)
     face = [v for v, (x, d) in zip(body.vertices, values) if x * best_d == best * d]
     return convex_hull(face, allow_degenerate=True, _ambient_check=False)
 
