@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -56,8 +57,6 @@ def disc_polygon(m: int) -> Polytope:
     polygon is contained in the disc, so every support value is a rational
     lower bound for the disc's; at m = 10**4 the deficit is below 1e-8.
     """
-    import math
-
     if m < 1:
         raise ValueError("need m >= 1")
     quarter = []

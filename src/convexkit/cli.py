@@ -54,10 +54,12 @@ EXIT_VIOLATION = 4
 # Limits on numeric arguments, so that no argument can start unbounded work.
 # Fixed-point renderings convert integers of about `digits` decimal digits,
 # and Python refuses int/str conversions past 4300 digits; each rounding step
-# costs about 2.5 times the one before it.  `--vertices` shares the cap on
-# body files, io.MAX_VERTICES.
+# costs about 2.5 times the one before it, and each `--lambda-grid` value
+# one more functional sweep.  `--vertices` shares the cap on body files,
+# io.MAX_VERTICES.
 MAX_DIGITS = 1000
 MAX_STEPS = 10
+MAX_GRID_VALUES = 64
 
 
 def _frac(text: str) -> Fraction:
@@ -101,10 +103,20 @@ def _emit(args, text: str) -> None:
 
 def _base_report(args, paths) -> dict:
     return {
-        "command": [args.command, *getattr(args, "echo_args", [])],
+        "command": [args.command, *args.echo_args],
         "inputs": {str(p): io.file_digest(p) for p in paths},
-        "digits": getattr(args, "digits", DEFAULT_DIGITS),
-        "seed": getattr(args, "seed", None),
+        "digits": args.digits,
+        "seed": args.seed,
+    }
+
+
+def _counterexample(args, first, second, **extra) -> dict:
+    """The bundle a violated report ships: both bodies, the seed and extras."""
+    return {
+        "body_a": io.body_to_json(first),
+        "body_b": io.body_to_json(second),
+        "seed": args.seed,
+        **extra,
     }
 
 
@@ -169,17 +181,15 @@ def cmd_check(args) -> int:
         out["result"]["quotient"] = str(report.lhs_exact)
     violated = report.verdict is Verdict.VIOLATION
     if violated:
-        out["counterexample"] = {
-            "body_a": io.body_to_json(first),
-            "body_b": io.body_to_json(second),
-            "quantities": {k: str(v) for k, v in report.quantities.items()},
-            "seed": getattr(args, "seed", None),
-        }
+        quantities = {k: str(v) for k, v in report.quantities.items()}
+        out["counterexample"] = _counterexample(args, first, second, quantities=quantities)
     _emit(args, io.dumps_report(out))
     return EXIT_VIOLATION if violated else EXIT_OK
 
 
 def cmd_equality_diagnose(args) -> int:
+    if args.lambda_grid is not None and len(args.lambda_grid) > MAX_GRID_VALUES:
+        raise argparse.ArgumentTypeError(f"--lambda-grid takes at most {MAX_GRID_VALUES} values")
     first = io.load_body(args.body_a)
     second = io.load_body(args.body_b)
     mmv = minkowski_check(first, second, digits=args.digits)
@@ -203,11 +213,7 @@ def cmd_equality_diagnose(args) -> int:
     out["result"] = result
     violated = mmv.verdict is Verdict.VIOLATION or not consistent
     if violated:
-        out["counterexample"] = {
-            "body_a": io.body_to_json(first),
-            "body_b": io.body_to_json(second),
-            "seed": getattr(args, "seed", None),
-        }
+        out["counterexample"] = _counterexample(args, first, second)
     _emit(args, io.dumps_report(out))
     return EXIT_VIOLATION if violated else EXIT_OK
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Optional
 
 from .errors import (
@@ -264,8 +265,6 @@ def _expand_profile_polynomial(coeffs):
 
     f(t) = sum_i c_i t^i (1-t)^(n-i), expanded exactly via binomials.
     """
-    from math import comb
-
     n = len(coeffs) - 1
     out = [Fraction(0)] * (n + 1)
     for i, c in enumerate(coeffs):

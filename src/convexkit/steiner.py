@@ -28,6 +28,7 @@ from .errors import (
 )
 from .geometry import Polytope, convex_hull, polygon_cycle
 from .linalg import as_vec, dot, is_zero_vec, vadd, vscale, vsub
+from .reconstruction import farey_fractions
 from .volumes import combine
 
 
@@ -163,8 +164,6 @@ def rounding_iteration(body: Polytope, schedule, steps: int) -> RoundingTrace:
 
 def default_schedule():
     """Planar Farey-slope direction cycle of order 4."""
-    from .reconstruction import farey_fractions
-
     dirs = []
     for s in farey_fractions(4):
         dirs.append((Fraction(s.denominator), Fraction(s.numerator)))

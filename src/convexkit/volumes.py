@@ -15,24 +15,23 @@ combination volume, V((1-lam)K + lam L) = sum_i c_i lam^i (1-lam)^(n-i)
 three volumes from it instead of hulling a combination per lam.  For
 a, b > 0 the faces of aK + bL are aF_K(u) + bF_L(u) (Fukuda 2004), so which
 vertex pairs (x, y) give the vertices a x + b y of aK + bL does not depend
-on a and b, and each vertex has exactly one such pair.  Each ordered pair
-of bodies gets one record: ``combine`` stores the vertex pairs on the
-first positive combination and hulls only those points on later ones, and
-``volume_polynomial`` stores the node volumes V(K + eps L), eps = 0..n+1,
-once they pass its checks.  The records sit in a small FIFO memo behind a
-lock; what they hold depends only on the two bodies, so no result depends
-on call order.  The checks on the volume polynomial -- the redundant node,
-the end coefficients and the Aleksandrov-Fenchel inequalities -- run on
-every call and raise ``InvariantError``, so ``python -O`` keeps them.
+on a and b, and each vertex has exactly one such pair.  Two pure functions
+of an ordered pair of bodies, each an ``lru_cache`` of 8 pairs, hold what a
+pair has shown: ``_minkowski_sum`` gives K + L and the pair behind each of
+its vertices, which ``combine`` hulls on later combinations, and
+``_node_volumes`` gives V(K + eps L), eps = 0..n+1.  Nodes are cached
+before they are checked; the checks on the volume polynomial -- the
+redundant node, the end coefficients and the Aleksandrov-Fenchel
+inequalities -- run on every call, so a failed one raises
+``InvariantError`` on every call, and ``python -O`` keeps them.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional
 
 from .bodies import segment
 from .errors import (
@@ -87,52 +86,33 @@ class VolumePolynomial:
         )
 
 
-@dataclass
-class _PairRecord:
-    """What one ordered pair of bodies has shown so far."""
-
-    vertex_pairs: tuple
-    node_volumes: Optional[tuple] = None
-
-
-# Records of recent (first, second) bodies, oldest first.
-_RECORDS_LIMIT = 8
-_records = {}
-_records_lock = threading.Lock()
+@functools.lru_cache(maxsize=8)
+def _minkowski_sum(first: Polytope, second: Polytope) -> tuple:
+    """K + L and, per vertex of K + L, the one vertex pair (x, y) with x + y
+    at that vertex."""
+    origin = {vadd(x, y): (x, y) for x in first.vertices for y in second.vertices}
+    body = convex_hull(origin, allow_degenerate=True)
+    return body, tuple(origin[v] for v in body.vertices)
 
 
 def combine(a, first: Polytope, b, second: Polytope) -> Polytope:
     """Minkowski combination a*K + b*L (hull of pairwise point combinations).
 
-    For a, b > 0 only the vertex pairs recorded by an earlier positive
-    combination of the same ordered pair are combined, when there is one.
+    For a, b > 0 only the vertex pairs behind the vertices of K + L are
+    combined; K + L itself is hulled once per recent ordered pair.
     """
     a, b = as_scalar(a), as_scalar(b)
     if a < 0 or b < 0:
         raise NegativeCoefficientError("combination coefficients must be >= 0")
     if first.dim != second.dim:
         raise DimensionMismatchError("bodies live in different dimensions")
-    key = (first, second)
-    reuse = a > 0 and b > 0
-    if reuse:
-        with _records_lock:
-            record = _records.get(key)
-        if record is not None:
-            pts = [vadd(vscale(a, x), vscale(b, y)) for x, y in record.vertex_pairs]
-            return convex_hull(pts, allow_degenerate=True)
-    origin = {
-        vadd(vscale(a, x), vscale(b, y)): (x, y)
-        for x in first.vertices
-        for y in second.vertices
-    }
-    body = convex_hull(origin, allow_degenerate=True)
-    if reuse:
-        with _records_lock:
-            if key not in _records:
-                if len(_records) >= _RECORDS_LIMIT:
-                    del _records[next(iter(_records))]
-                _records[key] = _PairRecord(tuple(origin[v] for v in body.vertices))
-    return body
+    if a == 0 or b == 0:
+        pts = {vadd(vscale(a, x), vscale(b, y)) for x in first.vertices for y in second.vertices}
+        return convex_hull(pts, allow_degenerate=True)
+    total, pairs = _minkowski_sum(first, second)
+    if a == b == 1:
+        return total
+    return convex_hull([vadd(vscale(a, x), vscale(b, y)) for x, y in pairs], allow_degenerate=True)
 
 
 def volume(body: Polytope) -> Fraction:
@@ -155,32 +135,27 @@ def minkowski_interpolate(values) -> tuple:
     return coeffs
 
 
+@functools.lru_cache(maxsize=8)
+def _node_volumes(first: Polytope, second: Polytope) -> tuple:
+    """V(K + eps L) for eps = 0..n+1."""
+    return (first.volume,) + tuple(
+        combine(1, first, eps, second).volume for eps in range(1, first.dim + 2)
+    )
+
+
 def volume_polynomial(first: Polytope, second: Polytope) -> VolumePolynomial:
     """V_n(K + eps L) from the node volumes at eps = 0..n+1.
 
-    The nodes are hulled once per recorded pair; the interpolation and its
-    checks run on every call.
+    The nodes are hulled once per recent ordered pair; the interpolation and
+    its checks run on every call.
     """
     n = first.dim
     if second.dim != n:
         raise DimensionMismatchError("bodies live in different dimensions")
-    key = (first, second)
-    with _records_lock:
-        record = _records.get(key)
-        values = None if record is None else record.node_volumes
-    if values is None:
-        values = (first.volume,) + tuple(
-            combine(1, first, eps, second).volume for eps in range(1, n + 2)
-        )
-    coeffs = minkowski_interpolate(values)
+    coeffs = minkowski_interpolate(_node_volumes(first, second))
     if coeffs[0] != first.volume or coeffs[n] != second.volume:
         raise InvariantError("volume polynomial end coefficients differ from the volumes")
-    poly = VolumePolynomial(coeffs)
-    with _records_lock:
-        record = _records.get(key)
-        if record is not None:
-            record.node_volumes = values
-    return poly
+    return VolumePolynomial(coeffs)
 
 
 def mixed_volume_interp(first: Polytope, second: Polytope) -> Fraction:

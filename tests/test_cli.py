@@ -228,6 +228,16 @@ def test_numeric_argument_bounds(corpus, capsys):
     assert code == 2 and out == "" and "--vertices" in err
 
 
+def test_lambda_grid_bound(corpus, capsys):
+    # Each grid value costs one functional sweep, so the grid has a cap.
+    pair = ["equality-diagnose", corpus["square"], corpus["diamond"], "--lambda-grid"]
+    code, out, err = run_cli(capsys, pair + [",".join(["1/3"] * (cli.MAX_GRID_VALUES + 1))])
+    assert code == 2 and out == ""
+    assert err == f"usage error: --lambda-grid takes at most {cli.MAX_GRID_VALUES} values\n"
+    code, out, err = run_cli(capsys, pair + [",".join(["1/3"] * cli.MAX_GRID_VALUES)])
+    assert code == 0 and err == ""
+
+
 def test_parse_body_rejects_booleans():
     # bool is a subclass of int, so JSON true must not pass as 1.
     for data in (

@@ -15,9 +15,11 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convexkit import volumes
+from convexkit.bodies import random_polytope
 from convexkit.geometry import convex_hull
 from convexkit.linalg import vadd, vscale
-from convexkit.volumes import combine
+from convexkit.volumes import combine, projection_prism_volume, volume_polynomial
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 coefficients = st.sampled_from([F(0), F(1, 3), F(1, 2), F(1), F(2), F(5, 2)])
@@ -132,3 +134,41 @@ def test_combine_shared_pairs_across_threads():
             assert all(f.result(timeout=120) for f in futures)
     finally:
         sys.setswitchinterval(interval)
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls that ``volumes`` makes through its global ``name``."""
+    calls = []
+    real = getattr(volumes, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(volumes, name, counting)
+    return calls
+
+
+def test_minkowski_sum_is_hulled_once_per_pair(monkeypatch):
+    # K + L is hulled from all vertex pairs once; a later positive
+    # combination hulls only the pairs behind the vertices of K + L.
+    first, second = (random_polytope(3, 6, random.Random(seed)) for seed in (9101, 9102))
+    hulls = _count_calls(monkeypatch, "convex_hull")
+    total = combine(1, first, 1, second)
+    assert combine(1, first, 1, second) == total
+    assert len(hulls) == 1
+    third = combine(F(1, 3), first, F(2, 3), second)
+    assert len(hulls) == 2 and len(hulls[1][0]) == len(total.vertices)
+    assert snapshot(third) == snapshot(pairwise_hull(F(1, 3), first, F(2, 3), second))
+
+
+def test_node_volumes_survive_other_combinations(monkeypatch):
+    # Prisms K + [0, w] are combinations of other pairs; they must not push
+    # a pair's node volumes out, so the next polynomial hulls nothing.
+    first, second, other = (random_polytope(3, 6, random.Random(seed)) for seed in (9201, 9202, 9203))
+    before = volume_polynomial(first, second)
+    for k in range(8):
+        projection_prism_volume(other, (F(1), F(k), F(k * k - 3)))
+    combines = _count_calls(monkeypatch, "combine")
+    assert volume_polynomial(first, second) == before
+    assert combines == []

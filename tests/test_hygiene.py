@@ -105,3 +105,22 @@ def stray_asserts() -> list:
 
 def test_no_asserts_in_package():
     assert stray_asserts() == []
+
+
+def function_level_imports() -> list:
+    """``import`` statements inside package functions, as "file:line".  No
+    module of the package needs one to break an import cycle."""
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                hits += [
+                    f"{path.name}:{sub.lineno}"
+                    for sub in ast.walk(node)
+                    if isinstance(sub, (ast.Import, ast.ImportFrom))
+                ]
+    return sorted(set(hits))
+
+
+def test_no_function_level_imports():
+    assert function_level_imports() == []
