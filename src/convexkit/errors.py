@@ -62,6 +62,11 @@ class OracleError(GeometryError):
     """A user-supplied mixed-area oracle failed."""
 
 
+class PairPointsError(GeometryError):
+    """A Minkowski combination of two bodies would form more vertex pairs
+    than the fixed work bound allows."""
+
+
 class InvariantError(GeometryError):
     """An exact consistency check failed: a bug signal, never a legitimate
     outcome of valid input."""

@@ -14,6 +14,9 @@ Conventions used throughout the package:
   (X_1, ..., X_n, d) with X / d == p and d the lcm of p's own
   denominators.  Determinants of such rows are the affine ones times the
   positive product of the d's, so their signs decide orientation exactly;
+* a full-dimensional hull is built as boundary simplices whose vertex
+  order is outward (n >= 2); ``_hull_with_boundary`` returns them with the
+  Polytope, so ``volumes`` can read K + eps L's volume off K + L's hull;
 * a Polytope keeps the lifted rows of its canonical vertices as
   ``lifted``, built on first use.  ``support``, ``support_set``,
   ``polygon_cycle`` and the facet offsets run on them: a direction
@@ -197,12 +200,16 @@ def _chain_2d(rows):
 
 
 def _oriented(rows, interior, vert_ids):
-    """(vert_ids, h) for the simplex on these rows: h = cross_normal of the
-    rows, oriented so that dot(h, row) > 0 exactly beyond its hyperplane."""
+    """(vert_ids, h) for the simplex on these rows, outward in its vertex
+    order: h = cross_normal of the rows in the returned order, and
+    dot(h, row) > 0 exactly beyond its hyperplane.  Swapping two rows
+    negates the cross normal; a 1D simplex is one point, and there h alone
+    carries the orientation."""
     h = cross_normal([rows[i] for i in vert_ids])
     if dot(h, interior) > 0:
         h = vneg(h)
-    return tuple(vert_ids), h
+        vert_ids = vert_ids[1::-1] + vert_ids[2:]
+    return vert_ids, h
 
 
 def _incremental_hull(rows, n, base, interior):
@@ -250,7 +257,8 @@ def _spans(vectors, n):
 
 def _build_full_dimensional(points, rows, n, base):
     """Canonical Polytope of affinely spanning, sorted, deduplicated Fraction
-    points with lifted ``rows``; ``base`` indexes n+1 affinely independent
+    points with lifted ``rows``, and its boundary simplices as outward-ordered
+    index tuples into the points; ``base`` indexes n+1 affinely independent
     ones."""
     # A sum of rows stands for the average of its points weighted by their
     # d's, so this one lies inside the simplex on ``base``, inside the hull.
@@ -309,13 +317,14 @@ def _build_full_dimensional(points, rows, n, base):
                 pseudo_volume=tree_sum(pieces),
             )
         )
-    return Polytope(
+    body = Polytope(
         dim=n,
         vertices=vertices,
         facets=tuple(facets),
         affine_dim=n,
         volume=volume,
     )
+    return body, tuple(verts for verts, _ in simplices)
 
 
 def _build_degenerate(points, n, rank, basis_ids):
@@ -338,12 +347,12 @@ def _build_degenerate(points, n, rank, basis_ids):
     )
 
 
-def convex_hull(points, *, allow_degenerate: bool = False, _ambient_check: bool = True):
-    """Exact convex hull of rational points, as a canonical Polytope.
-
-    Raises DimensionError when the hull is lower-dimensional, unless
-    ``allow_degenerate`` is set (projections and Minkowski combinations of
-    segments legitimately produce flat bodies).
+def _hull_with_boundary(points, *, allow_degenerate=False, ambient_check=True):
+    """``convex_hull``'s work, returning what it builds on the way: the
+    canonical Polytope, the sorted distinct points, and the hull's boundary
+    simplices as index tuples into those points, none for a flat hull.  For
+    n >= 2 each simplex's vertex order is outward: the cross normal of its
+    lifted rows in that order points out of the hull.
     """
     pts = [as_vec(p) for p in points]
     if not pts:
@@ -351,7 +360,7 @@ def convex_hull(points, *, allow_degenerate: bool = False, _ambient_check: bool 
     n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise DimensionMismatchError("points of unequal length")
-    if _ambient_check and not MIN_AMBIENT <= n <= MAX_AMBIENT:
+    if ambient_check and not MIN_AMBIENT <= n <= MAX_AMBIENT:
         raise AmbientDimError(f"ambient dimension {n} outside {MIN_AMBIENT}..{MAX_AMBIENT}")
     pts = sorted(set(pts))
     rows = _lift(pts)
@@ -361,8 +370,21 @@ def convex_hull(points, *, allow_degenerate: bool = False, _ambient_check: bool 
             raise DimensionError(
                 f"points span an affine subspace of dimension {rank} < {n}"
             )
-        return _build_degenerate(pts, n, rank, basis_ids)
-    return _build_full_dimensional(pts, rows, n, basis_ids)
+        return _build_degenerate(pts, n, rank, basis_ids), pts, ()
+    body, simplices = _build_full_dimensional(pts, rows, n, basis_ids)
+    return body, pts, simplices
+
+
+def convex_hull(points, *, allow_degenerate: bool = False, _ambient_check: bool = True):
+    """Exact convex hull of rational points, as a canonical Polytope.
+
+    Raises DimensionError when the hull is lower-dimensional, unless
+    ``allow_degenerate`` is set (projections and Minkowski combinations of
+    segments legitimately produce flat bodies).
+    """
+    return _hull_with_boundary(
+        points, allow_degenerate=allow_degenerate, ambient_check=_ambient_check
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -511,19 +533,3 @@ def polygon_cycle(body: Polytope):
     cyc = _chain_2d(body.lifted)
     return [body.vertices[i] for i in cyc]
 
-
-def validate_polytope(body: Polytope) -> None:
-    """Check the canonical-form invariants; raises AssertionError on a bug."""
-    assert list(body.vertices) == sorted(set(body.vertices))
-    for f in body.facets:
-        assert f.pseudo_volume > 0
-        on = 0
-        for v in body.vertices:
-            s = dot(v, f.normal)
-            assert s <= f.offset
-            on += s == f.offset
-        assert on >= body.dim
-        assert len(f.vertex_indices) == on
-    if body.is_full_dimensional and body.dim > 1:
-        rank, _ = _affine_rank_with_basis(body.lifted)
-        assert rank == body.dim

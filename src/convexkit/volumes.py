@@ -15,15 +15,22 @@ combination volume, V((1-lam)K + lam L) = sum_i c_i lam^i (1-lam)^(n-i)
 three volumes from it instead of hulling a combination per lam.  For
 a, b > 0 the faces of aK + bL are aF_K(u) + bF_L(u) (Fukuda 2004), so which
 vertex pairs (x, y) give the vertices a x + b y of aK + bL does not depend
-on a and b, and each vertex has exactly one such pair.  Two pure functions
-of an ordered pair of bodies, each an ``lru_cache`` of 8 pairs, hold what a
-pair has shown: ``_minkowski_sum`` gives K + L and the pair behind each of
-its vertices, which ``combine`` hulls on later combinations, and
-``_node_volumes`` gives V(K + eps L), eps = 0..n+1.  Nodes are cached
-before they are checked; the checks on the volume polynomial -- the
-redundant node, the end coefficients and the Aleksandrov-Fenchel
-inequalities -- run on every call, so a failed one raises
-``InvariantError`` on every call, and ``python -O`` keeps them.
+on a and b, and each vertex has exactly one such pair.  For the same reason
+K + eps L has the normal fan of K + L for every eps > 0, and moving each
+pair point x + y to x + eps y carries the boundary simplices of K + L's
+hull onto a boundary cycle of K + eps L: one hull per pair gives every
+node, each later one at one n x n integer determinant per simplex.
+
+Two pure functions of an ordered pair of bodies, each an ``lru_cache`` of
+8 pairs, hold what a pair has shown: ``_minkowski_sum`` gives K + L, the
+pair behind each of its vertices, which ``combine`` hulls on later
+combinations, and the boundary cycle, and ``_node_volumes`` gives
+V(K + eps L), eps = 0..n+1, off that cycle.  Nodes are cached before they
+are checked; the checks on the volume polynomial -- the redundant node, the
+end coefficients and the Aleksandrov-Fenchel inequalities -- run on every
+call, so a failed one raises ``InvariantError`` on every call, and
+``python -O`` keeps them.  Every route that forms the pair points of two
+bodies first checks their number against ``io.MAX_PAIR_POINTS``.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 from .bodies import segment
 from .errors import (
@@ -40,13 +47,16 @@ from .errors import (
     InvariantError,
     LowerDimensionalError,
     NegativeCoefficientError,
+    PairPointsError,
     ZeroDirectionError,
 )
-from .geometry import Polytope, convex_hull, support
+from .geometry import Polytope, _hull_with_boundary, convex_hull, support
+from .io import MAX_PAIR_POINTS
 from .linalg import (
     as_scalar,
     as_vec,
     is_zero_vec,
+    mat_det,
     rational_nth_root,
     solve,
     tree_sum,
@@ -86,20 +96,50 @@ class VolumePolynomial:
         )
 
 
+def _check_pair_points(first: Polytope, second: Polytope) -> None:
+    """Raise before forming more vertex pairs than MAX_PAIR_POINTS allows in
+    the bodies' dimension; other dimensions fail at the hull's ambient check."""
+    count = len(first.vertices) * len(second.vertices)
+    cap = MAX_PAIR_POINTS.get(first.dim, count)
+    if count > cap:
+        raise PairPointsError(
+            f"{count} vertex pairs in dimension {first.dim}; at most {cap} may be combined"
+        )
+
+
+def _pair_row(x_row, y_row) -> tuple:
+    """The integer triple (X d_y, Y d_x, d_x d_y) of the pair point x + y,
+    from the lifted rows (X, d_x) of x and (Y, d_y) of y: x + eps y is
+    (X d_y + eps Y d_x) / (d_x d_y)."""
+    *x, dx = x_row
+    *y, dy = y_row
+    return tuple(a * dy for a in x), tuple(b * dx for b in y), dx * dy
+
+
 @functools.lru_cache(maxsize=8)
 def _minkowski_sum(first: Polytope, second: Polytope) -> tuple:
-    """K + L and, per vertex of K + L, the one vertex pair (x, y) with x + y
-    at that vertex."""
-    origin = {vadd(x, y): (x, y) for x in first.vertices for y in second.vertices}
-    body = convex_hull(origin, allow_degenerate=True)
-    return body, tuple(origin[v] for v in body.vertices)
+    """K + L, the one vertex pair (x, y) behind each of its vertices, and
+    the boundary cycle of its hull: each sorted pair point x + y once as
+    its ``_pair_row``, and the hull's outward-ordered boundary simplices as
+    index tuples into those rows (none when K + L is flat)."""
+    _check_pair_points(first, second)
+    origin = {
+        vadd(x, y): (x, y, x_row, y_row)
+        for x, x_row in zip(first.vertices, first.lifted)
+        for y, y_row in zip(second.vertices, second.lifted)
+    }
+    body, points, simplices = _hull_with_boundary(origin, allow_degenerate=True)
+    pairs = tuple(origin[v][:2] for v in body.vertices)
+    rows = tuple(_pair_row(*origin[p][2:]) for p in points)
+    return body, pairs, (rows, simplices)
 
 
 def combine(a, first: Polytope, b, second: Polytope) -> Polytope:
     """Minkowski combination a*K + b*L (hull of pairwise point combinations).
 
     For a, b > 0 only the vertex pairs behind the vertices of K + L are
-    combined; K + L itself is hulled once per recent ordered pair.
+    combined; K + L itself is hulled once per recent ordered pair.  Past
+    MAX_PAIR_POINTS vertex pairs it raises ``PairPointsError``.
     """
     a, b = as_scalar(a), as_scalar(b)
     if a < 0 or b < 0:
@@ -107,9 +147,10 @@ def combine(a, first: Polytope, b, second: Polytope) -> Polytope:
     if first.dim != second.dim:
         raise DimensionMismatchError("bodies live in different dimensions")
     if a == 0 or b == 0:
+        _check_pair_points(first, second)
         pts = {vadd(vscale(a, x), vscale(b, y)) for x in first.vertices for y in second.vertices}
         return convex_hull(pts, allow_degenerate=True)
-    total, pairs = _minkowski_sum(first, second)
+    total, pairs, _ = _minkowski_sum(first, second)
     if a == b == 1:
         return total
     return convex_hull([vadd(vscale(a, x), vscale(b, y)) for x, y in pairs], allow_degenerate=True)
@@ -135,19 +176,43 @@ def minkowski_interpolate(values) -> tuple:
     return coeffs
 
 
+def _cycle_volume(cycle, eps) -> Fraction:
+    """V(K + eps L) for eps > 0 off K + L's boundary cycle.
+
+    K + eps L has the normal fan of K + L, and a pair point x + y on a face
+    F_u(K + L) has x in F_u(K) and y in F_u(L), so moving every pair point
+    to x + eps y carries the boundary simplices of K + L onto a boundary
+    cycle of K + eps L.  Its volume is the sum of the signed cones from the
+    origin, (-1)^(n+1) det(X_i + eps Y_i) / prod(w_i) / n! over the
+    simplices' rows (X_i, Y_i, w_i).
+    """
+    rows, simplices = cycle
+    n = len(rows[0][0])
+    moved = [tuple(a + eps * b for a, b in zip(x, y)) for x, y, _ in rows]
+    cones = tree_sum(
+        Fraction(mat_det([moved[i] for i in simplex]), prod(rows[i][2] for i in simplex))
+        for simplex in simplices
+    )
+    return Fraction(cones if n % 2 else -cones, factorial(n))
+
+
 @functools.lru_cache(maxsize=8)
 def _node_volumes(first: Polytope, second: Polytope) -> tuple:
-    """V(K + eps L) for eps = 0..n+1."""
-    return (first.volume,) + tuple(
-        combine(1, first, eps, second).volume for eps in range(1, first.dim + 2)
+    """V(K + eps L) for eps = 0..n+1: V(K) and V(K + L) from their own
+    hulls, every later node off K + L's boundary cycle; no further hull."""
+    total, _, cycle = _minkowski_sum(first, second)
+    return (first.volume, total.volume) + tuple(
+        _cycle_volume(cycle, eps) for eps in range(2, first.dim + 2)
     )
 
 
 def volume_polynomial(first: Polytope, second: Polytope) -> VolumePolynomial:
     """V_n(K + eps L) from the node volumes at eps = 0..n+1.
 
-    The nodes are hulled once per recent ordered pair; the interpolation and
-    its checks run on every call.
+    K + L is hulled once per recent ordered pair and the later nodes are
+    read off its boundary cycle; the interpolation and its checks run on
+    every call.  The redundant node tests the cycle against V(K) from K's
+    own hull, and c_n = V(L) tests it against L's.
     """
     n = first.dim
     if second.dim != n:

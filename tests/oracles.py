@@ -140,3 +140,19 @@ def brute_hull(points):
         for prim in sorted(offsets)
     ]
     return vertices, facets
+
+
+def validate_polytope(body) -> None:
+    """Check a Polytope's canonical-form invariants; raises AssertionError."""
+    assert list(body.vertices) == sorted(set(body.vertices))
+    for f in body.facets:
+        assert f.pseudo_volume > 0
+        on = 0
+        for v in body.vertices:
+            s = sum(a * b for a, b in zip(v, f.normal))
+            assert s <= f.offset
+            on += s == f.offset
+        assert on >= body.dim
+        assert len(f.vertex_indices) == on
+    if body.is_full_dimensional and body.dim > 1:
+        assert affine_rank(body.vertices) == body.dim

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -338,7 +339,6 @@ from dataclasses import replace
 from convexkit import cli, volumes
 from convexkit.bodies import unit_square
 from convexkit.errors import InvariantError
-from convexkit.geometry import scale
 from convexkit.steiner import steiner_symmetral
 
 assert not __debug__, "run me under python -O"
@@ -353,10 +353,10 @@ for bad in (lambda: volumes.VolumePolynomial((-1,)),
     else:
         sys.exit("invariant check stripped")
 
-# Corrupt the last interpolation node: the redundant-node check must fire
-# inside a real CLI call and end it with exit 4.
-real = volumes.combine
-volumes.combine = lambda a, k, b, l: scale(real(a, k, b, l), 2) if b == 3 else real(a, k, b, l)
+# Corrupt the last interpolation node, read off K + L's boundary cycle: the
+# redundant-node check must fire inside a real CLI call and end it with exit 4.
+real = volumes._cycle_volume
+volumes._cycle_volume = lambda cycle, eps: 2 * real(cycle, eps) if eps == 3 else real(cycle, eps)
 sys.exit(cli.run(["mixedvol", sys.argv[1], sys.argv[1], "--method", "interp"]))
 """
 
@@ -388,3 +388,26 @@ def test_run_builds_parser_at_most_once(monkeypatch, capsys):
     reports = [(cli.run(argv), capsys.readouterr().out) for _ in range(2)]
     assert reports[0] == reports[1] and reports[0][0] == 0
     assert len(built) <= 1
+
+
+def cyclic_rows(n, count, shift):
+    """Vertex rows of a cyclic polytope in R^n: (t, t^2, ..., t^n) for t = shift + k."""
+    return [[str((shift + k) ** e) for e in range(1, n + 1)] for k in range(count)]
+
+
+def test_pair_point_cap(tmp_path, capsys):
+    # Two cyclic 4D bodies, every pair point a vertex of K + L: past the cap
+    # each command that combines them ends with exit 3 and one line, before
+    # any hull of the pairs.
+    assert io.MAX_PAIR_POINTS == {2: 4096, 3: 1024, 4: 256}
+    paths = []
+    for name, shift in (("K", F(0)), ("L", F(1, 2))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"dim": 4, "vertices": cyclic_rows(4, 17, shift)}))
+        paths.append(str(path))
+    for command in (["mixedvol"], ["check", "--form", "bm", "--lambda", "1/2"], ["equality-diagnose"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, [*command, *paths])
+        assert time.perf_counter() - start < 0.5
+        assert code == 3 and out == ""
+        assert err == "PairPointsError: 289 vertex pairs in dimension 4; at most 256 may be combined\n"

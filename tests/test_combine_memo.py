@@ -137,7 +137,8 @@ def test_combine_shared_pairs_across_threads():
 
 
 def _count_calls(monkeypatch, name):
-    """Count the calls that ``volumes`` makes through its global ``name``."""
+    """Count the calls made through the global ``name`` of every convexkit
+    module that binds the same object as ``volumes`` does."""
     calls = []
     real = getattr(volumes, name)
 
@@ -145,15 +146,18 @@ def _count_calls(monkeypatch, name):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(volumes, name, counting)
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("convexkit") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counting)
     return calls
 
 
 def test_minkowski_sum_is_hulled_once_per_pair(monkeypatch):
     # K + L is hulled from all vertex pairs once; a later positive
-    # combination hulls only the pairs behind the vertices of K + L.
+    # combination hulls only the pairs behind the vertices of K + L.  Every
+    # hull, convex_hull's too, is built by geometry._hull_with_boundary.
     first, second = (random_polytope(3, 6, random.Random(seed)) for seed in (9101, 9102))
-    hulls = _count_calls(monkeypatch, "convex_hull")
+    hulls = _count_calls(monkeypatch, "_hull_with_boundary")
     total = combine(1, first, 1, second)
     assert combine(1, first, 1, second) == total
     assert len(hulls) == 1

@@ -20,12 +20,11 @@ from convexkit.geometry import (
     support,
     support_set,
     translate,
-    validate_polytope,
 )
 from convexkit import geometry
 from convexkit.volumes import combine
 
-from oracles import brute_support, shoelace_area
+from oracles import brute_support, shoelace_area, validate_polytope
 
 
 def test_hull_drops_interior_point():

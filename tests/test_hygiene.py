@@ -91,15 +91,11 @@ def test_no_dead_definitions():
 
 def stray_asserts() -> list:
     """``assert`` statements in the package, as "file:line".  ``python -O``
-    strips them, so invariant checks raise ``InvariantError`` instead; only
-    ``geometry.validate_polytope``, a test helper documented to raise
-    ``AssertionError``, keeps them."""
+    strips them, so invariant checks raise ``InvariantError`` instead."""
     hits = []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if getattr(node, "name", None) == "validate_polytope":
-                continue
-            hits += [f"{path.name}:{sub.lineno}" for sub in ast.walk(node) if isinstance(sub, ast.Assert)]
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        hits += [f"{path.name}:{sub.lineno}" for sub in ast.walk(tree) if isinstance(sub, ast.Assert)]
     return hits
 
 

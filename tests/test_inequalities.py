@@ -28,7 +28,7 @@ from convexkit.inequalities import (
     normalized_check,
     profile_polynomial,
 )
-from convexkit import volumes
+from convexkit import geometry
 from convexkit.volumes import combine, mixed_volume_interp
 
 
@@ -106,25 +106,28 @@ def test_bm_volume_matches_combination_differential():
                     assert got == combine(1 - lam, first, lam, other).volume
 
 def test_bm_sweep_combines_nothing_after_interpolation(monkeypatch):
-    # The interpolated mixed volume hulls K + eps L at n + 1 nodes; a bm
-    # sweep over the 9-point grid then reads every volume from that pair's
-    # polynomial and combines nothing more.
-    calls = []
-    real = volumes.combine
+    # The interpolated mixed volume builds one hull, of K + L, and reads its
+    # later nodes off that hull's boundary cycle; a bm sweep over the
+    # 9-point grid then reads every volume from that pair's polynomial and
+    # builds no hull.  Every hull is built by geometry._hull_with_boundary.
+    first, second = (random_polytope(3, 6, random.Random(seed)) for seed in (7001, 7002))
+    built = []
+    real = geometry._hull_with_boundary
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(*args, **kwargs):
+        result = real(*args, **kwargs)
+        built.append(result[0])
+        return result
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("convexkit") and getattr(module, "combine", None) is real:
-            monkeypatch.setattr(module, "combine", counting)
-    first, second = (random_polytope(3, 6, random.Random(seed)) for seed in (7001, 7002))
+        if name.startswith("convexkit") and getattr(module, "_hull_with_boundary", None) is real:
+            monkeypatch.setattr(module, "_hull_with_boundary", counting)
     mixed_volume_interp(first, second)
-    assert len(calls) == 4
+    assert len(built) == 1
     for lam in default_lambda_grid():
         bm_check(first, second, lam)
-    assert len(calls) == 4
+    assert built == [combine(1, first, 1, second)]
+
 
 def test_minkowski_strict(square, dia):
     r = minkowski_check(square, dia)

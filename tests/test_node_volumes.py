@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_integer_rows import bodies
 
-from convexkit import volumes
+from convexkit import io, volumes
 from convexkit.bodies import (
     axis_segment,
     box,
@@ -27,11 +27,17 @@ from convexkit.bodies import (
     unit_cube,
     unit_square,
 )
+from convexkit.errors import PairPointsError
 from convexkit.geometry import convex_hull
 from convexkit.volumes import combine, volume_polynomial
 
 
 def check_nodes(first, second):
+    if len(first.vertices) * len(second.vertices) > io.MAX_PAIR_POINTS[first.dim]:
+        # Two bodies derived by ``combine`` can have this many vertices.
+        with pytest.raises(PairPointsError):
+            volumes._node_volumes(first, second)
+        return
     nodes = volumes._node_volumes(first, second)
     expected = tuple(combine(1, first, eps, second).volume for eps in range(first.dim + 2))
     assert nodes == expected

@@ -15,7 +15,6 @@ from convexkit.geometry import (
     project,
     support,
     translate,
-    validate_polytope,
 )
 from convexkit.inequalities import Verdict, bm_check, minkowski_check
 from convexkit.linalg import dot, vadd, vscale
@@ -27,6 +26,8 @@ from convexkit.volumes import (
     mixed_volume_interp,
     volume,
 )
+
+from oracles import validate_polytope
 
 coords = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 small_nonneg = st.fractions(min_value=0, max_value=3, max_denominator=3)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +18,9 @@ from convexkit.errors import (
     InvariantError,
     LowerDimensionalError,
     NegativeCoefficientError,
+    PairPointsError,
 )
+from convexkit import io
 from convexkit.geometry import bodies_equal, convex_hull, scale, translate
 from convexkit.volumes import (
     combine,
@@ -174,3 +177,27 @@ def test_disc_mixed_area_tends_to_quarter_perimeter(square):
     val = 2 * mixed_area(square, approx)
     assert val <= 4
     assert 4 - val < F(1, 1000)
+
+
+def moment_curve_body(n, count):
+    """Cyclic polytope with ``count`` vertices (t, t^2, ..., t^n), t = 0..count-1."""
+    return convex_hull([tuple(F(t) ** e for e in range(1, n + 1)) for t in range(count)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pair_point_cap_in_every_combination(n):
+    # One vertex pair past the dimension's cap: every route that forms the
+    # pair points refuses before forming them.
+    cap = io.MAX_PAIR_POINTS[n]
+    side = math.isqrt(cap)
+    first, second = moment_curve_body(n, side + 1), moment_curve_body(n, side)
+    for route in (
+        lambda: combine(1, first, 1, second),
+        lambda: combine(F(1, 3), first, F(2, 3), second),
+        lambda: combine(0, first, 1, second),
+        lambda: combine(1, second, 0, first),
+        lambda: volume_polynomial(first, second),
+        lambda: mixed_volume_interp(second, first),
+    ):
+        with pytest.raises(PairPointsError, match=f"at most {cap} "):
+            route()
