@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from convexkit import cli, io
+from convexkit import cli, io, numeric
 from convexkit.bodies import box, diamond, standard_simplex, unit_cube, unit_square
+from convexkit.errors import InvariantError
 from convexkit.geometry import bodies_equal, scale, translate
-from convexkit.inequalities import Form, InequalityReport, Verdict
+from convexkit.inequalities import Form, InequalityReport, Verdict, bm_check
 
 
 @pytest.fixture
@@ -106,6 +107,60 @@ def test_violation_exit_code(corpus, capsys, monkeypatch):
     )
     assert code == 4
     assert "counterexample" in json.loads(out)
+
+
+def tall_box_file(tmp_path, height):
+    """Body file of [0,1]^2 x [0, height], with height written as given."""
+    corners = [["1" if (i >> k) & 1 else "0" for k in range(2)] + [height if i & 4 else "0"] for i in range(8)]
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps({"dim": 3, "vertices": corners}))
+    return str(path)
+
+
+def test_bm_verdict_does_not_depend_on_digits(corpus, tmp_path, capsys):
+    # The true slack, about 2.8e-14, is far below what --digits 0 or 2
+    # displays; the verdict is Strict at every digit count.
+    tall = tall_box_file(tmp_path, "1.000001")
+    for digits in ("0", "2", "50"):
+        argv = ["check", corpus["cube"], tall, "--form", "bm", "--lambda", "1/2", "--digits", digits]
+        code, out, _ = run_cli(capsys, argv)
+        report = json.loads(out)
+        assert code == 0 and report["result"]["verdict"] == "Strict"
+        assert "counterexample" not in report
+    for digits in (0, 2):
+        report = bm_check(unit_cube(), box(1, 1, 1 + F(1, 10**8)), F(1, 2), digits=digits)
+        assert report.verdict is Verdict.STRICT
+
+
+LOW_SIGN_CAP = """
+import sys
+from convexkit import cli, numeric
+
+assert not __debug__, "run me under python -O"
+numeric.MAX_SIGN_DIGITS = 1000
+sys.exit(cli.run(sys.argv[1:]))
+"""
+
+
+def test_bm_sign_precision_cap(corpus, tmp_path, capsys, monkeypatch):
+    # A side of 1 + 10**-998, the longest literal a body file takes, puts the
+    # slack near 10**-1997: its sign needs roots to about 2000 digits, within
+    # the cap.  Under a lower cap the undecided sign is an InvariantError,
+    # which the CLI reports in one line with exit 4, also under python -O.
+    side = "1." + "0" * 997 + "1"
+    assert len(side) == io.MAX_LITERAL_CHARS
+    argv = ["check", corpus["cube"], tall_box_file(tmp_path, side), "--form", "bm", "--lambda", "1/2", "--digits", "0"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and json.loads(out)["result"]["verdict"] == "Strict"
+    monkeypatch.setattr(numeric, "MAX_SIGN_DIGITS", 1000)
+    with pytest.raises(InvariantError):
+        bm_check(unit_cube(), box(1, 1, F(side)), F(1, 2), digits=0)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", LOW_SIGN_CAP, *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("InvariantError: ") and proc.stderr.count("\n") == 1
 
 
 def test_equality_diagnose(corpus, capsys):

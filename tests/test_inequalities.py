@@ -5,6 +5,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexkit.bodies import (
     axis_segment,
@@ -17,6 +19,7 @@ from convexkit.bodies import (
 )
 from convexkit.errors import LambdaRangeError, LowerDimensionalError, ZeroVolumeError
 from convexkit.geometry import convex_hull, scale, translate
+from convexkit.homothety import detect_homothety
 from convexkit.inequalities import (
     Verdict,
     bm_check,
@@ -167,7 +170,51 @@ def test_concavity_profile_translates(square):
 def test_concavity_profile_rectangle(square, rect):
     p = concavity_profile(square, rect, (0, F(1, 2), 1))
     assert [f for _, f in p.samples] == [1, F(3, 2), 2]
-    assert all(c.holds and c.exact for c in p.certificates)
+    assert all(c.holds for c in p.certificates)
+
+
+@pytest.mark.parametrize("ratio", [2, F(7, 3)])
+def test_concavity_profile_homothetic_simplex(ratio):
+    # f(t)^(1/3) is affine in t, so every midpoint certificate is an exact
+    # equality, and it holds at every digit count.
+    simplex = standard_simplex(3)
+    for digits in (0, 2, 50):
+        p = concavity_profile(simplex, scale(simplex, ratio), digits=digits)
+        assert len(p.certificates) == 7
+        assert all(c.holds for c in p.certificates)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dim=st.sampled_from((2, 3)),
+    kind=st.sampled_from(("random", "homothetic", "nudged")),
+    seed=st.integers(0, 2**32),
+    ratio=st.fractions(min_value=F(1, 4), max_value=4, max_denominator=5),
+    lam=st.fractions(min_value=0, max_value=1, max_denominator=9),
+)
+def test_verdicts_do_not_depend_on_digits(dim, kind, seed, ratio, lam):
+    # Random pairs, homothetic copies, and copies with one vertex moved by
+    # 10**-6, where the slack is far below what 0 or 2 digits display.
+    rng = random.Random(seed)
+    first = random_polytope(dim, dim + 3, rng)
+    shift = tuple(F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(dim))
+    second = translate(scale(first, ratio), shift)
+    if kind == "random":
+        second = random_polytope(dim, dim + 3, rng)
+    elif kind == "nudged":
+        moved = (second.vertices[0][0] + F(1, 10**6),) + tuple(second.vertices[0][1:])
+        second = convex_hull([moved, *second.vertices[1:]])
+    digits = (0, 2, 50)
+    verdicts = {bm_check(first, second, lam, digits=d).verdict for d in digits}
+    profiles = {
+        tuple(c.holds for c in concavity_profile(first, second, digits=d).certificates)
+        for d in digits
+    }
+    assert len(verdicts) == 1 and Verdict.VIOLATION not in verdicts
+    assert len(profiles) == 1 and all(profiles.pop())
+    if 0 < lam < 1:
+        homothetic = detect_homothety(first, second).homothetic
+        assert (verdicts == {Verdict.EQUALITY}) == homothetic
 
 
 def test_concavity_profile_homothety_affine_roots(square):
