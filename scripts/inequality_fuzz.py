@@ -4,8 +4,10 @@ verdicts and exits 4 if a Violation ever appears (it must not) or if the
 two routes to the equality case disagree.
 
 Each pair gets the mixed-volume check and the Brunn-Minkowski check at
-lambda = 1/2, which decides equality from volumes alone.  Every fifth pair
-is a body and a scaled, translated copy of it, so Equality occurs too.
+lambda = 1/2.  Both verdicts are exact signs: mmv's of a rational
+difference, bm's of a sum of n-th roots of its three volumes, which
+does not depend on the digits displayed.  Every fifth pair is a body
+and a scaled, translated copy of it, so Equality occurs too.
 
 Usage: python3 scripts/inequality_fuzz.py [--pairs N] [--dim {2,3,4}] [--seed S]
 """

@@ -2,15 +2,16 @@
 
 The n-th root of volume is concave along Minkowski interpolation, and
 equivalently V_{n-1,1}(K, L)^n >= V_n(K)^(n-1) V_n(L); for full-dimensional
-bodies equality holds exactly when K and L are homothetic.  Verdicts here
-are decided on exact rationals.  The mixed-volume forms compare rational
-powers; the Brunn-Minkowski form decides equality from its three volumes
-alone, reading the volume of (1-lam)K + lam L from the pair's volume
-polynomial (interpolated from hulls of K + eps L, not from K's facets), so
-its verdict and the mixed-volume verdict are independent routes to the
-same answer.  Numeric slack strings (50 digits by default) are attached
-for display only.  A Violation verdict is a bug signal, never a
-legitimate outcome.
+bodies equality holds exactly when K and L are homothetic.  Every verdict is
+the exact sign of left side minus right side, through one table: the
+mixed-volume forms subtract rational powers, and the Brunn-Minkowski form
+and the midpoint certificates sign a sum of n-th roots of volumes with
+`numeric.signed_root_combination`.  The Brunn-Minkowski form reads the
+volume of (1-lam)K + lam L from the pair's volume polynomial, not from K's
+facets, so its verdict and the mixed-volume verdict are independent routes
+to the same answer.  Numeric slack strings (50 digits by default) are for
+display only and never change a verdict.  A Violation verdict is a bug
+signal, never a legitimate outcome.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .errors import (
     ZeroVolumeError,
 )
 from .geometry import Polytope
-from .linalg import as_scalar, rational_nth_root
-from .numeric import DEFAULT_DIGITS, format_fixed, nth_root_fraction, root_combination
+from .linalg import as_scalar
+from .numeric import DEFAULT_DIGITS, format_fixed, nth_root_fraction, signed_root_combination
 from .volumes import (
     combine,
     mixed_volume_base_height,
@@ -37,13 +38,19 @@ from .volumes import (
     volume_polynomial,
 )
 
-STRICTNESS_TOLERANCE = Fraction(1, 10**30)
-
 
 class Verdict(enum.Enum):
     STRICT = "Strict"
     EQUALITY = "Equality"
     VIOLATION = "Violation"
+
+
+# Verdict for the sign of (left side - right side).
+_VERDICTS = {1: Verdict.STRICT, 0: Verdict.EQUALITY, -1: Verdict.VIOLATION}
+
+
+def _verdict(difference: Fraction) -> Verdict:
+    return _VERDICTS[(difference > 0) - (difference < 0)]
 
 
 class Form(enum.Enum):
@@ -71,14 +78,10 @@ class InequalityReport:
     degenerate: bool = False
 
 
-def _mixed_volume(first: Polytope, second: Polytope) -> Fraction:
-    if first.is_full_dimensional:
-        return mixed_volume_base_height(first, second)
-    return mixed_volume_interp(first, second)
-
-
 def _mmv_sides(first: Polytope, second: Polytope):
-    mv = _mixed_volume(first, second)
+    """V_{n-1,1}(K, L) and the sides V_{n-1,1}^n and V_n(K)^(n-1) V_n(L)."""
+    route = mixed_volume_base_height if first.is_full_dimensional else mixed_volume_interp
+    mv = route(first, second)
     n = first.dim
     return mv, mv**n, first.volume ** (n - 1) * second.volume
 
@@ -89,12 +92,12 @@ def bm_check(
     """Concavity of V^(1/n) at one interpolation weight.
 
     The volume of (1-lam)K + lam L is read from the pair's volume
-    polynomial.  Equality for interior weights is decided exactly from the
-    three volumes:
-    it holds iff a = (V(L) / V(K))^(1/n) is rational and
-    V((1-lam)K + lam L) == ((1-lam) + lam a)^n V(K), which is the equality
-    case itself once V(L)^(1/n) = a V(K)^(1/n) is substituted (the ratio of
-    a rational homothety is rational).  The displayed slack is numeric.
+    polynomial.  The verdict is the exact sign of the slack
+    V((1-lam)K + lam L)^(1/n) - (1-lam) V(K)^(1/n) - lam V(L)^(1/n), from
+    `signed_root_combination`: 0 (Equality) exactly when the three volumes'
+    roots cancel by radical class, which at lam = 0 or 1 they always do.
+    The displayed slack is that sum rendered at ``digits``; the digit count
+    does not change the verdict.
     """
     lam = as_scalar(lam)
     if not 0 <= lam <= 1:
@@ -104,23 +107,13 @@ def bm_check(
     n = first.dim
     v_mid = volume_polynomial(first, second).combination_volume(lam)
     v_first, v_second = first.volume, second.volume
-    slack = root_combination(
+    sign, slack = signed_root_combination(
         [(Fraction(1), v_mid, n), (lam - 1, v_first, n), (-lam, v_second, n)],
         digits,
     )
-    if lam == 0 or lam == 1:
-        verdict = Verdict.EQUALITY
-    else:
-        a = rational_nth_root(v_second / v_first, n)
-        if a is not None and v_mid == (1 - lam + lam * a) ** n * v_first:
-            verdict = Verdict.EQUALITY
-        elif slack > -STRICTNESS_TOLERANCE:
-            verdict = Verdict.STRICT
-        else:
-            verdict = Verdict.VIOLATION
     return InequalityReport(
         form=Form.BM,
-        verdict=verdict,
+        verdict=_VERDICTS[sign],
         lhs_exact=None,
         rhs_exact=None,
         slack_numeric=format_fixed(slack, digits),
@@ -146,17 +139,9 @@ def minkowski_check(
         raise DimensionMismatchError("bodies live in different dimensions")
     mv, lhs, rhs = _mmv_sides(first, second)
     degenerate = first.volume == 0 or second.volume == 0
-    if degenerate:
-        verdict = Verdict.EQUALITY
-    elif lhs == rhs:
-        verdict = Verdict.EQUALITY
-    elif lhs > rhs:
-        verdict = Verdict.STRICT
-    else:
-        verdict = Verdict.VIOLATION
     return InequalityReport(
         form=Form.MMV,
-        verdict=verdict,
+        verdict=_verdict(0 if degenerate else lhs - rhs),
         lhs_exact=lhs,
         rhs_exact=rhs,
         slack_numeric=format_fixed(Fraction(lhs - rhs), digits),
@@ -181,15 +166,9 @@ def normalized_check(
         raise ZeroVolumeError("normalized form needs positive volumes")
     mv, lhs, rhs = _mmv_sides(first, second)
     quotient = lhs / rhs
-    if quotient == 1:
-        verdict = Verdict.EQUALITY
-    elif quotient > 1:
-        verdict = Verdict.STRICT
-    else:
-        verdict = Verdict.VIOLATION
     return InequalityReport(
         form=Form.MMV1,
-        verdict=verdict,
+        verdict=_verdict(quotient - 1),
         lhs_exact=quotient,
         rhs_exact=Fraction(1),
         slack_numeric=format_fixed(quotient - 1, digits),
@@ -203,7 +182,6 @@ class MidpointCertificate:
     t_mid: Fraction
     t_right: Fraction
     holds: bool
-    exact: bool  # True when decided by rational arithmetic alone
 
 
 @dataclass(frozen=True)
@@ -211,25 +189,6 @@ class ConcavityProfile:
     samples: tuple  # (t, V_n(K_t)) pairs
     root_renderings: tuple  # fixed-point strings of the n-th roots
     certificates: tuple  # MidpointCertificate per admissible triple
-
-
-def _midpoint_concavity(n, f_left, f_mid, f_right, digits):
-    """Decide 2 f_mid^(1/n) >= f_left^(1/n) + f_right^(1/n)."""
-    if n == 2:
-        # Square twice: 4A >= B + C + 2 sqrt(BC) with A=f_mid.
-        rest = 4 * f_mid - f_left - f_right
-        if rest < 0:
-            return False, True
-        return rest**2 >= 4 * f_left * f_right, True
-    slack = root_combination(
-        [
-            (Fraction(2), f_mid, n),
-            (Fraction(-1), f_left, n),
-            (Fraction(-1), f_right, n),
-        ],
-        digits,
-    )
-    return slack >= -STRICTNESS_TOLERANCE, False
 
 
 def default_lambda_grid():
@@ -240,7 +199,8 @@ def concavity_profile(
     first: Polytope, second: Polytope, grid=None, digits: int = DEFAULT_DIGITS
 ) -> ConcavityProfile:
     """Exact volume profile f(t) = V_n((1-t)K + tL), read from the pair's
-    volume polynomial, with midpoint certificates."""
+    volume polynomial, with midpoint certificates: each holds when the exact
+    sign of 2 f(t2)^(1/n) - f(t1)^(1/n) - f(t3)^(1/n) is not negative."""
     if not (first.is_full_dimensional and second.is_full_dimensional):
         raise LowerDimensionalError("profile needs full-dimensional bodies")
     grid = default_lambda_grid() if grid is None else tuple(as_scalar(t) for t in grid)
@@ -255,27 +215,25 @@ def concavity_profile(
         (t1, f1), (t2, f2), (t3, f3) = samples[i : i + 3]
         if 2 * t2 != t1 + t3:
             continue
-        holds, exact = _midpoint_concavity(n, f1, f2, f3, digits)
-        certs.append(MidpointCertificate(t1, t2, t3, holds, exact))
+        terms = [(Fraction(2), f2, n), (Fraction(-1), f1, n), (Fraction(-1), f3, n)]
+        sign, _ = signed_root_combination(terms, digits)
+        certs.append(MidpointCertificate(t1, t2, t3, sign >= 0))
     return ConcavityProfile(samples, roots, tuple(certs))
 
 
-def _expand_profile_polynomial(coeffs):
-    """Coefficients of f(t) = (1-t)^n g(t / (1-t)) for g with given coefficients.
+def profile_polynomial(first: Polytope, second: Polytope):
+    """Exact coefficients of t -> V_n((1-t)K + tL).
 
-    f(t) = sum_i c_i t^i (1-t)^(n-i), expanded exactly via binomials.
+    f(t) = (1-t)^n g(t / (1-t)) = sum_i c_i t^i (1-t)^(n-i) for the volume
+    polynomial g with coefficients c_i, expanded exactly via binomials.
     """
+    coeffs = volume_polynomial(first, second).coefficients
     n = len(coeffs) - 1
     out = [Fraction(0)] * (n + 1)
     for i, c in enumerate(coeffs):
         for j in range(n - i + 1):
             out[i + j] += c * comb(n - i, j) * (-1) ** j
     return tuple(out)
-
-
-def profile_polynomial(first: Polytope, second: Polytope):
-    """Exact coefficients of t -> V_n((1-t)K + tL)."""
-    return _expand_profile_polynomial(volume_polynomial(first, second).coefficients)
 
 
 def derivative_identity_check(first: Polytope, second: Polytope) -> Fraction:

@@ -195,8 +195,6 @@ def integer_nth_root(x: int, n: int) -> int:
 
 def rational_nth_root(q: Fraction, n: int):
     """Exact n-th root of a nonnegative rational, or None if irrational."""
-    if q < 0:
-        raise ValueError("negative radicand")
     num = integer_nth_root(q.numerator, n)
     den = integer_nth_root(q.denominator, n)
     if num**n == q.numerator and den**n == q.denominator:

@@ -1,7 +1,8 @@
 """High-precision decimal rendering of exact quantities.
 
-Verdicts are always decided on exact rationals; the strings produced here
-exist only for reports, slack displays and tolerance checks.  Everything is
+Verdicts are always decided exactly: `signed_root_combination` gives a sum
+of roots its exact sign, whatever digit count is displayed, and the strings
+produced here exist only for reports and slack displays.  Everything is
 computed with integer arithmetic (floor semantics), so renderings are
 deterministic across platforms.
 """
@@ -9,11 +10,16 @@ deterministic across platforms.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .linalg import integer_nth_root
+from .errors import InvariantError
+from .linalg import integer_nth_root, rational_nth_root
 
 DEFAULT_DIGITS = 50
 _GUARD = 10  # extra digits carried through intermediate roots
+# Most digits per root that signed_root_combination refines to; past it a
+# sum not yet separated from 0 is an InvariantError.
+MAX_SIGN_DIGITS = 10_000
 
 
 def format_fixed(q: Fraction, digits: int = DEFAULT_DIGITS) -> str:
@@ -27,15 +33,9 @@ def format_fixed(q: Fraction, digits: int = DEFAULT_DIGITS) -> str:
 
 def nth_root_fraction(q: Fraction, n: int, digits: int = DEFAULT_DIGITS) -> Fraction:
     """Rational lower approximation of q**(1/n), within 10**-digits."""
-    if q < 0:
-        raise ValueError("negative radicand")
     scale = 10**digits
     r = integer_nth_root((q.numerator * scale**n) // q.denominator, n)
     return Fraction(r, scale)
-
-
-def sqrt_fraction(q: Fraction, digits: int = DEFAULT_DIGITS) -> Fraction:
-    return nth_root_fraction(q, 2, digits)
 
 
 def root_combination(
@@ -50,3 +50,52 @@ def root_combination(
     for coeff, radicand, n in terms:
         total += coeff * nth_root_fraction(radicand, n, digits + _GUARD)
     return total
+
+
+def _class_coefficients(terms) -> list[Fraction]:
+    """Coefficients of sum c * q**(1/n) by radical class: with the degrees
+    raised to their lcm N, q and q' share a class when q / q' is a rational
+    N-th power."""
+    degree = lcm(*(n for _, _, n in terms))
+    classes = []  # [first radicand of the class, coefficient of its root]
+    for coeff, radicand, n in terms:
+        if radicand == 0:
+            continue
+        radicand **= degree // n
+        for cls in classes:
+            ratio = rational_nth_root(radicand / cls[0], degree)
+            if ratio is not None:
+                cls[1] += coeff * ratio
+                break
+        else:
+            classes.append([radicand, coeff])
+    return [coeff for _, coeff in classes]
+
+
+def signed_root_combination(
+    terms: list[tuple[Fraction, Fraction, int]], digits: int = DEFAULT_DIGITS
+) -> tuple[int, Fraction]:
+    """Exact sign (1, 0 or -1) of sum c * q**(1/n), with its value
+    ``root_combination(terms, digits)``.
+
+    Each root is floored at p = digits + guard places, so the sum lies in
+    [value + 10**-p * (sum of c < 0), value + 10**-p * (sum of c > 0)].  If
+    that bracket holds 0 and every radical class cancels, the sign is 0;
+    otherwise the sum is not 0, since n-th roots of positive rationals with
+    irrational pairwise ratios are linearly independent over Q (Besicovitch
+    1940; Mordell 1953), and p doubles until the bracket excludes 0.
+    """
+    below = sum(c for c, _, _ in terms if c < 0)
+    above = sum(c for c, _, _ in terms if c > 0)
+    value = estimate = root_combination(terms, digits)
+    p = digits + _GUARD
+    while True:
+        unit = Fraction(1, 10**p)
+        sign = (estimate > -below * unit) - (estimate < -above * unit)
+        # The radical classes are merged once, if the first bracket holds 0.
+        if sign or (p == digits + _GUARD and not any(_class_coefficients(terms))):
+            return sign, value
+        p *= 2
+        if p > MAX_SIGN_DIGITS:
+            raise InvariantError(f"sign of a root combination undecided at {MAX_SIGN_DIGITS} digits")
+        estimate = root_combination(terms, p - _GUARD)

@@ -63,7 +63,7 @@ from .linalg import (
     vadd,
     vscale,
 )
-from .numeric import DEFAULT_DIGITS, format_fixed, sqrt_fraction
+from .numeric import DEFAULT_DIGITS, format_fixed, root_combination
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,6 @@ class VolumePolynomial:
             for i in range(1, n)
         ):
             raise InvariantError("volume polynomial violates the Aleksandrov-Fenchel inequalities")
-
-    def derivative_at_zero(self) -> Fraction:
-        return self.coefficients[1]
 
     def combination_volume(self, lam) -> Fraction:
         """V((1-lam)K + lam L) = sum_i c_i lam^i (1-lam)^(n-i) for 0 <= lam <= 1."""
@@ -225,8 +222,7 @@ def volume_polynomial(first: Polytope, second: Polytope) -> VolumePolynomial:
 
 def mixed_volume_interp(first: Polytope, second: Polytope) -> Fraction:
     """V_{n-1,1}(K, L) as (1/n) d/deps V_n(K + eps L) at eps = 0."""
-    poly = volume_polynomial(first, second)
-    return poly.derivative_at_zero() / first.dim
+    return volume_polynomial(first, second).coefficients[1] / first.dim
 
 
 def mixed_volume_base_height(first: Polytope, second: Polytope) -> Fraction:
@@ -290,11 +286,9 @@ class SurfaceArea:
         return total
 
     def numeric(self, digits: int = DEFAULT_DIGITS) -> str:
-        total = Fraction(0)
-        for pseudo, nsq in self.terms:
-            # pseudo / sqrt(q) = pseudo * sqrt(q) / q
-            total += pseudo * sqrt_fraction(nsq, digits + 10) / nsq
-        return format_fixed(total, digits)
+        # pseudo / sqrt(q) = (pseudo / q) * sqrt(q)
+        terms = [(pseudo / nsq, nsq, 2) for pseudo, nsq in self.terms]
+        return format_fixed(root_combination(terms, digits), digits)
 
 
 def surface_area(body: Polytope) -> SurfaceArea:
