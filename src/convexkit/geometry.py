@@ -18,10 +18,11 @@ Conventions used throughout the package:
   order is outward (n >= 2); ``_hull_with_boundary`` returns them with the
   Polytope, so ``volumes`` can read K + eps L's volume off K + L's hull;
 * a Polytope keeps the lifted rows of its canonical vertices as
-  ``lifted``, built on first use.  ``support``, ``support_set``,
-  ``polygon_cycle`` and the facet offsets run on them: a direction
-  w = W / e is lifted once, X.W / d is compared across vertices by integer
-  cross-multiplication, and one Fraction is built per result;
+  ``lifted``: a full-dimensional hull's own rows, else built on first use.
+  ``support``, ``support_set``, ``polygon_cycle`` and the facet offsets
+  run on them: a direction w = W / e is lifted once, X.W / d is compared
+  across vertices by integer cross-multiplication, and one Fraction is
+  built per result;
 * projections return coordinates obtained by pairing points with the
   subspace basis vectors (x maps to (x.b1, ..., x.bd)).  Under this chart
   a direction for the projected body is a coefficient vector a, standing
@@ -112,9 +113,10 @@ class Polytope:
 
     @cached_property
     def lifted(self) -> tuple:
-        """Integer row (X, d) of each canonical vertex, as ``_lift`` makes it.
-        Not a field: equality, hashing and ``repr`` ignore it, and a body
-        derived from this one lifts its own vertices."""
+        """Integer row (X, d) of each canonical vertex, as ``_lift`` makes it;
+        a full-dimensional hull stores the rows it was built from.  Not a
+        field: equality, hashing and ``repr`` ignore it, and derived bodies
+        lift their own vertices."""
         return tuple(_lift(self.vertices))
 
 
@@ -324,6 +326,7 @@ def _build_full_dimensional(points, rows, n, base):
         affine_dim=n,
         volume=volume,
     )
+    object.__setattr__(body, "lifted", tuple(rows[i] for i in extreme))
     return body, tuple(verts for verts, _ in simplices)
 
 

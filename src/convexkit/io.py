@@ -21,12 +21,12 @@ from .geometry import Polytope, convex_hull
 
 # Most vertex rows a body file may hold; `random-body --vertices` shares it.
 MAX_VERTICES = 1000
-# Most vertex pairs (x, y) of two bodies in R^n that a Minkowski combination,
-# and so a volume polynomial, may form; past it `volumes` raises
-# PairPointsError.  Hulling the pair points costs more per point in higher
-# dimensions; at each cap the worst pairs measured (in 4D, cyclic polytopes
-# whose every pair point is a vertex of K + L) take at most about 2 s under
-# `mixedvol` and `check --form bm`.
+# Most vertex pairs (x, y) of two bodies in R^n whose points x + y the pair
+# record in `volumes` may form; past it `volumes` raises PairPointsError.
+# Hulling the pair points costs more per point in higher dimensions; at each
+# cap the worst pairs measured (in 4D, cyclic polytopes whose every pair
+# point is a vertex of K + L) take at most about 2 s under `mixedvol` and
+# `check --form bm`.
 MAX_PAIR_POINTS = {2: 4096, 3: 1024, 4: 256}
 
 # Caps on one rational literal, checked before Fraction() builds it: "1e5000000"

@@ -21,16 +21,16 @@ pair point x + y to x + eps y carries the boundary simplices of K + L's
 hull onto a boundary cycle of K + eps L: one hull per pair gives every
 node, each later one at one n x n integer determinant per simplex.
 
-Two pure functions of an ordered pair of bodies, each an ``lru_cache`` of
-8 pairs, hold what a pair has shown: ``_minkowski_sum`` gives K + L, the
-pair behind each of its vertices, which ``combine`` hulls on later
-combinations, and the boundary cycle, and ``_node_volumes`` gives
-V(K + eps L), eps = 0..n+1, off that cycle.  Nodes are cached before they
-are checked; the checks on the volume polynomial -- the redundant node, the
-end coefficients and the Aleksandrov-Fenchel inequalities -- run on every
-call, so a failed one raises ``InvariantError`` on every call, and
-``python -O`` keeps them.  Every route that forms the pair points of two
-bodies first checks their number against ``io.MAX_PAIR_POINTS``.
+One pure function of an ordered pair of bodies, ``_minkowski_sum``, an
+``lru_cache`` of 8 pairs, holds what a pair has shown: K + L, the pair
+behind each of its vertices, which ``combine`` hulls on later unequal
+combinations, and V(K + eps L), eps = 0..n+1, read off the boundary cycle
+right after the one hull.  It is the only place that forms the pair points
+of two bodies, and it first checks their number against
+``io.MAX_PAIR_POINTS``.  Nodes are cached before they are checked; the
+checks on the volume polynomial -- the redundant node, the end coefficients
+and the Aleksandrov-Fenchel inequalities -- run on every call, so a failed
+one raises ``InvariantError`` on every call, and ``python -O`` keeps them.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from .bodies import segment
 from .errors import (
     DimensionError,
     DimensionMismatchError,
@@ -50,7 +49,7 @@ from .errors import (
     PairPointsError,
     ZeroDirectionError,
 )
-from .geometry import Polytope, _hull_with_boundary, convex_hull, support
+from .geometry import Polytope, _hull_with_boundary, convex_hull, scale, support
 from .io import MAX_PAIR_POINTS
 from .linalg import (
     as_scalar,
@@ -93,17 +92,6 @@ class VolumePolynomial:
         )
 
 
-def _check_pair_points(first: Polytope, second: Polytope) -> None:
-    """Raise before forming more vertex pairs than MAX_PAIR_POINTS allows in
-    the bodies' dimension; other dimensions fail at the hull's ambient check."""
-    count = len(first.vertices) * len(second.vertices)
-    cap = MAX_PAIR_POINTS.get(first.dim, count)
-    if count > cap:
-        raise PairPointsError(
-            f"{count} vertex pairs in dimension {first.dim}; at most {cap} may be combined"
-        )
-
-
 def _pair_row(x_row, y_row) -> tuple:
     """The integer triple (X d_y, Y d_x, d_x d_y) of the pair point x + y,
     from the lifted rows (X, d_x) of x and (Y, d_y) of y: x + eps y is
@@ -116,10 +104,16 @@ def _pair_row(x_row, y_row) -> tuple:
 @functools.lru_cache(maxsize=8)
 def _minkowski_sum(first: Polytope, second: Polytope) -> tuple:
     """K + L, the one vertex pair (x, y) behind each of its vertices, and
-    the boundary cycle of its hull: each sorted pair point x + y once as
-    its ``_pair_row``, and the hull's outward-ordered boundary simplices as
-    index tuples into those rows (none when K + L is flat)."""
-    _check_pair_points(first, second)
+    V(K + eps L) for eps = 0..n+1, each node past eps = 1 off K + L's
+    boundary cycle.  Past MAX_PAIR_POINTS vertex pairs in the bodies'
+    dimension it raises ``PairPointsError`` before forming them; other
+    dimensions fail at the hull's ambient check."""
+    count = len(first.vertices) * len(second.vertices)
+    cap = MAX_PAIR_POINTS.get(first.dim, count)
+    if count > cap:
+        raise PairPointsError(
+            f"{count} vertex pairs in dimension {first.dim}; at most {cap} may be combined"
+        )
     origin = {
         vadd(x, y): (x, y, x_row, y_row)
         for x, x_row in zip(first.vertices, first.lifted)
@@ -127,29 +121,37 @@ def _minkowski_sum(first: Polytope, second: Polytope) -> tuple:
     }
     body, points, simplices = _hull_with_boundary(origin, allow_degenerate=True)
     pairs = tuple(origin[v][:2] for v in body.vertices)
-    rows = tuple(_pair_row(*origin[p][2:]) for p in points)
-    return body, pairs, (rows, simplices)
+    # The boundary cycle: each sorted pair point x + y once as its
+    # ``_pair_row``, and the hull's outward simplices as indices into those.
+    cycle = (tuple(_pair_row(*origin[p][2:]) for p in points), simplices)
+    nodes = (first.volume, body.volume) + tuple(
+        _cycle_volume(cycle, eps) for eps in range(2, first.dim + 2)
+    )
+    return body, pairs, nodes
 
 
 def combine(a, first: Polytope, b, second: Polytope) -> Polytope:
     """Minkowski combination a*K + b*L (hull of pairwise point combinations).
 
-    For a, b > 0 only the vertex pairs behind the vertices of K + L are
-    combined; K + L itself is hulled once per recent ordered pair.  Past
-    MAX_PAIR_POINTS vertex pairs it raises ``PairPointsError``.
+    A zero coefficient scales the other body, and equal ones scale K + L,
+    which is hulled once per recent ordered pair; otherwise only the vertex
+    pairs behind the vertices of K + L are combined.  Past MAX_PAIR_POINTS
+    vertex pairs, a combination that forms them raises ``PairPointsError``.
     """
     a, b = as_scalar(a), as_scalar(b)
     if a < 0 or b < 0:
         raise NegativeCoefficientError("combination coefficients must be >= 0")
     if first.dim != second.dim:
         raise DimensionMismatchError("bodies live in different dimensions")
-    if a == 0 or b == 0:
-        _check_pair_points(first, second)
-        pts = {vadd(vscale(a, x), vscale(b, y)) for x in first.vertices for y in second.vertices}
-        return convex_hull(pts, allow_degenerate=True)
+    if a == b == 0:
+        return convex_hull([vscale(0, first.vertices[0])], allow_degenerate=True)
+    if a == 0:
+        return scale(second, b)
+    if b == 0:
+        return scale(first, a)
     total, pairs, _ = _minkowski_sum(first, second)
-    if a == b == 1:
-        return total
+    if a == b:
+        return scale(total, a)
     return convex_hull([vadd(vscale(a, x), vscale(b, y)) for x, y in pairs], allow_degenerate=True)
 
 
@@ -193,28 +195,18 @@ def _cycle_volume(cycle, eps) -> Fraction:
     return Fraction(cones if n % 2 else -cones, factorial(n))
 
 
-@functools.lru_cache(maxsize=8)
-def _node_volumes(first: Polytope, second: Polytope) -> tuple:
-    """V(K + eps L) for eps = 0..n+1: V(K) and V(K + L) from their own
-    hulls, every later node off K + L's boundary cycle; no further hull."""
-    total, _, cycle = _minkowski_sum(first, second)
-    return (first.volume, total.volume) + tuple(
-        _cycle_volume(cycle, eps) for eps in range(2, first.dim + 2)
-    )
-
-
 def volume_polynomial(first: Polytope, second: Polytope) -> VolumePolynomial:
     """V_n(K + eps L) from the node volumes at eps = 0..n+1.
 
-    K + L is hulled once per recent ordered pair and the later nodes are
-    read off its boundary cycle; the interpolation and its checks run on
-    every call.  The redundant node tests the cycle against V(K) from K's
-    own hull, and c_n = V(L) tests it against L's.
+    The nodes come from the pair's record in ``_minkowski_sum``, so K + L
+    is hulled once per recent ordered pair; the interpolation and its
+    checks run on every call.  The redundant node tests the cycle against
+    V(K) from K's own hull, and c_n = V(L) tests it against L's.
     """
     n = first.dim
     if second.dim != n:
         raise DimensionMismatchError("bodies live in different dimensions")
-    coeffs = minkowski_interpolate(_node_volumes(first, second))
+    coeffs = minkowski_interpolate(_minkowski_sum(first, second)[2])
     if coeffs[0] != first.volume or coeffs[n] != second.volume:
         raise InvariantError("volume polynomial end coefficients differ from the volumes")
     return VolumePolynomial(coeffs)
@@ -261,8 +253,10 @@ def projection_prism_volume(body: Polytope, w) -> Fraction:
         raise ZeroDirectionError("direction must be nonzero")
     if len(w) != body.dim:
         raise DimensionMismatchError("direction length differs from dimension")
-    zero = tuple(Fraction(0) for _ in range(body.dim))
-    return combine(1, body, 1, segment(zero, w)).volume - body.volume
+    # K + [0, w] is the hull of K and its translate K + w.
+    moved = tuple(vadd(v, w) for v in body.vertices)
+    prism = convex_hull(body.vertices + moved, allow_degenerate=True)
+    return prism.volume - body.volume
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,12 @@ from convexkit import volumes
 from convexkit.bodies import random_polytope
 from convexkit.geometry import convex_hull
 from convexkit.linalg import vadd, vscale
-from convexkit.volumes import combine, projection_prism_volume, volume_polynomial
+from convexkit.volumes import (
+    combine,
+    mixed_volume_interp,
+    projection_prism_volume,
+    volume_polynomial,
+)
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 coefficients = st.sampled_from([F(0), F(1, 3), F(1, 2), F(1), F(2), F(5, 2)])
@@ -136,7 +141,7 @@ def test_combine_shared_pairs_across_threads():
         sys.setswitchinterval(interval)
 
 
-def _count_calls(monkeypatch, name):
+def count_calls(monkeypatch, name):
     """Count the calls made through the global ``name`` of every convexkit
     module that binds the same object as ``volumes`` does."""
     calls = []
@@ -153,26 +158,34 @@ def _count_calls(monkeypatch, name):
 
 
 def test_minkowski_sum_is_hulled_once_per_pair(monkeypatch):
-    # K + L is hulled from all vertex pairs once; a later positive
-    # combination hulls only the pairs behind the vertices of K + L.  Every
-    # hull, convex_hull's too, is built by geometry._hull_with_boundary.
+    # K + L is hulled from all vertex pairs once; a later unequal positive
+    # combination hulls only the pairs behind the vertices of K + L, and the
+    # pair's volume polynomial hulls nothing.  Every hull, convex_hull's
+    # too, is built by geometry._hull_with_boundary.
     first, second = (random_polytope(3, 6, random.Random(seed)) for seed in (9101, 9102))
-    hulls = _count_calls(monkeypatch, "_hull_with_boundary")
+    hulls = count_calls(monkeypatch, "_hull_with_boundary")
     total = combine(1, first, 1, second)
     assert combine(1, first, 1, second) == total
     assert len(hulls) == 1
     third = combine(F(1, 3), first, F(2, 3), second)
     assert len(hulls) == 2 and len(hulls[1][0]) == len(total.vertices)
+    poly = volume_polynomial(first, second)
+    assert poly.coefficients[0] == first.volume
+    assert mixed_volume_interp(first, second) == poly.coefficients[1] / 3
+    assert len(hulls) == 2
     assert snapshot(third) == snapshot(pairwise_hull(F(1, 3), first, F(2, 3), second))
 
 
 def test_node_volumes_survive_other_combinations(monkeypatch):
-    # Prisms K + [0, w] are combinations of other pairs; they must not push
-    # a pair's node volumes out, so the next polynomial hulls nothing.
+    # Prisms K + [0, w] hull K and K + w and leave the pair records alone,
+    # so they cannot push a pair's node volumes out: the next polynomial
+    # hulls nothing.
     first, second, other = (random_polytope(3, 6, random.Random(seed)) for seed in (9201, 9202, 9203))
     before = volume_polynomial(first, second)
+    records = volumes._minkowski_sum.cache_info()
     for k in range(8):
         projection_prism_volume(other, (F(1), F(k), F(k * k - 3)))
-    combines = _count_calls(monkeypatch, "combine")
+    assert volumes._minkowski_sum.cache_info() == records
+    combines = count_calls(monkeypatch, "combine")
     assert volume_polynomial(first, second) == before
     assert combines == []

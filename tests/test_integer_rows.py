@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexkit.geometry import (
+    _lift,
     bodies_equal,
     convex_hull,
     scale,
@@ -107,6 +108,16 @@ def compute_rows(body):
     """Build ``body.lifted`` and check each row (X, d) against its vertex."""
     for v, row in zip(body.vertices, body.lifted, strict=True):
         assert tuple(F(x, row[-1]) for x in row[:-1]) == v
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(points))
+def test_hull_keeps_the_rows_it_lifted(pts):
+    # A full-dimensional hull stores the rows it built the body from, so
+    # ``lifted`` lifts nothing again; they are the rows ``_lift`` makes.
+    body = convex_hull(pts, allow_degenerate=True)
+    assert ("lifted" in vars(body)) == body.is_full_dimensional
+    assert body.lifted == tuple(_lift(body.vertices))
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,13 +1,15 @@
 """Differential test of the node volumes behind the volume polynomial.
 
-``volumes._node_volumes(K, L)`` gives V(K + eps L) for eps = 0..n+1.  Each
-node must equal the hull-per-node oracle ``combine(1, K, eps, L).volume``,
-and the volume polynomial through the nodes must pass all of its checks.
-Inputs are the 2D and 3D bodies of ``test_integer_rows`` (small and
-300-bit rationals, points on the sphere, flat bodies, single points,
-derived bodies), a 4D simplex with 300-bit coordinates, seeded {0, 1, 2}-lattice pairs in 2D-4D whose pair points often
-lie inside facets of K + L, cubes against boxes, and degenerate pairs: a
-flat first body, two flat bodies, segments, and pairs whose K + L is flat.
+The record ``volumes._minkowski_sum(K, L)`` ends with V(K + eps L) for
+eps = 0..n+1.  Each node must equal the hull-per-node oracle
+``combine(1, K, eps, L).volume``, and the volume polynomial through the
+nodes must pass all of its checks.  Inputs are the 2D and 3D bodies of
+``test_integer_rows`` (small and 300-bit rationals, points on the sphere,
+flat bodies, single points, derived bodies), a 4D simplex with 300-bit
+coordinates, seeded {0, 1, 2}-lattice pairs in 2D-4D whose pair points
+often lie inside facets of K + L, cubes against boxes, and degenerate
+pairs: a flat first body, two flat bodies, segments, and pairs whose
+K + L is flat.
 """
 
 import random
@@ -36,9 +38,9 @@ def check_nodes(first, second):
     if len(first.vertices) * len(second.vertices) > io.MAX_PAIR_POINTS[first.dim]:
         # Two bodies derived by ``combine`` can have this many vertices.
         with pytest.raises(PairPointsError):
-            volumes._node_volumes(first, second)
+            volumes._minkowski_sum(first, second)
         return
-    nodes = volumes._node_volumes(first, second)
+    nodes = volumes._minkowski_sum(first, second)[2]
     expected = tuple(combine(1, first, eps, second).volume for eps in range(first.dim + 2))
     assert nodes == expected
     assert all(type(v) is F for v in nodes)

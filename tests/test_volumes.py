@@ -35,6 +35,7 @@ from convexkit.volumes import (
 )
 
 from oracles import minkowski_points, shoelace_area
+from test_combine_memo import count_calls
 
 
 def test_combine_doubling(square):
@@ -194,10 +195,28 @@ def test_pair_point_cap_in_every_combination(n):
     for route in (
         lambda: combine(1, first, 1, second),
         lambda: combine(F(1, 3), first, F(2, 3), second),
-        lambda: combine(0, first, 1, second),
-        lambda: combine(1, second, 0, first),
         lambda: volume_polynomial(first, second),
         lambda: mixed_volume_interp(second, first),
     ):
         with pytest.raises(PairPointsError, match=f"at most {cap} "):
             route()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_zero_coefficient_scales_the_other_body(n, monkeypatch):
+    # No pair point is formed, so a pair past the cap combines with no hull.
+    side = math.isqrt(io.MAX_PAIR_POINTS[n])
+    first, second = moment_curve_body(n, side + 1), moment_curve_body(n, side)
+    hulls = count_calls(monkeypatch, "_hull_with_boundary")
+    assert combine(0, first, 1, second) == second
+    assert combine(2, first, 0, second) == scale(first, 2)
+    assert hulls == []
+
+
+def test_equal_coefficients_scale_the_minkowski_sum(monkeypatch):
+    first, second = moment_curve_body(3, 5), moment_curve_body(3, 4)
+    total = combine(1, first, 1, second)
+    hulls = count_calls(monkeypatch, "_hull_with_boundary")
+    for a in (F(1, 2), F(2), F(7, 3)):
+        assert combine(a, first, a, second) == scale(total, a)
+    assert hulls == []
