@@ -4,7 +4,9 @@ Deliberately separate from the library code paths: the cycle ordering uses
 float angles around the centroid (safe for extreme points of a convex
 polygon at test scale) and the area is the plain shoelace sum on that
 cycle.  The brute-force hull tries every n-subset of the points as a facet
-and runs its own Fraction elimination.
+and runs its own Fraction elimination.  Sums of roots, interpolation and
+combination volumes are evaluated by their Fraction definitions, with
+roots floored by integer bisection.
 """
 
 import itertools
@@ -156,3 +158,97 @@ def validate_polytope(body) -> None:
         assert len(f.vertex_indices) == on
     if body.is_full_dimensional and body.dim > 1:
         assert affine_rank(body.vertices) == body.dim
+
+
+def floor_root(x: int, n: int) -> int:
+    """floor(x ** (1/n)) for an integer x >= 0, by bisection."""
+    lo, hi = 0, 1
+    while hi**n <= x:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**n <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+SIGN_GUARD = 10  # digits carried past the displayed ones, as documented
+
+
+def fraction_root_sum(terms, digits):
+    """sum c * q**(1/n) with each root floored at digits + guard places, in
+    Fractions term by term."""
+    p = digits + SIGN_GUARD
+    total = Fraction(0)
+    for c, q, n in terms:
+        q = Fraction(q)
+        root = Fraction(floor_root(q.numerator * 10 ** (p * n) // q.denominator, n), 10**p)
+        total += Fraction(c) * root
+    return total
+
+
+def _exact_root(q: Fraction, n: int):
+    num, den = floor_root(q.numerator, n), floor_root(q.denominator, n)
+    return Fraction(num, den) if num**n == q.numerator and den**n == q.denominator else None
+
+
+def radical_classes_cancel(terms) -> bool:
+    """True when every radical class of sum c * q**(1/n) has coefficient 0."""
+    degree = math.lcm(*(n for _, _, n in terms))
+    classes = []  # [radicand raised to the common degree, class coefficient]
+    for c, q, n in terms:
+        if q == 0:
+            continue
+        raised = Fraction(q) ** (degree // n)
+        for cls in classes:
+            ratio = _exact_root(raised / cls[0], degree)
+            if ratio is not None:
+                cls[1] += c * ratio
+                break
+        else:
+            classes.append([raised, Fraction(c)])
+    return all(c == 0 for _, c in classes)
+
+
+def fraction_signed_root_sum(terms, digits, max_digits):
+    """(sign, value) of sum c * q**(1/n) by the Fraction bracket: with the
+    roots floored at p places the sum lies in [value + 10**-p * (sum of
+    c < 0), value + 10**-p * (sum of c > 0)]; 0 when that bracket holds 0
+    and the radical classes cancel, else p doubles.  None once p passes
+    ``max_digits`` with the sign undecided."""
+    below = sum((Fraction(c) for c, _, _ in terms if c < 0), Fraction(0))
+    above = sum((Fraction(c) for c, _, _ in terms if c > 0), Fraction(0))
+    value = estimate = fraction_root_sum(terms, digits)
+    p = digits + SIGN_GUARD
+    while True:
+        unit = Fraction(1, 10**p)
+        sign = (estimate > -below * unit) - (estimate < -above * unit)
+        if sign or (p == digits + SIGN_GUARD and radical_classes_cancel(terms)):
+            return sign, value
+        p *= 2
+        if p > max_digits:
+            return None
+        estimate = fraction_root_sum(terms, p - SIGN_GUARD)
+
+
+def fraction_interpolate(values):
+    """Coefficients of the polynomial through values at eps = 0, 1, 2, ...
+    with one node more than its degree needs, by Fraction elimination of
+    the augmented Vandermonde rows; None when the nodes are inconsistent."""
+    n = len(values) - 2
+    a, pivots = _rref([[e**i for i in range(n + 1)] + [v] for e, v in enumerate(values)])
+    if pivots != list(range(n + 1)):
+        return None
+    return tuple(a[i][n + 1] for i in range(n + 1))
+
+
+def fraction_combination_volume(coefficients, lam) -> Fraction:
+    """sum_i c_i lam^i (1-lam)^(n-i) in Fractions."""
+    lam = Fraction(lam)
+    n = len(coefficients) - 1
+    return sum(
+        (Fraction(c) * lam**i * (1 - lam) ** (n - i) for i, c in enumerate(coefficients)),
+        Fraction(0),
+    )

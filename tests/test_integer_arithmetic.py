@@ -1,0 +1,149 @@
+"""The integer forms of the per-call Brunn-Minkowski arithmetic against
+their Fraction definitions.
+
+``root_combination`` and ``signed_root_combination`` sum over a common
+denominator in integers and compare the sign bracket in integers;
+``minkowski_interpolate`` eliminates integer node values; and
+``VolumePolynomial.combination_volume`` evaluates its Bernstein form in
+integers.  Each must give the same Fraction, sign and error as the oracle
+that works term by term in Fractions.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from convexkit import numeric
+from convexkit.bodies import random_polytope
+from convexkit.errors import InvariantError
+from convexkit.geometry import scale, translate
+from convexkit.inequalities import default_lambda_grid
+from convexkit.numeric import root_combination, signed_root_combination
+from convexkit.volumes import VolumePolynomial, minkowski_interpolate, volume_polynomial
+
+from oracles import (
+    fraction_combination_volume,
+    fraction_interpolate,
+    fraction_root_sum,
+    fraction_signed_root_sum,
+)
+
+DIGITS = (0, 2, 50)
+
+
+def coefficient(rng):
+    """A nonzero int or Fraction coefficient."""
+    if rng.random() < 0.4:
+        return rng.choice([-3, -2, -1, 1, 2, 3])
+    return F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 12))
+
+
+def radicand(rng):
+    return F(rng.randint(0, 50), rng.randint(1, 20)) if rng.random() > 0.1 else F(0)
+
+
+def term_lists(seed, count):
+    """Seeded sums of roots: unrelated terms, sums whose radical classes
+    cancel exactly (also across degrees), Brunn-Minkowski slacks of
+    homothetic volumes (exactly 0) and of nudged ones, and near-zero
+    differences that need the precision doubled."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        kind = k % 5
+        n = rng.choice([2, 3, 4])
+        if kind == 0:
+            terms = [(coefficient(rng), radicand(rng), rng.choice([2, 3, 4])) for _ in range(rng.randint(1, 4))]
+        elif kind == 1:
+            q, a, r = F(rng.randint(1, 30), rng.randint(1, 9)), coefficient(rng), F(rng.randint(1, 5), rng.randint(1, 4))
+            terms = [(a, q * r**n, n), (-a * r, q, n)]
+            if rng.random() < 0.5:
+                terms.append((a, q**2, 2 * n))
+                terms.append((-a, q, n))
+        elif kind == 2:
+            v1, ratio, lam = F(rng.randint(1, 99), rng.randint(1, 9)), F(rng.randint(1, 9), rng.randint(1, 4)), F(rng.randint(0, 8), 8)
+            v_mid = v1 * ((1 - lam) + lam * ratio) ** n
+            terms = [(F(1), v_mid, n), (lam - 1, v1, n), (-lam, v1 * ratio**n, n)]
+        elif kind == 3:
+            v1, v2, lam = F(rng.randint(1, 99), rng.randint(1, 9)), F(rng.randint(1, 99), rng.randint(1, 9)), F(rng.randint(1, 7), 8)
+            v_mid = ((1 - lam) * v1 + lam * v2) * (1 + F(1, 10 ** rng.randint(1, 9)))
+            terms = [(F(1), v_mid, n), (lam - 1, v1, n), (-lam, v2, n)]
+        else:
+            q = F(rng.randint(1, 30), rng.randint(1, 9))
+            terms = [(1, q + F(1, 10 ** rng.randint(20, 120)), n), (-1, q, n)]
+        out.append(terms)
+    return out
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_root_combination_matches_fraction_sum(digits):
+    for terms in term_lists(1400 + digits, 300):
+        value = root_combination(terms, digits)
+        assert isinstance(value, F)
+        assert value == fraction_root_sum(terms, digits)
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_signed_root_combination_matches_fraction_bracket(digits):
+    signs = set()
+    for terms in term_lists(1500 + digits, 300):
+        got = signed_root_combination(terms, digits)
+        assert got == fraction_signed_root_sum(terms, digits, numeric.MAX_SIGN_DIGITS)
+        signs.add(got[0])
+    assert signs == {-1, 0, 1}
+
+
+def test_sign_undecided_past_the_cap(monkeypatch):
+    # sqrt(10**-25000) = 10**-12500 floors to 0 at every precision up to the
+    # cap, and its one radical class does not cancel.
+    tiny = [(F(1), F(1, 10**25000), 2)]
+    assert fraction_signed_root_sum(tiny, 0, numeric.MAX_SIGN_DIGITS) is None
+    with pytest.raises(InvariantError, match="undecided at 10000 digits"):
+        signed_root_combination(tiny, 0)
+    # sqrt(1 + 10**-300) - 1 is about 5 * 10**-301: decided under the cap,
+    # undecided under a cap of 100 digits.
+    near = [(1, 1 + F(1, 10**300), 2), (-1, F(1), 2)]
+    assert signed_root_combination(near, 2) == fraction_signed_root_sum(near, 2, numeric.MAX_SIGN_DIGITS)
+    monkeypatch.setattr(numeric, "MAX_SIGN_DIGITS", 100)
+    assert fraction_signed_root_sum(near, 2, 100) is None
+    with pytest.raises(InvariantError):
+        signed_root_combination(near, 2)
+
+
+def test_interpolation_matches_fraction_elimination():
+    rng = random.Random(1600)
+    for k in range(200):
+        n = rng.randint(1, 4)
+        coeffs = [F(rng.randint(0, 99), rng.randint(1, 30)) for _ in range(n + 1)]
+        if k % 4 == 0:
+            coeffs = [c.numerator for c in coeffs]
+        values = [sum(c * e**i for i, c in enumerate(coeffs)) for e in range(n + 2)]
+        got = minkowski_interpolate(values)
+        assert got == fraction_interpolate(values) == tuple(coeffs)
+        assert all(isinstance(c, F) for c in got)
+        # A corrupted node makes the system inconsistent.
+        bad = list(values)
+        bad[rng.randint(0, n + 1)] += F(1, rng.randint(1, 9 * 10**9))
+        assert fraction_interpolate(bad) is None
+        with pytest.raises(InvariantError, match="^volume polynomial failed the redundant-node check$"):
+            minkowski_interpolate(bad)
+
+
+def test_combination_volume_matches_bernstein_form():
+    rng = random.Random(1700)
+    grid = default_lambda_grid() + (F(1, 3), F(5, 7), 0, 1)
+    for k in range(12):
+        n = 2 + k % 2
+        first = random_polytope(n, n + 3, rng)
+        second = random_polytope(n, n + 3, rng) if k % 3 else translate(scale(first, F(3, 2)), (1,) * n)
+        poly = volume_polynomial(first, second)
+        for lam in grid:
+            got = poly.combination_volume(F(lam))
+            assert isinstance(got, F)
+            assert got == fraction_combination_volume(poly.coefficients, lam)
+        assert poly.combination_volume(F(0)) == first.volume
+        assert poly.combination_volume(F(1)) == second.volume
+    # int and Fraction coefficients alike; (1 + eps)^3 gives 1 everywhere.
+    cube = VolumePolynomial((1, 3, 3, 1))
+    assert [cube.combination_volume(F(lam)) for lam in default_lambda_grid()] == [1] * 9
