@@ -20,9 +20,11 @@ Conventions used throughout the package:
 * a Polytope keeps the lifted rows of its canonical vertices as
   ``lifted``: a full-dimensional hull's own rows, else built on first use.
   ``support``, ``support_set``, ``polygon_cycle`` and the facet offsets
-  run on them: a direction w = W / e is lifted once, X.W / d is compared
-  across vertices by integer cross-multiplication, and one Fraction is
-  built per result;
+  run on them: a direction w = W / e is checked and lifted once, X.W / d
+  is compared across vertices by integer cross-multiplication, and one
+  Fraction is built per result.  A caller that already holds an integer
+  direction, such as a primitive facet normal, passes it straight to that
+  integer core, ``_integer_support``;
 * projections return coordinates obtained by pairing points with the
   subspace basis vectors (x maps to (x.b1, ..., x.bd)).  Under this chart
   a direction for the projected body is a coefficient vector a, standing
@@ -98,7 +100,9 @@ class Polytope:
     ``affine_dim < dim`` flags a lower-dimensional body (a legal result of
     projections and Minkowski combinations, never of the public hull
     constructor); such bodies carry no facets and have volume 0.
-    Equality compares the canonical data (dim, vertices) only.
+    Equality compares the canonical data (dim, vertices) only, and the hash
+    of that data is computed once per object, on first use, since hashing
+    the vertices hashes every Fraction coordinate.
     """
 
     dim: int
@@ -106,6 +110,16 @@ class Polytope:
     facets: tuple = field(compare=False, repr=False)
     affine_dim: int = field(compare=False)
     volume: Fraction = field(compare=False)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of (dim, vertices).  Not a field, like ``lifted``:
+        equality and ``repr`` ignore it, and ``dataclasses.replace`` builds
+        a new object that hashes its own fields."""
+        return hash((self.dim, self.vertices))
 
     @property
     def is_full_dimensional(self) -> bool:
@@ -404,17 +418,24 @@ def _check_direction(body, w):
     return w
 
 
-def _lifted_support(body: Polytope, w):
-    """(e, values, best): w lifted once to W / e, the pair (X.W, d) for each
-    lifted vertex row (X, d), so that vertex's v.w is X.W / (d e), and the
-    pair of largest quotient, found by integer cross-multiplication."""
-    *lifted_w, e = _lift((_check_direction(body, w),))[0]
-    values = [(sum(map(mul, row, lifted_w)), row[-1]) for row in body.lifted]
+def _integer_support(rows, direction):
+    """(values, best) for lifted vertex rows (X, d) and an integer
+    direction W: the pair (X.W, d) for each row, so that vertex's v.W is
+    X.W / d, and the pair of largest quotient, found by integer
+    cross-multiplication.  The direction is used as given, unchecked."""
+    values = [(sum(map(mul, row, direction)), row[-1]) for row in rows]
     best, best_d = values[0]
     for x, d in values[1:]:
         if x * best_d > best * d:
             best, best_d = x, d
-    return e, values, (best, best_d)
+    return values, (best, best_d)
+
+
+def _lifted_support(body: Polytope, w):
+    """(e, values, best): w checked and lifted once to W / e, then
+    ``_integer_support`` of ``body.lifted`` in direction W."""
+    *lifted_w, e = _lift((_check_direction(body, w),))[0]
+    return e, *_integer_support(body.lifted, lifted_w)
 
 
 def support(body: Polytope, w) -> Fraction:

@@ -12,7 +12,7 @@ and the other explicitly named helpers use Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 def as_scalar(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -132,15 +132,22 @@ def solve(rows, rhs):
     (A | b) go through ``independent_rows``: a unique solution needs n kept
     rows with no pivot on b, and back-substitution over them in reverse
     order meets each pivot unknown after all the unknowns its row also holds.
+    It keeps the unknowns found so far as numerators over one common
+    denominator, so integer rows back-substitute in integers and one
+    Fraction is built per unknown at the end.
     """
     n = len(rows[0])
     kept = independent_rows([[*row, b] for row, b in zip(rows, rhs)])
     if len(kept) != n or any(j == n for _, j, _ in kept):
         return None
-    x = {}
+    x, den = {}, 1  # unknown k is x[k] / den
     for _, j, b in reversed(kept):
-        x[j] = Fraction(b[n] - sum(b[k] * v for k, v in x.items()), b[j])
-    return tuple(x[j] for j in range(n))
+        num = b[n] * den - sum(b[k] * v for k, v in x.items())
+        for k in x:
+            x[k] *= b[j]
+        x[j] = num
+        den *= b[j]
+    return tuple(Fraction(x[j], den) for j in range(n))
 
 
 def gram_matrix(basis):
@@ -163,6 +170,12 @@ def tree_sum(values):
             nxt.append(vals[-1])
         vals = nxt
     return vals[0]
+
+
+def over_common_denominator(values) -> tuple[int, list[int]]:
+    """(D, [x * D for each x]) for D the lcm of the rationals' denominators."""
+    common = lcm(*(x.denominator for x in values))
+    return common, [x.numerator * (common // x.denominator) for x in values]
 
 
 def primitive_int_vector(v) -> tuple:

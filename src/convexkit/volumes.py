@@ -31,6 +31,10 @@ of two bodies, and it first checks their number against
 checks on the volume polynomial -- the redundant node, the end coefficients
 and the Aleksandrov-Fenchel inequalities -- run on every call, so a failed
 one raises ``InvariantError`` on every call, and ``python -O`` keeps them.
+That per-call work is integer arithmetic: the interpolation eliminates the
+node volumes scaled by their common denominator, and a combination volume
+is the Bernstein form evaluated over the coefficients' common denominator,
+each built into one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -49,13 +53,14 @@ from .errors import (
     PairPointsError,
     ZeroDirectionError,
 )
-from .geometry import Polytope, _hull_with_boundary, convex_hull, scale, support
+from .geometry import Polytope, _hull_with_boundary, _integer_support, convex_hull, scale
 from .io import MAX_PAIR_POINTS
 from .linalg import (
     as_scalar,
     as_vec,
     is_zero_vec,
     mat_det,
+    over_common_denominator,
     rational_nth_root,
     solve,
     tree_sum,
@@ -85,11 +90,14 @@ class VolumePolynomial:
             raise InvariantError("volume polynomial violates the Aleksandrov-Fenchel inequalities")
 
     def combination_volume(self, lam) -> Fraction:
-        """V((1-lam)K + lam L) = sum_i c_i lam^i (1-lam)^(n-i) for 0 <= lam <= 1."""
+        """V((1-lam)K + lam L) = sum_i c_i lam^i (1-lam)^(n-i) for 0 <= lam <= 1,
+        in integers for lam = p/q: sum_i c_i p^i (q-p)^(n-i) / q^n with the
+        c_i over their common denominator, one Fraction built at the end."""
         n = len(self.coefficients) - 1
-        return sum(
-            c * lam**i * (1 - lam) ** (n - i) for i, c in enumerate(self.coefficients)
-        )
+        p, q = lam.numerator, lam.denominator
+        common, numerators = over_common_denominator(self.coefficients)
+        total = sum(c * p**i * (q - p) ** (n - i) for i, c in enumerate(numerators))
+        return Fraction(total, common * q**n)
 
 
 def _pair_row(x_row, y_row) -> tuple:
@@ -166,13 +174,16 @@ def minkowski_interpolate(values) -> tuple:
     The last node is redundant: the n+2 distinct nodes give the integer
     Vandermonde rows full column rank, so ``solve`` finds the n+1
     coefficients exactly when the extra node lies on the polynomial through
-    the others -- a consistency check on the hull/volume pipeline.
+    the others -- a consistency check on the hull/volume pipeline.  The
+    values are scaled by the lcm D of their denominators, so ``solve``
+    eliminates integer rows, and its solution is divided by D.
     """
     n = len(values) - 2
-    coeffs = solve([[e**i for i in range(n + 1)] for e in range(n + 2)], values)
+    common, scaled = over_common_denominator(values)
+    coeffs = solve([[e**i for i in range(n + 1)] for e in range(n + 2)], scaled)
     if coeffs is None:
         raise InvariantError("volume polynomial failed the redundant-node check")
-    return coeffs
+    return tuple(c / common for c in coeffs)
 
 
 def _cycle_volume(cycle, eps) -> Fraction:
@@ -222,15 +233,24 @@ def mixed_volume_base_height(first: Polytope, second: Polytope) -> Fraction:
 
     With pseudo_volume = V_{n-1}(facet) |normal| and h_K evaluated on the
     unnormalized normal, each summand h_K(normal) pseudo / |normal|^2 equals
-    the unit-normal summand exactly and stays rational.  ``support`` reads
-    h_K off K's integer rows; the summands, whose denominators are
-    unrelated (a 400-gon has 400), are added by ``tree_sum``.
+    the unit-normal summand exactly and stays rational.  Each facet's
+    primitive integer normal goes straight to the integer core of
+    ``support``, which reads h_K = X.W / d off K's integer rows with no
+    re-lift and no direction check, and each summand is built as one
+    Fraction; the summands, whose denominators are unrelated (a 400-gon has
+    400), are added by ``tree_sum``.
     """
     if not first.is_full_dimensional:
         raise LowerDimensionalError("base-height formula needs a full-dimensional body")
     if first.dim != second.dim:
         raise DimensionMismatchError("bodies live in different dimensions")
-    terms = (support(second, f.normal) * f.pseudo_volume / f.normal_sq() for f in first.facets)
+    rows = second.lifted
+    terms = []
+    for f in first.facets:
+        normal = [c.numerator for c in f.normal]
+        _, (h, d) = _integer_support(rows, normal)
+        pseudo = f.pseudo_volume
+        terms.append(Fraction(h * pseudo.numerator, d * pseudo.denominator * sum(c * c for c in normal)))
     return tree_sum(terms) / first.dim
 
 

@@ -7,6 +7,7 @@ equal ones included), both argument orders, and more distinct pairs than a
 small memo holds.  Pools mix full-dimensional, flat and segment bodies.
 """
 
+import dataclasses
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -15,9 +16,9 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexkit import volumes
+from convexkit import io, volumes
 from convexkit.bodies import random_polytope
-from convexkit.geometry import convex_hull
+from convexkit.geometry import convex_hull, scale, translate
 from convexkit.linalg import vadd, vscale
 from convexkit.volumes import (
     combine,
@@ -189,3 +190,36 @@ def test_node_volumes_survive_other_combinations(monkeypatch):
     combines = count_calls(monkeypatch, "combine")
     assert volume_polynomial(first, second) == before
     assert combines == []
+
+
+def test_equal_bodies_hash_equal_and_share_a_record(tmp_path):
+    # A body's hash is computed once and kept out of its fields, so equal
+    # bodies from every constructor hash alike and find each other's pair
+    # record, while equality and repr read the fields alone.
+    rng = random.Random(9301)
+    points = [tuple(F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(3)) for _ in range(7)]
+    body, other = convex_hull(points), random_polytope(3, 6, rng)
+    shown = repr(body)
+    io.save_body(body, tmp_path / "body.json")
+    copies = [
+        convex_hull(points[::-1]),
+        scale(scale(body, 3), F(1, 3)),
+        translate(translate(body, (1, F(1, 2), -2)), (-1, F(-1, 2), 2)),
+        io.load_body(tmp_path / "body.json"),
+        dataclasses.replace(body),
+    ]
+    for copy in copies:
+        assert copy is not body and copy == body and repr(copy) == shown
+        assert hash(copy) == hash(body) == hash((body.dim, body.vertices))
+    assert repr(body) == shown and "_hash" in vars(body) and "_hash" not in shown
+    # replace builds a new object, which hashes its own fields afresh.
+    moved = dataclasses.replace(body, vertices=body.vertices[1:])
+    assert "_hash" not in vars(moved) and moved != body
+    assert hash(moved) == hash((body.dim, body.vertices[1:]))
+
+    combine(1, body, 1, other)
+    before = volumes._minkowski_sum.cache_info()
+    for copy in copies:
+        combine(1, copy, 1, other)
+    after = volumes._minkowski_sum.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (len(copies), 0)
