@@ -7,9 +7,11 @@ Each pair gets the mixed-volume check and the Brunn-Minkowski check at
 lambda = 1/2.  Both verdicts are exact signs: mmv's of a rational
 difference, bm's of a sum of n-th roots of its three volumes, which
 does not depend on the digits displayed.  Every fifth pair is a body
-and a scaled, translated copy of it, so Equality occurs too.
+and a scaled, translated copy of it, so Equality occurs too.  ``--digits``
+sets the digits the bm check's slack is rendered at; its sign bracket
+starts 10 guard digits past them and refines from there.
 
-Usage: python3 scripts/inequality_fuzz.py [--pairs N] [--dim {2,3,4}] [--seed S]
+Usage: python3 scripts/inequality_fuzz.py [--pairs N] [--dim {2,3,4}] [--seed S] [--digits D]
 """
 
 import argparse
@@ -20,6 +22,7 @@ from fractions import Fraction
 from convexkit.bodies import random_polytope
 from convexkit.geometry import scale, translate
 from convexkit.inequalities import Verdict, bm_check, minkowski_check
+from convexkit.numeric import DEFAULT_DIGITS
 
 EXIT_VIOLATION = 4
 
@@ -36,6 +39,7 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=200)
     parser.add_argument("--dim", type=int, default=2, choices=[2, 3, 4])
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
     args = parser.parse_args(argv)
 
     rng = random.Random(args.seed)
@@ -49,13 +53,13 @@ def main(argv=None):
         else:
             second = random_polytope(args.dim, args.dim + 3, rng)
         mmv = minkowski_check(first, second).verdict
-        bm = bm_check(first, second, Fraction(1, 2)).verdict
+        bm = bm_check(first, second, Fraction(1, 2), args.digits).verdict
         if Verdict.VIOLATION in (mmv, bm):
             _fail("VIOLATION", first, second)
         if mmv is not bm:
             _fail(f"bm gave {bm.value} but mmv gave {mmv.value}", first, second)
         counts[mmv] += 1
-    print(f"{args.pairs} pairs in dimension {args.dim} (seed {args.seed}):")
+    print(f"{args.pairs} pairs in dimension {args.dim} (seed {args.seed}, {args.digits} digits):")
     print(f"  Strict:   {counts[Verdict.STRICT]}")
     print(f"  Equality: {counts[Verdict.EQUALITY]}")
 

@@ -260,13 +260,27 @@ def test_mmv_implies_bm_trace(square, rect, cube):
     assert tr3.identity_holds
 
 
-def test_inequality_fuzz_script_4d(capsys):
-    # Every fifth pair is a homothetic copy, so six pairs give one Equality.
+def load_fuzz_script():
     path = Path(__file__).resolve().parent.parent / "scripts" / "inequality_fuzz.py"
     spec = importlib.util.spec_from_file_location("inequality_fuzz", path)
     fuzz = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(fuzz)
-    fuzz.main(["--pairs", "6", "--dim", "4"])
+    return fuzz
+
+
+def test_inequality_fuzz_script_4d(capsys):
+    # Every fifth pair is a homothetic copy, so six pairs give one Equality.
+    load_fuzz_script().main(["--pairs", "6", "--dim", "4"])
     out = capsys.readouterr().out
     assert "6 pairs in dimension 4" in out
     assert "Strict:   5" in out and "Equality: 1" in out
+
+
+def test_inequality_fuzz_script_3d_zero_digits(capsys):
+    # At --digits 0 the bm sign bracket starts at 10 places: the Equality
+    # pairs take the exact-zero path from there, the others its integer
+    # bracket at low precision.
+    load_fuzz_script().main(["--pairs", "10", "--dim", "3", "--digits", "0"])
+    out = capsys.readouterr().out
+    assert "10 pairs in dimension 3 (seed 0, 0 digits)" in out
+    assert "Strict:   8" in out and "Equality: 2" in out
