@@ -4,7 +4,9 @@ verdicts and exits 4 if a Violation ever appears (it must not) or if the
 two routes to the equality case disagree.
 
 Each pair gets the mixed-volume check and the Brunn-Minkowski check at
-lambda = 1/2.  Both verdicts are exact signs: mmv's of a rational
+lambda = 1/2.  Each random body is the hull of ``--vertices`` random points
+(default dim + 3); with more points, most of a pair's vertex sums are not
+vertices of K + L.  Both verdicts are exact signs: mmv's of a rational
 difference, bm's of a sum of n-th roots of its three volumes, which
 does not depend on the digits displayed.  Every fifth pair is a body
 and a scaled, translated copy of it, so Equality occurs too.  ``--digits``
@@ -12,6 +14,7 @@ sets the digits the bm check's slack is rendered at; its sign bracket
 starts 10 guard digits past them and refines from there.
 
 Usage: python3 scripts/inequality_fuzz.py [--pairs N] [--dim {2,3,4}] [--seed S] [--digits D]
+                                         [--vertices V]
 """
 
 import argparse
@@ -40,18 +43,20 @@ def main(argv=None):
     parser.add_argument("--dim", type=int, default=2, choices=[2, 3, 4])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
+    parser.add_argument("--vertices", type=int, default=None, help="random points per body (default dim + 3)")
     args = parser.parse_args(argv)
+    size = args.dim + 3 if args.vertices is None else args.vertices
 
     rng = random.Random(args.seed)
     counts = {Verdict.STRICT: 0, Verdict.EQUALITY: 0}
     for i in range(args.pairs):
-        first = random_polytope(args.dim, args.dim + 3, rng)
+        first = random_polytope(args.dim, size, rng)
         if i % 5 == 4:
             ratio = Fraction(rng.randint(1, 9), rng.randint(1, 4))
             shift = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(args.dim))
             second = translate(scale(first, ratio), shift)
         else:
-            second = random_polytope(args.dim, args.dim + 3, rng)
+            second = random_polytope(args.dim, size, rng)
         mmv = minkowski_check(first, second).verdict
         bm = bm_check(first, second, Fraction(1, 2), args.digits).verdict
         if Verdict.VIOLATION in (mmv, bm):

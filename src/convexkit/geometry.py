@@ -14,6 +14,12 @@ Conventions used throughout the package:
   (X_1, ..., X_n, d) with X / d == p and d the lcm of p's own
   denominators.  Determinants of such rows are the affine ones times the
   positive product of the d's, so their signs decide orientation exactly;
+* the hull kernel, ``_hull_with_boundary``, takes such rows and nothing
+  else: ``convex_hull`` checks and lifts its points once, and ``volumes``
+  forms each pair point's row from the two bodies' rows.  The kernel sorts
+  and deduplicates the rows on integer keys, inserts them into the hull in
+  a seeded shuffled order, sums volumes as integer pairs, and builds
+  ``Fraction`` coordinates only for the vertices it keeps;
 * a full-dimensional hull is built as boundary simplices whose vertex
   order is outward (n >= 2); ``_hull_with_boundary`` returns them with the
   Polytope, so ``volumes`` can read K + eps L's volume off K + L's hull;
@@ -39,6 +45,7 @@ functions, so everything here may be used concurrently without locking.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -232,7 +239,14 @@ def _incremental_hull(rows, n, base, interior):
     """Simplicial boundary of a full-dimensional set, as oriented simplices.
 
     ``rows`` are lifted points affinely spanning R^n, and ``base`` indexes
-    n+1 of them that are affinely independent.
+    n+1 of them that are affinely independent.  The other points are
+    inserted in a shuffled order: in sorted order every point is extreme
+    when it arrives, the worst case for an incremental hull (Clarkson and
+    Shor 1989), and most of the simplices built are thrown away again.  The
+    shuffle comes from a local generator seeded by the number of rows, so
+    the result depends on the input alone and the global ``random`` state
+    is left as it was.  The facets and the canonical body do not depend on
+    the order; only the triangulation of each facet may.
     """
     facets = {}
     next_id = itertools.count()
@@ -240,9 +254,10 @@ def _incremental_hull(rows, n, base, interior):
         facets[next(next_id)] = _oriented(rows, interior, subset)
 
     in_base = set(base)
-    for pi, row in enumerate(rows):
-        if pi in in_base:
-            continue
+    order = [i for i in range(len(rows)) if i not in in_base]
+    random.Random(len(rows)).shuffle(order)
+    for pi in order:
+        row = rows[pi]
         visible = [fid for fid, (_, h) in facets.items() if dot(h, row) > 0]
         if not visible:
             continue
@@ -271,11 +286,16 @@ def _spans(vectors, n):
     return len(independent_rows(vectors)) == n
 
 
-def _build_full_dimensional(points, rows, n, base):
-    """Canonical Polytope of affinely spanning, sorted, deduplicated Fraction
-    points with lifted ``rows``, and its boundary simplices as outward-ordered
-    index tuples into the points; ``base`` indexes n+1 affinely independent
-    ones."""
+def _point(row) -> tuple:
+    """The rational point X / d of the lifted row (X, d)."""
+    *xs, d = row
+    return tuple(Fraction(x, d) for x in xs)
+
+
+def _build_full_dimensional(rows, n, base):
+    """Canonical Polytope of the affinely spanning points of sorted, distinct
+    lifted ``rows``, and its boundary simplices as outward-ordered index
+    tuples into the rows; ``base`` indexes n+1 affinely independent ones."""
     # A sum of rows stands for the average of its points weighted by their
     # d's, so this one lies inside the simplex on ``base``, inside the hull.
     interior = [sum(col) for col in zip(*(rows[i] for i in base))]
@@ -294,18 +314,19 @@ def _build_full_dimensional(points, rows, n, base):
     # product of its edges and c.v = -h[n] / s at each of its vertices v.
     # So lam = h[j] / (prim[j] * s) ties the stored primitive normal back to
     # true areas, (n-1)-volume of the simplex = lam * |prim| / (n-1)!, which
-    # makes the simplex's share of the facet's pseudo-volume the one Fraction
+    # makes the simplex's share of the facet's pseudo-volume the one ratio
     # lam * |prim|^2 / (n-1)!.  The cone over the simplex from the origin has
-    # signed volume -h[n] / (s * n!).
+    # signed volume -h[n] / (s * n!).  Both are kept as integer pairs, and
+    # ``tree_sum`` builds one Fraction per sum.
     merged = {}
     cones = []
     for verts, h in simplices:
         s = prod(rows[i][n] for i in verts)
-        cones.append(Fraction(-h[n], s))
+        cones.append((-h[n], s))
         prim = primitive_int_vector(h[:n])
         j = next(i for i, x in enumerate(prim) if x != 0)
         pieces, members = merged.setdefault(prim, ([], set()))
-        pieces.append(Fraction(h[j] * sum(c * c for c in prim), prim[j] * s * factorial(n - 1)))
+        pieces.append((h[j] * sum(c * c for c in prim), prim[j] * s * factorial(n - 1)))
         members.update(verts)
     volume = tree_sum(cones) / factorial(n)
 
@@ -317,7 +338,6 @@ def _build_full_dimensional(points, rows, n, base):
         for i in merged[prim][1]:
             member_of.setdefault(i, []).append(prim)
     extreme = [i for i in sorted(member_of) if _spans(member_of[i], n)]
-    vertices = tuple(points[i] for i in extreme)
     canonical_index = {i: k for k, i in enumerate(extreme)}
 
     facets = []
@@ -335,7 +355,7 @@ def _build_full_dimensional(points, rows, n, base):
         )
     body = Polytope(
         dim=n,
-        vertices=vertices,
+        vertices=tuple(_point(rows[i]) for i in extreme),
         facets=tuple(facets),
         affine_dim=n,
         volume=volume,
@@ -344,52 +364,72 @@ def _build_full_dimensional(points, rows, n, base):
     return body, tuple(verts for verts, _ in simplices)
 
 
-def _build_degenerate(points, n, rank, basis_ids):
-    """Flat hull of sorted, deduplicated points of affine rank ``rank`` < n.
+def _build_degenerate(rows, n, rank, basis_ids):
+    """Flat hull of the points of sorted, distinct lifted ``rows``, of affine
+    rank ``rank`` < n.
 
     The coordinates at the pivot columns of the affine hull's direction
     vectors chart that hull one to one (the reduced directions are
-    triangular there); the extreme points chart onto the chart hull's.
+    triangular there); the extreme points chart onto the chart hull's.  A
+    direction X / d - O / e is taken as the integer row X e - O d, a
+    positive multiple with the same pivots.
     """
-    verts = tuple(points)  # rank 0: a single point
+    kept = rows  # rank 0: a single point
     if rank:
-        origin = points[basis_ids[0]]
-        directions = [vsub(points[i], origin) for i in basis_ids[1:]]
+        *origin, e = rows[basis_ids[0]]
+        directions = [
+            [x * e - o * rows[i][n] for x, o in zip(rows[i], origin)] for i in basis_ids[1:]
+        ]
         columns = [j for _, j, _ in independent_rows(directions)]
-        chart = [tuple(p[j] for j in columns) for p in points]
+        chart = [tuple(Fraction(row[j], row[n]) for j in columns) for row in rows]
         extreme = set(convex_hull(chart, _ambient_check=False).vertices)
-        verts = tuple(p for p, c in zip(points, chart) if c in extreme)
+        kept = [row for row, c in zip(rows, chart) if c in extreme]
     return Polytope(
-        dim=n, vertices=verts, facets=(), affine_dim=rank, volume=Fraction(0)
+        dim=n,
+        vertices=tuple(_point(row) for row in kept),
+        facets=(),
+        affine_dim=rank,
+        volume=Fraction(0),
     )
 
 
-def _hull_with_boundary(points, *, allow_degenerate=False, ambient_check=True):
-    """``convex_hull``'s work, returning what it builds on the way: the
-    canonical Polytope, the sorted distinct points, and the hull's boundary
-    simplices as index tuples into those points, none for a flat hull.  For
-    n >= 2 each simplex's vertex order is outward: the cross normal of its
-    lifted rows in that order points out of the hull.
-    """
-    pts = [as_vec(p) for p in points]
-    if not pts:
-        raise DimensionError("no points given")
-    n = len(pts[0])
-    if any(len(p) != n for p in pts):
-        raise DimensionMismatchError("points of unequal length")
-    if ambient_check and not MIN_AMBIENT <= n <= MAX_AMBIENT:
+def _check_ambient(n):
+    """Raise ``AmbientDimError`` unless MIN_AMBIENT <= n <= MAX_AMBIENT."""
+    if not MIN_AMBIENT <= n <= MAX_AMBIENT:
         raise AmbientDimError(f"ambient dimension {n} outside {MIN_AMBIENT}..{MAX_AMBIENT}")
-    pts = sorted(set(pts))
-    rows = _lift(pts)
+
+
+def _hull_with_boundary(rows, n, *, allow_degenerate=False):
+    """``convex_hull``'s work on lifted rows, returning what it builds on the
+    way: the canonical Polytope, the distinct rows in sorted order, and the
+    hull's boundary simplices as index tuples into those rows, none for a
+    flat hull.  For n >= 2 each simplex's vertex order is outward: the cross
+    normal of its rows in that order points out of the hull.
+
+    ``rows`` are the rows (X, d) of points in R^n as ``_lift`` makes them:
+    d is the least positive integer with X / d == the point, so equal
+    points have equal rows.  They are sorted and deduplicated on integer
+    keys, each coordinate x as floor(x 2^s) for 2^s > D^2, D the largest d:
+    two coordinates that differ, X / d != Y / e, differ by at least
+    1 / (d e) > 2^-s, so their keys differ in the same direction.  The keys
+    sort as the points do and are equal exactly when the points are.  Keys
+    over the lcm of all the d's would do the same, but on a rational circle
+    that lcm has a factor per point, and the keys grow with the point count.  ``Fraction``
+    coordinates are built only for the points the body keeps, apart from a
+    flat hull's chart.
+    """
+    shift = 2 * max(row[n] for row in rows).bit_length()
+    distinct = {tuple((x << shift) // row[n] for x in row[:n]): row for row in rows}
+    rows = [distinct[key] for key in sorted(distinct)]
     rank, basis_ids = _affine_rank_with_basis(rows)
     if rank < n:
         if not allow_degenerate:
             raise DimensionError(
                 f"points span an affine subspace of dimension {rank} < {n}"
             )
-        return _build_degenerate(pts, n, rank, basis_ids), pts, ()
-    body, simplices = _build_full_dimensional(pts, rows, n, basis_ids)
-    return body, pts, simplices
+        return _build_degenerate(rows, n, rank, basis_ids), rows, ()
+    body, simplices = _build_full_dimensional(rows, n, basis_ids)
+    return body, rows, simplices
 
 
 def convex_hull(points, *, allow_degenerate: bool = False, _ambient_check: bool = True):
@@ -397,11 +437,18 @@ def convex_hull(points, *, allow_degenerate: bool = False, _ambient_check: bool 
 
     Raises DimensionError when the hull is lower-dimensional, unless
     ``allow_degenerate`` is set (projections and Minkowski combinations of
-    segments legitimately produce flat bodies).
+    segments legitimately produce flat bodies).  The points are checked and
+    lifted once; the hull runs on their integer rows.
     """
-    return _hull_with_boundary(
-        points, allow_degenerate=allow_degenerate, ambient_check=_ambient_check
-    )[0]
+    pts = [as_vec(p) for p in points]
+    if not pts:
+        raise DimensionError("no points given")
+    n = len(pts[0])
+    if any(len(p) != n for p in pts):
+        raise DimensionMismatchError("points of unequal length")
+    if _ambient_check:
+        _check_ambient(n)
+    return _hull_with_boundary(_lift(pts), n, allow_degenerate=allow_degenerate)[0]
 
 
 # ---------------------------------------------------------------------------

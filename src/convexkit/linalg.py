@@ -154,22 +154,27 @@ def gram_matrix(basis):
     return tuple(tuple(dot(u, v) for v in basis) for u in basis)
 
 
-def tree_sum(values):
-    """Sum by pairwise halving.
+def tree_sum(terms) -> Fraction:
+    """The exact sum of n / d over integer pairs (n, d), d != 0, built into
+    one Fraction at the end.
 
-    Equivalent to sum() but far faster for long sequences of Fractions with
-    unrelated denominators, where a running total keeps renormalizing an
-    ever-growing denominator.
+    Pairs are added by pairwise halving over the lcm of their denominators,
+    (a, b) + (c, d) = (a d / g + c b / g, b d / g) for g = gcd(b, d), with no
+    reduction on the way.  Each level's denominators divide the lcm of the
+    ones below it, so terms sharing small denominators stay small, and
+    terms with unrelated ones, like a 400-gon's, meet in a balanced tree
+    rather than in one running total that grows with every term.
     """
-    vals = list(values)
-    if not vals:
-        return 0
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
+    terms = list(terms) or [(0, 1)]
+    while len(terms) > 1:
+        paired = []
+        for (a, b), (c, d) in zip(terms[::2], terms[1::2]):
+            g = gcd(b, d)
+            paired.append((a * (d // g) + c * (b // g), b // g * d))
+        if len(terms) % 2:
+            paired.append(terms[-1])
+        terms = paired
+    return Fraction(*terms[0])
 
 
 def over_common_denominator(values) -> tuple[int, list[int]]:

@@ -43,6 +43,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
+from operator import add
 
 from .errors import (
     DimensionError,
@@ -53,7 +54,14 @@ from .errors import (
     PairPointsError,
     ZeroDirectionError,
 )
-from .geometry import Polytope, _hull_with_boundary, _integer_support, convex_hull, scale
+from .geometry import (
+    Polytope,
+    _check_ambient,
+    _hull_with_boundary,
+    _integer_support,
+    convex_hull,
+    scale,
+)
 from .io import MAX_PAIR_POINTS
 from .linalg import (
     as_scalar,
@@ -61,6 +69,7 @@ from .linalg import (
     is_zero_vec,
     mat_det,
     over_common_denominator,
+    primitive_int_vector,
     rational_nth_root,
     solve,
     tree_sum,
@@ -114,24 +123,33 @@ def _minkowski_sum(first: Polytope, second: Polytope) -> tuple:
     """K + L, the one vertex pair (x, y) behind each of its vertices, and
     V(K + eps L) for eps = 0..n+1, each node past eps = 1 off K + L's
     boundary cycle.  Past MAX_PAIR_POINTS vertex pairs in the bodies'
-    dimension it raises ``PairPointsError`` before forming them; other
-    dimensions fail at the hull's ambient check."""
+    dimension it raises ``PairPointsError`` before forming them, and
+    outside dimensions 2..4 ``AmbientDimError``.
+
+    Each pair point x + y is formed in integers from the bodies' lifted
+    rows (X, d_x) and (Y, d_y), as the primitive row of
+    (X d_y + Y d_x, d_x d_y): the row ``_lift`` makes of x + y, so K + L's
+    ``lifted`` is still its vertices' own rows.  The hull runs on these
+    rows, and on a repeated point the last pair wins.
+    """
     count = len(first.vertices) * len(second.vertices)
     cap = MAX_PAIR_POINTS.get(first.dim, count)
     if count > cap:
         raise PairPointsError(
             f"{count} vertex pairs in dimension {first.dim}; at most {cap} may be combined"
         )
-    origin = {
-        vadd(x, y): (x, y, x_row, y_row)
-        for x, x_row in zip(first.vertices, first.lifted)
-        for y, y_row in zip(second.vertices, second.lifted)
-    }
-    body, points, simplices = _hull_with_boundary(origin, allow_degenerate=True)
-    pairs = tuple(origin[v][:2] for v in body.vertices)
+    _check_ambient(first.dim)
+    origin = {}
+    for x, x_row in zip(first.vertices, first.lifted):
+        for y, y_row in zip(second.vertices, second.lifted):
+            x_part, y_part, weight = triple = _pair_row(x_row, y_row)
+            row = primitive_int_vector((*map(add, x_part, y_part), weight))
+            origin[row] = (x, y, triple)
+    body, rows, simplices = _hull_with_boundary(list(origin), first.dim, allow_degenerate=True)
+    pairs = tuple(origin[row][:2] for row in body.lifted)
     # The boundary cycle: each sorted pair point x + y once as its
     # ``_pair_row``, and the hull's outward simplices as indices into those.
-    cycle = (tuple(_pair_row(*origin[p][2:]) for p in points), simplices)
+    cycle = (tuple(origin[row][2] for row in rows), simplices)
     nodes = (first.volume, body.volume) + tuple(
         _cycle_volume(cycle, eps) for eps in range(2, first.dim + 2)
     )
@@ -194,16 +212,17 @@ def _cycle_volume(cycle, eps) -> Fraction:
     to x + eps y carries the boundary simplices of K + L onto a boundary
     cycle of K + eps L.  Its volume is the sum of the signed cones from the
     origin, (-1)^(n+1) det(X_i + eps Y_i) / prod(w_i) / n! over the
-    simplices' rows (X_i, Y_i, w_i).
+    simplices' rows (X_i, Y_i, w_i), summed as integer pairs by
+    ``tree_sum`` into one Fraction.
     """
     rows, simplices = cycle
     n = len(rows[0][0])
     moved = [tuple(a + eps * b for a, b in zip(x, y)) for x, y, _ in rows]
     cones = tree_sum(
-        Fraction(mat_det([moved[i] for i in simplex]), prod(rows[i][2] for i in simplex))
+        (mat_det([moved[i] for i in simplex]), prod(rows[i][2] for i in simplex))
         for simplex in simplices
     )
-    return Fraction(cones if n % 2 else -cones, factorial(n))
+    return (cones if n % 2 else -cones) / factorial(n)
 
 
 def volume_polynomial(first: Polytope, second: Polytope) -> VolumePolynomial:
@@ -236,8 +255,8 @@ def mixed_volume_base_height(first: Polytope, second: Polytope) -> Fraction:
     the unit-normal summand exactly and stays rational.  Each facet's
     primitive integer normal goes straight to the integer core of
     ``support``, which reads h_K = X.W / d off K's integer rows with no
-    re-lift and no direction check, and each summand is built as one
-    Fraction; the summands, whose denominators are unrelated (a 400-gon has
+    re-lift and no direction check, and each summand is kept as an integer
+    pair; the summands, whose denominators are unrelated (a 400-gon has
     400), are added by ``tree_sum``.
     """
     if not first.is_full_dimensional:
@@ -250,7 +269,7 @@ def mixed_volume_base_height(first: Polytope, second: Polytope) -> Fraction:
         normal = [c.numerator for c in f.normal]
         _, (h, d) = _integer_support(rows, normal)
         pseudo = f.pseudo_volume
-        terms.append(Fraction(h * pseudo.numerator, d * pseudo.denominator * sum(c * c for c in normal)))
+        terms.append((h * pseudo.numerator, d * pseudo.denominator * sum(c * c for c in normal)))
     return tree_sum(terms) / first.dim
 
 

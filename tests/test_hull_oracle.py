@@ -6,9 +6,14 @@ when those points span one), and, on request, coordinates whose
 denominators are three large coprime primes, so that the lcm of all
 denominators passes 256 bits.  Flat inputs of every affine rank below the
 ambient dimension are checked in the chart of their affine hull, and
-``mat_rank`` and ``solve`` against the oracle's elimination.
+``mat_rank`` and ``solve`` against the oracle's elimination.  Hulls of 9 to
+14 points in 3D and 4D, where the shuffled insertion order matters, must
+also close: their boundary simplices meet in pairs along every ridge,
+with opposite orientations.  The order is private and repeatable.
 """
 
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from convexkit.errors import DimensionError, InvariantError
-from convexkit.geometry import convex_hull
+from convexkit.geometry import _hull_with_boundary, _lift, convex_hull
 from convexkit.linalg import independent_rows, mat_rank, solve
 from convexkit.volumes import minkowski_interpolate, mixed_volume_base_height
 
@@ -199,3 +204,80 @@ def test_interpolation_checks_the_redundant_node(coeffs, nudge):
             minkowski_interpolate(values)
     else:
         assert minkowski_interpolate(values) == tuple(coeffs)
+
+
+@st.composite
+def larger_hull_inputs(draw):
+    """9 to 14 points in 3D or 4D, where insertion order matters: subsets of
+    the {0, 1, 2}^n lattice, or of the vertices of [0, 2]^n with its edge
+    and 2-face midpoints, some of them nudged off by ``BIG_PRIMES``
+    denominators."""
+    n = draw(st.sampled_from([3, 4]))
+    if draw(st.booleans()):
+        pool = list(itertools.product(range(3), repeat=n))
+    else:
+        # Points of {0, 1, 2}^n with at most two coordinates equal to 1.
+        pool = [p for p in itertools.product(range(3), repeat=n) if p.count(1) <= 2]
+    pts = [tuple(F(x) for x in p) for p in draw(st.permutations(pool))[: draw(st.integers(9, 14))]]
+    if draw(st.booleans()):
+        for i, prime in enumerate(BIG_PRIMES):
+            axis = draw(st.integers(0, n - 1))
+            nudge = F(draw(st.sampled_from([-1, 1])), prime)
+            pts[i] = tuple(x + nudge if k == axis else x for k, x in enumerate(pts[i]))
+    return pts
+
+
+def permutation_sign(seq) -> int:
+    inversions = sum(a > b for a, b in itertools.combinations(seq, 2))
+    return -1 if inversions % 2 else 1
+
+
+def induced_ridges(simplices, n) -> dict:
+    """Sorted ridge -> the orientation signs its simplices induce on it: the
+    ridge left by dropping vertex k of an ordered simplex carries (-1)^k."""
+    signs = {}
+    for simplex in simplices:
+        for k in range(n):
+            ridge = simplex[:k] + simplex[k + 1 :]
+            sign = (-1) ** k * permutation_sign(ridge)
+            signs.setdefault(tuple(sorted(ridge)), []).append(sign)
+    return signs
+
+
+@settings(max_examples=40, deadline=None)
+@given(larger_hull_inputs())
+def test_larger_hulls_match_brute_force_and_close(points):
+    n = len(points[0])
+    assume(affine_rank(points) == n)
+    body, rows, simplices = _hull_with_boundary(_lift(points), n)
+    assert body == convex_hull(points)
+    vertices, facets = brute_hull(points)
+    assert list(body.vertices) == vertices
+    assert [(f.normal, f.offset, f.vertex_indices) for f in body.facets] == facets
+    # The outward simplices form a closed, coherently oriented boundary.
+    ridges = induced_ridges(simplices, n)
+    assert all(sorted(signs) == [-1, 1] for signs in ridges.values())
+    assert {i for simplex in simplices for i in simplex} <= set(range(len(rows)))
+    assert body.volume == mixed_volume_base_height(body, body)
+
+
+def test_hull_order_is_deterministic_and_private():
+    # The insertion shuffle uses its own generator, seeded by the input:
+    # repeated hulls agree simplex for simplex, whatever the global seed,
+    # and the global random state is left as it was.
+    rng = random.Random("private-shuffle")
+    points = [tuple(F(rng.randint(0, 4)) for _ in range(4)) for _ in range(40)]
+    rows = _lift(points)
+    saved = random.getstate()
+    try:
+        first = _hull_with_boundary(rows, 4)
+        assert random.getstate() == saved
+        random.seed(1)
+        second = _hull_with_boundary(rows, 4)
+        random.seed(2)
+        third = _hull_with_boundary(rows, 4)
+    finally:
+        random.setstate(saved)
+    assert first[2] == second[2] == third[2]
+    assert first[1] == second[1] == third[1]
+    assert first[0] == second[0] == third[0]

@@ -284,3 +284,13 @@ def test_inequality_fuzz_script_3d_zero_digits(capsys):
     out = capsys.readouterr().out
     assert "10 pairs in dimension 3 (seed 0, 0 digits)" in out
     assert "Strict:   8" in out and "Equality: 2" in out
+
+
+def test_inequality_fuzz_script_3d_ten_points(capsys):
+    # Hulls of 10 random points: most of a pair's 40 to 60 vertex sums are
+    # not vertices of K + L, so the record's hull inserts many points that
+    # it does not keep.
+    load_fuzz_script().main(["--pairs", "20", "--dim", "3", "--vertices", "10", "--seed", "1"])
+    out = capsys.readouterr().out
+    assert "20 pairs in dimension 3 (seed 1, 50 digits)" in out
+    assert "Strict:   16" in out and "Equality: 4" in out

@@ -9,15 +9,23 @@ formula.  Inputs mix small rationals,
 coordinates with 300-bit denominators (rational points on the unit circle
 and sphere among them), flat bodies and single points, bodies from
 ``translate``, ``scale`` and ``combine``, and directions with
-non-integer and negative entries.
+non-integer and negative entries.  The hull kernel's sorted distinct rows
+must be the rows of the sorted distinct ``Fraction`` points, however the
+coordinates are spelled, and the pair record's integer pair rows must
+reduce to the rows of K + L's vertices.
 """
 
+import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_hull_oracle import BIG_PRIMES
 
+from convexkit import volumes
 from convexkit.geometry import (
+    _hull_with_boundary,
     _lift,
     bodies_equal,
     convex_hull,
@@ -26,7 +34,7 @@ from convexkit.geometry import (
     support_set,
     translate,
 )
-from convexkit.linalg import dot, vadd, vscale
+from convexkit.linalg import as_vec, dot, vadd, vscale
 from convexkit.volumes import combine, mixed_volume_base_height
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -182,3 +190,55 @@ def test_rows_do_not_leak_into_derived_bodies(case, data):
     assert support(scaled, w) == a * support(body, w)
     assert moved.vertices == tuple(vadd(v, x) for v in body.vertices)
     assert scaled.vertices == tuple(vscale(a, v) for v in body.vertices)
+
+
+def spell(draw, x):
+    """x as an equal int, unreduced "p/q" string or Fraction."""
+    kinds = ["fraction", "str"] + (["int"] if x.denominator == 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "int":
+        return int(x)
+    if kind == "str":
+        k = draw(st.integers(1, 3))
+        return f"{x.numerator * k}/{x.denominator * k}"
+    return x
+
+
+@st.composite
+def spelled_points(draw):
+    """Points of ``points`` plus one with ``BIG_PRIMES`` denominators and
+    negative coordinates, some repeated, every coordinate spelled by
+    ``spell``."""
+    n = draw(st.integers(2, 4))
+    pts = draw(points(n))
+    pts.append(tuple(F(-1 - k, BIG_PRIMES[k % 3]) for k in range(n)))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=4))
+    return [tuple(spell(draw, x) for x in p) for p in draw(st.permutations(pts))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(spelled_points())
+def test_hull_rows_are_the_rows_of_the_sorted_distinct_points(spelled):
+    # The rows are sorted and deduplicated on integer keys; the order and
+    # the distinct points must be those of the Fraction tuples.
+    pts = [as_vec(p) for p in spelled]
+    _, rows, _ = _hull_with_boundary(_lift(pts), len(pts[0]), allow_degenerate=True)
+    assert rows == _lift(sorted(set(pts)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_half_integer_pair_rows_reduce_to_the_vertices_rows(n):
+    # Every coordinate is an odd multiple of 1/2, so each pair row
+    # (X d_y + Y d_x, d_x d_y) has weight 4 and reduces to weight 1.
+    rng = random.Random(f"half-integer/{n}")
+
+    def half_integer_body():
+        pts = [tuple(F(2 * rng.randint(-3, 3) + 1, 2) for _ in range(n)) for _ in range(n + 3)]
+        return convex_hull(pts)
+
+    first, second = half_integer_body(), half_integer_body()
+    assert {row[-1] for row in first.lifted + second.lifted} == {2}
+    total, pairs, _ = volumes._minkowski_sum(first, second)
+    assert total.lifted == tuple(_lift(total.vertices))
+    assert {row[-1] for row in total.lifted} == {1}
+    assert [vadd(x, y) for x, y in pairs] == list(total.vertices)

@@ -7,9 +7,10 @@ nodes must pass all of its checks.  Inputs are the 2D and 3D bodies of
 ``test_integer_rows`` (small and 300-bit rationals, points on the sphere,
 flat bodies, single points, derived bodies), a 4D simplex with 300-bit
 coordinates, seeded {0, 1, 2}-lattice pairs in 2D-4D whose pair points
-often lie inside facets of K + L, cubes against boxes, and degenerate
-pairs: a flat first body, two flat bodies, segments, and pairs whose
-K + L is flat.
+often lie inside facets of K + L, pairs of 10-vertex 3D bodies where most
+of their 100 pair points are not vertices of K + L, cubes against boxes,
+and degenerate pairs: a flat first body, two flat bodies, segments, and
+pairs whose K + L is flat.
 """
 
 import random
@@ -68,6 +69,23 @@ def test_nodes_match_hulls_on_lattice_pairs(n):
     rng = random.Random(f"lattice/{n}")
     for _ in range({2: 24, 3: 16, 4: 8}[n]):
         check_nodes(lattice_body(rng, n), lattice_body(rng, n))
+
+
+def ten_vertex_body(rng):
+    """Hull of 10 points of a scaled lattice on the paraboloid z = x^2 + y^2,
+    all of them vertices.  Of the 100 pair points of two such bodies, only
+    35 to 41 are vertices of K + L, and many others lie on its facets."""
+    grid = rng.sample([(a, b) for a in range(-3, 4) for b in range(-3, 4)], 10)
+    q = rng.randint(1, 3)
+    return convex_hull([(F(a, q), F(b, q), F(a * a + b * b, q * q)) for a, b in grid])
+
+
+def test_nodes_match_hulls_on_ten_vertex_pairs():
+    rng = random.Random("ten-vertex")
+    for _ in range(4):
+        first, second = ten_vertex_body(rng), ten_vertex_body(rng)
+        assert len(first.vertices) == len(second.vertices) == 10
+        check_nodes(first, second)
 
 
 def flat_square(level):

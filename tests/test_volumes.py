@@ -14,6 +14,7 @@ from convexkit.bodies import (
     unit_square,
 )
 from convexkit.errors import (
+    AmbientDimError,
     DimensionError,
     InvariantError,
     LowerDimensionalError,
@@ -21,7 +22,7 @@ from convexkit.errors import (
     PairPointsError,
 )
 from convexkit import io
-from convexkit.geometry import bodies_equal, convex_hull, scale, translate
+from convexkit.geometry import Subspace, bodies_equal, convex_hull, project, scale, translate
 from convexkit.volumes import (
     combine,
     mixed_area,
@@ -199,6 +200,21 @@ def test_pair_point_cap_in_every_combination(n):
         lambda: mixed_volume_interp(second, first),
     ):
         with pytest.raises(PairPointsError, match=f"at most {cap} "):
+            route()
+
+
+def test_pair_record_keeps_the_ambient_check():
+    # Shadows on a line are legal 1D bodies.  The pair record forms their
+    # pair points itself, so it checks the dimension as convex_hull does.
+    line = Subspace(((1, 2, 3),))
+    first, second = project(unit_cube(), line), project(standard_simplex(3), line)
+    assert first.dim == second.dim == 1
+    for route in (
+        lambda: combine(1, first, 1, second),
+        lambda: combine(1, first, 2, second),
+        lambda: mixed_volume_interp(first, second),
+    ):
+        with pytest.raises(AmbientDimError, match="^ambient dimension 1 outside 2..4$"):
             route()
 
 
