@@ -12,29 +12,35 @@ and sphere among them), flat bodies and single points, bodies from
 non-integer and negative entries.  The hull kernel's sorted distinct rows
 must be the rows of the sorted distinct ``Fraction`` points, however the
 coordinates are spelled, and the pair record's integer pair rows must
-reduce to the rows of K + L's vertices.
+reduce to the rows of K + L's vertices.  Every constructor must return a
+body whose rows are the canonical rows of its sorted vertices.
 """
 
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_hull_oracle import BIG_PRIMES
 
-from convexkit import volumes
+from convexkit import io, volumes
 from convexkit.geometry import (
+    Subspace,
     _hull_with_boundary,
     _lift,
     bodies_equal,
     convex_hull,
+    project,
+    reflect_through_hyperplane,
     scale,
     support,
     support_set,
     translate,
 )
-from convexkit.linalg import as_vec, dot, vadd, vscale
+from convexkit.linalg import as_vec, dot, mat_rank, vadd, vscale
+from convexkit.steiner import steiner_symmetral
 from convexkit.volumes import combine, mixed_volume_base_height
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -242,3 +248,50 @@ def test_half_integer_pair_rows_reduce_to_the_vertices_rows(n):
     assert total.lifted == tuple(_lift(total.vertices))
     assert {row[-1] for row in total.lifted} == {1}
     assert [vadd(x, y) for x, y in pairs] == list(total.vertices)
+
+
+def assert_canonical(body):
+    """``lifted`` holds the ``_lift`` row of each vertex, and the vertices are
+    sorted and distinct."""
+    assert body.lifted == tuple(_lift(body.vertices))
+    assert list(body.vertices) == sorted(set(body.vertices))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(points(n), points(n))), st.data())
+def test_every_constructor_returns_canonical_rows(pair, data):
+    first, second = (convex_hull(pts, allow_degenerate=True) for pts in pair)
+    n = first.dim
+    w = data.draw(st.tuples(*[small] * n).filter(any))
+    x = data.draw(st.tuples(*[st.one_of(small, big)] * n))
+    k = data.draw(st.integers(1, n - 1))
+    basis = data.draw(st.lists(st.tuples(*[small] * n), min_size=k, max_size=k))
+    assume(mat_rank(basis) == k)
+    # Ratios whose numerator or denominator shares factors with the rows.
+    d = first.lifted[0][-1]
+    X = next((c for c in first.lifted[0][:-1] if c), 1)
+    ratios = [data.draw(factors), F(d), F(1, d), F(abs(X), d), F(d, abs(X)), F(6, 35)]
+    made = [
+        first,
+        translate(first, x),
+        *(scale(first, a) for a in ratios),
+        project(first, Subspace(tuple(basis))),
+        support_set(first, w),
+        reflect_through_hyperplane(first, w),
+        combine(0, first, F(3, 4), second),
+        combine(F(2, 3), first, F(2, 3), second),
+        combine(F(1, 3), first, 2, second),
+        io.parse_body(json.loads(io.dumps_body(first)), allow_degenerate=True),
+    ]
+    if first.is_full_dimensional and n <= 3:
+        made.append(steiner_symmetral(first, w).symmetral)
+    for body in made:
+        assert_canonical(body)
+    rebuilt = [
+        scale(scale(first, 3), F(1, 3)),
+        translate(translate(first, x), tuple(-c for c in x)),
+        convex_hull(first.vertices[::-1], allow_degenerate=True),
+    ]
+    for body in rebuilt:
+        assert body == first and hash(body) == hash(first)
+        assert body.affine_dim == first.affine_dim and body.volume == first.volume
