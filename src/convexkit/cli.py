@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import io
 from .bodies import random_polytope
-from .errors import GeometryError, InvariantError
+from .errors import GeometryError, InvariantError, LambdaRangeError
 from .geometry import Subspace, project, support
 from .homothety import (
     default_direction_set,
@@ -190,6 +190,9 @@ def cmd_check(args) -> int:
 def cmd_equality_diagnose(args) -> int:
     if args.lambda_grid is not None and len(args.lambda_grid) > MAX_GRID_VALUES:
         raise argparse.ArgumentTypeError(f"--lambda-grid takes at most {MAX_GRID_VALUES} values")
+    for t in args.lambda_grid or ():
+        if not 0 <= t <= 1:
+            raise LambdaRangeError(f"lambda {t} outside [0, 1]")
     first = io.load_body(args.body_a)
     second = io.load_body(args.body_b)
     mmv = minkowski_check(first, second, digits=args.digits)

@@ -18,19 +18,18 @@ Conventions used throughout the package:
   else: ``convex_hull`` checks and lifts its points once, and ``volumes``
   forms each pair point's row from the two bodies' rows.  The kernel sorts
   and deduplicates the rows on integer keys, inserts them into the hull in
-  a seeded shuffled order, sums volumes as integer pairs, and builds
-  ``Fraction`` coordinates only for the vertices it keeps;
+  a seeded shuffled order, and sums volumes as integer pairs;
 * a full-dimensional hull is built as boundary simplices whose vertex
   order is outward (n >= 2); ``_hull_with_boundary`` returns them with the
   Polytope, so ``volumes`` can read K + eps L's volume off K + L's hull;
-* a Polytope keeps the lifted rows of its canonical vertices as
-  ``lifted``: a full-dimensional hull's own rows, else built on first use.
-  ``support``, ``support_set``, ``polygon_cycle`` and the facet offsets
-  run on them: a direction w = W / e is checked and lifted once, X.W / d
-  is compared across vertices by integer cross-multiplication, and one
-  Fraction is built per result.  A caller that already holds an integer
-  direction, such as a primitive facet normal, passes it straight to that
-  integer core, ``_integer_support``;
+* a Polytope is the lifted rows of its canonical vertices, ``lifted``;
+  its ``Fraction`` ``vertices`` are built on first read.  ``translate``,
+  ``scale``, ``support``, ``support_set``, ``polygon_cycle`` and the facet
+  offsets run on the rows: a direction w = W / e is checked and lifted
+  once, X.W / d is compared across vertices by integer
+  cross-multiplication, and one Fraction is built per result.  A caller
+  that already holds an integer direction, such as a primitive facet
+  normal, passes it straight to that integer core, ``_integer_support``;
 * projections return coordinates obtained by pairing points with the
   subspace basis vectors (x maps to (x.b1, ..., x.bd)).  Under this chart
   a direction for the projected body is a coefficient vector a, standing
@@ -102,43 +101,30 @@ class Facet:
 
 @dataclass(frozen=True)
 class Polytope:
-    """Compact convex polytope given by its canonical extreme-point list.
+    """Compact convex polytope given by its canonical extreme points.
 
-    ``affine_dim < dim`` flags a lower-dimensional body (a legal result of
-    projections and Minkowski combinations, never of the public hull
-    constructor); such bodies carry no facets and have volume 0.
-    Equality compares the canonical data (dim, vertices) only, and the hash
-    of that data is computed once per object, on first use, since hashing
-    the vertices hashes every Fraction coordinate.
+    ``lifted`` holds the integer row (X, d) of each extreme point, as
+    ``_lift`` makes it, in sorted point order.  A point has exactly one such
+    row, so equality and the hash, over (dim, lifted) only, are set
+    equality.  ``affine_dim < dim`` flags a lower-dimensional body (a legal
+    result of projections and Minkowski combinations, never of the public
+    hull constructor); such bodies carry no facets and have volume 0.
     """
 
     dim: int
-    vertices: tuple
+    lifted: tuple
     facets: tuple = field(compare=False, repr=False)
     affine_dim: int = field(compare=False)
     volume: Fraction = field(compare=False)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """The hash of (dim, vertices).  Not a field, like ``lifted``:
-        equality and ``repr`` ignore it, and ``dataclasses.replace`` builds
-        a new object that hashes its own fields."""
-        return hash((self.dim, self.vertices))
 
     @property
     def is_full_dimensional(self) -> bool:
         return self.affine_dim == self.dim
 
     @cached_property
-    def lifted(self) -> tuple:
-        """Integer row (X, d) of each canonical vertex, as ``_lift`` makes it;
-        a full-dimensional hull stores the rows it was built from.  Not a
-        field: equality, hashing and ``repr`` ignore it, and derived bodies
-        lift their own vertices."""
-        return tuple(_lift(self.vertices))
+    def vertices(self) -> tuple:
+        """The extreme points X / d as tuples of Fractions, built on first read."""
+        return tuple(_point(row) for row in self.lifted)
 
 
 @dataclass(frozen=True)
@@ -180,14 +166,6 @@ class Subspace:
 # ---------------------------------------------------------------------------
 # hull construction
 # ---------------------------------------------------------------------------
-
-
-def _affine_rank_with_basis(rows):
-    """Affine rank of the points of these lifted rows, and the indices of a
-    greedy affinely independent subset: points are affinely independent
-    exactly when their rows are linearly independent."""
-    chosen = [i for i, _, _ in independent_rows(rows)]
-    return len(chosen) - 1, chosen
 
 
 def _lift(points):
@@ -355,12 +333,11 @@ def _build_full_dimensional(rows, n, base):
         )
     body = Polytope(
         dim=n,
-        vertices=tuple(_point(rows[i]) for i in extreme),
+        lifted=tuple(rows[i] for i in extreme),
         facets=tuple(facets),
         affine_dim=n,
         volume=volume,
     )
-    object.__setattr__(body, "lifted", tuple(rows[i] for i in extreme))
     return body, tuple(verts for verts, _ in simplices)
 
 
@@ -372,7 +349,8 @@ def _build_degenerate(rows, n, rank, basis_ids):
     vectors chart that hull one to one (the reduced directions are
     triangular there); the extreme points chart onto the chart hull's.  A
     direction X / d - O / e is taken as the integer row X e - O d, a
-    positive multiple with the same pivots.
+    positive multiple with the same pivots, and a point's chart row is the
+    primitive row of (X at those columns, d).
     """
     kept = rows  # rank 0: a single point
     if rank:
@@ -380,13 +358,13 @@ def _build_degenerate(rows, n, rank, basis_ids):
         directions = [
             [x * e - o * rows[i][n] for x, o in zip(rows[i], origin)] for i in basis_ids[1:]
         ]
-        columns = [j for _, j, _ in independent_rows(directions)]
-        chart = [tuple(Fraction(row[j], row[n]) for j in columns) for row in rows]
-        extreme = set(convex_hull(chart, _ambient_check=False).vertices)
+        columns = [j for _, j, _ in independent_rows(directions)] + [n]
+        chart = [primitive_int_vector([row[j] for j in columns]) for row in rows]
+        extreme = set(_hull_with_boundary(chart, rank)[0].lifted)
         kept = [row for row, c in zip(rows, chart) if c in extreme]
     return Polytope(
         dim=n,
-        vertices=tuple(_point(row) for row in kept),
+        lifted=tuple(kept),
         facets=(),
         affine_dim=rank,
         volume=Fraction(0),
@@ -414,14 +392,14 @@ def _hull_with_boundary(rows, n, *, allow_degenerate=False):
     1 / (d e) > 2^-s, so their keys differ in the same direction.  The keys
     sort as the points do and are equal exactly when the points are.  Keys
     over the lcm of all the d's would do the same, but on a rational circle
-    that lcm has a factor per point, and the keys grow with the point count.  ``Fraction``
-    coordinates are built only for the points the body keeps, apart from a
-    flat hull's chart.
+    that lcm has a factor per point, and the keys grow with the point count.
     """
     shift = 2 * max(row[n] for row in rows).bit_length()
     distinct = {tuple((x << shift) // row[n] for x in row[:n]): row for row in rows}
     rows = [distinct[key] for key in sorted(distinct)]
-    rank, basis_ids = _affine_rank_with_basis(rows)
+    # Points are affinely independent exactly when their rows are linearly so.
+    basis_ids = [i for i, _, _ in independent_rows(rows)]
+    rank = len(basis_ids) - 1
     if rank < n:
         if not allow_degenerate:
             raise DimensionError(
@@ -432,13 +410,13 @@ def _hull_with_boundary(rows, n, *, allow_degenerate=False):
     return body, rows, simplices
 
 
-def convex_hull(points, *, allow_degenerate: bool = False, _ambient_check: bool = True):
+def convex_hull(points, *, allow_degenerate: bool = False):
     """Exact convex hull of rational points, as a canonical Polytope.
 
     Raises DimensionError when the hull is lower-dimensional, unless
     ``allow_degenerate`` is set (projections and Minkowski combinations of
     segments legitimately produce flat bodies).  The points are checked and
-    lifted once; the hull runs on their integer rows.
+    lifted once; the hull runs on their integer rows, and the body keeps them.
     """
     pts = [as_vec(p) for p in points]
     if not pts:
@@ -446,8 +424,7 @@ def convex_hull(points, *, allow_degenerate: bool = False, _ambient_check: bool 
     n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise DimensionMismatchError("points of unequal length")
-    if _ambient_check:
-        _check_ambient(n)
+    _check_ambient(n)
     return _hull_with_boundary(_lift(pts), n, allow_degenerate=allow_degenerate)[0]
 
 
@@ -496,10 +473,10 @@ def support(body: Polytope, w) -> Fraction:
 def support_set(body: Polytope, w) -> Polytope:
     """Face of K attaining h_K(w); may be lower-dimensional.  Its vertices
     are picked by the same integer comparison as ``support``'s, so ties
-    are exact."""
+    are exact, and their rows are hulled."""
     _, values, (best, best_d) = _lifted_support(body, w)
-    face = [v for v, (x, d) in zip(body.vertices, values) if x * best_d == best * d]
-    return convex_hull(face, allow_degenerate=True, _ambient_check=False)
+    face = [row for row, (x, d) in zip(body.lifted, values) if x * best_d == best * d]
+    return _hull_with_boundary(face, body.dim, allow_degenerate=True)[0]
 
 
 def project(body: Polytope, xi: Subspace) -> Polytope:
@@ -511,7 +488,7 @@ def project(body: Polytope, xi: Subspace) -> Polytope:
     if xi.ambient != body.dim:
         raise DimensionMismatchError("subspace ambient dimension mismatch")
     coords = [tuple(dot(v, b) for b in xi.basis) for v in body.vertices]
-    return convex_hull(coords, allow_degenerate=True, _ambient_check=False)
+    return _hull_with_boundary(_lift(coords), xi.dim, allow_degenerate=True)[0]
 
 
 def projected_volume_sq(body: Polytope, xi: Subspace) -> Fraction:
@@ -524,20 +501,25 @@ def projected_volume_sq(body: Polytope, xi: Subspace) -> Fraction:
 
 def bodies_equal(a: Polytope, b: Polytope) -> bool:
     """Exact set equality, via identical canonical representations."""
-    return a.dim == b.dim and a.vertices == b.vertices
+    return a.dim == b.dim and a.lifted == b.lifted
 
 
 def translate(body: Polytope, x) -> Polytope:
+    """K + x: row (X, d) becomes the primitive row of (X e + W d, d e), x = W / e."""
     x = as_vec(x)
     if len(x) != body.dim:
         raise DimensionMismatchError("translation length differs from dimension")
+    *shift, e = _lift((x,))[0]
     facets = tuple(
         Facet(f.normal, f.offset + dot(f.normal, x), f.vertex_indices, f.pseudo_volume)
         for f in body.facets
     )
     return Polytope(
         dim=body.dim,
-        vertices=tuple(vadd(v, x) for v in body.vertices),
+        lifted=tuple(
+            primitive_int_vector((*(c * e + s * d for c, s in zip(xs, shift)), d * e))
+            for *xs, d in body.lifted
+        ),
         facets=facets,
         affine_dim=body.affine_dim,
         volume=body.volume,
@@ -545,6 +527,7 @@ def translate(body: Polytope, x) -> Polytope:
 
 
 def scale(body: Polytope, a) -> Polytope:
+    """a K: row (X, d) becomes the primitive row of (X p, d q), a = p / q > 0."""
     a = as_scalar(a)
     if a <= 0:
         raise ValueError("scale factor must be positive")
@@ -553,9 +536,12 @@ def scale(body: Polytope, a) -> Polytope:
         Facet(f.normal, f.offset * a, f.vertex_indices, f.pseudo_volume * a ** (n - 1))
         for f in body.facets
     )
+    p, q = a.numerator, a.denominator
     return Polytope(
         dim=n,
-        vertices=tuple(vscale(a, v) for v in body.vertices),
+        lifted=tuple(
+            primitive_int_vector((*(c * p for c in xs), d * q)) for *xs, d in body.lifted
+        ),
         facets=facets,
         affine_dim=body.affine_dim,
         volume=body.volume * a**n,
@@ -567,7 +553,7 @@ def reflect_through_hyperplane(body: Polytope, w) -> Polytope:
     w = _check_direction(body, w)
     wsq = dot(w, w)
     mapped = [vsub(v, vscale(2 * dot(v, w) / wsq, w)) for v in body.vertices]
-    return convex_hull(mapped, allow_degenerate=True, _ambient_check=False)
+    return _hull_with_boundary(_lift(mapped), body.dim, allow_degenerate=True)[0]
 
 
 def vertex_centroid(body: Polytope):

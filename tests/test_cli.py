@@ -294,6 +294,15 @@ def test_lambda_grid_bound(corpus, capsys):
     assert code == 0 and err == ""
 
 
+def test_lambda_grid_range_ignores_order(corpus, capsys):
+    # Strict 3D pair: a refutation at 1/2 must not hide the 3 after it.
+    pair = ["equality-diagnose", corpus["cube"], corpus["simplex3"], "--lambda-grid"]
+    for grid, bad in (("1/2,3", "3"), ("3,1/2", "3"), ("-1", "-1")):
+        code, out, err = run_cli(capsys, pair + [grid])
+        assert (code, out) == (3, "")
+        assert err == f"LambdaRangeError: lambda {bad} outside [0, 1]\n"
+
+
 def test_parse_body_rejects_booleans():
     # bool is a subclass of int, so JSON true must not pass as 1.
     for data in (

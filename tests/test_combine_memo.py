@@ -193,9 +193,9 @@ def test_node_volumes_survive_other_combinations(monkeypatch):
 
 
 def test_equal_bodies_hash_equal_and_share_a_record(tmp_path):
-    # A body's hash is computed once and kept out of its fields, so equal
-    # bodies from every constructor hash alike and find each other's pair
-    # record, while equality and repr read the fields alone.
+    # A body is its canonical rows, so equal bodies from every constructor
+    # hash alike and find each other's pair record, and equality, hash and
+    # repr read the fields alone.
     rng = random.Random(9301)
     points = [tuple(F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(3)) for _ in range(7)]
     body, other = convex_hull(points), random_polytope(3, 6, rng)
@@ -210,12 +210,12 @@ def test_equal_bodies_hash_equal_and_share_a_record(tmp_path):
     ]
     for copy in copies:
         assert copy is not body and copy == body and repr(copy) == shown
-        assert hash(copy) == hash(body) == hash((body.dim, body.vertices))
-    assert repr(body) == shown and "_hash" in vars(body) and "_hash" not in shown
-    # replace builds a new object, which hashes its own fields afresh.
-    moved = dataclasses.replace(body, vertices=body.vertices[1:])
-    assert "_hash" not in vars(moved) and moved != body
-    assert hash(moved) == hash((body.dim, body.vertices[1:]))
+        assert hash(copy) == hash(body) == hash((body.dim, body.lifted))
+    assert repr(body) == shown
+    # replace builds a new object, which hashes its own fields.
+    moved = dataclasses.replace(body, lifted=body.lifted[1:])
+    assert moved != body
+    assert hash(moved) == hash((body.dim, body.lifted[1:]))
 
     combine(1, body, 1, other)
     before = volumes._minkowski_sum.cache_info()

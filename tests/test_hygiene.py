@@ -120,3 +120,24 @@ def function_level_imports() -> list:
 
 def test_no_function_level_imports():
     assert function_level_imports() == []
+
+
+def module_caches() -> set:
+    """Top-level package functions decorated with ``functools.cache`` or
+    ``lru_cache``, as "module.function": the state shared between calls."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("cache", "lru_cache"):
+                    found.add(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_module_caches_are_the_documented_three():
+    # README lists each; a new one must be added there and here.
+    assert module_caches() == {"volumes._minkowski_sum", "reconstruction._probe", "cli.build_parser"}

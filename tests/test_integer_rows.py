@@ -127,10 +127,10 @@ def compute_rows(body):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 4).flatmap(points))
 def test_hull_keeps_the_rows_it_lifted(pts):
-    # A full-dimensional hull stores the rows it built the body from, so
-    # ``lifted`` lifts nothing again; they are the rows ``_lift`` makes.
+    # A hull stores the rows it built the body from and builds no Fraction
+    # until ``vertices`` is read; they are the rows ``_lift`` makes.
     body = convex_hull(pts, allow_degenerate=True)
-    assert ("lifted" in vars(body)) == body.is_full_dimensional
+    assert "vertices" not in vars(body)
     assert body.lifted == tuple(_lift(body.vertices))
 
 
