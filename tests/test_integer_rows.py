@@ -119,7 +119,7 @@ def fraction_base_height(first, second):
 
 
 def compute_rows(body):
-    """Build ``body.lifted`` and check each row (X, d) against its vertex."""
+    """Build ``body.vertices`` and check each against its row (X, d)."""
     for v, row in zip(body.vertices, body.lifted, strict=True):
         assert tuple(F(x, row[-1]) for x in row[:-1]) == v
 
