@@ -5,8 +5,9 @@ Conventions used throughout the package:
 * scalars are ``fractions.Fraction``, vectors are tuples of Fractions;
 * a ``Polytope`` stores its extreme points only, lexicographically sorted,
   so equal bodies have identical representations;
-* facet normals are outward primitive integer vectors (never normalized:
-  unit normals of rational facets are irrational in general);
+* facet normals are outward primitive integer vectors, stored as ints
+  (never normalized: unit normals of rational facets are irrational in
+  general);
 * ``Facet.pseudo_volume`` is the facet's (n-1)-volume multiplied by the
   euclidean length of the stored normal.  This product is always rational,
   which is what keeps every downstream volume formula exact;
@@ -21,7 +22,12 @@ Conventions used throughout the package:
   a seeded shuffled order, and sums volumes as integer pairs;
 * a full-dimensional hull is built as boundary simplices whose vertex
   order is outward (n >= 2); ``_hull_with_boundary`` returns them with the
-  Polytope, so ``volumes`` can read K + eps L's volume off K + L's hull;
+  Polytope, so ``volumes`` can read K + eps L's volume off K + L's hull.
+  The orientation is built in, not tested afterwards: a 2D hull's facets
+  are the edges of its counterclockwise monotone chain, each normal,
+  offset and length read off the edge's two rows, and in 3D and 4D each
+  new simplex inherits the order of the visible simplex it replaces; only
+  the first simplex's facets are oriented against an interior point;
 * a Polytope is the lifted rows of its canonical vertices, ``lifted``;
   its ``Fraction`` ``vertices`` are built on first read.  ``translate``,
   ``scale``, ``support``, ``support_set``, ``polygon_cycle`` and the facet
@@ -48,7 +54,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import mul
 
 from .errors import (
@@ -84,10 +90,14 @@ MAX_AMBIENT = 4
 class Facet:
     """One facet of a full-dimensional polytope.
 
-    normal:        outward primitive integer normal (as Fractions)
+    normal:        outward primitive integer normal, a tuple of ints
     offset:        h_P(normal); every vertex v satisfies v.normal <= offset
     vertex_indices: indices (into the canonical vertex list) lying on the facet
     pseudo_volume: (n-1)-volume of the facet times |normal|, a rational
+
+    The hull builds each facet's orientation and normal with the facet: in
+    2D off the counterclockwise chain, in 3D and 4D off simplices that are
+    outward by construction.  Nothing is flipped or checked afterwards.
     """
 
     normal: tuple
@@ -96,7 +106,7 @@ class Facet:
     pseudo_volume: Fraction
 
     def normal_sq(self) -> Fraction:
-        return Fraction(sum(c.numerator**2 for c in self.normal))
+        return Fraction(sum(c * c for c in self.normal))
 
 
 @dataclass(frozen=True)
@@ -225,6 +235,15 @@ def _incremental_hull(rows, n, base, interior):
     the result depends on the input alone and the global ``random`` state
     is left as it was.  The facets and the canonical body do not depend on
     the order; only the triangulation of each facet may.
+
+    Only the base simplex's facets are oriented against ``interior``.  A new
+    simplex on a horizon ridge is the visible simplex's own vertex tuple
+    with the dropped vertex r_k replaced by the new point p, and it is
+    outward by construction.  dot(cross_normal(r_0, ..., r_(n-1)), x) is,
+    up to a sign fixed by n, det(r_0, ..., r_(n-1), x), which alternates in
+    all n+1 rows.  p is beyond the visible simplex, so swapping p and r_k
+    gives the new simplex's cross normal h a strictly negative dot(h, r_k):
+    r_k lies strictly inside the new simplex's hyperplane.
     """
     facets = {}
     next_id = itertools.count()
@@ -239,17 +258,17 @@ def _incremental_hull(rows, n, base, interior):
         visible = [fid for fid, (_, h) in facets.items() if dot(h, row) > 0]
         if not visible:
             continue
-        ridge_count = {}
+        # A ridge of two visible simplices is met twice and dropped again;
+        # the horizon's ridges are met once, each with its new simplex.
+        horizon = {}
         for fid in visible:
-            verts = facets[fid][0]
+            verts = facets.pop(fid)[0]
             for k in range(n):
                 ridge = tuple(sorted(verts[:k] + verts[k + 1 :]))
-                ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
-        for fid in visible:
-            del facets[fid]
-        for ridge, count in ridge_count.items():
-            if count == 1:
-                facets[next(next_id)] = _oriented(rows, interior, ridge + (pi,))
+                if horizon.pop(ridge, None) is None:
+                    horizon[ridge] = verts[:k] + (pi,) + verts[k + 1 :]
+        for verts in horizon.values():
+            facets[next(next_id)] = verts, cross_normal([rows[i] for i in verts])
     return list(facets.values())
 
 
@@ -270,19 +289,61 @@ def _point(row) -> tuple:
     return tuple(Fraction(x, d) for x in xs)
 
 
+def _build_polygon(rows):
+    """``_build_full_dimensional`` for n == 2, read straight off the chain.
+
+    The chain is the counterclockwise cycle of exactly the extreme points,
+    so each of its edges a -> b is a facet, with the hull on its left.  For
+    rows (x_a, y_a, d_a) and (x_b, y_b, d_b) the edge vector scaled by
+    d_a d_b is the integer e = (x_b d_a - x_a d_b, y_b d_a - y_a d_b); with
+    g = gcd(e) the outward primitive normal is u = (e_y, -e_x) / g, the
+    edge's length is g |u| / (d_a d_b), so its pseudo-volume is
+    g |u|^2 / (d_a d_b), and the cone over it from the origin has signed area
+    (x_a y_b - x_b y_a) / (2 d_a d_b).  The boundary simplices are the
+    edges (b, a), whose cross normal is outward.
+    """
+    cycle = _chain_2d(rows)
+    extreme = sorted(cycle)
+    canonical_index = {i: k for k, i in enumerate(extreme)}
+    facets, cones, edges = [], [], []
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        xa, ya, da = rows[a]
+        xb, yb, db = rows[b]
+        ex, ey = xb * da - xa * db, yb * da - ya * db
+        g = gcd(ex, ey)
+        u = (ey // g, -ex // g)
+        facets.append(
+            Facet(
+                normal=u,
+                offset=Fraction(u[0] * xa + u[1] * ya, da),
+                vertex_indices=tuple(sorted((canonical_index[a], canonical_index[b]))),
+                pseudo_volume=Fraction(g * (u[0] * u[0] + u[1] * u[1]), da * db),
+            )
+        )
+        cones.append((xa * yb - xb * ya, da * db))
+        edges.append((b, a))
+    facets.sort(key=lambda f: f.normal)
+    body = Polytope(
+        dim=2,
+        lifted=tuple(rows[i] for i in extreme),
+        facets=tuple(facets),
+        affine_dim=2,
+        volume=tree_sum(cones) / 2,
+    )
+    return body, tuple(edges)
+
+
 def _build_full_dimensional(rows, n, base):
     """Canonical Polytope of the affinely spanning points of sorted, distinct
     lifted ``rows``, and its boundary simplices as outward-ordered index
     tuples into the rows; ``base`` indexes n+1 affinely independent ones."""
+    if n == 2:
+        return _build_polygon(rows)
     # A sum of rows stands for the average of its points weighted by their
     # d's, so this one lies inside the simplex on ``base``, inside the hull.
     interior = [sum(col) for col in zip(*(rows[i] for i in base))]
     if n == 1:
         simplices = [_oriented(rows, interior, (i,)) for i in (0, len(rows) - 1)]
-    elif n == 2:
-        cycle = _chain_2d(rows)
-        edges = zip(cycle, cycle[1:] + cycle[:1])
-        simplices = [_oriented(rows, interior, edge) for edge in edges]
     else:
         simplices = _incremental_hull(rows, n, base, interior)
 
@@ -325,7 +386,7 @@ def _build_full_dimensional(rows, n, base):
         first = rows[extreme[on_facet[0]]]
         facets.append(
             Facet(
-                normal=tuple(Fraction(c) for c in prim),
+                normal=prim,
                 offset=Fraction(sum(map(mul, prim, first)), first[n]),
                 vertex_indices=on_facet,
                 pseudo_volume=tree_sum(pieces),

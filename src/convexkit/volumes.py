@@ -266,10 +266,9 @@ def mixed_volume_base_height(first: Polytope, second: Polytope) -> Fraction:
     rows = second.lifted
     terms = []
     for f in first.facets:
-        normal = [c.numerator for c in f.normal]
-        _, (h, d) = _integer_support(rows, normal)
+        _, (h, d) = _integer_support(rows, f.normal)
         pseudo = f.pseudo_volume
-        terms.append((h * pseudo.numerator, d * pseudo.denominator * sum(c * c for c in normal)))
+        terms.append((h * pseudo.numerator, d * pseudo.denominator * sum(c * c for c in f.normal)))
     return tree_sum(terms) / first.dim
 
 

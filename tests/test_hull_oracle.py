@@ -6,10 +6,12 @@ when those points span one), and, on request, coordinates whose
 denominators are three large coprime primes, so that the lcm of all
 denominators passes 256 bits.  Flat inputs of every affine rank below the
 ambient dimension are checked in the chart of their affine hull, and
-``mat_rank`` and ``solve`` against the oracle's elimination.  Hulls of 9 to
-14 points in 3D and 4D, where the shuffled insertion order matters, must
-also close: their boundary simplices meet in pairs along every ridge,
-with opposite orientations.  The order is private and repeatable.
+``mat_rank`` and ``solve`` against the oracle's elimination.  Every boundary
+simplex the kernel returns must be outward in its vertex order, checked
+against all the rows.  Hulls of 9 to 14 points in 3D and 4D, where the
+shuffled insertion order matters, must also close: their boundary
+simplices meet in pairs along every ridge, with opposite orientations.
+The order is private and repeatable.
 """
 
 import itertools
@@ -17,12 +19,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from convexkit.bodies import disc_polygon
 from convexkit.errors import DimensionError, InvariantError
 from convexkit.geometry import _hull_with_boundary, _lift, convex_hull
-from convexkit.linalg import independent_rows, mat_rank, solve
+from convexkit.linalg import cross_normal, dot, independent_rows, mat_rank, solve
 from convexkit.volumes import minkowski_interpolate, mixed_volume_base_height
 
 from oracles import _rref, affine_rank, brute_hull, shoelace_area
@@ -52,15 +55,30 @@ def hull_inputs(draw):
     return draw(st.permutations(pts))
 
 
+def assert_outward(rows, simplices):
+    """Every boundary simplex is outward in its vertex order: the cross
+    normal of its rows has no row beyond it, and some row strictly inside."""
+    for simplex in simplices:
+        h = cross_normal([rows[i] for i in simplex])
+        sides = [dot(h, row) for row in rows]
+        assert max(sides) <= 0 and min(sides) < 0
+
+
 @settings(max_examples=150, deadline=None)
 @given(hull_inputs())
+# Disc 4m-gons, whose facets come straight off the counterclockwise chain.
+@example(disc_polygon(1).vertices)
+@example(disc_polygon(2).vertices)
+@example(disc_polygon(5).vertices)
 def test_hull_matches_brute_force(points):
     n = len(points[0])
     assume(affine_rank(points) == n)
-    body = convex_hull(points)
+    body, rows, simplices = _hull_with_boundary(_lift(points), n)
+    assert body == convex_hull(points)
     vertices, facets = brute_hull(points)
     assert list(body.vertices) == vertices
     assert [(f.normal, f.offset, f.vertex_indices) for f in body.facets] == facets
+    assert_outward(rows, simplices)
     if n == 2:
         assert body.volume == shoelace_area(vertices)
     assert mixed_volume_base_height(body, body) == body.volume
@@ -255,6 +273,7 @@ def test_larger_hulls_match_brute_force_and_close(points):
     assert list(body.vertices) == vertices
     assert [(f.normal, f.offset, f.vertex_indices) for f in body.facets] == facets
     # The outward simplices form a closed, coherently oriented boundary.
+    assert_outward(rows, simplices)
     ridges = induced_ridges(simplices, n)
     assert all(sorted(signs) == [-1, 1] for signs in ridges.values())
     assert {i for simplex in simplices for i in simplex} <= set(range(len(rows)))

@@ -151,7 +151,7 @@ def test_support_and_support_set_match_fraction_definitions(case):
 def test_facets_and_base_height_match_fraction_definitions(pair):
     first, second = pair
     for f in first.facets:
-        assert type(f.offset) is F and all(type(c) is F for c in f.normal)
+        assert type(f.offset) is F and all(type(c) is int for c in f.normal)
         on = tuple(i for i, v in enumerate(first.vertices) if dot(v, f.normal) == f.offset)
         assert f.offset == fraction_support(first, f.normal) and on == f.vertex_indices
         nsq = f.normal_sq()
