@@ -96,8 +96,9 @@ def bm_check(
     V((1-lam)K + lam L)^(1/n) - (1-lam) V(K)^(1/n) - lam V(L)^(1/n), from
     `signed_root_combination`: 0 (Equality) exactly when the three volumes'
     roots cancel by radical class, which at lam = 0 or 1 they always do.
-    The displayed slack is that sum rendered at ``digits``; the digit count
-    does not change the verdict.
+    The displayed slack is that sum rendered at ``digits``, or exactly 0 when
+    the sign is 0, so an Equality never shows the floored roots' "-0.000";
+    the digit count does not change the verdict.
     """
     lam = as_scalar(lam)
     if not 0 <= lam <= 1:
@@ -116,7 +117,7 @@ def bm_check(
         verdict=_VERDICTS[sign],
         lhs_exact=None,
         rhs_exact=None,
-        slack_numeric=format_fixed(slack, digits),
+        slack_numeric=format_fixed(slack if sign else Fraction(0), digits),
         quantities={
             "volume_mix": v_mid,
             "volume_first": v_first,

@@ -54,6 +54,15 @@ def test_bm_equality_homothety(square):
     assert r.quantities["volume_mix"] == 4
 
 
+@pytest.mark.parametrize("body", [unit_square(), unit_cube()], ids=["square", "cube"])
+def test_bm_equality_shows_an_exact_zero_slack(body):
+    # At lam = 1/2 with ratio 4/3 the floored roots sum to just below 0; an
+    # exact zero sign is shown as 0, never as "-0.000...".
+    r = bm_check(body, translate(scale(body, F(4, 3)), (1,) * body.dim), F(1, 2))
+    assert r.verdict is Verdict.EQUALITY
+    assert r.slack_numeric == "0." + "0" * 50
+
+
 def test_bm_validation(square):
     with pytest.raises(LambdaRangeError):
         bm_check(square, square, F(3, 2))
