@@ -117,11 +117,6 @@ def load_body(path, *, allow_degenerate: bool = False) -> Polytope:
     return parse_body(data, allow_degenerate=allow_degenerate)
 
 
-def save_body(body: Polytope, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_body(body))
-
-
 def file_digest(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()

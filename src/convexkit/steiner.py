@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     DimensionError,
@@ -28,7 +27,6 @@ from .errors import (
 )
 from .geometry import Polytope, convex_hull, polygon_cycle
 from .linalg import as_vec, dot, is_zero_vec, vadd, vscale, vsub
-from .reconstruction import farey_fractions
 from .volumes import combine
 
 
@@ -160,13 +158,3 @@ def rounding_iteration(body: Polytope, schedule, steps: int) -> RoundingTrace:
             raise InvariantError("symmetrization changed the volume")
         rows.append((step, w, current.volume, _isoperimetric_ratio(current)))
     return RoundingTrace(tuple(rows))
-
-
-def default_schedule():
-    """Planar Farey-slope direction cycle of order 4."""
-    dirs = []
-    for s in farey_fractions(4):
-        dirs.append((Fraction(s.denominator), Fraction(s.numerator)))
-    dirs.append((Fraction(0), Fraction(1)))
-    dirs.extend((-d[1], d[0]) for d in dirs[1:-1])
-    return tuple(dirs)

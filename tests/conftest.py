@@ -14,6 +14,7 @@ from convexkit.bodies import (
     unit_cube,
     unit_square,
 )
+from convexkit.io import dumps_body
 
 
 @pytest.fixture
@@ -47,3 +48,8 @@ def make_rng(seed: int) -> random.Random:
 
 def frac(x) -> Fraction:
     return Fraction(x)
+
+
+def save_body(body, path) -> None:
+    """Write ``body`` as a canonical body file."""
+    Path(path).write_text(dumps_body(body), encoding="utf-8")

@@ -64,6 +64,8 @@ from convexkit.volumes import (
     volume,
 )
 
+from conftest import save_body
+
 LAMBDA_GRID = tuple(F(k, 8) for k in range(9))
 SLACK_FLOOR = F(-1, 10**30)
 
@@ -349,7 +351,7 @@ def test_c12_cli_contract(tmp_path, capsys):
     paths = {}
     for name, body in bodies.items():
         p = tmp_path / f"{name}.json"
-        io.save_body(body, p)
+        save_body(body, p)
         paths[name] = str(p)
         again = io.load_body(p)
         assert bodies_equal(again, body)

@@ -13,6 +13,8 @@ from convexkit.errors import InvariantError
 from convexkit.geometry import bodies_equal, scale, translate
 from convexkit.inequalities import Form, InequalityReport, Verdict, bm_check
 
+from conftest import save_body
+
 
 @pytest.fixture
 def corpus(tmp_path):
@@ -20,7 +22,7 @@ def corpus(tmp_path):
 
     def put(name, body):
         p = tmp_path / f"{name}.json"
-        io.save_body(body, p)
+        save_body(body, p)
         paths[name] = str(p)
 
     put("square", unit_square())

@@ -27,6 +27,8 @@ from convexkit.volumes import (
     volume_polynomial,
 )
 
+from conftest import save_body
+
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 coefficients = st.sampled_from([F(0), F(1, 3), F(1, 2), F(1), F(2), F(5, 2)])
 
@@ -200,7 +202,7 @@ def test_equal_bodies_hash_equal_and_share_a_record(tmp_path):
     points = [tuple(F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(3)) for _ in range(7)]
     body, other = convex_hull(points), random_polytope(3, 6, rng)
     shown = repr(body)
-    io.save_body(body, tmp_path / "body.json")
+    save_body(body, tmp_path / "body.json")
     copies = [
         convex_hull(points[::-1]),
         scale(scale(body, 3), F(1, 3)),

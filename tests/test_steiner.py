@@ -1,13 +1,17 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from convexkit.bodies import box, random_polytope, standard_simplex, unit_cube, unit_square
 from convexkit.errors import DimensionError, EmptyScheduleError
 from convexkit.geometry import bodies_equal, convex_hull, reflect_through_hyperplane
+from convexkit.reconstruction import farey_fractions
 from convexkit.steiner import (
     SteinerExactness,
-    default_schedule,
     rounding_iteration,
     steiner_symmetral,
     superadditivity_check,
@@ -107,9 +111,31 @@ def test_rounding_iteration(square, tri):
         rounding_iteration(square, [], 2)
 
 
+def default_schedule():
+    """Planar Farey-slope direction cycle of order 4."""
+    dirs = [(F(s.denominator), F(s.numerator)) for s in farey_fractions(4)]
+    dirs.append((F(0), F(1)))
+    dirs.extend((-d[1], d[0]) for d in dirs[1:-1])
+    return tuple(dirs)
+
+
 def test_default_schedule_rounds_triangle(tri):
     # Generic directions double the vertex count per step, so keep this short.
     trace = rounding_iteration(tri, default_schedule(), 6)
     # the isoperimetric ratio column is reported, not asserted; check shape
     assert len(trace.rows) == 7
     assert trace.rows[-1][2] == F(1, 2)
+
+
+def test_rounding_demo_script_keeps_the_volume():
+    # The demo runs the planar Steiner and hull path end to end.
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "rounding_demo.py"), "--steps", "3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["0", "1", "2", "3"]
+    assert all(row[2] == "1/2" for row in rows)
