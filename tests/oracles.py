@@ -4,11 +4,13 @@ Deliberately separate from the library code paths: the cycle ordering uses
 float angles around the centroid (safe for extreme points of a convex
 polygon at test scale) and the area is the plain shoelace sum on that
 cycle.  The brute-force hull tries every n-subset of the points as a facet
-and runs its own Fraction elimination.  Sums of roots, interpolation and
-combination volumes are evaluated by their Fraction definitions, with
-roots floored by integer bisection.
+and runs its own Fraction elimination.  The determinant is the Leibniz
+permutation sum.  Sums of roots, interpolation and combination volumes are
+evaluated by their Fraction definitions, with roots floored by integer
+bisection.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -52,6 +54,28 @@ def perimeter_float(points) -> float:
         dx = float(cyc[(i + 1) % len(cyc)][0] - cyc[i][0])
         dy = float(cyc[(i + 1) % len(cyc)][1] - cyc[i][1])
         total += math.hypot(dx, dy)
+    return total
+
+
+@functools.cache
+def _signed_permutations(n):
+    """(sign, permutation) for every permutation of range(n), the sign by
+    counting inversions."""
+    return [
+        ((-1) ** sum(a > b for a, b in itertools.combinations(p, 2)), p)
+        for p in itertools.permutations(range(n))
+    ]
+
+
+def leibniz_det(rows):
+    """Determinant of a square matrix as the sum over permutations p of
+    sign(p) * prod_i rows[i][p(i)], in the entries' own arithmetic."""
+    total = 0
+    for sign, p in _signed_permutations(len(rows)):
+        term = sign
+        for row, j in zip(rows, p):
+            term = term * row[j]
+        total = total + term
     return total
 
 
