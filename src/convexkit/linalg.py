@@ -7,12 +7,20 @@ preserve the entry type: determinants use division-free minor expansion,
 and ``independent_rows`` is the one elimination loop, fraction-free.  Ranks
 count its kept rows, and ``solve`` back-substitutes over them; only ``solve``
 and the other explicitly named helpers use Fractions.
+
+The predicates under every hull are straight-line code where the hull
+meets them: ``mat_det`` has closed forms for 3 x 3 and 4 x 4 matrices,
+and ``cross_normal`` one for three rows of length 4, the cross normal of
+every 3D simplex, on the six 2 x 2 minors of its last two rows.  A 4 x 4
+determinant is the first row dotted with that cross normal of the other
+three, so a 4D simplex's cross normal takes five of them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 def as_scalar(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -33,7 +41,7 @@ def vec(*coords) -> tuple:
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vadd(u, v):
@@ -61,7 +69,12 @@ def det2(a, b, c, d):
 
 
 def mat_det(rows):
-    """Determinant by minor expansion; division-free, entry type preserved."""
+    """Determinant by minor expansion; division-free, entry type preserved.
+
+    Sizes 1 to 4 are closed forms: a 4 x 4 determinant expands along its
+    first row, whose cofactors are the closed-form ``cross_normal`` of the
+    other three rows.  Larger sizes expand recursively along the first row.
+    """
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -70,6 +83,8 @@ def mat_det(rows):
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 4:
+        return sum(map(mul, rows[0], cross_normal(rows[1:])))
     total = None
     for j in range(n):
         minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
@@ -83,11 +98,32 @@ def mat_det(rows):
 def cross_normal(rows):
     """Generalized cross product of n-1 vectors in R^n.
 
-    Returns the vector of signed maximal minors; it is orthogonal to every
+    Returns the vector of signed maximal minors: entry j is (-1)^j times
+    the determinant of the rows without column j.  It is orthogonal to every
     input row and its euclidean length equals the (n-1)-volume of the
     parallelotope the rows span.
+
+    For three rows a, b, c of length 4, the cross normal of every 3D
+    simplex's lifted rows, the closed form takes the six 2 x 2 minors
+    m_pq = b_p c_q - b_q c_p once; each entry is then three products, the
+    expansion of its 3 x 3 minor along a.  Other lengths take one
+    ``mat_det`` per column.
     """
     n = len(rows[0])
+    if n == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
+        m01 = b0 * c1 - b1 * c0
+        m02 = b0 * c2 - b2 * c0
+        m03 = b0 * c3 - b3 * c0
+        m12 = b1 * c2 - b2 * c1
+        m13 = b1 * c3 - b3 * c1
+        m23 = b2 * c3 - b3 * c2
+        return (
+            a1 * m23 - a2 * m13 + a3 * m12,
+            a2 * m03 - a0 * m23 - a3 * m02,
+            a0 * m13 - a1 * m03 + a3 * m01,
+            a1 * m02 - a0 * m12 - a2 * m01,
+        )
     out = []
     for j in range(n):
         minor = [row[:j] + row[j + 1 :] for row in rows]
