@@ -7,8 +7,8 @@ import random
 from fractions import Fraction
 
 from .errors import AmbientDimError
-from .geometry import MAX_AMBIENT, MIN_AMBIENT, Polytope, convex_hull
-from .linalg import as_scalar, as_vec, unit_vector
+from .geometry import MAX_AMBIENT, MIN_AMBIENT, Polytope, _hull_with_boundary, convex_hull
+from .linalg import as_scalar, as_vec, primitive_int_vector, unit_vector
 
 
 def box(*sides) -> Polytope:
@@ -56,19 +56,21 @@ def disc_polygon(m: int) -> Polytope:
     angles offset by half a step so no vertex sits exactly on an axis.  The
     polygon is contained in the disc, so every support value is a rational
     lower bound for the disc's; at m = 10**4 the deficit is below 1e-8.
+
+    For t = p / q the vertex is the lifted row (X, Y, d), the primitive row
+    of (q^2 - p^2, 2pq, q^2 + p^2), and its quarter-turns are (-Y, X, d),
+    (-X, -Y, d) and (Y, -X, d); the rows go straight to the hull kernel.
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    quarter = []
+    rows = []
     for k in range(m):
         theta = math.pi * (2 * k + 1) / (4 * m)
         t = Fraction(math.tan(theta / 2)).limit_denominator(4 * m * 40)
-        den = 1 + t * t
-        quarter.append(((1 - t * t) / den, 2 * t / den))
-    pts = []
-    for x, y in quarter:
-        pts.extend([(x, y), (-y, x), (-x, -y), (y, -x)])
-    return convex_hull(pts)
+        p, q = t.numerator, t.denominator
+        x, y, d = primitive_int_vector((q * q - p * p, 2 * p * q, q * q + p * p))
+        rows.extend([(x, y, d), (-y, x, d), (-x, -y, d), (y, -x, d)])
+    return _hull_with_boundary(rows, 2)[0]
 
 
 def random_rational(rng: random.Random) -> Fraction:
