@@ -8,12 +8,12 @@ and ``independent_rows`` is the one elimination loop, fraction-free.  Ranks
 count its kept rows, and ``solve`` back-substitutes over them; only ``solve``
 and the other explicitly named helpers use Fractions.
 
-The predicates under every hull are straight-line code where the hull
-meets them: ``mat_det`` has closed forms for 3 x 3 and 4 x 4 matrices,
-and ``cross_normal`` one for three rows of length 4, the cross normal of
-every 3D simplex, on the six 2 x 2 minors of its last two rows.  A 4 x 4
-determinant is the first row dotted with that cross normal of the other
-three, so a 4D simplex's cross normal takes five of them.
+The hull's predicates are straight-line code up to 4D: ``mat_det`` has
+closed forms for 3 x 3 and 4 x 4 matrices, and ``cross_normal`` one for
+three rows of length 4, the cross normal of every 3D simplex, built on
+the six 2 x 2 minors of its last two rows.  A 4 x 4 determinant is its
+first row dotted with that cross normal of the other three, so each of
+the five entries of a 4D simplex's cross normal is one closed form too.
 """
 
 from __future__ import annotations

@@ -13,10 +13,13 @@ non-integer and negative entries.  The hull kernel's sorted distinct rows
 must be the rows of the sorted distinct ``Fraction`` points, however the
 coordinates are spelled, and the pair record's integer pair rows must
 reduce to the rows of K + L's vertices.  Every constructor must return a
-body whose rows are the canonical rows of its sorted vertices.
+body whose rows are the canonical rows of its sorted vertices, and the
+disc polygon, built from integer rows, must be the hull of its ``Fraction``
+points on the unit circle.
 """
 
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -26,6 +29,7 @@ from hypothesis import strategies as st
 from test_hull_oracle import BIG_PRIMES
 
 from convexkit import io, volumes
+from convexkit.bodies import disc_polygon
 from convexkit.geometry import (
     Subspace,
     _hull_with_boundary,
@@ -255,6 +259,21 @@ def assert_canonical(body):
     sorted and distinct."""
     assert body.lifted == tuple(_lift(body.vertices))
     assert list(body.vertices) == sorted(set(body.vertices))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 17, 64])
+def test_disc_rows_give_the_hull_of_its_fraction_points(m):
+    points = []
+    for k in range(m):
+        theta = math.pi * (2 * k + 1) / (4 * m)
+        t = F(math.tan(theta / 2)).limit_denominator(4 * m * 40)
+        x, y = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+        points += [(x, y), (-y, x), (-x, -y), (y, -x)]
+    body, expected = disc_polygon(m), convex_hull(points)
+    assert_canonical(body)
+    assert body == expected and len(body.vertices) == 4 * m
+    assert body.facets == expected.facets and body.volume == expected.volume
+    assert all(x * x + y * y == 1 for x, y in body.vertices)
 
 
 @settings(max_examples=40, deadline=None)

@@ -57,10 +57,6 @@ def row_sets(draw, widths, extra_rows):
     return kind, rows
 
 
-def minor(rows, j):
-    return [row[:j] + row[j + 1 :] for row in rows]
-
-
 @settings(max_examples=300, deadline=None)
 @given(row_sets(st.integers(1, 5), 0))
 def test_mat_det_matches_leibniz(case):
@@ -80,7 +76,8 @@ def test_mat_det_matches_leibniz(case):
 def test_cross_normal_matches_leibniz_minors(case):
     kind, rows = case
     h = cross_normal(rows)
-    assert h == tuple((-1) ** j * leibniz_det(minor(rows, j)) for j in range(len(rows[0])))
+    minors = ([row[:j] + row[j + 1 :] for row in rows] for j in range(len(rows[0])))
+    assert h == tuple((-1) ** j * leibniz_det(m) for j, m in enumerate(minors))
     assert all(type(x) is kind for x in h)
     # Orthogonal to every row: a matrix with a repeated row is singular.
     assert all(dot(h, row) == 0 for row in rows)
