@@ -7,13 +7,18 @@ cycle.  The brute-force hull tries every n-subset of the points as a facet
 and runs its own Fraction elimination.  The determinant is the Leibniz
 permutation sum.  Sums of roots, interpolation and combination volumes are
 evaluated by their Fraction definitions, with roots floored by integer
-bisection.
+bisection.  Projections, chords, containment and homotheties are their
+Fraction dot products and point maps; only the projection hands its
+shadow points to the library's hull kernel, which the brute-force hull
+checks on its own.
 """
 
 import functools
 import itertools
 import math
 from fractions import Fraction
+
+from convexkit.geometry import _hull_with_boundary, _lift
 
 
 def centroid(points):
@@ -276,3 +281,68 @@ def fraction_combination_volume(coefficients, lam) -> Fraction:
         (Fraction(c) * lam**i * (1 - lam) ** (n - i) for i, c in enumerate(coefficients)),
         Fraction(0),
     )
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def fraction_project(points, basis):
+    """Hull of the shadow points (p.b_1, ..., p.b_k), flat hulls allowed."""
+    shadow = [tuple(_dot(p, b) for b in basis) for p in points]
+    return _hull_with_boundary(_lift(shadow), len(basis), allow_degenerate=True)[0]
+
+
+def fraction_chord(facets, point, w):
+    """(lo, hi) with {t : point + t w inside} = [lo, hi], clipping the line
+    against each halfspace normal.x <= offset of ``facets``, (normal,
+    offset) pairs; None when the clip leaves no bounded interval.  Facets
+    parallel to w are skipped, as ``point`` is taken to lie inside."""
+    lo = hi = None
+    for normal, offset in facets:
+        a = _dot(normal, w)
+        if a == 0:
+            continue
+        t = (offset - _dot(normal, point)) / a
+        if a > 0:
+            hi = t if hi is None else min(hi, t)
+        else:
+            lo = t if lo is None else max(lo, t)
+    if lo is None or hi is None or lo > hi:
+        return None
+    return lo, hi
+
+
+def fraction_symmetral_points(points, facets, w):
+    """The Steiner construction's points: for each point p, its chord
+    [lo, hi] along w recentred on w-perp, p - (p.w / w.w) w +- (hi - lo) / 2 w."""
+    wsq = _dot(w, w)
+    out = []
+    for p in points:
+        lo, hi = fraction_chord(facets, p, w)
+        c = _dot(p, w) / wsq
+        half = (hi - lo) / 2
+        out.append(tuple(x - c * y + half * y for x, y in zip(p, w)))
+        out.append(tuple(x - c * y - half * y for x, y in zip(p, w)))
+    return out
+
+
+def fraction_outside(facets, points):
+    """The first point, in the given order, with normal.x > offset for some
+    (normal, offset) of ``facets``; None when all points lie inside."""
+    for p in points:
+        if any(_dot(normal, p) > offset for normal, offset in facets):
+            return p
+    return None
+
+
+def fraction_maps_onto(first_points, second_points, ratio, shift):
+    """True when x -> ratio x + shift carries the first extreme point set onto
+    the second (ratio > 0 maps extreme points to extreme points)."""
+    image = {tuple(ratio * x + s for x, s in zip(p, shift)) for p in first_points}
+    return image == set(second_points)
+
+
+def rational_root(q: Fraction, n: int):
+    """The rational n-th root of q >= 0, or None."""
+    return _exact_root(Fraction(q), n)

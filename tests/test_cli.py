@@ -438,6 +438,34 @@ def test_invariant_checks_survive_optimize(corpus):
     assert proc.stderr == "InvariantError: volume polynomial failed the redundant-node check\n"
 
 
+CHORD_CHECK = """
+import sys
+from dataclasses import replace
+from convexkit.bodies import unit_square
+from convexkit.errors import InvariantError
+from convexkit.steiner import steiner_symmetral
+
+assert not __debug__, "run me under python -O"
+# Every facet offset lowered by 2: each vertex of the square lies outside
+# the body the facets describe, so its chord is empty.
+square = unit_square()
+lowered = replace(square, facets=tuple(replace(f, offset=f.offset - 2) for f in square.facets))
+try:
+    steiner_symmetral(lowered, (1, 0))
+except InvariantError as exc:
+    sys.exit(f"InvariantError: {exc}")
+sys.exit("chord check stripped")
+"""
+
+
+def test_chord_check_survives_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CHORD_CHECK], capture_output=True, text=True
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "InvariantError: chord through a vertex misses the body\n"
+
+
 def test_run_builds_parser_at_most_once(monkeypatch, capsys):
     import argparse
 

@@ -15,7 +15,11 @@ coordinates are spelled, and the pair record's integer pair rows must
 reduce to the rows of K + L's vertices.  Every constructor must return a
 body whose rows are the canonical rows of its sorted vertices, and the
 disc polygon, built from integer rows, must be the hull of its ``Fraction``
-points on the unit circle.
+points on the unit circle.  ``project``, ``vertex_centroid``, the Steiner
+symmetral and its containment test, and ``detect_homothety`` are checked
+against the ``Fraction`` definitions in ``oracles``, on subspaces of every
+dimension, directions and shifts with 61-bit prime denominators, and
+homothetic pairs next to near misses.
 """
 
 import json
@@ -26,9 +30,18 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import (
+    brute_hull,
+    centroid,
+    fraction_maps_onto,
+    fraction_outside,
+    fraction_project,
+    fraction_symmetral_points,
+    rational_root,
+)
 from test_hull_oracle import BIG_PRIMES
 
-from convexkit import io, volumes
+from convexkit import homothety, io, volumes
 from convexkit.bodies import disc_polygon
 from convexkit.geometry import (
     Subspace,
@@ -42,9 +55,10 @@ from convexkit.geometry import (
     support,
     support_set,
     translate,
+    vertex_centroid,
 )
 from convexkit.linalg import as_vec, dot, mat_rank, vadd, vscale
-from convexkit.steiner import steiner_symmetral
+from convexkit.steiner import _contains, steiner_symmetral
 from convexkit.volumes import combine, mixed_volume_base_height
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -314,3 +328,165 @@ def test_every_constructor_returns_canonical_rows(pair, data):
     for body in rebuilt:
         assert body == first and hash(body) == hash(first)
         assert body.affine_dim == first.affine_dim and body.volume == first.volume
+
+
+PRIME = 2**61 - 1
+# Small rationals, or rationals over the 61-bit Mersenne prime.
+entries = st.one_of(small, st.builds(F, st.integers(-(2**63), 2**63), st.just(PRIME)))
+
+
+def assert_row_types(body):
+    """Integer rows and normals, ``Fraction`` offsets, pseudo-volumes and volume."""
+    assert all(type(c) is int for row in body.lifted for c in row)
+    assert type(body.volume) is F
+    for f in body.facets:
+        assert all(type(c) is int for c in f.normal)
+        assert type(f.offset) is F and type(f.pseudo_volume) is F
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4).flatmap(bodies), st.data())
+def test_project_matches_the_fraction_definition(body, data):
+    n = body.dim
+    if data.draw(st.booleans()):
+        body = translate(body, (F(1, PRIME),) + (F(-3, PRIME),) * (n - 1))
+    k = data.draw(st.integers(1, n - 1))
+    basis = data.draw(st.lists(st.tuples(*[entries] * n), min_size=k, max_size=k))
+    assume(mat_rank(basis) == k)
+    xi = Subspace(tuple(basis))
+    shadow, expected = project(body, xi), fraction_project(body.vertices, xi.basis)
+    assert shadow == expected and shadow.dim == k
+    assert shadow.affine_dim == expected.affine_dim and shadow.volume == expected.volume
+    assert shadow.facets == expected.facets
+    assert_row_types(shadow)
+    assert_canonical(shadow)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(bodies))
+def test_vertex_centroid_matches_the_fraction_definition(body):
+    c = vertex_centroid(body)
+    assert type(c) is tuple and all(type(x) is F for x in c)
+    assert c == centroid(body.vertices)
+
+
+def brute_facets(body):
+    return [(normal, offset) for normal, offset, _ in brute_hull(body.vertices)[1]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3).flatmap(bodies), st.data())
+def test_steiner_symmetral_matches_the_fraction_chords(body, data):
+    assume(body.is_full_dimensional)
+    n = body.dim
+    w = data.draw(st.tuples(*[entries] * n).filter(any))
+    result = steiner_symmetral(body, w)
+    expected = convex_hull(
+        fraction_symmetral_points(body.vertices, brute_facets(body), w), allow_degenerate=True
+    )
+    assert result.symmetral == expected and result.symmetral.facets == expected.facets
+    assert result.symmetral.volume == expected.volume
+    assert result.inner_approximation == (expected.volume < body.volume)
+    assert_row_types(result.symmetral)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(bodies), st.data())
+def test_containment_matches_the_fraction_definition(outer, data):
+    assume(outer.is_full_dimensional)
+    n = outer.dim
+    kind = data.draw(st.sampled_from(["shrunk", "moved", "other"]))
+    if kind == "other":
+        inner = data.draw(bodies(n))
+    else:
+        # A copy shrunk about a vertex stays inside; a moved one may not.
+        v = outer.vertices[data.draw(st.integers(0, len(outer.vertices) - 1))]
+        inner = translate(scale(outer, F(1, 2)), vscale(F(1, 2), v))
+        if kind == "moved":
+            inner = translate(inner, data.draw(st.tuples(*[entries] * n)))
+    verdict = _contains(outer, inner)
+    witness = fraction_outside([(f.normal, f.offset) for f in outer.facets], inner.vertices)
+    assert verdict.contained == (witness is None) and verdict.witness_vertex == witness
+    if witness is not None:
+        assert all(type(x) is F for x in verdict.witness_vertex)
+
+
+def expected_decision(first, second, centroid_shift=None):
+    """(witness or None, reason) by the Fraction definitions: a the rational
+    n-th root of the volume ratio, x the centroid shift (moved by
+    ``centroid_shift`` when given), and the vertex map checked point by point."""
+    a = rational_root(second.volume / first.volume, first.dim)
+    if a is None:
+        return None, "volume-ratio-not-rational-power"
+    x = tuple(s - a * f for s, f in zip(centroid(second.vertices), centroid(first.vertices)))
+    if centroid_shift is not None:
+        x = vadd(x, centroid_shift)
+    witness = homothety.HomothetyWitness(a, x)
+    # The library's own definition of the check agrees with the oracle.
+    holds = fraction_maps_onto(first.vertices, second.vertices, a, x)
+    assert holds == bodies_equal(second, homothety.apply_witness(first, witness))
+    return (witness, None) if holds else (None, "candidate-transform-mismatch")
+
+
+def assert_decision(decision, witness, reason):
+    assert decision.witness == witness and decision.reason == reason
+    if witness is not None:
+        assert type(decision.witness.ratio) is F
+        assert all(type(c) is F for c in decision.witness.shift)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 4).flatmap(bodies), factors, st.data())
+def test_detect_homothety_matches_the_fraction_definition(first, a, data):
+    # Homothetic pairs, pairs with one vertex moved, and homothetic pairs
+    # whose candidate shift is pushed off by 1/3 along the first axis.
+    assume(first.is_full_dimensional)
+    n = first.dim
+    x = data.draw(st.tuples(*[entries] * n))
+    kind = data.draw(st.sampled_from(["homothetic", "moved", "shift"]))
+    image = [tuple(a * c + s for c, s in zip(v, x)) for v in first.vertices]
+    if kind == "moved":
+        k = data.draw(st.integers(0, len(image) - 1))
+        image[k] = vadd(image[k], data.draw(st.tuples(*[entries] * n).filter(any)))
+    second = convex_hull(image, allow_degenerate=True)
+    assume(second.is_full_dimensional)
+    if kind != "shift":
+        assert_decision(homothety.detect_homothety(first, second), *expected_decision(first, second))
+        return
+    off = (F(1, 3),) + (F(0),) * (n - 1)
+    real = homothety.vertex_centroid
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            homothety, "vertex_centroid", lambda b: vadd(real(b), off) if b is second else real(b)
+        )
+        decision = homothety.detect_homothety(first, second)
+    assert_decision(decision, *expected_decision(first, second, off))
+    assert decision.reason == "candidate-transform-mismatch"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_detect_homothety_rejects_a_volume_keeping_vertex_move(n):
+    # A simplex's vertex moved parallel to the opposite facet keeps the
+    # volume, so the ratio and shift candidates exist and only the vertex
+    # map can refute them; the unmoved image is homothetic.
+    rng = random.Random(f"simplex-move/{n}")
+    for _ in range(10):
+        pts = [tuple(F(rng.randint(-9, 9), rng.choice([1, 2, 3, PRIME])) for _ in range(n))]
+        pts += [vadd(pts[0], tuple(F(rng.randint(-5, 5), 7) for _ in range(n))) for _ in range(n)]
+        first = convex_hull(pts, allow_degenerate=True)
+        if not first.is_full_dimensional:
+            continue
+        a = F(rng.randint(1, 9), rng.randint(1, 9))
+        x = tuple(F(rng.randint(-9, 9), PRIME) for _ in range(n))
+        image = [tuple(a * c + s for c, s in zip(p, x)) for p in pts]
+        homothetic = convex_hull(image)
+        assert_decision(
+            homothety.detect_homothety(first, homothetic), homothety.HomothetyWitness(a, x), None
+        )
+        along = vadd(image[1], tuple(-c for c in image[2]))
+        image[0] = vadd(image[0], vscale(F(1, 3), along))
+        moved = convex_hull(image)
+        assert moved.volume == homothetic.volume
+        expected = expected_decision(first, moved)
+        assert expected == (None, "candidate-transform-mismatch")
+        assert_decision(homothety.detect_homothety(first, moved), *expected)
