@@ -30,15 +30,19 @@ Conventions used throughout the package:
   the first simplex's facets are oriented against an interior point;
 * a Polytope is the lifted rows of its canonical vertices, ``lifted``;
   its ``Fraction`` ``vertices`` are built on first read.  ``translate``,
-  ``scale``, ``support``, ``support_set``, ``polygon_cycle`` and the facet
-  offsets run on the rows: a direction w = W / e is checked and lifted
-  once, X.W / d is compared across vertices by integer
-  cross-multiplication, and one Fraction is built per result.  A caller
-  that already holds an integer direction, such as a primitive facet
-  normal, passes it straight to that integer core, ``_integer_support``;
+  ``scale``, ``support``, ``support_set``, ``project``,
+  ``vertex_centroid``, ``polygon_cycle`` and the facet offsets run on the
+  rows: a direction w = W / e is checked and lifted once, X.W / d is
+  compared across vertices by integer cross-multiplication, and one
+  Fraction is built per result.  A caller that already holds an integer
+  direction, such as a primitive facet normal, passes it straight to that
+  integer core, ``_integer_support``;
 * projections return coordinates obtained by pairing points with the
-  subspace basis vectors (x maps to (x.b1, ..., x.bd)).  Under this chart
-  a direction for the projected body is a coefficient vector a, standing
+  subspace basis vectors (x maps to (x.b1, ..., x.bd)), formed as rows:
+  the basis is lifted once to rows (B_i, e_i), and a vertex row (X, d)
+  maps to the primitive row of (X.B_i (E / e_i), d E) for E the lcm of
+  the e_i, which goes straight to the hull kernel.  Under this chart a
+  direction for the projected body is a coefficient vector a, standing
   for the ambient vector w = sum a_i b_i, and supports match exactly:
   support(project(K, xi), a) == support(K, w).  True d-volumes obey
   vol_true**2 == vol_chart**2 / det(Gram(basis)).
@@ -76,7 +80,6 @@ from .linalg import (
     mat_rank,
     primitive_int_vector,
     tree_sum,
-    vadd,
     vneg,
     vscale,
     vsub,
@@ -544,12 +547,22 @@ def project(body: Polytope, xi: Subspace) -> Polytope:
     """Orthogonal projection onto xi, in basis-pairing coordinates.
 
     The image point of x is (x.b1, ..., x.bd).  See the module docstring for
-    the support and volume conventions attached to this chart.
+    the support and volume conventions attached to this chart.  It is formed
+    on rows: with each b_i lifted to B_i / e_i and E the lcm of the e_i, the
+    vertex row (X, d) maps to the primitive row of (X.B_i (E / e_i), d E),
+    which is the image point's own row, and those rows are hulled.
     """
     if xi.ambient != body.dim:
         raise DimensionMismatchError("subspace ambient dimension mismatch")
-    coords = [tuple(dot(v, b) for b in xi.basis) for v in body.vertices]
-    return _hull_with_boundary(_lift(coords), xi.dim, allow_degenerate=True)[0]
+    lifted_basis = _lift(xi.basis)
+    common = lcm(*(row[-1] for row in lifted_basis))
+    scaled = [[c * (common // row[-1]) for c in row[:-1]] for row in lifted_basis]
+    # map() stops at the shorter argument, so X.B skips the row's weight d.
+    rows = [
+        primitive_int_vector((*(sum(map(mul, row, b)) for b in scaled), row[-1] * common))
+        for row in body.lifted
+    ]
+    return _hull_with_boundary(rows, xi.dim, allow_degenerate=True)[0]
 
 
 def projected_volume_sq(body: Polytope, xi: Subspace) -> Fraction:
@@ -618,11 +631,14 @@ def reflect_through_hyperplane(body: Polytope, w) -> Polytope:
 
 
 def vertex_centroid(body: Polytope):
-    n = len(body.vertices)
-    total = body.vertices[0]
-    for v in body.vertices[1:]:
-        total = vadd(total, v)
-    return vscale(Fraction(1, n), total)
+    """Average of the extreme points, summed on the rows: with D the lcm of
+    the rows' d's, coordinate j is sum X_j (D / d) / (m D) over the m rows,
+    one Fraction per coordinate."""
+    rows = body.lifted
+    common = lcm(*(row[-1] for row in rows))
+    weights = [common // row[-1] for row in rows]
+    columns = list(zip(*rows))[: body.dim]
+    return tuple(Fraction(sum(map(mul, col, weights)), len(rows) * common) for col in columns)
 
 
 def hyperplane_subspace(w) -> Subspace:

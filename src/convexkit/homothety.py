@@ -4,7 +4,8 @@ A pair is homothetic when L = aK + x with a > 0.  For rational-vertex
 polytopes the decision is exact and total: a is forced to be the n-th root
 of the volume ratio (rational whenever a homothety exists, since a is a
 difference quotient of rational support values), x is forced by vertex
-centroids, and the candidate is confirmed by canonical equality.
+centroids, and the candidate is confirmed by comparing integer rows: each
+of K's lifted rows, mapped by v -> a v + x, must be the matching row of L.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
 )
 from .geometry import (
     Polytope,
+    _lift,
     bodies_equal,
     hyperplane_subspace,
     project,
@@ -35,7 +37,16 @@ from .geometry import (
     vertex_centroid,
 )
 from .inequalities import default_lambda_grid
-from .linalg import as_scalar, as_vec, rational_nth_root, unit_vector, vadd, vscale, vsub
+from .linalg import (
+    as_scalar,
+    as_vec,
+    primitive_int_vector,
+    rational_nth_root,
+    unit_vector,
+    vadd,
+    vscale,
+    vsub,
+)
 from .volumes import combine, mixed_volume_base_height, projection_prism_volume
 
 
@@ -61,8 +72,29 @@ def apply_witness(first: Polytope, witness: HomothetyWitness) -> Polytope:
     return translate(scale(first, witness.ratio), witness.shift)
 
 
+def _maps_onto(first: Polytope, second: Polytope, witness: HomothetyWitness) -> bool:
+    """True when v -> a v + x carries first's rows onto second's, for
+    a = p / q > 0 and x = W / e: the row (X, d) maps to the primitive row of
+    (X p e + W q d, d q e), the image point's own row.  The map keeps the
+    points' order, so the images line up with second's sorted rows."""
+    p, q = witness.ratio.numerator, witness.ratio.denominator
+    *shift, e = _lift((witness.shift,))[0]
+    pe = p * e
+    image = tuple(
+        primitive_int_vector((*(x * pe + w * q * d for x, w in zip(xs, shift)), d * q * e))
+        for *xs, d in first.lifted
+    )
+    return image == second.lifted
+
+
 def detect_homothety(first: Polytope, second: Polytope) -> HomothetyDecision:
-    """Exact homothety decision for full-dimensional rational polytopes."""
+    """Exact homothety decision for full-dimensional rational polytopes.
+
+    The ratio is the rational n-th root of the volume ratio and the shift
+    the vertex centroids' difference; the candidate is confirmed by mapping
+    first's rows one by one and comparing them with second's, with no
+    transformed body built.
+    """
     if first.dim != second.dim:
         raise DimensionMismatchError("bodies live in different dimensions")
     if not (first.is_full_dimensional and second.is_full_dimensional):
@@ -72,7 +104,7 @@ def detect_homothety(first: Polytope, second: Polytope) -> HomothetyDecision:
         return HomothetyDecision(None, reason="volume-ratio-not-rational-power")
     shift = vsub(vertex_centroid(second), vscale(ratio, vertex_centroid(first)))
     witness = HomothetyWitness(ratio, shift)
-    if bodies_equal(second, apply_witness(first, witness)):
+    if _maps_onto(first, second, witness):
         return HomothetyDecision(witness)
     return HomothetyDecision(None, reason="candidate-transform-mismatch")
 

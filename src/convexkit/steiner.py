@@ -10,6 +10,12 @@ chord function is piecewise linear on the projected-vertex triangulation
 and otherwise yields an inner approximation (the sampled endpoints lie on
 the true symmetral's boundary); volume comparison detects which case
 occurred.  Volume is preserved exactly whenever the construction is exact.
+
+The clipping runs on integer rows: w is lifted once to W / e, each facet's
+slope N.W is taken once per symmetral, and each vertex's cuts are compared
+as integer quotients of its row (X, d), one Fraction per chord end.  The
+containment test of ``superadditivity_check`` compares N.X o_den with
+o_num d on the same rows.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 
 from .errors import (
     DimensionError,
@@ -25,7 +33,7 @@ from .errors import (
     LowerDimensionalError,
     ZeroDirectionError,
 )
-from .geometry import Polytope, convex_hull, polygon_cycle
+from .geometry import Polytope, _lift, convex_hull, polygon_cycle
 from .linalg import as_vec, dot, is_zero_vec, vadd, vscale, vsub
 from .volumes import combine
 
@@ -43,22 +51,30 @@ class SteinerResult:
     inner_approximation: bool  # False whenever volume was preserved exactly
 
 
-def _chord_interval(body: Polytope, point, w):
-    """Parameter range {t : point + t w in K}, via exact facet clipping."""
-    lo, hi = None, None
-    for f in body.facets:
-        a = dot(f.normal, w)
-        b = f.offset - dot(f.normal, point)
-        if a == 0:
-            continue  # point is in K, so this constraint cannot cut the fiber
-        t = b / a
-        if a > 0:
-            hi = t if hi is None else min(hi, t)
-        else:
-            lo = t if lo is None else max(lo, t)
-    if lo is None or hi is None or lo > hi:
+def _chord_interval(cuts, row, e):
+    """Parameter range {t : v + t w in K} for the vertex row (X, d) of v, by
+    exact facet clipping, with w = W / e.
+
+    ``cuts`` holds (N, o_num, o_den, s) for each facet N.x <= o_num / o_den
+    not parallel to w, with s = o_den N.W.  The facet cuts the line at
+    t = e (o_num d - o_den N.X) / (o_den d N.W); the positive factor e / d
+    is common to every cut, so the cuts are compared as the integer
+    quotients (o_num d - o_den N.X) / s, by cross-multiplication over
+    positive denominators, and each end becomes one Fraction.
+    """
+    d = row[-1]
+    lo = hi = None
+    for normal, o_num, o_den, s in cuts:
+        num = o_num * d - o_den * sum(map(mul, normal, row))
+        if s < 0:
+            num, s = -num, -s
+            if lo is None or num * lo[1] > lo[0] * s:
+                lo = num, s
+        elif hi is None or num * hi[1] < hi[0] * s:
+            hi = num, s
+    if lo is None or hi is None or lo[0] * hi[1] > hi[0] * lo[1]:
         raise InvariantError("chord through a vertex misses the body")
-    return lo, hi
+    return Fraction(e * lo[0], d * lo[1]), Fraction(e * hi[0], d * hi[1])
 
 
 def steiner_symmetral(body: Polytope, w) -> SteinerResult:
@@ -72,14 +88,22 @@ def steiner_symmetral(body: Polytope, w) -> SteinerResult:
         raise ZeroDirectionError("direction must be nonzero")
     if not body.is_full_dimensional:
         raise LowerDimensionalError("symmetrization needs a full-dimensional body")
-    wsq = dot(w, w)
+    *lifted_w, e = _lift((w,))[0]
+    cuts = []
+    for f in body.facets:
+        slope = sum(map(mul, f.normal, lifted_w))
+        if slope:  # a facet parallel to w cannot cut the chord of a point in K
+            o_num, o_den = f.offset.numerator, f.offset.denominator
+            cuts.append((f.normal, o_num, o_den, o_den * slope))
+    wsq = sum(c * c for c in lifted_w)
     points = []
-    for v in body.vertices:
-        lo, hi = _chord_interval(body, v, w)
-        base = vsub(v, vscale(dot(v, w) / wsq, w))  # projection onto w-perp
+    for row, v in zip(body.lifted, body.vertices):
+        lo, hi = _chord_interval(cuts, row, e)
+        # v's foot on w-perp is v - c w, c = v.w / w.w = X.W e / (d W.W).
+        c = Fraction(sum(map(mul, row, lifted_w)) * e, row[-1] * wsq)
         half = (hi - lo) / 2
-        points.append(vadd(base, vscale(half, w)))
-        points.append(vsub(base, vscale(half, w)))
+        points.append(vadd(v, vscale(half - c, w)))
+        points.append(vsub(v, vscale(half + c, w)))
     symmetral = convex_hull(points, allow_degenerate=True)
     if body.dim == 2:
         exactness = SteinerExactness.EXACT_2D
@@ -101,10 +125,14 @@ class ContainmentVerdict:
 
 
 def _contains(outer: Polytope, inner: Polytope) -> ContainmentVerdict:
-    for v in inner.vertices:
-        for f in outer.facets:
-            if dot(f.normal, v) > f.offset:
-                return ContainmentVerdict(False, v)
+    """The first of inner's vertices outside a facet N.x <= o_num / o_den of
+    outer, tested on its row (X, d) as N.X o_den > o_num d."""
+    bounds = [(f.normal, f.offset.numerator, f.offset.denominator) for f in outer.facets]
+    for k, row in enumerate(inner.lifted):
+        d = row[-1]
+        for normal, o_num, o_den in bounds:
+            if sum(map(mul, normal, row)) * o_den > o_num * d:
+                return ContainmentVerdict(False, inner.vertices[k])
     return ContainmentVerdict(True, None)
 
 
