@@ -125,8 +125,9 @@ class ContainmentVerdict:
 
 
 def _contains(outer: Polytope, inner: Polytope) -> ContainmentVerdict:
-    """The first of inner's vertices outside a facet N.x <= o_num / o_den of
-    outer, tested on its row (X, d) as N.X o_den > o_num d."""
+    """Whether inner lies in outer, else the first of inner's vertices
+    outside a facet N.x <= o_num / o_den of outer, tested on the vertex's
+    row (X, d) as N.X o_den > o_num d."""
     bounds = [(f.normal, f.offset.numerator, f.offset.denominator) for f in outer.facets]
     for k, row in enumerate(inner.lifted):
         d = row[-1]

@@ -341,8 +341,3 @@ def fraction_maps_onto(first_points, second_points, ratio, shift):
     the second (ratio > 0 maps extreme points to extreme points)."""
     image = {tuple(ratio * x + s for x, s in zip(p, shift)) for p in first_points}
     return image == set(second_points)
-
-
-def rational_root(q: Fraction, n: int):
-    """The rational n-th root of q >= 0, or None."""
-    return _exact_root(Fraction(q), n)

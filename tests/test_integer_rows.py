@@ -31,13 +31,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    _exact_root,
     brute_hull,
     centroid,
     fraction_maps_onto,
     fraction_outside,
     fraction_project,
     fraction_symmetral_points,
-    rational_root,
 )
 from test_hull_oracle import BIG_PRIMES
 
@@ -370,10 +370,6 @@ def test_vertex_centroid_matches_the_fraction_definition(body):
     assert c == centroid(body.vertices)
 
 
-def brute_facets(body):
-    return [(normal, offset) for normal, offset, _ in brute_hull(body.vertices)[1]]
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 3).flatmap(bodies), st.data())
 def test_steiner_symmetral_matches_the_fraction_chords(body, data):
@@ -381,8 +377,9 @@ def test_steiner_symmetral_matches_the_fraction_chords(body, data):
     n = body.dim
     w = data.draw(st.tuples(*[entries] * n).filter(any))
     result = steiner_symmetral(body, w)
+    facets = [(normal, offset) for normal, offset, _ in brute_hull(body.vertices)[1]]
     expected = convex_hull(
-        fraction_symmetral_points(body.vertices, brute_facets(body), w), allow_degenerate=True
+        fraction_symmetral_points(body.vertices, facets, w), allow_degenerate=True
     )
     assert result.symmetral == expected and result.symmetral.facets == expected.facets
     assert result.symmetral.volume == expected.volume
@@ -415,7 +412,7 @@ def expected_decision(first, second, centroid_shift=None):
     """(witness or None, reason) by the Fraction definitions: a the rational
     n-th root of the volume ratio, x the centroid shift (moved by
     ``centroid_shift`` when given), and the vertex map checked point by point."""
-    a = rational_root(second.volume / first.volume, first.dim)
+    a = _exact_root(second.volume / first.volume, first.dim)
     if a is None:
         return None, "volume-ratio-not-rational-power"
     x = tuple(s - a * f for s, f in zip(centroid(second.vertices), centroid(first.vertices)))
