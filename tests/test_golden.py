@@ -153,6 +153,13 @@ def test_golden(name, monkeypatch):
     assert run_case(CASES[name]) == expected
 
 
+def test_expected_files_are_the_cases():
+    # An expected report left behind by a renamed or removed case would
+    # never be compared with anything.
+    expected = {path.name for path in (GOLDEN / "expected").iterdir()}
+    assert expected == {f"{name}.txt" for name in CASES}
+
+
 if __name__ == "__main__":
     os.chdir(GOLDEN)
     for name, argv in sorted(CASES.items()):

@@ -19,7 +19,9 @@ points on the unit circle.  ``project``, ``vertex_centroid``, the Steiner
 symmetral and its containment test, and ``detect_homothety`` are checked
 against the ``Fraction`` definitions in ``oracles``, on subspaces of every
 dimension, directions and shifts with 61-bit prime denominators, and
-homothetic pairs next to near misses.
+homothetic pairs next to near misses.  ``translate``, ``scale`` and
+``apply_witness`` must give the hull of the ``Fraction`` image points
+a v + x: its rows, facets, volume and affine dimension.
 """
 
 import json
@@ -43,6 +45,7 @@ from test_hull_oracle import BIG_PRIMES
 
 from convexkit import homothety, io, volumes
 from convexkit.bodies import disc_polygon
+from convexkit.errors import DimensionMismatchError
 from convexkit.geometry import (
     Subspace,
     _hull_with_boundary,
@@ -487,3 +490,51 @@ def test_detect_homothety_rejects_a_volume_keeping_vertex_move(n):
         expected = expected_decision(first, moved)
         assert expected == (None, "candidate-transform-mismatch")
         assert_decision(homothety.detect_homothety(first, moved), *expected)
+
+
+def facet_triples(body):
+    return [(f.normal, f.offset, f.pseudo_volume) for f in body.facets]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4).flatmap(bodies), st.data())
+def test_homotheties_match_the_hull_of_the_fraction_image(body, data):
+    # translate, scale and apply_witness against the hull of the points
+    # a v + x, formed in Fractions, with ratios and shifts over the 61-bit
+    # prime among them; flat bodies and single points included.
+    n = body.dim
+    a = data.draw(st.one_of(factors, st.builds(F, st.integers(1, 2**63), st.just(PRIME))))
+    x = data.draw(st.tuples(*[entries] * n))
+    zero = (F(0),) * n
+    made = [
+        (translate(body, x), F(1), x),
+        (scale(body, a), a, zero),
+        (homothety.apply_witness(body, homothety.HomothetyWitness(a, x)), a, x),
+    ]
+    for image, ratio, shift in made:
+        expected = convex_hull(
+            [tuple(ratio * c + s for c, s in zip(v, shift)) for v in body.vertices],
+            allow_degenerate=True,
+        )
+        assert image.dim == n and image.lifted == expected.lifted
+        assert image.affine_dim == expected.affine_dim and image.volume == expected.volume
+        assert facet_triples(image) == facet_triples(expected)
+        assert_row_types(image)
+
+
+def test_homothety_arguments_are_checked():
+    body = convex_hull([(0, 0), (1, 0), (0, 1)])
+    for ratio in (0, F(-1, 3)):
+        with pytest.raises(ValueError, match="^scale factor must be positive$"):
+            homothety.apply_witness(body, homothety.HomothetyWitness(ratio, (0, 0)))
+        with pytest.raises(ValueError, match="^scale factor must be positive$"):
+            scale(body, ratio)
+    for shift in ((1,), (1, 2, 3)):
+        with pytest.raises(
+            DimensionMismatchError, match="^translation length differs from dimension$"
+        ):
+            homothety.apply_witness(body, homothety.HomothetyWitness(F(2), shift))
+        with pytest.raises(
+            DimensionMismatchError, match="^translation length differs from dimension$"
+        ):
+            translate(body, shift)

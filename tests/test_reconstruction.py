@@ -6,6 +6,9 @@ from convexkit.bodies import random_polytope, unit_square
 from convexkit.errors import QuadrantError
 from convexkit.geometry import bodies_equal, convex_hull, scale, support, translate
 from convexkit.reconstruction import (
+    _AUX_CANDIDATES,
+    _CORNER,
+    _closing_solution,
     corner_normalize,
     farey_directions,
     mixed_area_oracle,
@@ -51,6 +54,45 @@ def test_recover_first_quadrant(square):
     o = mixed_area_oracle(square)
     assert recover_support(o, (1, 1)) == 2
     assert recover_support(o, (1, 2)) == 3 == support(square, (1, 2))
+
+
+def expected_closing(w):
+    """(corner normal, multipliers) of the probe with outward normals w, the
+    corner normal and (1, 1), for w outside the closed first quadrant: for
+    w = (-a, b), -e2 gives (1, a + b, a); for w = (a, -b), -e1 gives
+    (1, a + b, b); for w = (-a, -b), -e1 gives (1, b - a, b) when b >= a
+    and -e2 gives (1, a - b, a) otherwise."""
+    x, y = w
+    if x < 0 <= y:
+        return (0, -1), (1, y - x, -x)
+    if y < 0 <= x:
+        return (-1, 0), (1, x - y, -y)
+    if x < y:
+        return (0, -1), (1, y - x, -x)
+    return (-1, 0), (1, x - y, -y)
+
+
+def test_first_auxiliary_normal_closes_every_other_direction():
+    # With (1, 1), one of the corner normals closes a probe for every
+    # direction outside the closed first quadrant, so no later auxiliary
+    # candidate is ever tried.
+    rng = make_rng(20)
+    signed = [
+        (sx * F(rng.randint(1, 99), rng.randint(1, 9)), sy * F(rng.randint(1, 99), rng.randint(1, 9)))
+        for sx, sy in [(-1, 1), (-1, -1), (1, -1)]
+        for _ in range(200)
+    ]
+    diagonal = [(F(-k, 3), F(-k, 3)) for k in range(1, 4)]
+    outside = [w for w in farey_directions() if w[0] < 0 or w[1] < 0]
+    directions = outside + [(F(-1), F(0)), (F(0), F(-1))] + signed + diagonal
+    assert len(outside) == 47 and _AUX_CANDIDATES[0] == (1, 1)
+    for w in directions:
+        closing = [
+            (axis, lams)
+            for axis in _CORNER
+            if (lams := _closing_solution((w, axis, (1, 1)))) is not None
+        ]
+        assert closing and closing[0] == expected_closing(w), w
 
 
 def test_recover_scale_invariance(square):
