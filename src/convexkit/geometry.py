@@ -95,17 +95,16 @@ class Facet:
 
     normal:        outward primitive integer normal, a tuple of ints
     offset:        h_P(normal); every vertex v satisfies v.normal <= offset
-    vertex_indices: indices (into the canonical vertex list) lying on the facet
     pseudo_volume: (n-1)-volume of the facet times |normal|, a rational
 
     The hull builds each facet's orientation and normal with the facet: in
     2D off the counterclockwise chain, in 3D and 4D off simplices that are
-    outward by construction.  Nothing is flipped or checked afterwards.
+    outward by construction.  Nothing is flipped or checked afterwards.  The
+    vertices on a facet are the v with v.normal == offset; none are stored.
     """
 
     normal: tuple
     offset: Fraction
-    vertex_indices: tuple
     pseudo_volume: Fraction
 
     def normal_sq(self) -> Fraction:
@@ -306,8 +305,6 @@ def _build_polygon(rows):
     edges (b, a), whose cross normal is outward.
     """
     cycle = _chain_2d(rows)
-    extreme = sorted(cycle)
-    canonical_index = {i: k for k, i in enumerate(extreme)}
     facets, cones, edges = [], [], []
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         xa, ya, da = rows[a]
@@ -319,7 +316,6 @@ def _build_polygon(rows):
             Facet(
                 normal=u,
                 offset=Fraction(u[0] * xa + u[1] * ya, da),
-                vertex_indices=tuple(sorted((canonical_index[a], canonical_index[b]))),
                 pseudo_volume=Fraction(g * (u[0] * u[0] + u[1] * u[1]), da * db),
             )
         )
@@ -328,7 +324,7 @@ def _build_polygon(rows):
     facets.sort(key=lambda f: f.normal)
     body = Polytope(
         dim=2,
-        lifted=tuple(rows[i] for i in extreme),
+        lifted=tuple(rows[i] for i in sorted(cycle)),
         facets=tuple(facets),
         affine_dim=2,
         volume=tree_sum(cones) / 2,
@@ -372,26 +368,24 @@ def _build_full_dimensional(rows, n, base):
         members.update(verts)
     volume = tree_sum(cones) / factorial(n)
 
-    # Every vertex of a facet is a vertex of its triangulation, so incidence
-    # is membership; a member is extreme iff its facets' normals span R^n.
+    # Every vertex of a facet is a vertex of its triangulation, so a member
+    # is extreme iff the normals of the facets it is a member of span R^n.
+    # Every member lies on its facet's hyperplane, so any one gives the offset.
     norm_keys = sorted(merged)
     member_of = {}
     for prim in norm_keys:
         for i in merged[prim][1]:
             member_of.setdefault(i, []).append(prim)
     extreme = [i for i in sorted(member_of) if _spans(member_of[i], n)]
-    canonical_index = {i: k for k, i in enumerate(extreme)}
 
     facets = []
     for prim in norm_keys:
         pieces, members = merged[prim]
-        on_facet = tuple(sorted(canonical_index[i] for i in members if i in canonical_index))
-        first = rows[extreme[on_facet[0]]]
+        row = rows[next(iter(members))]
         facets.append(
             Facet(
                 normal=prim,
-                offset=Fraction(sum(map(mul, prim, first)), first[n]),
-                vertex_indices=on_facet,
+                offset=Fraction(sum(map(mul, prim, row)), row[n]),
                 pseudo_volume=tree_sum(pieces),
             )
         )
@@ -578,48 +572,51 @@ def bodies_equal(a: Polytope, b: Polytope) -> bool:
     return a.dim == b.dim and a.lifted == b.lifted
 
 
-def translate(body: Polytope, x) -> Polytope:
-    """K + x: row (X, d) becomes the primitive row of (X e + W d, d e), x = W / e."""
-    x = as_vec(x)
-    if len(x) != body.dim:
-        raise DimensionMismatchError("translation length differs from dimension")
+def _image_rows(rows, a, x) -> tuple:
+    """Rows of the points a v + x for the lifted rows (X, d) of points v,
+    with a = p / q > 0 and x = W / e: each maps to the primitive row of
+    (X p e + W q d, d q e), the image point's own row.  The map keeps the
+    points' order, so sorted rows stay sorted."""
+    p, q = a.numerator, a.denominator
     *shift, e = _lift((x,))[0]
-    facets = tuple(
-        Facet(f.normal, f.offset + dot(f.normal, x), f.vertex_indices, f.pseudo_volume)
-        for f in body.facets
-    )
-    return Polytope(
-        dim=body.dim,
-        lifted=tuple(
-            primitive_int_vector((*(c * e + s * d for c, s in zip(xs, shift)), d * e))
-            for *xs, d in body.lifted
-        ),
-        facets=facets,
-        affine_dim=body.affine_dim,
-        volume=body.volume,
+    pe = p * e
+    return tuple(
+        primitive_int_vector((*(c * pe + w * q * d for c, w in zip(xs, shift)), d * q * e))
+        for *xs, d in rows
     )
 
 
-def scale(body: Polytope, a) -> Polytope:
-    """a K: row (X, d) becomes the primitive row of (X p, d q), a = p / q > 0."""
-    a = as_scalar(a)
+def _homothety(body: Polytope, a, x) -> Polytope:
+    """a K + x for a > 0 in one pass: rows by ``_image_rows``, each facet
+    (u, h, pv) to (u, a h + u.x, a^(n-1) pv), as h_(aK+x)(u) = a h_K(u) + u.x,
+    and the volume times a^n.  Every homothety of a body runs through here."""
+    a, x = as_scalar(a), as_vec(x)
     if a <= 0:
         raise ValueError("scale factor must be positive")
+    if len(x) != body.dim:
+        raise DimensionMismatchError("translation length differs from dimension")
     n = body.dim
-    facets = tuple(
-        Facet(f.normal, f.offset * a, f.vertex_indices, f.pseudo_volume * a ** (n - 1))
-        for f in body.facets
-    )
-    p, q = a.numerator, a.denominator
+    grow = a ** (n - 1)
     return Polytope(
         dim=n,
-        lifted=tuple(
-            primitive_int_vector((*(c * p for c in xs), d * q)) for *xs, d in body.lifted
+        lifted=_image_rows(body.lifted, a, x),
+        facets=tuple(
+            Facet(f.normal, a * f.offset + dot(f.normal, x), f.pseudo_volume * grow)
+            for f in body.facets
         ),
-        facets=facets,
         affine_dim=body.affine_dim,
         volume=body.volume * a**n,
     )
+
+
+def translate(body: Polytope, x) -> Polytope:
+    """K + x, by ``_homothety``."""
+    return _homothety(body, 1, x)
+
+
+def scale(body: Polytope, a) -> Polytope:
+    """a K for a > 0, by ``_homothety``."""
+    return _homothety(body, a, (0,) * body.dim)
 
 
 def reflect_through_hyperplane(body: Polytope, w) -> Polytope:

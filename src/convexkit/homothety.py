@@ -5,7 +5,8 @@ polytopes the decision is exact and total: a is forced to be the n-th root
 of the volume ratio (rational whenever a homothety exists, since a is a
 difference quotient of rational support values), x is forced by vertex
 centroids, and the candidate is confirmed by comparing integer rows: each
-of K's lifted rows, mapped by v -> a v + x, must be the matching row of L.
+of K's lifted rows, mapped by v -> a v + x (``geometry._image_rows``), must
+be the matching row of L.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from .errors import (
 )
 from .geometry import (
     Polytope,
-    _lift,
+    _homothety,
+    _image_rows,
     bodies_equal,
     hyperplane_subspace,
     project,
-    scale,
     support,
     translate,
     vertex_centroid,
@@ -40,10 +41,10 @@ from .inequalities import default_lambda_grid
 from .linalg import (
     as_scalar,
     as_vec,
-    primitive_int_vector,
     rational_nth_root,
     unit_vector,
     vadd,
+    vneg,
     vscale,
     vsub,
 )
@@ -69,22 +70,15 @@ class HomothetyDecision:
 
 
 def apply_witness(first: Polytope, witness: HomothetyWitness) -> Polytope:
-    return translate(scale(first, witness.ratio), witness.shift)
+    """ratio * first + shift, in one pass by ``geometry._homothety``."""
+    return _homothety(first, witness.ratio, witness.shift)
 
 
 def _maps_onto(first: Polytope, second: Polytope, witness: HomothetyWitness) -> bool:
-    """True when v -> a v + x carries first's rows onto second's, for
-    a = p / q > 0 and x = W / e: the row (X, d) maps to the primitive row of
-    (X p e + W q d, d q e), the image point's own row.  The map keeps the
-    points' order, so the images line up with second's sorted rows."""
-    p, q = witness.ratio.numerator, witness.ratio.denominator
-    *shift, e = _lift((witness.shift,))[0]
-    pe = p * e
-    image = tuple(
-        primitive_int_vector((*(x * pe + w * q * d for x, w in zip(xs, shift)), d * q * e))
-        for *xs, d in first.lifted
-    )
-    return image == second.lifted
+    """True when v -> a v + x carries first's rows onto second's, compared
+    row by row with no body built; the map keeps the points' order, so the
+    images line up with second's sorted rows."""
+    return _image_rows(first.lifted, witness.ratio, witness.shift) == second.lifted
 
 
 def detect_homothety(first: Polytope, second: Polytope) -> HomothetyDecision:
@@ -109,8 +103,8 @@ def detect_homothety(first: Polytope, second: Polytope) -> HomothetyDecision:
     return HomothetyDecision(None, reason="candidate-transform-mismatch")
 
 
-def default_direction_set(dim: int, seed: int = 2024, random_count: int = 20):
-    """Axes, all (+-1)-diagonals, and seeded random rational directions.
+def default_direction_set(dim: int, seed: int = 2024):
+    """Axes, all (+-1)-diagonals, and 20 seeded random rational directions.
 
     The last axis direction e_n comes first, as the projection pipeline
     requires it to be present.
@@ -122,7 +116,7 @@ def default_direction_set(dim: int, seed: int = 2024, random_count: int = 20):
     dirs.extend(tuple(d) for d in diag)
     rng = random.Random(seed)
     seen = set(dirs)
-    target = len(dirs) + random_count
+    target = len(dirs) + 20
     while len(dirs) < target:
         w = random_direction(dim, rng)
         if w not in seen:
@@ -168,22 +162,18 @@ def _normalize_shadows(first: Polytope, second: Polytope, shadow):
     floor = hyperplane_subspace(unit_vector(n, n - 1))
     # Its inverse carries L's shadow onto K's: K_shadow = a L_shadow + v.
     a = 1 / shadow.ratio
-    v = vscale(-a, shadow.shift)
     # The floor basis is e_1..e_(n-1), so chart coordinates embed directly.
-    v_embedded = tuple(v) + (Fraction(0),)
-    second_scaled = translate(scale(second, a), v_embedded)
+    v_embedded = vscale(-a, shadow.shift) + (Fraction(0),)
+    # Both rest on x_n = 0 after their shifts; h_(aL+v)(-e_n) = a h_L(-e_n).
     e_last = unit_vector(n, n - 1)
-    lift_first = support(first, tuple(-x for x in e_last))
-    lift_second = support(second_scaled, tuple(-x for x in e_last))
-    first_n = translate(first, vscale(lift_first, e_last))
-    second_n = translate(second_scaled, vscale(lift_second, e_last))
+    down = vneg(e_last)
+    first_shift = vscale(support(first, down), e_last)
+    second_shift = vadd(v_embedded, vscale(a * support(second, down), e_last))
+    first_n = translate(first, first_shift)
+    second_n = _homothety(second, a, second_shift)
     if not bodies_equal(project(first_n, floor), project(second_n, floor)):
         raise InvariantError("normalized bottom shadows differ")
-    transforms = ShadowTransforms(
-        first_shift=vscale(lift_first, e_last),
-        ratio=a,
-        second_shift=vadd(v_embedded, vscale(lift_second, e_last)),
-    )
+    transforms = ShadowTransforms(first_shift=first_shift, ratio=a, second_shift=second_shift)
     return first_n, second_n, transforms
 
 

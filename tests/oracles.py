@@ -141,8 +141,7 @@ def brute_hull(points):
     Facets are the supporting hyperplanes through affinely independent
     n-subsets; a point is a vertex when the normals of the facets through
     it have rank n.  Returns (sorted vertices, facets) with facets sorted
-    by outward primitive integer normal, each as (normal, offset,
-    indices of the vertices on it).
+    by outward primitive integer normal, each as (normal, offset).
     """
     pts = sorted({tuple(Fraction(x) for x in p) for p in points})
     n = len(pts[0])
@@ -166,10 +165,7 @@ def brute_hull(points):
     vertices = [
         p for p in pts if len(_rref([list(u) for u in offsets if on(u, p)])[1]) == n
     ]
-    facets = [
-        (prim, offsets[prim], tuple(k for k, v in enumerate(vertices) if on(prim, v)))
-        for prim in sorted(offsets)
-    ]
+    facets = [(prim, offsets[prim]) for prim in sorted(offsets)]
     return vertices, facets
 
 
@@ -184,7 +180,6 @@ def validate_polytope(body) -> None:
             assert s <= f.offset
             on += s == f.offset
         assert on >= body.dim
-        assert len(f.vertex_indices) == on
     if body.is_full_dimensional and body.dim > 1:
         assert affine_rank(body.vertices) == body.dim
 

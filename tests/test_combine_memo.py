@@ -45,7 +45,7 @@ def snapshot(body):
         body.vertices,
         body.volume,
         body.affine_dim,
-        [(f.normal, f.offset, f.vertex_indices, f.pseudo_volume) for f in body.facets],
+        [(f.normal, f.offset, f.pseudo_volume) for f in body.facets],
     )
 
 

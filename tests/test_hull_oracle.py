@@ -80,7 +80,7 @@ def test_hull_matches_brute_force(points):
     assert body == convex_hull(points)
     vertices, facets = brute_hull(points)
     assert list(body.vertices) == vertices
-    assert [(f.normal, f.offset, f.vertex_indices) for f in body.facets] == facets
+    assert [(f.normal, f.offset) for f in body.facets] == facets
     assert_outward(rows, simplices)
     if n == 2:
         assert body.volume == shoelace_area(vertices)
@@ -274,7 +274,7 @@ def test_larger_hulls_match_brute_force_and_close(points):
     assert body == convex_hull(points)
     vertices, facets = brute_hull(points)
     assert list(body.vertices) == vertices
-    assert [(f.normal, f.offset, f.vertex_indices) for f in body.facets] == facets
+    assert [(f.normal, f.offset) for f in body.facets] == facets
     # The outward simplices form a closed, coherently oriented boundary.
     assert_outward(rows, simplices)
     ridges = induced_ridges(simplices, n)
