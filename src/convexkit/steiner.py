@@ -29,6 +29,7 @@ from operator import mul
 from .errors import (
     DimensionError,
     EmptyScheduleError,
+    GeometryError,
     InvariantError,
     LowerDimensionalError,
     ZeroDirectionError,
@@ -46,7 +47,6 @@ class SteinerExactness(enum.Enum):
 @dataclass(frozen=True)
 class SteinerResult:
     symmetral: Polytope
-    direction: tuple
     exactness: SteinerExactness
     inner_approximation: bool  # False whenever volume was preserved exactly
 
@@ -115,7 +115,7 @@ def steiner_symmetral(body: Polytope, w) -> SteinerResult:
         if symmetral.volume > body.volume:
             raise InvariantError("inner approximant exceeded true volume")
         inner = symmetral.volume < body.volume
-    return SteinerResult(symmetral, w, exactness, inner)
+    return SteinerResult(symmetral, exactness, inner)
 
 
 @dataclass(frozen=True)
@@ -156,12 +156,22 @@ class RoundingTrace:
 
 
 def _isoperimetric_ratio(body: Polytope) -> float:
+    """perimeter^2 / (4 pi area) in floats.  The squared edges and the area
+    are first divided by one power of four near the largest squared edge,
+    which commutes with sqrt and float rounding: the ratio is the unscaled
+    floats' whenever those are in range, and GeometryError past float range."""
     cycle = polygon_cycle(body)
+    squares = [dot(e, e) for e in map(vsub, cycle[1:] + cycle[:1], cycle)]
+    top = max(squares)
+    unit = Fraction(4) ** ((top.numerator.bit_length() - top.denominator.bit_length()) // 2)
     perimeter = 0.0
-    for i in range(len(cycle)):
-        e = vsub(cycle[(i + 1) % len(cycle)], cycle[i])
-        perimeter += math.sqrt(float(dot(e, e)))
-    return perimeter**2 / (4 * math.pi * float(body.volume))
+    for sq in squares:
+        perimeter += math.sqrt(float(sq / unit))
+    area = float(body.volume / unit)
+    ratio = perimeter**2 / (4 * math.pi * area) if area else math.inf
+    if math.isinf(ratio):
+        raise GeometryError("isoperimetric ratio past float range")
+    return ratio
 
 
 def rounding_iteration(body: Polytope, schedule, steps: int) -> RoundingTrace:

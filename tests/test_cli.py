@@ -399,6 +399,31 @@ def test_result_past_the_int_str_limit(tmp_path, capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_rounding_ratio_at_extreme_scales(tmp_path, capsys):
+    # The isoperimetric ratio is scale-free: right triangles with legs 2^1000
+    # and 2^-1000 print the unit triangle's ratio strings, and legs 1e300 and
+    # 1e-300, inside the literal caps, stay inside float range.  A needle
+    # whose ratio is past float range ends with exit 3 and one line.
+    def steiner(a, b):
+        path = tmp_path / "triangle.json"
+        path.write_text(json.dumps({"dim": 2, "vertices": [["0", "0"], [a, "0"], ["0", b]]}))
+        return run_cli(capsys, ["steiner", str(path), "--direction", "1,0", "--steps", "1"])
+
+    def ratios(a, b):
+        code, out, err = steiner(a, b)
+        assert code == 0 and err == ""
+        return [row["isoperimetric_ratio"] for row in json.loads(out)["result"]["trace"]]
+
+    unit = ratios("1", "1")
+    assert ratios(str(2**1000), str(2**1000)) == unit
+    assert ratios(f"1/{2**1000}", f"1/{2**1000}") == unit
+    for leg in ("1e300", "1e-300"):
+        assert [float(r) for r in ratios(leg, leg)] == pytest.approx([float(r) for r in unit])
+    code, out, err = steiner(str(2**600), f"1/{2**600}")
+    assert code == 3 and out == ""
+    assert err == "GeometryError: isoperimetric ratio past float range\n"
+
+
 OPTIMIZED_INVARIANTS = """
 import sys
 from dataclasses import replace
