@@ -33,14 +33,12 @@ from .geometry import Polytope, bodies_equal, convex_hull, support, translate
 from .linalg import as_scalar, as_vec, det2, dot, is_zero_vec, vadd, vscale
 from .volumes import mixed_area
 
-# First-quadrant auxiliary normals tried, in order, when recovering a
-# direction outside the closed first quadrant; the first candidate whose
-# closing multipliers are first positive, others nonnegative, is used, and
-# the recovered value is independent of the choice.
-_AUX_CANDIDATES = (
-    (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2),
-    (1, 4), (4, 1), (3, 4), (4, 3), (1, 5), (5, 1),
-)
+# First-quadrant auxiliary normals tried when recovering a direction outside
+# the closed first quadrant.  (1, 1) alone closes every such w with one
+# corner normal: for w = (-a, b), -e2 gives the multipliers (1, a + b, a);
+# for w = (a, -b), -e1 gives (1, a + b, b); for w = (-a, -b), -e1 gives
+# (1, b - a, b) when b >= a and -e2 gives (1, a - b, a) when a >= b.
+_AUX_CANDIDATES = ((1, 1),)
 
 # Outward normals at which a corner-normalized body has support 0.
 _CORNER = ((-1, 0), (0, -1))
@@ -213,15 +211,12 @@ def farey_fractions(order: int = 8):
     return sorted(fracs)
 
 
-def farey_directions(per_quadrant: int = 16, order: int = 8):
-    """Deterministic direction grid: per-quadrant slopes from the Farey
-    sequence (smallest denominators first), rotated through all quadrants.
-
-    The default yields 64 directions, 16 per quadrant, axes included once.
-    """
-    slopes = sorted(farey_fractions(order), key=lambda f: (f.denominator, f.numerator))
-    slopes = sorted(slopes[:per_quadrant])
-    quadrant = [(Fraction(s.denominator), Fraction(s.numerator)) for s in slopes]
+def farey_directions():
+    """Deterministic direction grid: 16 slopes per quadrant from the Farey
+    sequence of order 8 (smallest denominators first), rotated through all
+    quadrants: 64 directions, axes included once."""
+    slopes = sorted(farey_fractions(8), key=lambda f: (f.denominator, f.numerator))
+    quadrant = [(Fraction(s.denominator), Fraction(s.numerator)) for s in sorted(slopes[:16])]
     dirs = []
     for x, y in quadrant:
         dirs.extend([(x, y), (-y, x), (-x, -y), (y, -x)])
