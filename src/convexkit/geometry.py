@@ -29,14 +29,17 @@ Conventions used throughout the package:
   new simplex inherits the order of the visible simplex it replaces; only
   the first simplex's facets are oriented against an interior point;
 * a Polytope is the lifted rows of its canonical vertices, ``lifted``;
-  its ``Fraction`` ``vertices`` are built on first read.  ``translate``,
-  ``scale``, ``support``, ``support_set``, ``project``,
-  ``vertex_centroid``, ``polygon_cycle`` and the facet offsets run on the
-  rows: a direction w = W / e is checked and lifted once, X.W / d is
-  compared across vertices by integer cross-multiplication, and one
-  Fraction is built per result.  A caller that already holds an integer
-  direction, such as a primitive facet normal, passes it straight to that
-  integer core, ``_integer_support``;
+  its ``Fraction`` ``vertices`` are built on first read.  A facet stores
+  no vertex list;
+* every homothety a K + x (a > 0), ``translate`` and ``scale`` included,
+  is the one map ``_homothety``, on rows from ``_image_rows``;
+* ``support``, ``support_set``, ``project``, ``vertex_centroid``,
+  ``polygon_cycle`` and the facet offsets run on the rows: a direction
+  w = W / e is checked and lifted once, X.W / d is compared across
+  vertices by integer cross-multiplication, and one Fraction is built per
+  result.  A caller that already holds an integer direction, such as a
+  primitive facet normal, passes it straight to that integer core,
+  ``_integer_support``;
 * projections return coordinates obtained by pairing points with the
   subspace basis vectors (x maps to (x.b1, ..., x.bd)), formed as rows:
   the basis is lifted once to rows (B_i, e_i), and a vertex row (X, d)
