@@ -24,6 +24,7 @@ from convexkit.homothety import (
     strict_refutation,
 )
 from convexkit.inequalities import default_lambda_grid
+from convexkit.volumes import combine, mixed_volume_base_height
 from conftest import make_rng
 
 
@@ -239,6 +240,44 @@ def test_strict_refutation_matches_full_sweep():
         for call in (strict_refutation, functional_equality_sweep):
             with pytest.raises(NegativeCoefficientError):
                 call(first, second, (0, 2))
+
+
+def _first_quotient_row(first, second, grid):
+    # Every grid value in order, each against the pair, stopping at the
+    # first row whose scale-free quotient differs from the reference.
+    n = first.dim
+    bodies = (second, first)
+    references = [mixed_volume_base_height(second, m) ** n / second.volume ** (n - 1) for m in bodies]
+    for lam in grid:
+        mid = combine(1 - lam, first, lam, second)
+        for idx, (m, q_ref) in enumerate(zip(bodies, references)):
+            q_mid = mixed_volume_base_height(mid, m) ** n / mid.volume ** (n - 1)
+            if q_mid != q_ref:
+                return {
+                    "kind": "scale-free-quotient",
+                    "lambda": lam,
+                    "body_index": idx,
+                    "quotient_mix": q_mid,
+                    "quotient_second": q_ref,
+                }
+    return None
+
+
+def test_strict_refutation_matches_full_search_for_unequal_volumes():
+    rng = make_rng(41)
+    pairs = []
+    for dim in (2, 3, 4):
+        for _ in range(2):
+            pairs.append((random_polytope(dim, dim + 3, rng), random_polytope(dim, dim + 3, rng)))
+        first = pairs[-1][0]
+        pairs.append((first, convex_hull([(p[0] + F(3, 2) * p[1], *p[1:]) for p in scale(first, 2).vertices])))
+    for first, second in pairs:
+        assert first.volume != second.volume
+        assert not detect_homothety(first, second).homothetic
+        for grid in (None, (1, F(1, 2)), (F(1, 3), 0), (1, 1, F(7, 8))):
+            full = _first_quotient_row(first, second, default_lambda_grid() if grid is None else grid)
+            assert full is not None and full["body_index"] == 0
+            assert strict_refutation(first, second, grid) == full
 
 
 def test_strict_refutation_sweeps_the_pair_only(monkeypatch):
