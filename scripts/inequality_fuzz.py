@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Seeded fuzz sweep over random polytope pairs: counts Strict vs Equality
-verdicts and exits 4 if a Violation ever appears (it must not) or if the
-two routes to the equality case disagree.
+verdicts and exits 4 if a Violation ever appears (it must not), if the
+two routes to the equality case disagree, or if the equality diagnosis
+does: every Strict pair needs a refutation at lambda 0 with body index 0
+(the default grid's first value below 1), and every Equality pair a
+homothety witness, a copy's own (ratio, shift).
 
 Each pair gets the mixed-volume check and the Brunn-Minkowski check at
 lambda = 1/2.  Each random body is the hull of ``--vertices`` random points
@@ -24,6 +27,7 @@ from fractions import Fraction
 
 from convexkit.bodies import random_polytope
 from convexkit.geometry import scale, translate
+from convexkit.homothety import HomothetyWitness, detect_homothety, strict_refutation
 from convexkit.inequalities import Verdict, bm_check, minkowski_check
 from convexkit.numeric import DEFAULT_DIGITS
 
@@ -51,10 +55,12 @@ def main(argv=None):
     counts = {Verdict.STRICT: 0, Verdict.EQUALITY: 0}
     for i in range(args.pairs):
         first = random_polytope(args.dim, size, rng)
+        copy = None
         if i % 5 == 4:
             ratio = Fraction(rng.randint(1, 9), rng.randint(1, 4))
             shift = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(args.dim))
             second = translate(scale(first, ratio), shift)
+            copy = HomothetyWitness(ratio, shift)
         else:
             second = random_polytope(args.dim, size, rng)
         mmv = minkowski_check(first, second).verdict
@@ -63,6 +69,14 @@ def main(argv=None):
             _fail("VIOLATION", first, second)
         if mmv is not bm:
             _fail(f"bm gave {bm.value} but mmv gave {mmv.value}", first, second)
+        if mmv is Verdict.STRICT:
+            ref = strict_refutation(first, second)
+            if ref is None or (ref["lambda"], ref.get("body_index")) != (0, 0):
+                _fail(f"Strict pair refuted by {ref}", first, second)
+        else:
+            witness = detect_homothety(first, second).witness
+            if witness is None or copy not in (None, witness):
+                _fail(f"Equality pair has witness {witness}, built as {copy}", first, second)
         counts[mmv] += 1
     print(f"{args.pairs} pairs in dimension {args.dim} (seed {args.seed}, {args.digits} digits):")
     print(f"  Strict:   {counts[Verdict.STRICT]}")

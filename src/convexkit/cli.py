@@ -54,9 +54,9 @@ EXIT_VIOLATION = 4
 # Limits on numeric arguments, so that no argument can start unbounded work.
 # Fixed-point renderings convert integers of about `digits` decimal digits,
 # and Python refuses int/str conversions past 4300 digits; each rounding step
-# costs about 2.5 times the one before it, and each `--lambda-grid` value
-# one more functional sweep.  `--vertices` shares the cap on body files,
-# io.MAX_VERTICES.
+# costs about 2.5 times the one before it.  `--lambda-grid` is capped as an
+# input bound only: a diagnosis evaluates its first value below 1 and no
+# other.  `--vertices` shares the cap on body files, io.MAX_VERTICES.
 MAX_DIGITS = 1000
 MAX_STEPS = 10
 MAX_GRID_VALUES = 64
@@ -193,6 +193,8 @@ def cmd_equality_diagnose(args) -> int:
     for t in args.lambda_grid or ():
         if not 0 <= t <= 1:
             raise LambdaRangeError(f"lambda {t} outside [0, 1]")
+    if args.lambda_grid and min(args.lambda_grid) == 1:
+        raise LambdaRangeError("lambda grid has no value below 1")
     first = io.load_body(args.body_a)
     second = io.load_body(args.body_b)
     mmv = minkowski_check(first, second, digits=args.digits)

@@ -438,7 +438,7 @@ def _check_ambient(n):
         raise AmbientDimError(f"ambient dimension {n} outside {MIN_AMBIENT}..{MAX_AMBIENT}")
 
 
-def _hull_with_boundary(rows, n, *, allow_degenerate=False):
+def _hull_with_boundary(rows, n):
     """``convex_hull``'s work on lifted rows, returning what it builds on the
     way: the canonical Polytope, the distinct rows in sorted order, and the
     hull's boundary simplices as index tuples into those rows, none for a
@@ -462,10 +462,6 @@ def _hull_with_boundary(rows, n, *, allow_degenerate=False):
     basis_ids = [i for i, _, _ in independent_rows(rows)]
     rank = len(basis_ids) - 1
     if rank < n:
-        if not allow_degenerate:
-            raise DimensionError(
-                f"points span an affine subspace of dimension {rank} < {n}"
-            )
         return _build_degenerate(rows, n, rank, basis_ids), rows, ()
     body, simplices = _build_full_dimensional(rows, n, basis_ids)
     return body, rows, simplices
@@ -474,10 +470,10 @@ def _hull_with_boundary(rows, n, *, allow_degenerate=False):
 def convex_hull(points, *, allow_degenerate: bool = False):
     """Exact convex hull of rational points, as a canonical Polytope.
 
-    Raises DimensionError when the hull is lower-dimensional, unless
-    ``allow_degenerate`` is set (projections and Minkowski combinations of
-    segments legitimately produce flat bodies).  The points are checked and
-    lifted once; the hull runs on their integer rows, and the body keeps them.
+    The points are checked and lifted once; the hull runs on their integer
+    rows, and the body keeps them.  A flat hull raises DimensionError once
+    built, unless ``allow_degenerate`` is set (projections and Minkowski
+    combinations of segments legitimately produce flat bodies).
     """
     pts = [as_vec(p) for p in points]
     if not pts:
@@ -486,7 +482,10 @@ def convex_hull(points, *, allow_degenerate: bool = False):
     if any(len(p) != n for p in pts):
         raise DimensionMismatchError("points of unequal length")
     _check_ambient(n)
-    return _hull_with_boundary(_lift(pts), n, allow_degenerate=allow_degenerate)[0]
+    body = _hull_with_boundary(_lift(pts), n)[0]
+    if body.affine_dim < n and not allow_degenerate:
+        raise DimensionError(f"points span an affine subspace of dimension {body.affine_dim} < {n}")
+    return body
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +536,7 @@ def support_set(body: Polytope, w) -> Polytope:
     are exact, and their rows are hulled."""
     _, values, (best, best_d) = _lifted_support(body, w)
     face = [row for row, (x, d) in zip(body.lifted, values) if x * best_d == best * d]
-    return _hull_with_boundary(face, body.dim, allow_degenerate=True)[0]
+    return _hull_with_boundary(face, body.dim)[0]
 
 
 def project(body: Polytope, xi: Subspace) -> Polytope:
@@ -559,7 +558,7 @@ def project(body: Polytope, xi: Subspace) -> Polytope:
         primitive_int_vector((*(sum(map(mul, row, b)) for b in scaled), row[-1] * common))
         for row in body.lifted
     ]
-    return _hull_with_boundary(rows, xi.dim, allow_degenerate=True)[0]
+    return _hull_with_boundary(rows, xi.dim)[0]
 
 
 def projected_volume_sq(body: Polytope, xi: Subspace) -> Fraction:
@@ -627,7 +626,7 @@ def reflect_through_hyperplane(body: Polytope, w) -> Polytope:
     w = _check_direction(body, w)
     wsq = dot(w, w)
     mapped = [vsub(v, vscale(2 * dot(v, w) / wsq, w)) for v in body.vertices]
-    return _hull_with_boundary(_lift(mapped), body.dim, allow_degenerate=True)[0]
+    return _hull_with_boundary(_lift(mapped), body.dim)[0]
 
 
 def vertex_centroid(body: Polytope):

@@ -22,7 +22,9 @@ from .errors import (
     DimensionError,
     DimensionMismatchError,
     InvariantError,
+    LambdaRangeError,
     LowerDimensionalError,
+    NegativeCoefficientError,
     NotHomotheticProjectionError,
     VolumeMismatchError,
 )
@@ -255,7 +257,6 @@ class EqualityCaseTrace:
     carries the exact witness (the sweep alone never confirms).
     """
 
-    lambda_grid: tuple
     volumes: tuple
     mixed_pairs: tuple
     direction_pairs: tuple
@@ -329,7 +330,6 @@ def functional_equality_sweep(
         else:
             conclusion, witness = SweepConclusion.INCONCLUSIVE, None
     return EqualityCaseTrace(
-        lambda_grid=lambda_grid,
         volumes=tuple(volumes),
         mixed_pairs=tuple(mixed_pairs),
         direction_pairs=tuple(direction_pairs),
@@ -342,34 +342,32 @@ def functional_equality_sweep(
 def strict_refutation(first: Polytope, second: Polytope, lambda_grid=None):
     """Concrete evidence against homothety for a strict pair, or None.
 
-    With equal volumes the functional sweep itself refutes, against the
-    pair alone: at its first lam < 1 either V(K_lam) != V(L), or
-    mv(K_lam, L) > V(L) by Minkowski's first inequality (equality would make
-    K_lam, hence K, homothetic to L), so no other test body can hold the
-    first failing row.  Otherwise the first-argument-scale-free quotients
-    mv(K_lam, M)^n / V(K_lam)^(n-1) are compared (homothetic pairs make them
-    agree for every lam and M, and the row lam = 0, M = second body always
-    differs on a strict pair).
+    Equality in Brunn-Minkowski or Minkowski's first inequality at a lam < 1
+    makes K_lam, hence K, homothetic to L, and K_1 = L holds every row.  So
+    only the grid's first lam < 1 is evaluated, against the pair alone: the
+    functional sweep's row for equal volumes, otherwise the first-argument-
+    scale-free quotients mv(K_lam, M)^n / V(K_lam)^(n-1) for M = L, then K.
     """
-    grid = default_lambda_grid() if lambda_grid is None else lambda_grid
-    grid = tuple(as_scalar(t) for t in grid)
+    grid = default_lambda_grid() if lambda_grid is None else tuple(map(as_scalar, lambda_grid))
+    if not all(0 <= t <= 1 for t in grid):
+        raise NegativeCoefficientError("combination coefficients must be >= 0")
+    lam = next((t for t in grid if t < 1), None)
+    if lam is None:
+        raise LambdaRangeError("lambda grid has no value below 1")
     if first.volume == second.volume:
-        return functional_equality_sweep(first, second, grid, test_bodies=()).refutation
+        return functional_equality_sweep(first, second, (lam,), test_bodies=()).refutation
     n = first.dim
-    bodies = (second, first)
-    references = [mixed_volume_base_height(second, m) ** n / second.volume ** (n - 1) for m in bodies]
-    for lam in grid:
-        mid = combine(1 - lam, first, lam, second)
-        for idx, (m, q_ref) in enumerate(zip(bodies, references)):
-            q_mid = mixed_volume_base_height(mid, m) ** n / mid.volume ** (n - 1)
-            if q_mid != q_ref:
-                return {
-                    "kind": "scale-free-quotient",
-                    "lambda": lam,
-                    "body_index": idx,
-                    "quotient_mix": q_mid,
-                    "quotient_second": q_ref,
-                }
+    mid = combine(1 - lam, first, lam, second)
+    for idx, m in enumerate((second, first)):
+        row = {
+            "kind": "scale-free-quotient",
+            "lambda": lam,
+            "body_index": idx,
+            "quotient_mix": mixed_volume_base_height(mid, m) ** n / mid.volume ** (n - 1),
+            "quotient_second": mixed_volume_base_height(second, m) ** n / second.volume ** (n - 1),
+        }
+        if row["quotient_mix"] != row["quotient_second"]:
+            return row
     return None
 
 

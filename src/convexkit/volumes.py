@@ -145,7 +145,7 @@ def _minkowski_sum(first: Polytope, second: Polytope) -> tuple:
             x_part, y_part, weight = triple = _pair_row(x_row, y_row)
             row = primitive_int_vector((*map(add, x_part, y_part), weight))
             origin[row] = (x, y, triple)
-    body, rows, simplices = _hull_with_boundary(list(origin), first.dim, allow_degenerate=True)
+    body, rows, simplices = _hull_with_boundary(list(origin), first.dim)
     pairs = tuple(origin[row][:2] for row in body.lifted)
     # The boundary cycle: each sorted pair point x + y once as its
     # ``_pair_row``, and the hull's outward simplices as indices into those.

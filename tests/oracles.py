@@ -285,7 +285,7 @@ def _dot(u, v):
 def fraction_project(points, basis):
     """Hull of the shadow points (p.b_1, ..., p.b_k), flat hulls allowed."""
     shadow = [tuple(_dot(p, b) for b in basis) for p in points]
-    return _hull_with_boundary(_lift(shadow), len(basis), allow_degenerate=True)[0]
+    return _hull_with_boundary(_lift(shadow), len(basis))[0]
 
 
 def fraction_chord(facets, point, w):

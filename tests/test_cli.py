@@ -287,7 +287,8 @@ def test_numeric_argument_bounds(corpus, capsys):
 
 
 def test_lambda_grid_bound(corpus, capsys):
-    # Each grid value costs one functional sweep, so the grid has a cap.
+    # The grid is an input: its length has a cap, though a diagnosis
+    # evaluates only its first value below 1.
     pair = ["equality-diagnose", corpus["square"], corpus["diamond"], "--lambda-grid"]
     code, out, err = run_cli(capsys, pair + [",".join(["1/3"] * (cli.MAX_GRID_VALUES + 1))])
     assert code == 2 and out == ""
@@ -303,6 +304,21 @@ def test_lambda_grid_range_ignores_order(corpus, capsys):
         code, out, err = run_cli(capsys, pair + [grid])
         assert (code, out) == (3, "")
         assert err == f"LambdaRangeError: lambda {bad} outside [0, 1]\n"
+
+
+def test_lambda_grid_needs_a_value_below_1(corpus, capsys):
+    # At lam = 1 the combination is L itself, so no row there can refute:
+    # a grid without a smaller value ends before the bodies load, whatever
+    # the verdict (square and diamond are Strict, square and square2t
+    # Equality).
+    for second, grid in (("diamond", "1"), ("rect", "1,1"), ("square2t", "1")):
+        argv = ["equality-diagnose", corpus["square"], corpus[second], "--lambda-grid", grid]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err == "LambdaRangeError: lambda grid has no value below 1\n"
+    argv = ["equality-diagnose", corpus["square"], corpus["rect"], "--lambda-grid", "1,1,7/8"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and err == "" and '"lambda": "7/8"' in out
 
 
 def test_parse_body_rejects_booleans():
@@ -524,9 +540,20 @@ def test_pair_point_cap(tmp_path, capsys):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({"dim": 4, "vertices": cyclic_rows(4, 17, shift)}))
         paths.append(str(path))
-    for command in (["mixedvol"], ["check", "--form", "bm", "--lambda", "1/2"], ["equality-diagnose"]):
+    combining = (
+        ["mixedvol"],
+        ["check", "--form", "bm", "--lambda", "1/2"],
+        ["equality-diagnose", "--lambda-grid", "1/3"],
+    )
+    for command in combining:
         start = time.perf_counter()
         code, out, err = run_cli(capsys, [*command, *paths])
         assert time.perf_counter() - start < 0.5
         assert code == 3 and out == ""
         assert err == "PairPointsError: 289 vertex pairs in dimension 4; at most 256 may be combined\n"
+    # On the default grid the refutation is at lam = 0, whose combination
+    # is K itself, so no pair point is formed.
+    code, out, err = run_cli(capsys, ["equality-diagnose", *paths])
+    assert code == 0 and err == ""
+    refutation = json.loads(out)["result"]["refutation"]
+    assert (refutation["lambda"], refutation["body_index"]) == ("0", 0)

@@ -281,8 +281,9 @@ def test_strict_refutation_matches_full_search_for_unequal_volumes():
 
 
 def test_strict_refutation_sweeps_the_pair_only(monkeypatch):
-    # A sheared hexagon against the original: 9 lam x 2 rows plus the 2
-    # references, where the default test bodies would take 60 calls.
+    # A sheared hexagon against the original: the 2 references and the 2
+    # rows at lam = 0, the one grid value evaluated, where the whole
+    # default grid would take 20 calls.
     import convexkit.homothety as homothety
 
     calls = []
@@ -297,4 +298,4 @@ def test_strict_refutation_sweeps_the_pair_only(monkeypatch):
     sheared = convex_hull([(x + F(7, 3) * y, y) for x, y in hexagon.vertices])
     refutation = strict_refutation(hexagon, sheared)
     assert refutation == {"kind": "mixed", "lambda": 0, "body_index": 0}
-    assert len(calls) == 20
+    assert len(calls) == 4

@@ -248,7 +248,7 @@ def test_hull_rows_are_the_rows_of_the_sorted_distinct_points(spelled):
     # The rows are sorted and deduplicated on integer keys; the order and
     # the distinct points must be those of the Fraction tuples.
     pts = [as_vec(p) for p in spelled]
-    _, rows, _ = _hull_with_boundary(_lift(pts), len(pts[0]), allow_degenerate=True)
+    _, rows, _ = _hull_with_boundary(_lift(pts), len(pts[0]))
     assert rows == _lift(sorted(set(pts)))
 
 
