@@ -343,7 +343,7 @@ def strict_refutation(first: Polytope, second: Polytope, lambda_grid=None):
     """Concrete evidence against homothety for a strict pair, or None.
 
     Equality in Brunn-Minkowski or Minkowski's first inequality at a lam < 1
-    makes K_lam, hence K, homothetic to L, and K_1 = L holds every row.  So
+    makes K_lam, hence K, homothetic to L; at lam = 1 every row holds.  So
     only the grid's first lam < 1 is evaluated, against the pair alone: the
     functional sweep's row for equal volumes, otherwise the first-argument-
     scale-free quotients mv(K_lam, M)^n / V(K_lam)^(n-1) for M = L, then K.
