@@ -11,7 +11,9 @@ simplex the kernel returns must be outward in its vertex order, checked
 against all the rows by the oracle's determinant.  Hulls of 9 to 14 points in 3D and 4D, where the
 shuffled insertion order matters, must also close: their boundary
 simplices meet in pairs along every ridge, with opposite orientations.
-The order is private and repeatable.
+So must the cyclic 4D polytope of 30 points, with every point a vertex and
+the most facets the Upper Bound Theorem allows.  The order is private and
+repeatable.
 """
 
 import itertools
@@ -303,3 +305,19 @@ def test_hull_order_is_deterministic_and_private():
     assert first[2] == second[2] == third[2]
     assert first[1] == second[1] == third[1]
     assert first[0] == second[0] == third[0]
+
+
+def test_cyclic_4d_hull_has_the_upper_bound_facet_count():
+    # 30 points on the moment curve t -> (t, t^2, t^3, t^4) span the cyclic
+    # polytope C(30, 4): every point is a vertex, and its n(n - 3)/2 = 405
+    # simplex facets are the most that 30 points in R^4 can have (McMullen's
+    # Upper Bound Theorem).
+    n = 30
+    points = [tuple(F(t**k) for k in range(1, 5)) for t in range(n)]
+    body, rows, simplices = _hull_with_boundary(_lift(points), 4)
+    assert len(body.vertices) == n
+    assert len(body.facets) == len(simplices) == n * (n - 3) // 2
+    assert_outward(rows, simplices)
+    ridges = induced_ridges(simplices, 4)
+    assert all(sorted(signs) == [-1, 1] for signs in ridges.values())
+    assert body.volume == mixed_volume_base_height(body, body)
