@@ -8,12 +8,14 @@ and ``independent_rows`` is the one elimination loop, fraction-free.  Ranks
 count its kept rows, and ``solve`` back-substitutes over them; only ``solve``
 and the other explicitly named helpers use Fractions.
 
-The hull's predicates are straight-line code up to 4D: ``mat_det`` has
-closed forms for 3 x 3 and 4 x 4 matrices, and ``cross_normal`` one for
-three rows of length 4, the cross normal of every 3D simplex, built on
-the six 2 x 2 minors of its last two rows.  A 4 x 4 determinant is its
-first row dotted with that cross normal of the other three, so each of
-the five entries of a 4D simplex's cross normal is one closed form too.
+The hull's predicates are straight-line code up to 4D.  ``cross_normal``
+has closed forms for three rows of length 4 and four rows of length 5, the
+cross normals of every 3D and 4D simplex, built on the 2 x 2 minors of the
+last two rows (and, for length 5, the 3 x 3 minors of the last three).
+``mat_det`` has closed forms up to 3 x 3; a larger determinant is one
+Laplace step, its first row dotted with the cross normal of the other
+rows, so 4 x 4 and 5 x 5 ones are closed forms too, and larger sizes
+recurse through ``cross_normal``'s loop over columns.
 """
 
 from __future__ import annotations
@@ -71,9 +73,9 @@ def det2(a, b, c, d):
 def mat_det(rows):
     """Determinant by minor expansion; division-free, entry type preserved.
 
-    Sizes 1 to 4 are closed forms: a 4 x 4 determinant expands along its
-    first row, whose cofactors are the closed-form ``cross_normal`` of the
-    other three rows.  Larger sizes expand recursively along the first row.
+    Sizes 1 to 3 are closed forms.  From 4 x 4 up a determinant is one
+    Laplace step: its first row dotted with the ``cross_normal`` of the
+    other rows, a closed form for 4 x 4 and 5 x 5 matrices.
     """
     n = len(rows)
     if n == 1:
@@ -83,16 +85,7 @@ def mat_det(rows):
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if n == 4:
-        return sum(map(mul, rows[0], cross_normal(rows[1:])))
-    total = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = rows[0][j] * mat_det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    return sum(map(mul, rows[0], cross_normal(rows[1:])))
 
 
 def cross_normal(rows):
@@ -106,10 +99,48 @@ def cross_normal(rows):
     For three rows a, b, c of length 4, the cross normal of every 3D
     simplex's lifted rows, the closed form takes the six 2 x 2 minors
     m_pq = b_p c_q - b_q c_p once; each entry is then three products, the
-    expansion of its 3 x 3 minor along a.  Other lengths take one
-    ``mat_det`` per column.
+    expansion of its 3 x 3 minor along a.  For four rows a, b, c, d of
+    length 5, every 4D simplex's, it takes the ten 2 x 2 minors m_pq of
+    c and d, then the ten 3 x 3 minors m_pqr = b_p m_qr - b_q m_pr + b_r m_pq
+    of b, c and d; each entry is then four products, the expansion of its
+    4 x 4 minor along a: 70 multiplications in all.  Other lengths take
+    one ``mat_det`` per column.
     """
     n = len(rows[0])
+    if n == 5:
+        (
+            (a0, a1, a2, a3, a4),
+            (b0, b1, b2, b3, b4),
+            (c0, c1, c2, c3, c4),
+            (d0, d1, d2, d3, d4),
+        ) = rows
+        m01 = c0 * d1 - c1 * d0
+        m02 = c0 * d2 - c2 * d0
+        m03 = c0 * d3 - c3 * d0
+        m04 = c0 * d4 - c4 * d0
+        m12 = c1 * d2 - c2 * d1
+        m13 = c1 * d3 - c3 * d1
+        m14 = c1 * d4 - c4 * d1
+        m23 = c2 * d3 - c3 * d2
+        m24 = c2 * d4 - c4 * d2
+        m34 = c3 * d4 - c4 * d3
+        m012 = b0 * m12 - b1 * m02 + b2 * m01
+        m013 = b0 * m13 - b1 * m03 + b3 * m01
+        m014 = b0 * m14 - b1 * m04 + b4 * m01
+        m023 = b0 * m23 - b2 * m03 + b3 * m02
+        m024 = b0 * m24 - b2 * m04 + b4 * m02
+        m034 = b0 * m34 - b3 * m04 + b4 * m03
+        m123 = b1 * m23 - b2 * m13 + b3 * m12
+        m124 = b1 * m24 - b2 * m14 + b4 * m12
+        m134 = b1 * m34 - b3 * m14 + b4 * m13
+        m234 = b2 * m34 - b3 * m24 + b4 * m23
+        return (
+            a1 * m234 - a2 * m134 + a3 * m124 - a4 * m123,
+            a2 * m034 - a0 * m234 - a3 * m024 + a4 * m023,
+            a0 * m134 - a1 * m034 + a3 * m014 - a4 * m013,
+            a1 * m024 - a0 * m124 - a2 * m014 + a4 * m012,
+            a0 * m123 - a1 * m023 + a2 * m013 - a3 * m012,
+        )
     if n == 4:
         (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
         m01 = b0 * c1 - b1 * c0
