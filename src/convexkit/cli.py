@@ -28,6 +28,7 @@ from .homothety import (
 )
 from .inequalities import (
     Verdict,
+    as_lambda,
     bm_check,
     minkowski_check,
     normalized_check,
@@ -191,8 +192,7 @@ def cmd_equality_diagnose(args) -> int:
     if args.lambda_grid is not None and len(args.lambda_grid) > MAX_GRID_VALUES:
         raise argparse.ArgumentTypeError(f"--lambda-grid takes at most {MAX_GRID_VALUES} values")
     for t in args.lambda_grid or ():
-        if not 0 <= t <= 1:
-            raise LambdaRangeError(f"lambda {t} outside [0, 1]")
+        as_lambda(t)
     if args.lambda_grid and min(args.lambda_grid) == 1:
         raise LambdaRangeError("lambda grid has no value below 1")
     first = io.load_body(args.body_a)

@@ -24,7 +24,6 @@ from .errors import (
     InvariantError,
     LambdaRangeError,
     LowerDimensionalError,
-    NegativeCoefficientError,
     NotHomotheticProjectionError,
     VolumeMismatchError,
 )
@@ -39,9 +38,8 @@ from .geometry import (
     translate,
     vertex_centroid,
 )
-from .inequalities import default_lambda_grid
+from .inequalities import as_lambda, default_lambda_grid
 from .linalg import (
-    as_scalar,
     as_vec,
     rational_nth_root,
     unit_vector,
@@ -287,13 +285,13 @@ def functional_equality_sweep(
     equality case; an all-equal sweep promotes to Homothetic only when the
     exact witness exists, otherwise the verdict stays Inconclusive.
     """
+    if lambda_grid is None:
+        lambda_grid = tuple(Fraction(k, 4) for k in range(5))
+    lambda_grid = tuple(map(as_lambda, lambda_grid))
     if first.volume != second.volume:
         raise VolumeMismatchError("sweep requires equal volumes")
     if not (first.is_full_dimensional and second.is_full_dimensional):
         raise LowerDimensionalError("sweep needs full-dimensional bodies")
-    if lambda_grid is None:
-        lambda_grid = tuple(Fraction(k, 4) for k in range(5))
-    lambda_grid = tuple(as_scalar(t) for t in lambda_grid)
     if test_bodies is None:
         test_bodies = default_test_bodies(first)
     test_bodies = (second, first, *test_bodies)
@@ -348,9 +346,7 @@ def strict_refutation(first: Polytope, second: Polytope, lambda_grid=None):
     functional sweep's row for equal volumes, otherwise the first-argument-
     scale-free quotients mv(K_lam, M)^n / V(K_lam)^(n-1) for M = L, then K.
     """
-    grid = default_lambda_grid() if lambda_grid is None else tuple(map(as_scalar, lambda_grid))
-    if not all(0 <= t <= 1 for t in grid):
-        raise NegativeCoefficientError("combination coefficients must be >= 0")
+    grid = default_lambda_grid() if lambda_grid is None else tuple(map(as_lambda, lambda_grid))
     lam = next((t for t in grid if t < 1), None)
     if lam is None:
         raise LambdaRangeError("lambda grid has no value below 1")
@@ -374,6 +370,6 @@ def strict_refutation(first: Polytope, second: Polytope, lambda_grid=None):
 def projection_equality_step(first: Polytope, second: Polytope, lam, w):
     """Exact pair (prism(K_lam, w), prism(L, w)); equality across a direction
     set is the shadow-volume form of the equality case one dimension down."""
-    lam = as_scalar(lam)
+    lam = as_lambda(lam)
     mid = combine(1 - lam, first, lam, second)
     return projection_prism_volume(mid, w), projection_prism_volume(second, w)

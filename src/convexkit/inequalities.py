@@ -49,6 +49,14 @@ class Verdict(enum.Enum):
 _VERDICTS = {1: Verdict.STRICT, 0: Verdict.EQUALITY, -1: Verdict.VIOLATION}
 
 
+def as_lambda(t) -> Fraction:
+    """An interpolation weight as a Fraction, checked to lie in [0, 1]."""
+    t = as_scalar(t)
+    if not 0 <= t <= 1:
+        raise LambdaRangeError(f"lambda {t} outside [0, 1]")
+    return t
+
+
 def _verdict(difference: Fraction) -> Verdict:
     return _VERDICTS[(difference > 0) - (difference < 0)]
 
@@ -100,9 +108,7 @@ def bm_check(
     the sign is 0, so an Equality never shows the floored roots' "-0.000";
     the digit count does not change the verdict.
     """
-    lam = as_scalar(lam)
-    if not 0 <= lam <= 1:
-        raise LambdaRangeError(f"lambda {lam} outside [0, 1]")
+    lam = as_lambda(lam)
     if not (first.is_full_dimensional and second.is_full_dimensional):
         raise LowerDimensionalError("concavity check needs full-dimensional bodies")
     n = first.dim
@@ -179,9 +185,6 @@ def normalized_check(
 
 @dataclass(frozen=True)
 class MidpointCertificate:
-    t_left: Fraction
-    t_mid: Fraction
-    t_right: Fraction
     holds: bool
 
 
@@ -204,9 +207,7 @@ def concavity_profile(
     sign of 2 f(t2)^(1/n) - f(t1)^(1/n) - f(t3)^(1/n) is not negative."""
     if not (first.is_full_dimensional and second.is_full_dimensional):
         raise LowerDimensionalError("profile needs full-dimensional bodies")
-    grid = default_lambda_grid() if grid is None else tuple(as_scalar(t) for t in grid)
-    if any(t < 0 or t > 1 for t in grid):
-        raise LambdaRangeError("grid values must lie in [0, 1]")
+    grid = default_lambda_grid() if grid is None else tuple(map(as_lambda, grid))
     n = first.dim
     poly = volume_polynomial(first, second)
     samples = tuple((t, poly.combination_volume(t)) for t in grid)
@@ -218,7 +219,7 @@ def concavity_profile(
             continue
         terms = [(Fraction(2), f2, n), (Fraction(-1), f1, n), (Fraction(-1), f3, n)]
         sign, _ = signed_root_combination(terms, digits)
-        certs.append(MidpointCertificate(t1, t2, t3, sign >= 0))
+        certs.append(MidpointCertificate(sign >= 0))
     return ConcavityProfile(samples, roots, tuple(certs))
 
 
@@ -258,7 +259,6 @@ class DecompositionTrace:
     """V_n(K_t) split through second-argument linearity, with the two
     mixed-volume lower bounds that drive concavity."""
 
-    t: Fraction
     volume_mix: Fraction
     term_first: Fraction  # V_{n-1,1}(K_t, K)
     term_second: Fraction  # V_{n-1,1}(K_t, L)
@@ -270,9 +270,7 @@ class DecompositionTrace:
 def mmv_implies_bm_trace(first: Polytope, second: Polytope, t) -> DecompositionTrace:
     """Verify V_{n-1,1}(K_t, K_t) = (1-t) V_{n-1,1}(K_t, K) + t V_{n-1,1}(K_t, L)
     exactly, plus the mixed-volume inequality for each term."""
-    t = as_scalar(t)
-    if not 0 <= t <= 1:
-        raise LambdaRangeError(f"t {t} outside [0, 1]")
+    t = as_lambda(t)
     if not (first.is_full_dimensional and second.is_full_dimensional):
         raise LowerDimensionalError("decomposition needs full-dimensional bodies")
     n = first.dim
@@ -283,6 +281,4 @@ def mmv_implies_bm_trace(first: Polytope, second: Polytope, t) -> DecompositionT
     identity = v_mid == (1 - t) * term_first + t * term_second
     bound_first = term_first**n >= v_mid ** (n - 1) * first.volume
     bound_second = term_second**n >= v_mid ** (n - 1) * second.volume
-    return DecompositionTrace(
-        t, v_mid, term_first, term_second, identity, bound_first, bound_second
-    )
+    return DecompositionTrace(v_mid, term_first, term_second, identity, bound_first, bound_second)

@@ -5,7 +5,7 @@ import pytest
 from convexkit.bodies import box, random_polytope, unit_cube, unit_square
 from convexkit.errors import (
     DimensionError,
-    NegativeCoefficientError,
+    LambdaRangeError,
     NotHomotheticProjectionError,
     VolumeMismatchError,
 )
@@ -23,7 +23,12 @@ from convexkit.homothety import (
     projection_equality_step,
     strict_refutation,
 )
-from convexkit.inequalities import default_lambda_grid
+from convexkit.inequalities import (
+    bm_check,
+    concavity_profile,
+    default_lambda_grid,
+    mmv_implies_bm_trace,
+)
 from convexkit.volumes import combine, mixed_volume_base_height
 from conftest import make_rng
 
@@ -238,8 +243,27 @@ def test_strict_refutation_matches_full_sweep():
             assert strict_refutation(first, second, grid) == full.refutation
             assert full.refutation is not None
         for call in (strict_refutation, functional_equality_sweep):
-            with pytest.raises(NegativeCoefficientError):
+            with pytest.raises(LambdaRangeError):
                 call(first, second, (0, 2))
+
+
+@pytest.mark.parametrize("lam", [2, F(-1, 2)], ids=["2", "-1/2"])
+def test_out_of_range_lambda_is_one_error(square, rect, lam):
+    # Every library entry point that takes an interpolation weight checks it
+    # first, with the message the CLI prints; the unequal volumes would stop
+    # the sweep later.
+    calls = (
+        lambda: bm_check(square, rect, lam),
+        lambda: mmv_implies_bm_trace(square, rect, lam),
+        lambda: concavity_profile(square, rect, (0, lam)),
+        lambda: strict_refutation(square, rect, (0, lam)),
+        lambda: functional_equality_sweep(square, rect, (0, lam)),
+        lambda: projection_equality_step(square, rect, lam, (1, 0)),
+    )
+    for call in calls:
+        with pytest.raises(LambdaRangeError) as error:
+            call()
+        assert str(error.value) == f"lambda {lam} outside [0, 1]"
 
 
 def _first_quotient_row(first, second, grid):

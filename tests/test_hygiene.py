@@ -89,6 +89,54 @@ def test_no_dead_definitions():
     assert dead_definitions() == []
 
 
+def _decorator_names(node) -> set:
+    """The names a definition is decorated with, called or not, with any
+    module prefix dropped: ``functools.lru_cache(8)`` is "lru_cache"."""
+    names = set()
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        names.add(target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", ""))
+    return names
+
+
+def dataclass_fields() -> list:
+    """The fields of the package's dataclasses, as (file, line, class, field)."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and "dataclass" in _decorator_names(node):
+                found += [
+                    (path.name, item.lineno, node.name, item.target.id)
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                ]
+    return found
+
+
+def unread_dataclass_fields() -> list:
+    """Dataclass fields of the package that no module reads, as
+    "file:line Class.field".  A field is read where some module under
+    ``READERS`` loads it as an attribute, or names it in a string constant,
+    as ``getattr`` would take it."""
+    read = set()
+    for path in sorted(p for folder in READERS for p in folder.rglob("*.py")):
+        for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.attr)
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                read.add(sub.value)
+    return [
+        f"{file}:{line} {owner}.{name}"
+        for file, line, owner, name in dataclass_fields()
+        if name not in read
+    ]
+
+
+def test_no_unread_dataclass_fields():
+    assert len(dataclass_fields()) > 0
+    assert unread_dataclass_fields() == []
+
+
 def stray_asserts() -> list:
     """``assert`` statements in the package, as "file:line".  ``python -O``
     strips them, so invariant checks raise ``InvariantError`` instead."""
@@ -130,11 +178,8 @@ def module_caches() -> set:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            for decorator in node.decorator_list:
-                target = decorator.func if isinstance(decorator, ast.Call) else decorator
-                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
-                if name in ("cache", "lru_cache"):
-                    found.add(f"{path.stem}.{node.name}")
+            if _decorator_names(node) & {"cache", "lru_cache"}:
+                found.add(f"{path.stem}.{node.name}")
     return found
 
 
