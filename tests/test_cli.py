@@ -11,6 +11,7 @@ from convexkit import cli, io, numeric
 from convexkit.bodies import box, diamond, standard_simplex, unit_cube, unit_square
 from convexkit.errors import InvariantError
 from convexkit.geometry import bodies_equal, scale, translate
+from convexkit.homothety import HomothetyDecision
 from convexkit.inequalities import Form, InequalityReport, Verdict, bm_check
 
 from conftest import save_body
@@ -109,6 +110,29 @@ def test_violation_exit_code(corpus, capsys, monkeypatch):
     )
     assert code == 4
     assert "counterexample" in json.loads(out)
+
+
+def test_equality_diagnose_violation_exit_code(corpus, capsys, monkeypatch):
+    # A diagnosis that contradicts its own verdict is impossible for valid
+    # inputs; force both kinds to pin down their exit 4 and bundle: a strict
+    # pair with no refutation, and an equality pair with no witness.
+    monkeypatch.setattr(cli, "strict_refutation", lambda *a, **k: None)
+    decision = HomothetyDecision(None, reason="candidate-transform-mismatch")
+    monkeypatch.setattr(cli, "detect_homothety", lambda *a, **k: decision)
+    for second, verdict in (("rect", "Strict"), ("square2t", "Equality")):
+        argv = ["equality-diagnose", corpus["square"], corpus[second], "--seed", "11"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 4 and err == ""
+        report = json.loads(out)
+        assert report["result"]["verdict"] == verdict
+        assert set(report["counterexample"]) == {"body_a", "body_b", "seed"}
+        assert report["counterexample"]["seed"] == 11
+        assert report["counterexample"]["body_b"] == json.loads(Path(corpus[second]).read_text())
+        if second == "rect":
+            assert report["result"]["refutation"] is None
+        else:
+            assert report["result"]["witness"] is None
+            assert report["result"]["inconsistency"] == "candidate-transform-mismatch"
 
 
 def tall_box_file(tmp_path, height):

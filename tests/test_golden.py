@@ -9,6 +9,7 @@ expected files, and only when a report change is intended.
 
 import contextlib
 import io
+import json
 import os
 from pathlib import Path
 
@@ -87,6 +88,14 @@ CASES = {
         "equality-diagnose", _b("square"), _b("diamond"), "--lambda-grid", "0,1/2,1",
     ],
     "diagnose-quotient-3d": ["equality-diagnose", _b("cube"), _b("box3")],
+    # At lambda = 1/3 the combination has two unequal positive coefficients:
+    # rect against square through the quotient, shear through the sweep.
+    "diagnose-quotient-rect-third": [
+        "equality-diagnose", _b("square"), _b("rect"), "--lambda-grid", "1/3",
+    ],
+    "diagnose-sweep-shear-third": [
+        "equality-diagnose", _b("square"), _b("shear"), "--lambda-grid", "1/3",
+    ],
     "diagnose-flat": ["equality-diagnose", _b("segment"), _b("square")],
     # random-body
     "random-2d": ["random-body", "--dim", "2", "--vertices", "6", "--seed", "7"],
@@ -158,6 +167,25 @@ def test_expected_files_are_the_cases():
     # never be compared with anything.
     expected = {path.name for path in (GOLDEN / "expected").iterdir()}
     assert expected == {f"{name}.txt" for name in CASES}
+
+
+REPORT_KEYS = {"command", "digits", "inputs", "result", "seed"}
+
+
+def test_every_report_has_the_same_keys():
+    # One routine assembles every report: the same top-level keys, plus the
+    # counterexample bundle exactly when the exit code is 4.  random-body
+    # prints a body file, and exits 2 and 3 print nothing.
+    reports = 0
+    for name, argv in sorted(CASES.items()):
+        head, stdout = (GOLDEN / "expected" / f"{name}.txt").read_text(encoding="utf-8").split("\n", 1)
+        code = int(head.removeprefix("exit "))
+        if argv[0] == "random-body" or code in (2, 3):
+            continue
+        reports += 1
+        keys = set(json.loads(stdout))
+        assert keys == REPORT_KEYS | ({"counterexample"} if code == 4 else set()), name
+    assert reports > 0
 
 
 if __name__ == "__main__":
