@@ -2,10 +2,13 @@
 
 Every subcommand reads canonical body files, runs one library pipeline and
 emits a deterministic JSON report on stdout (diagnostics go to stderr).
+``_report`` is the one place a report is assembled and its exit code
+chosen; every subcommand but ``random-body`` returns through it.
 Exit codes: 0 success, 2 usage or parse error, 3 geometric error or a
 result too large to render, 4 inequality violation or failed invariant
-check -- the last one must never occur; a violation ships a counterexample
-bundle, a failed invariant a one-line message on stderr.
+check -- the last one must never occur.  Exit 4 with a counterexample
+bundle comes only from ``_report``; exit 4 without one, a failed invariant
+with a one-line message on stderr, only from ``run``.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ from fractions import Fraction
 
 from . import io
 from .bodies import random_polytope
-from .errors import GeometryError, InvariantError, LambdaRangeError
+from .errors import GeometryError, InvariantError
 from .geometry import Subspace, project, support
 from .homothety import (
+    _refutation_lambda,
     default_direction_set,
     detect_homothety,
     homothetic_projections_conclude,
@@ -28,7 +32,6 @@ from .homothety import (
 )
 from .inequalities import (
     Verdict,
-    as_lambda,
     bm_check,
     minkowski_check,
     normalized_check,
@@ -102,13 +105,21 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _base_report(args, paths) -> dict:
-    return {
+def _report(args, paths, result, counterexample=None) -> int:
+    """Emit a subcommand's report on its input files and result, and return
+    its exit code: EXIT_VIOLATION when a counterexample bundle ships with
+    it, else EXIT_OK."""
+    out = {
         "command": [args.command, *args.echo_args],
         "inputs": {str(p): io.file_digest(p) for p in paths},
         "digits": args.digits,
         "seed": args.seed,
+        "result": result,
     }
+    if counterexample is not None:
+        out["counterexample"] = counterexample
+    _emit(args, io.dumps_report(out))
+    return EXIT_OK if counterexample is None else EXIT_VIOLATION
 
 
 def _counterexample(args, first, second, **extra) -> dict:
@@ -143,10 +154,7 @@ def _verdict_payload(report) -> dict:
 
 def cmd_volume(args) -> int:
     body = io.load_body(args.body)
-    out = _base_report(args, [args.body])
-    out["result"] = {"volume": str(volume(body))}
-    _emit(args, io.dumps_report(out))
-    return EXIT_OK
+    return _report(args, [args.body], {"volume": str(volume(body))})
 
 
 def cmd_mixedvol(args) -> int:
@@ -159,10 +167,7 @@ def cmd_mixedvol(args) -> int:
         result["interp"] = str(mixed_volume_interp(first, second))
     if args.method == "both":
         result["agree"] = result["base_height"] == result["interp"]
-    out = _base_report(args, [args.body_a, args.body_b])
-    out["result"] = result
-    _emit(args, io.dumps_report(out))
-    return EXIT_OK
+    return _report(args, [args.body_a, args.body_b], result)
 
 
 def cmd_check(args) -> int:
@@ -176,51 +181,40 @@ def cmd_check(args) -> int:
         report = minkowski_check(first, second, digits=args.digits)
     else:
         report = normalized_check(first, second, digits=args.digits)
-    out = _base_report(args, [args.body_a, args.body_b])
-    out["result"] = _verdict_payload(report)
+    result = _verdict_payload(report)
     if args.form == "mmv1":
-        out["result"]["quotient"] = str(report.lhs_exact)
-    violated = report.verdict is Verdict.VIOLATION
-    if violated:
-        quantities = {k: str(v) for k, v in report.quantities.items()}
-        out["counterexample"] = _counterexample(args, first, second, quantities=quantities)
-    _emit(args, io.dumps_report(out))
-    return EXIT_VIOLATION if violated else EXIT_OK
+        result["quotient"] = str(report.lhs_exact)
+    bundle = None
+    if report.verdict is Verdict.VIOLATION:
+        bundle = _counterexample(args, first, second, quantities=result["quantities"])
+    return _report(args, [args.body_a, args.body_b], result, bundle)
 
 
 def cmd_equality_diagnose(args) -> int:
     if args.lambda_grid is not None and len(args.lambda_grid) > MAX_GRID_VALUES:
         raise argparse.ArgumentTypeError(f"--lambda-grid takes at most {MAX_GRID_VALUES} values")
-    for t in args.lambda_grid or ():
-        as_lambda(t)
-    if args.lambda_grid and min(args.lambda_grid) == 1:
-        raise LambdaRangeError("lambda grid has no value below 1")
+    _refutation_lambda(args.lambda_grid)
     first = io.load_body(args.body_a)
     second = io.load_body(args.body_b)
     mmv = minkowski_check(first, second, digits=args.digits)
-    out = _base_report(args, [args.body_a, args.body_b])
     result = {"verdict": mmv.verdict.value, "mmv": _verdict_payload(mmv)}
-    consistent = True
+    violated = mmv.verdict is Verdict.VIOLATION
     if mmv.verdict is Verdict.EQUALITY:
         decision = detect_homothety(first, second)
         if decision.homothetic:
             result["witness"] = _witness_payload(decision.witness)
         else:
-            consistent = False
+            violated = True
             result["witness"] = None
             result["inconsistency"] = decision.reason
     elif mmv.verdict is Verdict.STRICT:
         ref = strict_refutation(first, second, args.lambda_grid)
-        consistent = ref is not None
-        if consistent:
+        violated = ref is None
+        if ref is not None:
             ref = {k: str(v) if isinstance(v, Fraction) else v for k, v in ref.items()}
         result["refutation"] = ref
-    out["result"] = result
-    violated = mmv.verdict is Verdict.VIOLATION or not consistent
-    if violated:
-        out["counterexample"] = _counterexample(args, first, second)
-    _emit(args, io.dumps_report(out))
-    return EXIT_VIOLATION if violated else EXIT_OK
+    bundle = _counterexample(args, first, second) if violated else None
+    return _report(args, [args.body_a, args.body_b], result, bundle)
 
 
 def cmd_random_body(args) -> int:
@@ -236,24 +230,21 @@ def cmd_project(args) -> int:
     body = io.load_body(args.body)
     xi = Subspace(args.onto)
     shadow = project(body, xi)
-    out = _base_report(args, [args.body])
-    out["result"] = {
+    result = {
         "body": io.body_to_json(shadow),
         "full_dimensional": shadow.is_full_dimensional,
         "gram": [[str(x) for x in row] for row in xi.gram()],
         "gram_det": str(xi.gram_det()),
     }
-    _emit(args, io.dumps_report(out))
-    return EXIT_OK
+    return _report(args, [args.body], result)
 
 
 def cmd_steiner(args) -> int:
     body = io.load_body(args.body)
-    out = _base_report(args, [args.body])
     if args.steps:
         schedule = args.schedule or (args.direction,)
         trace = rounding_iteration(body, schedule, args.steps)
-        out["result"] = {
+        result = {
             "trace": [
                 {
                     "step": step,
@@ -266,14 +257,13 @@ def cmd_steiner(args) -> int:
         }
     else:
         res = steiner_symmetral(body, args.direction)
-        out["result"] = {
+        result = {
             "symmetral": io.body_to_json(res.symmetral),
             "exactness": res.exactness.value,
             "inner_approximation": res.inner_approximation,
             "volume": str(res.symmetral.volume),
         }
-    _emit(args, io.dumps_report(out))
-    return EXIT_OK
+    return _report(args, [args.body], result)
 
 
 def cmd_reconstruct(args) -> int:
@@ -295,21 +285,18 @@ def cmd_reconstruct(args) -> int:
                 "agree": agree,
             }
         )
-    out = _base_report(args, [args.body])
-    out["result"] = {
+    result = {
         "applied_translation": [str(c) for c in cn.applied_translation],
         "directions": len(rows),
         "all_agree": all_agree,
         "trace": rows,
     }
-    _emit(args, io.dumps_report(out))
-    return EXIT_OK
+    return _report(args, [args.body], result)
 
 
 def cmd_homothety(args) -> int:
     first = io.load_body(args.body_a)
     second = io.load_body(args.body_b)
-    out = _base_report(args, [args.body_a, args.body_b])
     if args.via_projections:
         dirs = default_direction_set(first.dim, seed=2024 if args.seed is None else args.seed)
         report = homothetic_projections_conclude(first, second, dirs)
@@ -328,9 +315,7 @@ def cmd_homothety(args) -> int:
             result["witness"] = _witness_payload(decision.witness)
         else:
             result["reason"] = decision.reason
-    out["result"] = result
-    _emit(args, io.dumps_report(out))
-    return EXIT_OK
+    return _report(args, [args.body_a, args.body_b], result)
 
 
 @functools.cache

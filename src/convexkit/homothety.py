@@ -229,7 +229,7 @@ def homothetic_projections_conclude(
     ratio = 1 / tf.ratio
     shift = vscale(ratio, vsub(tf.first_shift, tf.second_shift))
     witness = HomothetyWitness(ratio, shift)
-    if not bodies_equal(second, apply_witness(first, witness)):
+    if not _maps_onto(first, second, witness):
         raise InvariantError("projection witness does not map the first body onto the second")
     return ProjectionsReport(ProjectionConclusion.HOMOTHETIC, witness=witness)
 
@@ -337,6 +337,17 @@ def functional_equality_sweep(
     )
 
 
+def _refutation_lambda(lambda_grid=None) -> Fraction:
+    """The grid's first lam below 1, read once every value is checked to lie
+    in [0, 1]; the default grid's is 0.  A grid with no value below 1 raises
+    ``LambdaRangeError``, since no row at lam = 1 can refute."""
+    grid = default_lambda_grid() if lambda_grid is None else tuple(map(as_lambda, lambda_grid))
+    lam = next((t for t in grid if t < 1), None)
+    if lam is None:
+        raise LambdaRangeError("lambda grid has no value below 1")
+    return lam
+
+
 def strict_refutation(first: Polytope, second: Polytope, lambda_grid=None):
     """Concrete evidence against homothety for a strict pair, or None.
 
@@ -346,10 +357,7 @@ def strict_refutation(first: Polytope, second: Polytope, lambda_grid=None):
     functional sweep's row for equal volumes, otherwise the first-argument-
     scale-free quotients mv(K_lam, M)^n / V(K_lam)^(n-1) for M = L, then K.
     """
-    grid = default_lambda_grid() if lambda_grid is None else tuple(map(as_lambda, lambda_grid))
-    lam = next((t for t in grid if t < 1), None)
-    if lam is None:
-        raise LambdaRangeError("lambda grid has no value below 1")
+    lam = _refutation_lambda(lambda_grid)
     if first.volume == second.volume:
         return functional_equality_sweep(first, second, (lam,), test_bodies=()).refutation
     n = first.dim

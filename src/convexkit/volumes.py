@@ -58,6 +58,7 @@ from .geometry import (
     Polytope,
     _check_ambient,
     _hull_with_boundary,
+    _image_rows,
     _integer_support,
     convex_hull,
     scale,
@@ -132,7 +133,7 @@ def _minkowski_sum(first: Polytope, second: Polytope) -> tuple:
     ``lifted`` is still its vertices' own rows.  The hull runs on these
     rows, and on a repeated point the last pair wins.
     """
-    count = len(first.vertices) * len(second.vertices)
+    count = len(first.lifted) * len(second.lifted)
     cap = MAX_PAIR_POINTS.get(first.dim, count)
     if count > cap:
         raise PairPointsError(
@@ -170,7 +171,7 @@ def combine(a, first: Polytope, b, second: Polytope) -> Polytope:
     if first.dim != second.dim:
         raise DimensionMismatchError("bodies live in different dimensions")
     if a == b == 0:
-        return convex_hull([vscale(0, first.vertices[0])], allow_degenerate=True)
+        return convex_hull([(0,) * first.dim], allow_degenerate=True)
     if a == 0:
         return scale(second, b)
     if b == 0:
@@ -291,10 +292,9 @@ def projection_prism_volume(body: Polytope, w) -> Fraction:
         raise ZeroDirectionError("direction must be nonzero")
     if len(w) != body.dim:
         raise DimensionMismatchError("direction length differs from dimension")
-    # K + [0, w] is the hull of K and its translate K + w.
-    moved = tuple(vadd(v, w) for v in body.vertices)
-    prism = convex_hull(body.vertices + moved, allow_degenerate=True)
-    return prism.volume - body.volume
+    # K + [0, w] is the hull of K's rows and those of its translate K + w.
+    rows = body.lifted + _image_rows(body.lifted, 1, w)
+    return _hull_with_boundary(rows, body.dim)[0].volume - body.volume
 
 
 @dataclass(frozen=True)
