@@ -4,10 +4,11 @@ Deliberately separate from the library code paths: the cycle ordering uses
 float angles around the centroid (safe for extreme points of a convex
 polygon at test scale) and the area is the plain shoelace sum on that
 cycle.  The brute-force hull tries every n-subset of the points as a facet
-and runs its own Fraction elimination.  The determinant is the Leibniz
-permutation sum.  Sums of roots, interpolation and combination volumes are
-evaluated by their Fraction definitions, with roots floored by integer
-bisection.  Projections, chords, containment and homotheties are their
+and runs its own Fraction elimination; facet pseudo-volumes and volumes
+follow from it by the pyramid formula, one dimension down per facet.
+The determinant is the Leibniz permutation sum.  Sums of roots,
+interpolation and combination volumes are evaluated by their Fraction
+definitions, with roots floored by integer bisection.  Projections, chords, containment and homotheties are their
 Fraction dot products and point maps; only the projection hands its
 shadow points to the library's hull kernel, which the brute-force hull
 checks on its own.
@@ -167,6 +168,35 @@ def brute_hull(points):
     ]
     facets = [(prim, offsets[prim]) for prim in sorted(offsets)]
     return vertices, facets
+
+
+def brute_facets(points):
+    """(normal, offset, pseudo_volume) of each facet of the hull of
+    full-dimensional points, sorted by normal, from ``brute_hull``.
+
+    A facet with primitive normal u charts one to one onto the coordinate
+    hyperplane that drops the first coordinate j with u_j != 0, and its
+    (n-1)-volume shrinks there by |u_j| / |u|.  So its pseudo-volume
+    V(F) |u| is V(chart) |u|^2 / |u_j|, the chart's volume taken by
+    ``brute_volume`` one dimension down.
+    """
+    vertices, facets = brute_hull(points)
+    out = []
+    for u, h in facets:
+        j = next(i for i, c in enumerate(u) if c)
+        chart = [p[:j] + p[j + 1 :] for p in vertices if _dot(u, p) == h]
+        out.append((u, h, brute_volume(chart) * _dot(u, u) / abs(u[j])))
+    return out
+
+
+def brute_volume(points) -> Fraction:
+    """n-volume of the hull of full-dimensional points in R^n: the length of
+    a 1D hull, else the pyramid formula (1/n) sum h(u) pseudo / |u|^2 over
+    ``brute_facets``."""
+    n = len(points[0])
+    if n == 1:
+        return max(p[0] for p in points) - min(p[0] for p in points)
+    return sum((h * pv / _dot(u, u) for u, h, pv in brute_facets(points)), Fraction(0)) / n
 
 
 def validate_polytope(body) -> None:

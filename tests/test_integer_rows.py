@@ -21,7 +21,12 @@ against the ``Fraction`` definitions in ``oracles``, on subspaces of every
 dimension, directions and shifts with 61-bit prime denominators, and
 homothetic pairs next to near misses.  ``translate``, ``scale`` and
 ``apply_witness`` must give the hull of the ``Fraction`` image points
-a v + x: its rows, facets, volume and affine dimension.
+a v + x: its rows, facets, volume and affine dimension.  On a seeded 2D-4D
+corpus, 61-bit prime denominators, flat bodies and homothety images among
+it, every facet's offset and pseudo-volume must be the brute-force
+oracle's, as ``Fraction``s, and facets must compare equal after a homothety
+and its inverse.  The disc polygon's rows must be those of its
+``limit_denominator`` recipe for m = 1..200.
 """
 
 import json
@@ -34,6 +39,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     _exact_root,
+    affine_rank,
+    brute_facets,
     brute_hull,
     centroid,
     fraction_maps_onto,
@@ -292,6 +299,19 @@ def test_disc_rows_give_the_hull_of_its_fraction_points(m):
     assert all(x * x + y * y == 1 for x, y in body.vertices)
 
 
+def test_disc_rows_follow_the_limit_denominator_recipe():
+    # t is the best approximation of tan(theta / 2) with denominator at most
+    # 160 m, as ``Fraction.limit_denominator`` finds it.
+    for m in range(1, 201):
+        points = []
+        for k in range(m):
+            theta = math.pi * (2 * k + 1) / (4 * m)
+            t = F(math.tan(theta / 2)).limit_denominator(4 * m * 40)
+            x, y = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+            points += [(x, y), (-y, x), (-x, -y), (y, -x)]
+        assert disc_polygon(m).lifted == tuple(_lift(sorted(points))), m
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 4).flatmap(lambda n: st.tuples(points(n), points(n))), st.data())
 def test_every_constructor_returns_canonical_rows(pair, data):
@@ -537,3 +557,65 @@ def test_homothety_arguments_are_checked():
             DimensionMismatchError, match="^translation length differs from dimension$"
         ):
             translate(body, shift)
+
+
+def facet_corpus():
+    """(body, its points as Fractions) for seeded bodies in 2D-4D: small
+    rationals, coordinates over the 61-bit prime, flat bodies of every
+    affine rank, and the ``translate``, ``scale`` and combined images of
+    each by shifts and ratios over that prime, with the image points formed
+    in Fractions."""
+    rng = random.Random(24)
+
+    def entry(kind):
+        if kind == "prime" and rng.random() < 0.5:
+            return F(rng.randint(-(2**63), 2**63), PRIME)
+        return F(rng.randint(-6, 6), rng.randint(1, 4))
+
+    out = []
+    for n in (2, 3, 4):
+        for kind in ("small", "prime", "flat") * 3:
+            size = rng.randint(n + 1, n + 3)
+            pts = [tuple(entry(kind) for _ in range(n)) for _ in range(size)]
+            if kind == "flat":
+                # The last n - r coordinates are fixed affine functions of
+                # the first r, so the points span at most r dimensions.
+                r = rng.randint(1, n - 1)
+                maps = [
+                    (tuple(entry("small") for _ in range(r)), entry("small")) for _ in range(n - r)
+                ]
+                pts = [p[:r] + tuple(dot(c, p[:r]) + b for c, b in maps) for p in pts]
+            body = convex_hull(pts, allow_degenerate=True)
+            out.append((body, list(body.vertices)))
+            shift = tuple(entry("prime") for _ in range(n))
+            ratio = rng.choice([F(2), F(5, 3), F(rng.randint(1, 2**63), PRIME)])
+            for a, x in ((F(1), shift), (ratio, (F(0),) * n), (ratio, shift)):
+                image = translate(scale(body, a), x) if a != 1 else translate(body, x)
+                out.append((image, [tuple(a * c + s for c, s in zip(v, x)) for v in body.vertices]))
+    return out
+
+
+def test_facet_values_match_the_brute_force_oracle():
+    # Each facet's offset is the support on its normal and its pseudo-volume
+    # is the oracle's V(F) |normal|, both as Fractions; flat bodies have no
+    # facets.
+    flat = 0
+    for body, pts in facet_corpus():
+        if affine_rank(pts) < body.dim:
+            flat += 1
+            assert body.affine_dim < body.dim and body.facets == ()
+            continue
+        got = [(f.normal, f.offset, f.pseudo_volume) for f in body.facets]
+        assert got == brute_facets(pts)
+        assert all(type(f.offset) is F and type(f.pseudo_volume) is F for f in body.facets)
+    assert flat >= 9
+
+
+def test_facets_survive_a_homothety_and_its_inverse():
+    # Facet equality is by value, however a homothety leaves its numbers.
+    for body, _ in facet_corpus():
+        n = body.dim
+        x = tuple(F(k + 1, PRIME) for k in range(n))
+        assert scale(scale(body, 2), F(1, 2)).facets == body.facets
+        assert scale(scale(body, F(PRIME, 3)), F(3, PRIME)).facets == body.facets
+        assert translate(translate(body, x), tuple(-c for c in x)).facets == body.facets
