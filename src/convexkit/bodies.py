@@ -48,6 +48,36 @@ def axis_segment(n: int, i: int, length=1) -> Polytope:
     return segment((Fraction(0),) * n, unit_vector(n, i, length))
 
 
+def _best_approximation(num: int, den: int, bound: int) -> tuple:
+    """(p, q), coprime with 0 < q <= bound, for the closest rational to
+    num / den (coprime, den > 0) with denominator at most ``bound`` >= 1:
+    the value ``Fraction(num, den).limit_denominator(bound)`` gives, by the
+    same continued-fraction walk, in integers.
+
+    The walk stops at the last convergent p1 / q1 with q1 <= bound; the
+    other candidate is the semiconvergent (p0 + k p1) / (q0 + k q1) with the
+    largest k that keeps its denominator in bound.  p1 / q1 wins ties, as
+    there.  Convergents and semiconvergents are in lowest terms.
+    """
+    if den <= bound:
+        return num, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (bound - q0) // q1
+    p, q = p0 + k * p1, q0 + k * q1
+    # |p1 / q1 - x| <= |p / q - x| for x = num / den, times den q q1 > 0.
+    if abs(p1 * den - num * q1) * q <= abs(p * den - num * q) * q1:
+        return p1, q1
+    return p, q
+
+
 def disc_polygon(m: int) -> Polytope:
     """Inscribed 4m-gon approximating the unit disc, with rational vertices.
 
@@ -56,6 +86,9 @@ def disc_polygon(m: int) -> Polytope:
     angles offset by half a step so no vertex sits exactly on an axis.  The
     polygon is contained in the disc, so every support value is a rational
     lower bound for the disc's; at m = 10**4 the deficit is below 1e-8.
+    t = p / q is the best approximation with q <= 160 m of the float
+    tan(theta/2), taken on its exact integer ratio by
+    ``_best_approximation``, so no Fraction is built for it.
 
     For t = p / q the vertex is the lifted row (X, Y, d), the primitive row
     of (q^2 - p^2, 2pq, q^2 + p^2), and its quarter-turns are (-Y, X, d),
@@ -66,8 +99,7 @@ def disc_polygon(m: int) -> Polytope:
     rows = []
     for k in range(m):
         theta = math.pi * (2 * k + 1) / (4 * m)
-        t = Fraction(math.tan(theta / 2)).limit_denominator(4 * m * 40)
-        p, q = t.numerator, t.denominator
+        p, q = _best_approximation(*math.tan(theta / 2).as_integer_ratio(), 4 * m * 40)
         x, y, d = primitive_int_vector((q * q - p * p, 2 * p * q, q * q + p * p))
         rows.extend([(x, y, d), (-y, x, d), (-x, -y, d), (y, -x, d)])
     return _hull_with_boundary(rows, 2)[0]

@@ -10,7 +10,9 @@ Conventions used throughout the package:
   general);
 * ``Facet.pseudo_volume`` is the facet's (n-1)-volume multiplied by the
   euclidean length of the stored normal.  This product is always rational,
-  which is what keeps every downstream volume formula exact;
+  which is what keeps every downstream volume formula exact.  A facet
+  stores it and its offset as the integer pairs (num, den) the hull forms
+  them from, unreduced, and builds each ``Fraction`` on first read;
 * hull predicates run on lifted rows: a point p becomes the integer row
   (X_1, ..., X_n, d) with X / d == p and d the lcm of p's own
   denominators.  Determinants of such rows are the affine ones times the
@@ -92,13 +94,21 @@ MIN_AMBIENT = 2
 MAX_AMBIENT = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Facet:
     """One facet of a full-dimensional polytope.
 
-    normal:        outward primitive integer normal, a tuple of ints
-    offset:        h_P(normal); every vertex v satisfies v.normal <= offset
-    pseudo_volume: (n-1)-volume of the facet times |normal|, a rational
+    normal:      outward primitive integer normal, a tuple of ints
+    offset_pair: integers (num, den), den > 0, with num / den = h_P(normal);
+                 every vertex v satisfies v.normal <= offset
+    pseudo_pair: integers (num, den), den > 0, with num / den the
+                 (n-1)-volume of the facet times |normal|
+
+    The pairs are kept as the hull and ``_homothety`` form them, unreduced,
+    so the hot readers (``mixed_volume_base_height``, the Steiner chords and
+    containment) take them as they are.  ``offset`` and ``pseudo_volume``
+    are their ``Fraction``s, built on first read, and equality compares the
+    values, not the pairs.
 
     The hull builds each facet's orientation and normal with the facet: in
     2D off the counterclockwise chain, in 3D and 4D off simplices that are
@@ -107,8 +117,26 @@ class Facet:
     """
 
     normal: tuple
-    offset: Fraction
-    pseudo_volume: Fraction
+    offset_pair: tuple
+    pseudo_pair: tuple
+
+    @cached_property
+    def offset(self) -> Fraction:
+        return Fraction(*self.offset_pair)
+
+    @cached_property
+    def pseudo_volume(self) -> Fraction:
+        return Fraction(*self.pseudo_pair)
+
+    def __eq__(self, other):
+        if not isinstance(other, Facet):
+            return NotImplemented
+        (a, b), (c, d) = self.offset_pair, other.offset_pair
+        (e, f), (g, h) = self.pseudo_pair, other.pseudo_pair
+        return self.normal == other.normal and a * d == c * b and e * h == g * f
+
+    def __hash__(self):
+        return hash((self.normal, self.offset, self.pseudo_volume))
 
     def normal_sq(self) -> Fraction:
         return Fraction(sum(c * c for c in self.normal))
@@ -315,22 +343,18 @@ def _build_polygon(rows):
         ex, ey = xb * da - xa * db, yb * da - ya * db
         g = gcd(ex, ey)
         u = (ey // g, -ex // g)
-        facets.append(
-            Facet(
-                normal=u,
-                offset=Fraction(u[0] * xa + u[1] * ya, da),
-                pseudo_volume=Fraction(g * (u[0] * u[0] + u[1] * u[1]), da * db),
-            )
-        )
+        pseudo = (g * (u[0] * u[0] + u[1] * u[1]), da * db)
+        facets.append(Facet(u, (u[0] * xa + u[1] * ya, da), pseudo))
         cones.append((xa * yb - xb * ya, da * db))
         edges.append((b, a))
     facets.sort(key=lambda f: f.normal)
+    num, den = tree_sum(cones)
     body = Polytope(
         dim=2,
         lifted=tuple(rows[i] for i in sorted(cycle)),
         facets=tuple(facets),
         affine_dim=2,
-        volume=tree_sum(cones) / 2,
+        volume=Fraction(num, 2 * den),
     )
     return body, tuple(edges)
 
@@ -353,12 +377,13 @@ def _build_full_dimensional(rows, n, base):
     # outward normal (unique per facet of a convex body).  For a simplex
     # whose row weights multiply to s, c = h[:n] / s is the outward cross
     # product of its edges and c.v = -h[n] / s at each of its vertices v.
-    # So lam = h[j] / (prim[j] * s) ties the stored primitive normal back to
-    # true areas, (n-1)-volume of the simplex = lam * |prim| / (n-1)!, which
-    # makes the simplex's share of the facet's pseudo-volume the one ratio
-    # lam * |prim|^2 / (n-1)!.  The cone over the simplex from the origin has
-    # signed volume -h[n] / (s * n!).  Both are kept as integer pairs, and
-    # ``tree_sum`` builds one Fraction per sum.
+    # With h[:n] = g prim, g > 0, lam = g / s ties the stored primitive
+    # normal back to true areas, (n-1)-volume of the simplex =
+    # lam * |prim| / (n-1)!, which makes the simplex's share of the facet's
+    # pseudo-volume lam * |prim|^2 / (n-1)!.  The cone over the simplex from
+    # the origin has signed volume -h[n] / (s * n!).  Both sums are integer
+    # pairs from ``tree_sum``; the facet keeps its pair, and the volume is
+    # the one Fraction built here.
     merged = {}
     cones = []
     for verts, h in simplices:
@@ -367,9 +392,10 @@ def _build_full_dimensional(rows, n, base):
         prim = primitive_int_vector(h[:n])
         j = next(i for i, x in enumerate(prim) if x != 0)
         pieces, members = merged.setdefault(prim, ([], set()))
-        pieces.append((h[j] * sum(c * c for c in prim), prim[j] * s * factorial(n - 1)))
+        pieces.append((h[j] // prim[j], s))
         members.update(verts)
-    volume = tree_sum(cones) / factorial(n)
+    num, den = tree_sum(cones)
+    volume = Fraction(num, den * factorial(n))
 
     # Every vertex of a facet is a vertex of its triangulation, so a member
     # is extreme iff the normals of the facets it is a member of span R^n.
@@ -385,13 +411,9 @@ def _build_full_dimensional(rows, n, base):
     for prim in norm_keys:
         pieces, members = merged[prim]
         row = rows[next(iter(members))]
-        facets.append(
-            Facet(
-                normal=prim,
-                offset=Fraction(sum(map(mul, prim, row)), row[n]),
-                pseudo_volume=tree_sum(pieces),
-            )
-        )
+        lam, s = tree_sum(pieces)
+        pseudo = (lam * sum(c * c for c in prim), s * factorial(n - 1))
+        facets.append(Facet(prim, (sum(map(mul, prim, row)), row[n]), pseudo))
     body = Polytope(
         dim=n,
         lifted=tuple(rows[i] for i in extreme),
@@ -591,21 +613,29 @@ def _image_rows(rows, a, x) -> tuple:
 def _homothety(body: Polytope, a, x) -> Polytope:
     """a K + x for a > 0 in one pass: rows by ``_image_rows``, each facet
     (u, h, pv) to (u, a h + u.x, a^(n-1) pv), as h_(aK+x)(u) = a h_K(u) + u.x,
-    and the volume times a^n.  Every homothety of a body runs through here."""
+    and the volume times a^n.  Every homothety of a body runs through here.
+
+    The facets map in integers: with a = p / q and x = W / e, the pairs
+    h = (h_n, h_d) and pv = (pv_n, pv_d) become
+    (p h_n e + (u.W) q h_d, q h_d e) and (pv_n p^(n-1), pv_d q^(n-1))."""
     a, x = as_scalar(a), as_vec(x)
     if a <= 0:
         raise ValueError("scale factor must be positive")
     if len(x) != body.dim:
         raise DimensionMismatchError("translation length differs from dimension")
     n = body.dim
-    grow = a ** (n - 1)
+    p, q = a.numerator, a.denominator
+    *shift, e = _lift((x,))[0]
+    grow_n, grow_d = p ** (n - 1), q ** (n - 1)
+    facets = []
+    for f in body.facets:
+        (h_n, h_d), (pv_n, pv_d) = f.offset_pair, f.pseudo_pair
+        offset = (p * h_n * e + sum(map(mul, f.normal, shift)) * q * h_d, q * h_d * e)
+        facets.append(Facet(f.normal, offset, (pv_n * grow_n, pv_d * grow_d)))
     return Polytope(
         dim=n,
         lifted=_image_rows(body.lifted, a, x),
-        facets=tuple(
-            Facet(f.normal, a * f.offset + dot(f.normal, x), f.pseudo_volume * grow)
-            for f in body.facets
-        ),
+        facets=tuple(facets),
         affine_dim=body.affine_dim,
         volume=body.volume * a**n,
     )

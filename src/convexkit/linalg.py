@@ -221,9 +221,10 @@ def gram_matrix(basis):
     return tuple(tuple(dot(u, v) for v in basis) for u in basis)
 
 
-def tree_sum(terms) -> Fraction:
-    """The exact sum of n / d over integer pairs (n, d), d != 0, built into
-    one Fraction at the end.
+def tree_sum(terms) -> tuple[int, int]:
+    """The exact sum of n / d over integer pairs (n, d), d != 0, as one
+    unreduced integer pair; each caller folds its own divisor into the pair
+    and builds one Fraction, if any.
 
     Pairs are added by pairwise halving over the lcm of their denominators,
     (a, b) + (c, d) = (a d / g + c b / g, b d / g) for g = gcd(b, d), with no
@@ -241,7 +242,7 @@ def tree_sum(terms) -> Fraction:
         if len(terms) % 2:
             paired.append(terms[-1])
         terms = paired
-    return Fraction(*terms[0])
+    return terms[0]
 
 
 def over_common_denominator(values) -> tuple[int, list[int]]:

@@ -93,7 +93,7 @@ def steiner_symmetral(body: Polytope, w) -> SteinerResult:
     for f in body.facets:
         slope = sum(map(mul, f.normal, lifted_w))
         if slope:  # a facet parallel to w cannot cut the chord of a point in K
-            o_num, o_den = f.offset.numerator, f.offset.denominator
+            o_num, o_den = f.offset_pair
             cuts.append((f.normal, o_num, o_den, o_den * slope))
     wsq = sum(c * c for c in lifted_w)
     points = []
@@ -128,7 +128,7 @@ def _contains(outer: Polytope, inner: Polytope) -> ContainmentVerdict:
     """Whether inner lies in outer, else the first of inner's vertices
     outside a facet N.x <= o_num / o_den of outer, tested on the vertex's
     row (X, d) as N.X o_den > o_num d."""
-    bounds = [(f.normal, f.offset.numerator, f.offset.denominator) for f in outer.facets]
+    bounds = [(f.normal, *f.offset_pair) for f in outer.facets]
     for k, row in enumerate(inner.lifted):
         d = row[-1]
         for normal, o_num, o_den in bounds:

@@ -219,11 +219,11 @@ def _cycle_volume(cycle, eps) -> Fraction:
     rows, simplices = cycle
     n = len(rows[0][0])
     moved = [tuple(a + eps * b for a, b in zip(x, y)) for x, y, _ in rows]
-    cones = tree_sum(
+    num, den = tree_sum(
         (mat_det([moved[i] for i in simplex]), prod(rows[i][2] for i in simplex))
         for simplex in simplices
     )
-    return (cones if n % 2 else -cones) / factorial(n)
+    return Fraction(num if n % 2 else -num, den * factorial(n))
 
 
 def volume_polynomial(first: Polytope, second: Polytope) -> VolumePolynomial:
@@ -268,9 +268,10 @@ def mixed_volume_base_height(first: Polytope, second: Polytope) -> Fraction:
     terms = []
     for f in first.facets:
         _, (h, d) = _integer_support(rows, f.normal)
-        pseudo = f.pseudo_volume
-        terms.append((h * pseudo.numerator, d * pseudo.denominator * sum(c * c for c in f.normal)))
-    return tree_sum(terms) / first.dim
+        pv_n, pv_d = f.pseudo_pair
+        terms.append((h * pv_n, d * pv_d * sum(c * c for c in f.normal)))
+    num, den = tree_sum(terms)
+    return Fraction(num, den * first.dim)
 
 
 def mixed_area(first: Polytope, second: Polytope) -> Fraction:

@@ -514,7 +514,13 @@ assert not __debug__, "run me under python -O"
 # Every facet offset lowered by 2: each vertex of the square lies outside
 # the body the facets describe, so its chord is empty.
 square = unit_square()
-lowered = replace(square, facets=tuple(replace(f, offset=f.offset - 2) for f in square.facets))
+lowered = replace(
+    square,
+    facets=tuple(
+        replace(f, offset_pair=(f.offset_pair[0] - 2 * f.offset_pair[1], f.offset_pair[1]))
+        for f in square.facets
+    ),
+)
 try:
     steiner_symmetral(lowered, (1, 0))
 except InvariantError as exc:

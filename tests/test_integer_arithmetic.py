@@ -6,7 +6,8 @@ denominator in integers and compare the sign bracket in integers;
 ``minkowski_interpolate`` eliminates integer node values; and
 ``VolumePolynomial.combination_volume`` evaluates its Bernstein form in
 integers.  Each must give the same Fraction, sign and error as the oracle
-that works term by term in Fractions.
+that works term by term in Fractions.  ``disc_polygon``'s integer best
+approximation must give what ``Fraction.limit_denominator`` gives.
 """
 
 import random
@@ -15,7 +16,7 @@ from fractions import Fraction as F
 import pytest
 
 from convexkit import numeric
-from convexkit.bodies import random_polytope
+from convexkit.bodies import _best_approximation, random_polytope
 from convexkit.errors import InvariantError
 from convexkit.geometry import scale, translate
 from convexkit.inequalities import default_lambda_grid
@@ -147,3 +148,22 @@ def test_combination_volume_matches_bernstein_form():
     # int and Fraction coefficients alike; (1 + eps)^3 gives 1 everywhere.
     cube = VolumePolynomial((1, 3, 3, 1))
     assert [cube.combination_volume(F(lam)) for lam in default_lambda_grid()] == [1] * 9
+
+
+def test_best_approximation_matches_limit_denominator():
+    rng = random.Random(24)
+    cases = []
+    for _ in range(4000):
+        den = rng.choice([rng.randint(1, 50), rng.randint(1, 10**6), rng.getrandbits(80) + 1])
+        bound = rng.choice([1, 2, 7, rng.randint(1, 1000), rng.randint(1, 10**7)])
+        cases.append((F(rng.randint(-(10**9), 10**9), den), bound))
+    # Floats, as ``disc_polygon`` passes them, on their exact binary values.
+    for _ in range(2000):
+        cases.append((F(rng.uniform(-4, 4) * 10 ** rng.randint(-6, 3)), rng.randint(1, 10**5)))
+    # A denominator within the bound gives the value itself, negative ones
+    # included, and half-integers tie at bound 1, where the floor wins.
+    cases += [(F(k, d), b) for k in range(-20, 21) for d in range(1, 6) for b in range(d, 8)]
+    cases += [(F(2 * k + 1, 2), 1) for k in range(-20, 20)]
+    for x, bound in cases:
+        y = x.limit_denominator(bound)
+        assert _best_approximation(x.numerator, x.denominator, bound) == (y.numerator, y.denominator)
