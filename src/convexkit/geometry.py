@@ -411,8 +411,8 @@ def _build_full_dimensional(rows, n, base):
     for prim in norm_keys:
         pieces, members = merged[prim]
         row = rows[next(iter(members))]
-        lam, s = tree_sum(pieces)
-        pseudo = (lam * sum(c * c for c in prim), s * factorial(n - 1))
+        lam_n, lam_d = tree_sum(pieces)
+        pseudo = (lam_n * sum(c * c for c in prim), lam_d * factorial(n - 1))
         facets.append(Facet(prim, (sum(map(mul, prim, row)), row[n]), pseudo))
     body = Polytope(
         dim=n,

@@ -127,7 +127,8 @@ class ContainmentVerdict:
 def _contains(outer: Polytope, inner: Polytope) -> ContainmentVerdict:
     """Whether inner lies in outer, else the first of inner's vertices
     outside a facet N.x <= o_num / o_den of outer, tested on the vertex's
-    row (X, d) as N.X o_den > o_num d."""
+    row (X, d) as N.X o_den > o_num d.  (o_num, o_den) is the facet's
+    stored offset pair, whose o_den is positive; no Fraction is read."""
     bounds = [(f.normal, *f.offset_pair) for f in outer.facets]
     for k, row in enumerate(inner.lifted):
         d = row[-1]

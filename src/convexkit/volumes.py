@@ -214,7 +214,7 @@ def _cycle_volume(cycle, eps) -> Fraction:
     cycle of K + eps L.  Its volume is the sum of the signed cones from the
     origin, (-1)^(n+1) det(X_i + eps Y_i) / prod(w_i) / n! over the
     simplices' rows (X_i, Y_i, w_i), summed as integer pairs by
-    ``tree_sum`` into one Fraction.
+    ``tree_sum``, with n! folded into the pair's one Fraction.
     """
     rows, simplices = cycle
     n = len(rows[0][0])
@@ -256,9 +256,11 @@ def mixed_volume_base_height(first: Polytope, second: Polytope) -> Fraction:
     the unit-normal summand exactly and stays rational.  Each facet's
     primitive integer normal goes straight to the integer core of
     ``support``, which reads h_K = X.W / d off K's integer rows with no
-    re-lift and no direction check, and each summand is kept as an integer
-    pair; the summands, whose denominators are unrelated (a 400-gon has
-    400), are added by ``tree_sum``.
+    re-lift and no direction check, and its pseudo-volume is read as the
+    facet's integer pair, so each summand is an integer pair built from
+    integers alone; the summands, whose denominators are unrelated (a
+    400-gon has 400), are added by ``tree_sum``, and 1/n is folded into
+    the one Fraction built from the sum.
     """
     if not first.is_full_dimensional:
         raise LowerDimensionalError("base-height formula needs a full-dimensional body")
