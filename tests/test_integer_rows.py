@@ -26,7 +26,9 @@ corpus, 61-bit prime denominators, flat bodies and homothety images among
 it, every facet's offset and pseudo-volume must be the brute-force
 oracle's, as ``Fraction``s, and facets must compare equal after a homothety
 and its inverse.  The disc polygon's rows must be those of its
-``limit_denominator`` recipe for m = 1..200.
+``limit_denominator`` recipe for m = 1..200.  On the same corpus
+``reflect_through_hyperplane`` must give the hull of the ``Fraction``
+mirror points v - 2 (v.w / w.w) w.
 """
 
 import json
@@ -619,3 +621,30 @@ def test_facets_survive_a_homothety_and_its_inverse():
         assert scale(scale(body, 2), F(1, 2)).facets == body.facets
         assert scale(scale(body, F(PRIME, 3)), F(3, PRIME)).facets == body.facets
         assert translate(translate(body, x), tuple(-c for c in x)).facets == body.facets
+
+
+def test_reflection_matches_the_hull_of_the_fraction_mirrors():
+    # Directions with Fraction entries, over the 61-bit prime among them;
+    # flat bodies and single-coordinate directions included.
+    rng = random.Random(25)
+    for body, _ in facet_corpus():
+        n = body.dim
+        for kind in ("axis", "small", "prime"):
+            if kind == "axis":
+                j = rng.randrange(n)
+                w = tuple(F(3, 2) if k == j else F(0) for k in range(n))
+            elif kind == "small":
+                w = tuple(F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n))
+                w = w if any(w) else (F(1, 7),) * n
+            else:
+                w = tuple(F(rng.randint(-(2**63), 2**63), PRIME) for _ in range(n))
+            wsq = dot(w, w)
+            mirrors = [
+                tuple(c - 2 * dot(v, w) / wsq * x for c, x in zip(v, w)) for v in body.vertices
+            ]
+            expected = convex_hull(mirrors, allow_degenerate=True)
+            image = reflect_through_hyperplane(body, w)
+            assert image.dim == n and image.lifted == expected.lifted
+            assert image.affine_dim == expected.affine_dim and image.volume == expected.volume
+            assert facet_triples(image) == facet_triples(expected)
+            assert_row_types(image)

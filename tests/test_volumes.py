@@ -130,6 +130,19 @@ def test_mixed_area_symmetry(square, dia, tri):
         mixed_area(unit_cube(), unit_cube())
 
 
+@pytest.mark.parametrize(
+    "u, v", [((1, 0), (0, 1)), ((3, F(1, 2)), (-2, 5)), ((F(2, 3), -1), (F(-1, 3), F(7, 5)))]
+)
+def test_mixed_area_of_two_segments(u, v):
+    # Both bodies flat: V([0, u] + [0, v]) = |det(u, v)| = 2 A, and a
+    # parallel pair spans a segment, so A = 0.
+    first, second = (convex_hull([(0, 0), p], allow_degenerate=True) for p in (u, v))
+    det = F(u[0]) * v[1] - F(u[1]) * v[0]
+    assert mixed_area(first, second) == mixed_area(second, first) == abs(det) / 2
+    parallel = convex_hull([(0, 0), tuple(F(-5, 3) * c for c in u)], allow_degenerate=True)
+    assert mixed_area(first, parallel) == mixed_area(parallel, first) == 0
+
+
 def test_oracle_equivalence_fixed_bodies(square, dia, tri, cube):
     pairs = [
         (square, dia),
