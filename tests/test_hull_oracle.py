@@ -144,6 +144,25 @@ def test_flat_hull_matches_chart_oracle(points):
         convex_hull(points)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.one_of(coords, st.builds(F, st.integers(-(2**130), 2**130), st.sampled_from(BIG_PRIMES))),
+        min_size=2,
+        max_size=14,
+    )
+)
+def test_hulls_on_a_line_are_the_interval(xs):
+    # A shadow on a line is hulled as rows of length 2, the one
+    # full-dimensional hull below the plane; it is [min, max] in any order.
+    assume(len(set(xs)) > 1)
+    body = _hull_with_boundary(_lift([(x,) for x in xs]), 1)[0]
+    lo, hi = min(xs), max(xs)
+    assert body.affine_dim == 1 and body.vertices == ((lo,), (hi,)) and body.volume == hi - lo
+    facets = [(f.normal, f.offset, f.pseudo_volume) for f in body.facets]
+    assert facets == [((-1,), -lo, 1), ((1,), hi, 1)]
+
+
 entries = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
 
 
