@@ -18,10 +18,14 @@ Conventions used throughout the package:
   denominators.  Determinants of such rows are the affine ones times the
   positive product of the d's, so their signs decide orientation exactly;
 * the hull kernel, ``_hull_with_boundary``, takes such rows and nothing
-  else: ``convex_hull`` checks and lifts its points once, and ``volumes``
-  forms each pair point's row from the two bodies' rows.  The kernel sorts
-  and deduplicates the rows on integer keys, inserts them into the hull in
-  a seeded shuffled order, and sums volumes as integer pairs;
+  else.  Library code forms the rows of every hull it builds from rows:
+  projections, support sets, flat charts, homothety and reflection images,
+  ``volumes``' pair points and combinations, and the Steiner chord ends.
+  ``convex_hull`` is the way in for points from outside (body files,
+  constructor arguments, probes), which it checks and lifts once, and
+  ``Polytope.vertices`` the way out, for reports and files.  The kernel
+  sorts and deduplicates the rows on integer keys, inserts them into the
+  hull in a seeded shuffled order, and sums volumes as integer pairs;
 * a full-dimensional hull is built as boundary simplices whose vertex
   order is outward (n >= 2); ``_hull_with_boundary`` returns them with the
   Polytope, so ``volumes`` can read K + eps L's volume off K + L's hull.
@@ -86,8 +90,6 @@ from .linalg import (
     primitive_int_vector,
     tree_sum,
     vneg,
-    vscale,
-    vsub,
 )
 
 MIN_AMBIENT = 2
@@ -247,8 +249,7 @@ def _oriented(rows, interior, vert_ids):
     """(vert_ids, h) for the simplex on these rows, outward in its vertex
     order: h = cross_normal of the rows in the returned order, and
     dot(h, row) > 0 exactly beyond its hyperplane.  Swapping two rows
-    negates the cross normal; a 1D simplex is one point, and there h alone
-    carries the orientation."""
+    negates the cross normal."""
     h = cross_normal([rows[i] for i in vert_ids])
     if dot(h, interior) > 0:
         h = vneg(h)
@@ -276,7 +277,10 @@ def _incremental_hull(rows, n, base, interior):
     up to a sign fixed by n, det(r_0, ..., r_(n-1), x), which alternates in
     all n+1 rows.  p is beyond the visible simplex, so swapping p and r_k
     gives the new simplex's cross normal h a strictly negative dot(h, r_k):
-    r_k lies strictly inside the new simplex's hyperplane.
+    r_k lies strictly inside the new simplex's hyperplane.  On a line
+    (n = 1, a projection's chart) a simplex is one row, whose order cannot
+    carry a flip; there the base starts at the least of the sorted rows, so
+    every later point extends the other end, whose simplex is unflipped.
     """
     facets = {}
     next_id = itertools.count()
@@ -368,10 +372,7 @@ def _build_full_dimensional(rows, n, base):
     # A sum of rows stands for the average of its points weighted by their
     # d's, so this one lies inside the simplex on ``base``, inside the hull.
     interior = [sum(col) for col in zip(*(rows[i] for i in base))]
-    if n == 1:
-        simplices = [_oriented(rows, interior, (i,)) for i in (0, len(rows) - 1)]
-    else:
-        simplices = _incremental_hull(rows, n, base, interior)
+    simplices = _incremental_hull(rows, n, base, interior)
 
     # Merge coplanar simplices into maximal facets, keyed by the primitive
     # outward normal (unique per facet of a convex body).  For a simplex
@@ -428,15 +429,17 @@ def _build_degenerate(rows, n, rank, basis_ids):
     """Flat hull of the points of sorted, distinct lifted ``rows``, of affine
     rank ``rank`` < n.
 
-    The coordinates at the pivot columns of the affine hull's direction
-    vectors chart that hull one to one (the reduced directions are
-    triangular there); the extreme points chart onto the chart hull's.  A
-    direction X / d - O / e is taken as the integer row X e - O d, a
-    positive multiple with the same pivots, and a point's chart row is the
-    primitive row of (X at those columns, d).
+    On a line the lexicographic order runs along the line, so a segment's
+    ends are the first and last rows.  From rank 2 up, the coordinates at
+    the pivot columns of the affine hull's direction vectors chart that
+    hull one to one (the reduced directions are triangular there); the
+    extreme points chart onto the chart hull's.  A direction X / d - O / e
+    is taken as the integer row X e - O d, a positive multiple with the
+    same pivots, and a point's chart row is the primitive row of (X at
+    those columns, d).
     """
-    kept = rows  # rank 0: a single point
-    if rank:
+    kept = [rows[0], rows[-1]] if rank else rows  # rank 0: a single point
+    if rank > 1:
         *origin, e = rows[basis_ids[0]]
         directions = [
             [x * e - o * rows[i][n] for x, o in zip(rows[i], origin)] for i in basis_ids[1:]
@@ -652,11 +655,18 @@ def scale(body: Polytope, a) -> Polytope:
 
 
 def reflect_through_hyperplane(body: Polytope, w) -> Polytope:
-    """Mirror image across the hyperplane orthogonal to w."""
-    w = _check_direction(body, w)
-    wsq = dot(w, w)
-    mapped = [vsub(v, vscale(2 * dot(v, w) / wsq, w)) for v in body.vertices]
-    return _hull_with_boundary(_lift(mapped), body.dim)[0]
+    """Mirror image across the hyperplane orthogonal to w, formed on rows:
+    with w lifted to W / e, the mirror v - 2 (v.w / w.w) w of the vertex row
+    (X, d) is the primitive row of (X (W.W) - 2 (X.W) W, d (W.W)), as e
+    cancels, and those rows are hulled."""
+    *lifted_w, _ = _lift((_check_direction(body, w),))[0]
+    wsq = dot(lifted_w, lifted_w)
+    rows = []
+    for row in body.lifted:
+        twice = 2 * sum(map(mul, row, lifted_w))
+        mirror = (x * wsq - twice * c for x, c in zip(row, lifted_w))
+        rows.append(primitive_int_vector((*mirror, row[-1] * wsq)))
+    return _hull_with_boundary(rows, body.dim)[0]
 
 
 def vertex_centroid(body: Polytope):

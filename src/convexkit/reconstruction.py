@@ -94,7 +94,12 @@ Oracle = Callable[[Polytope], Fraction]
 
 def mixed_area_oracle(body: Polytope) -> Oracle:
     """The canonical oracle A(K, .) for a corner-normalized body; it
-    evaluates each distinct probe once, such as the auxiliary normal's."""
+    evaluates each distinct probe once, such as the auxiliary normal's.
+    Recovery takes h_K(-e1) = h_K(-e2) = 0, so any other body raises:
+    ``DimensionError`` from ``corner_normalize`` unless it is a
+    full-dimensional polygon, else ``GeometryError``."""
+    if corner_normalize(body).applied_translation != (0, 0):
+        raise GeometryError("the mixed-area oracle needs a corner-normalized body")
     return functools.cache(lambda probe_body: mixed_area(body, probe_body))
 
 

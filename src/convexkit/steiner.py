@@ -13,7 +13,9 @@ occurred.  Volume is preserved exactly whenever the construction is exact.
 
 The clipping runs on integer rows: w is lifted once to W / e, each facet's
 slope N.W is taken once per symmetral, and each vertex's cuts are compared
-as integer quotients of its row (X, d), one Fraction per chord end.  The
+as integer quotients of its row (X, d).  The chord's ends t = (e / d) l
+and (e / d) h, with l and h integer pairs, give the recentred ends as rows
+in which e cancels, and those rows are hulled; no Fraction is built.  The
 containment test of ``superadditivity_check`` compares N.X o_den with
 o_num d on the same rows.
 """
@@ -34,8 +36,8 @@ from .errors import (
     LowerDimensionalError,
     ZeroDirectionError,
 )
-from .geometry import Polytope, _lift, convex_hull, polygon_cycle
-from .linalg import as_vec, dot, is_zero_vec, vadd, vscale, vsub
+from .geometry import Polytope, _hull_with_boundary, _lift, polygon_cycle
+from .linalg import as_vec, dot, is_zero_vec, primitive_int_vector, vsub
 from .volumes import combine
 
 
@@ -51,16 +53,17 @@ class SteinerResult:
     inner_approximation: bool  # False whenever volume was preserved exactly
 
 
-def _chord_interval(cuts, row, e):
+def _chord_interval(cuts, row):
     """Parameter range {t : v + t w in K} for the vertex row (X, d) of v, by
-    exact facet clipping, with w = W / e.
+    exact facet clipping, with w = W / e, as the integer pairs (l, h) with
+    denominators > 0 of its ends t d / e.
 
     ``cuts`` holds (N, o_num, o_den, s) for each facet N.x <= o_num / o_den
     not parallel to w, with s = o_den N.W.  The facet cuts the line at
     t = e (o_num d - o_den N.X) / (o_den d N.W); the positive factor e / d
     is common to every cut, so the cuts are compared as the integer
     quotients (o_num d - o_den N.X) / s, by cross-multiplication over
-    positive denominators, and each end becomes one Fraction.
+    positive denominators.
     """
     d = row[-1]
     lo = hi = None
@@ -74,7 +77,7 @@ def _chord_interval(cuts, row, e):
             hi = num, s
     if lo is None or hi is None or lo[0] * hi[1] > hi[0] * lo[1]:
         raise InvariantError("chord through a vertex misses the body")
-    return Fraction(e * lo[0], d * lo[1]), Fraction(e * hi[0], d * hi[1])
+    return lo, hi
 
 
 def steiner_symmetral(body: Polytope, w) -> SteinerResult:
@@ -88,7 +91,7 @@ def steiner_symmetral(body: Polytope, w) -> SteinerResult:
         raise ZeroDirectionError("direction must be nonzero")
     if not body.is_full_dimensional:
         raise LowerDimensionalError("symmetrization needs a full-dimensional body")
-    *lifted_w, e = _lift((w,))[0]
+    *lifted_w, _ = _lift((w,))[0]
     cuts = []
     for f in body.facets:
         slope = sum(map(mul, f.normal, lifted_w))
@@ -96,15 +99,21 @@ def steiner_symmetral(body: Polytope, w) -> SteinerResult:
             o_num, o_den = f.offset_pair
             cuts.append((f.normal, o_num, o_den, o_den * slope))
     wsq = sum(c * c for c in lifted_w)
-    points = []
-    for row, v in zip(body.lifted, body.vertices):
-        lo, hi = _chord_interval(cuts, row, e)
-        # v's foot on w-perp is v - c w, c = v.w / w.w = X.W e / (d W.W).
-        c = Fraction(sum(map(mul, row, lifted_w)) * e, row[-1] * wsq)
-        half = (hi - lo) / 2
-        points.append(vadd(v, vscale(half - c, w)))
-        points.append(vsub(v, vscale(half + c, w)))
-    symmetral = convex_hull(points, allow_degenerate=True)
+    rows = []
+    for row in body.lifted:
+        (l_n, l_d), (h_n, h_d) = _chord_interval(cuts, row)
+        # The ends are v's foot on w-perp, v - (v.w / w.w) w, plus and minus
+        # half the chord, (h_n / h_d - l_n / l_d) (e / 2d) w.  Over the
+        # denominator d D, D = 2 l_d h_d (W.W), e cancels: each end is
+        # (X D + s W) / (d D) for s = +-half - foot below.
+        pair = 2 * l_d * h_d
+        common = pair * wsq
+        half = (h_n * l_d - l_n * h_d) * wsq
+        foot = pair * sum(map(mul, row, lifted_w))
+        for s in (half - foot, -half - foot):
+            end = (x * common + s * c for x, c in zip(row, lifted_w))
+            rows.append(primitive_int_vector((*end, row[-1] * common)))
+    symmetral = _hull_with_boundary(rows, body.dim)[0]
     if body.dim == 2:
         exactness = SteinerExactness.EXACT_2D
         if symmetral.volume != body.volume:

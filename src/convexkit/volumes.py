@@ -23,11 +23,15 @@ node, each later one at one n x n integer determinant per simplex.
 
 One pure function of an ordered pair of bodies, ``_minkowski_sum``, an
 ``lru_cache`` of 8 pairs, holds what a pair has shown: K + L, the pair
-behind each of its vertices, which ``combine`` hulls on later unequal
-combinations, and V(K + eps L), eps = 0..n+1, read off the boundary cycle
-right after the one hull.  It is the only place that forms the pair points
-of two bodies, and it first checks their number against
-``io.MAX_PAIR_POINTS``.  Nodes are cached before they are checked; the
+(x, y) behind each of its vertices as the integer triple
+(X d_y, Y d_x, d_x d_y) of the bodies' rows, and V(K + eps L),
+eps = 0..n+1, read off the boundary cycle right after the one hull.  It is
+the only place that pairs the vertices of two bodies, and it first checks
+their number against ``io.MAX_PAIR_POINTS``.  One routine,
+``_pair_points``, turns the triples into the rows of a x + b y: the pair
+points x + y, the moved points x + eps y of each node, and the vertices
+a x + b y that ``combine`` hulls for unequal coefficients, so no
+``Fraction`` point is formed.  Nodes are cached before they are checked; the
 checks on the volume polynomial -- the redundant node, the end coefficients
 and the Aleksandrov-Fenchel inequalities -- run on every call, so a failed
 one raises ``InvariantError`` on every call, and ``python -O`` keeps them.
@@ -43,7 +47,6 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
-from operator import add
 
 from .errors import (
     DimensionError,
@@ -60,7 +63,6 @@ from .geometry import (
     _hull_with_boundary,
     _image_rows,
     _integer_support,
-    convex_hull,
     scale,
 )
 from .io import MAX_PAIR_POINTS
@@ -74,8 +76,6 @@ from .linalg import (
     rational_nth_root,
     solve,
     tree_sum,
-    vadd,
-    vscale,
 )
 from .numeric import DEFAULT_DIGITS, format_fixed, root_combination
 
@@ -111,24 +111,33 @@ class VolumePolynomial:
 
 
 def _pair_row(x_row, y_row) -> tuple:
-    """The integer triple (X d_y, Y d_x, d_x d_y) of the pair point x + y,
-    from the lifted rows (X, d_x) of x and (Y, d_y) of y: x + eps y is
-    (X d_y + eps Y d_x) / (d_x d_y)."""
+    """The integer triple (X d_y, Y d_x, d_x d_y) of the pair (x, y), from
+    the lifted rows (X, d_x) of x and (Y, d_y) of y: x and y over the one
+    weight d_x d_y."""
     *x, dx = x_row
     *y, dy = y_row
     return tuple(a * dy for a in x), tuple(b * dx for b in y), dx * dy
 
 
+def _pair_points(pairs, a, b) -> list:
+    """The row of a x + b y for each ``_pair_row`` triple (X', Y', w), for
+    rational a, b >= 0, unreduced: with a = p / q and b = r / s it is
+    (X' p s + Y' r q, w q s)."""
+    (p, q), (r, s) = a.as_integer_ratio(), b.as_integer_ratio()
+    ps, rq, qs = p * s, r * q, q * s
+    return [(*(x * ps + y * rq for x, y in zip(xs, ys)), w * qs) for xs, ys, w in pairs]
+
+
 @functools.lru_cache(maxsize=8)
 def _minkowski_sum(first: Polytope, second: Polytope) -> tuple:
-    """K + L, the one vertex pair (x, y) behind each of its vertices, and
-    V(K + eps L) for eps = 0..n+1, each node past eps = 1 off K + L's
-    boundary cycle.  Past MAX_PAIR_POINTS vertex pairs in the bodies'
-    dimension it raises ``PairPointsError`` before forming them, and
-    outside dimensions 2..4 ``AmbientDimError``.
+    """K + L, the ``_pair_row`` triple of the one vertex pair (x, y) behind
+    each of its vertices, and V(K + eps L) for eps = 0..n+1, each node past
+    eps = 1 off K + L's boundary cycle.  Past MAX_PAIR_POINTS vertex pairs
+    in the bodies' dimension it raises ``PairPointsError`` before forming
+    them, and outside dimensions 2..4 ``AmbientDimError``.
 
-    Each pair point x + y is formed in integers from the bodies' lifted
-    rows (X, d_x) and (Y, d_y), as the primitive row of
+    The triples come from the bodies' lifted rows, and each pair point
+    x + y is the primitive row of its ``_pair_points`` row
     (X d_y + Y d_x, d_x d_y): the row ``_lift`` makes of x + y, so K + L's
     ``lifted`` is still its vertices' own rows.  The hull runs on these
     rows, and on a repeated point the last pair wins.
@@ -140,21 +149,16 @@ def _minkowski_sum(first: Polytope, second: Polytope) -> tuple:
             f"{count} vertex pairs in dimension {first.dim}; at most {cap} may be combined"
         )
     _check_ambient(first.dim)
-    origin = {}
-    for x, x_row in zip(first.vertices, first.lifted):
-        for y, y_row in zip(second.vertices, second.lifted):
-            x_part, y_part, weight = triple = _pair_row(x_row, y_row)
-            row = primitive_int_vector((*map(add, x_part, y_part), weight))
-            origin[row] = (x, y, triple)
+    triples = [_pair_row(x, y) for x in first.lifted for y in second.lifted]
+    origin = dict(zip(map(primitive_int_vector, _pair_points(triples, 1, 1)), triples))
     body, rows, simplices = _hull_with_boundary(list(origin), first.dim)
-    pairs = tuple(origin[row][:2] for row in body.lifted)
-    # The boundary cycle: each sorted pair point x + y once as its
-    # ``_pair_row``, and the hull's outward simplices as indices into those.
-    cycle = (tuple(origin[row][2] for row in rows), simplices)
+    # The boundary cycle: each sorted pair point x + y once as its triple,
+    # and the hull's outward simplices as indices into those.
+    cycle = (tuple(origin[row] for row in rows), simplices)
     nodes = (first.volume, body.volume) + tuple(
         _cycle_volume(cycle, eps) for eps in range(2, first.dim + 2)
     )
-    return body, pairs, nodes
+    return body, tuple(origin[row] for row in body.lifted), nodes
 
 
 def combine(a, first: Polytope, b, second: Polytope) -> Polytope:
@@ -162,8 +166,9 @@ def combine(a, first: Polytope, b, second: Polytope) -> Polytope:
 
     A zero coefficient scales the other body, and equal ones scale K + L,
     which is hulled once per recent ordered pair; otherwise only the vertex
-    pairs behind the vertices of K + L are combined.  Past MAX_PAIR_POINTS
-    vertex pairs, a combination that forms them raises ``PairPointsError``.
+    pairs behind the vertices of K + L are combined, as rows from their
+    triples.  Past MAX_PAIR_POINTS vertex pairs, a combination that forms
+    them raises ``PairPointsError``.
     """
     a, b = as_scalar(a), as_scalar(b)
     if a < 0 or b < 0:
@@ -171,7 +176,7 @@ def combine(a, first: Polytope, b, second: Polytope) -> Polytope:
     if first.dim != second.dim:
         raise DimensionMismatchError("bodies live in different dimensions")
     if a == b == 0:
-        return convex_hull([(0,) * first.dim], allow_degenerate=True)
+        return _hull_with_boundary([(0,) * first.dim + (1,)], first.dim)[0]
     if a == 0:
         return scale(second, b)
     if b == 0:
@@ -179,7 +184,8 @@ def combine(a, first: Polytope, b, second: Polytope) -> Polytope:
     total, pairs, _ = _minkowski_sum(first, second)
     if a == b:
         return scale(total, a)
-    return convex_hull([vadd(vscale(a, x), vscale(b, y)) for x, y in pairs], allow_degenerate=True)
+    rows = [primitive_int_vector(row) for row in _pair_points(pairs, a, b)]
+    return _hull_with_boundary(rows, first.dim)[0]
 
 
 def volume(body: Polytope) -> Fraction:
@@ -213,12 +219,12 @@ def _cycle_volume(cycle, eps) -> Fraction:
     to x + eps y carries the boundary simplices of K + L onto a boundary
     cycle of K + eps L.  Its volume is the sum of the signed cones from the
     origin, (-1)^(n+1) det(X_i + eps Y_i) / prod(w_i) / n! over the
-    simplices' rows (X_i, Y_i, w_i), summed as integer pairs by
-    ``tree_sum``, with n! folded into the pair's one Fraction.
+    simplices' ``_pair_points`` rows (X_i + eps Y_i, w_i), summed as integer
+    pairs by ``tree_sum``, with n! folded into the pair's one Fraction.
     """
     rows, simplices = cycle
     n = len(rows[0][0])
-    moved = [tuple(a + eps * b for a, b in zip(x, y)) for x, y, _ in rows]
+    moved = [row[:n] for row in _pair_points(rows, 1, eps)]
     num, den = tree_sum(
         (mat_det([moved[i] for i in simplex]), prod(rows[i][2] for i in simplex))
         for simplex in simplices

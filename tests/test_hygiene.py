@@ -186,3 +186,51 @@ def module_caches() -> set:
 def test_module_caches_are_the_documented_three():
     # README lists each; a new one must be added there and here.
     assert module_caches() == {"volumes._minkowski_sum", "reconstruction._probe", "cli.build_parser"}
+
+
+# Fractions exist only at the boundary: ``convex_hull`` lifts points that come
+# from outside the library (body files, constructor arguments, probe
+# directions), and ``Polytope.vertices`` renders rows as points for output.
+# Library code forms rows and hands them to ``_hull_with_boundary``.
+HULL_CALLERS = {"bodies", "io", "reconstruction"}
+VERTEX_READERS = {"io.body_to_json", "geometry.polygon_cycle", "steiner._contains"}
+
+
+def _functions(tree):
+    """Top-level functions and the methods of top-level classes, as
+    (node, name) pairs."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item, f"{node.name}.{item.name}"
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node, node.name
+
+
+def boundary_crossings() -> list:
+    """Package functions that call ``convex_hull`` outside ``HULL_CALLERS``
+    or load ``.vertices`` outside ``VERTEX_READERS``, as "module.function
+    name".  ``args.vertices`` is the ``random-body`` option, not a body's."""
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        for node, name in _functions(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.stem}.{name}"
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call):
+                    callee = getattr(sub.func, "id", getattr(sub.func, "attr", None))
+                    if callee == "convex_hull" and path.stem not in HULL_CALLERS:
+                        hits.append(f"{where} convex_hull")
+                elif (
+                    isinstance(sub, ast.Attribute)
+                    and sub.attr == "vertices"
+                    and isinstance(sub.ctx, ast.Load)
+                    and getattr(sub.value, "id", None) != "args"
+                    and where not in VERTEX_READERS
+                ):
+                    hits.append(f"{where} .vertices")
+    return sorted(set(hits))
+
+
+def test_library_hulls_take_rows():
+    assert boundary_crossings() == []

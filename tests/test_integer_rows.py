@@ -59,6 +59,7 @@ from convexkit.geometry import (
     Subspace,
     _hull_with_boundary,
     _lift,
+    _point,
     bodies_equal,
     convex_hull,
     project,
@@ -276,6 +277,8 @@ def test_half_integer_pair_rows_reduce_to_the_vertices_rows(n):
     total, pairs, _ = volumes._minkowski_sum(first, second)
     assert total.lifted == tuple(_lift(total.vertices))
     assert {row[-1] for row in total.lifted} == {1}
+    # The record keeps each pair (x, y) as its triple (X d_y, Y d_x, d_x d_y).
+    pairs = [(_point((*x, w)), _point((*y, w))) for x, y, w in pairs]
     assert [vadd(x, y) for x, y in pairs] == list(total.vertices)
 
 

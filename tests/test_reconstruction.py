@@ -2,8 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from convexkit.bodies import random_polytope, unit_square
-from convexkit.errors import QuadrantError
+from convexkit.bodies import random_polytope, unit_cube, unit_square
+from convexkit.errors import DimensionError, GeometryError, QuadrantError
 from convexkit.geometry import bodies_equal, convex_hull, scale, support, translate
 from convexkit.reconstruction import (
     _AUX_CANDIDATES,
@@ -54,6 +54,21 @@ def test_recover_first_quadrant(square):
     o = mixed_area_oracle(square)
     assert recover_support(o, (1, 1)) == 2
     assert recover_support(o, (1, 2)) == 3 == support(square, (1, 2))
+
+
+def test_oracle_needs_a_corner_normalized_polygon():
+    # Recovery takes h_K(-e1) = h_K(-e2) = 0.  Off the corner it returned
+    # 4, 8 and 4 for the supports 6, 9 and 5 below: those of K - (1, 1).
+    k = convex_hull([(1, 1), (4, 1), (1, 5)])
+    with pytest.raises(GeometryError, match="^the mixed-area oracle needs a corner-normalized body$"):
+        mixed_area_oracle(k)
+    oracle = mixed_area_oracle(corner_normalize(k).body)
+    for w, h in (((1, 1), 6), ((-1, 2), 9), ((0, 1), 5)):
+        assert support(k, w) == h
+        assert recover_support_any(oracle, w) == h - w[0] - w[1]
+    for body in (convex_hull([(0, 0), (1, 0)], allow_degenerate=True), unit_cube()):
+        with pytest.raises(DimensionError, match="^corner normalization "):
+            mixed_area_oracle(body)
 
 
 def expected_closing(w):
