@@ -104,12 +104,12 @@ def steiner_symmetral(body: Polytope, w) -> SteinerResult:
         (l_n, l_d), (h_n, h_d) = _chord_interval(cuts, row)
         # The ends are v's foot on w-perp, v - (v.w / w.w) w, plus and minus
         # half the chord, (h_n / h_d - l_n / l_d) (e / 2d) w.  Over the
-        # denominator d D, D = 2 l_d h_d (W.W), e cancels: each end is
-        # (X D + s W) / (d D) for s = +-half - foot below.
-        pair = 2 * l_d * h_d
-        common = pair * wsq
+        # denominator d D, D = 2 l_d h_d (W.W) (``common``), e cancels: each
+        # end is (X D + s W) / (d D) for s = +-half - foot below.
+        dens = 2 * l_d * h_d
+        common = dens * wsq
         half = (h_n * l_d - l_n * h_d) * wsq
-        foot = pair * sum(map(mul, row, lifted_w))
+        foot = dens * sum(map(mul, row, lifted_w))
         for s in (half - foot, -half - foot):
             end = (x * common + s * c for x, c in zip(row, lifted_w))
             rows.append(primitive_int_vector((*end, row[-1] * common)))
