@@ -64,10 +64,7 @@ from .reconstruction import (
     corner_normalize,
     farey_directions,
     mixed_area_oracle,
-    probe_triangle,
-    recover_support,
     recover_support_any,
-    recover_support_other_quadrants,
     translates_decision,
 )
 from .steiner import (

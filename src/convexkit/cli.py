@@ -105,13 +105,13 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _report(args, paths, result, counterexample=None) -> int:
-    """Emit a subcommand's report on its input files and result, and return
-    its exit code: EXIT_VIOLATION when a counterexample bundle ships with
-    it, else EXIT_OK."""
+def _report(args, result, counterexample=None) -> int:
+    """Emit a subcommand's report on the body files it loaded and its
+    result, and return its exit code: EXIT_VIOLATION when a counterexample
+    bundle ships with it, else EXIT_OK."""
     out = {
         "command": [args.command, *args.echo_args],
-        "inputs": {str(p): io.file_digest(p) for p in paths},
+        "inputs": args.inputs,
         "digits": args.digits,
         "seed": args.seed,
         "result": result,
@@ -153,13 +153,13 @@ def _verdict_payload(report) -> dict:
 
 
 def cmd_volume(args) -> int:
-    body = io.load_body(args.body)
-    return _report(args, [args.body], {"volume": str(volume(body))})
+    body = io.load_body(args.body, digests=args.inputs)
+    return _report(args, {"volume": str(volume(body))})
 
 
 def cmd_mixedvol(args) -> int:
-    first = io.load_body(args.body_a, allow_degenerate=True)
-    second = io.load_body(args.body_b, allow_degenerate=True)
+    first = io.load_body(args.body_a, allow_degenerate=True, digests=args.inputs)
+    second = io.load_body(args.body_b, allow_degenerate=True, digests=args.inputs)
     result = {}
     if args.method in ("base-height", "both"):
         result["base_height"] = str(mixed_volume_base_height(first, second))
@@ -167,12 +167,12 @@ def cmd_mixedvol(args) -> int:
         result["interp"] = str(mixed_volume_interp(first, second))
     if args.method == "both":
         result["agree"] = result["base_height"] == result["interp"]
-    return _report(args, [args.body_a, args.body_b], result)
+    return _report(args, result)
 
 
 def cmd_check(args) -> int:
-    first = io.load_body(args.body_a, allow_degenerate=True)
-    second = io.load_body(args.body_b, allow_degenerate=True)
+    first = io.load_body(args.body_a, allow_degenerate=True, digests=args.inputs)
+    second = io.load_body(args.body_b, allow_degenerate=True, digests=args.inputs)
     if args.form == "bm":
         if args.lam is None:
             raise argparse.ArgumentTypeError("--lambda is required for form bm")
@@ -187,15 +187,15 @@ def cmd_check(args) -> int:
     bundle = None
     if report.verdict is Verdict.VIOLATION:
         bundle = _counterexample(args, first, second, quantities=result["quantities"])
-    return _report(args, [args.body_a, args.body_b], result, bundle)
+    return _report(args, result, bundle)
 
 
 def cmd_equality_diagnose(args) -> int:
     if args.lambda_grid is not None and len(args.lambda_grid) > MAX_GRID_VALUES:
         raise argparse.ArgumentTypeError(f"--lambda-grid takes at most {MAX_GRID_VALUES} values")
     _refutation_lambda(args.lambda_grid)
-    first = io.load_body(args.body_a)
-    second = io.load_body(args.body_b)
+    first = io.load_body(args.body_a, digests=args.inputs)
+    second = io.load_body(args.body_b, digests=args.inputs)
     mmv = minkowski_check(first, second, digits=args.digits)
     result = {"verdict": mmv.verdict.value, "mmv": _verdict_payload(mmv)}
     violated = mmv.verdict is Verdict.VIOLATION
@@ -214,7 +214,7 @@ def cmd_equality_diagnose(args) -> int:
             ref = {k: str(v) if isinstance(v, Fraction) else v for k, v in ref.items()}
         result["refutation"] = ref
     bundle = _counterexample(args, first, second) if violated else None
-    return _report(args, [args.body_a, args.body_b], result, bundle)
+    return _report(args, result, bundle)
 
 
 def cmd_random_body(args) -> int:
@@ -227,7 +227,7 @@ def cmd_random_body(args) -> int:
 
 
 def cmd_project(args) -> int:
-    body = io.load_body(args.body)
+    body = io.load_body(args.body, digests=args.inputs)
     xi = Subspace(args.onto)
     shadow = project(body, xi)
     result = {
@@ -236,11 +236,11 @@ def cmd_project(args) -> int:
         "gram": [[str(x) for x in row] for row in xi.gram()],
         "gram_det": str(xi.gram_det()),
     }
-    return _report(args, [args.body], result)
+    return _report(args, result)
 
 
 def cmd_steiner(args) -> int:
-    body = io.load_body(args.body)
+    body = io.load_body(args.body, digests=args.inputs)
     if args.steps:
         schedule = args.schedule or (args.direction,)
         trace = rounding_iteration(body, schedule, args.steps)
@@ -263,11 +263,11 @@ def cmd_steiner(args) -> int:
             "inner_approximation": res.inner_approximation,
             "volume": str(res.symmetral.volume),
         }
-    return _report(args, [args.body], result)
+    return _report(args, result)
 
 
 def cmd_reconstruct(args) -> int:
-    body = io.load_body(args.body)
+    body = io.load_body(args.body, digests=args.inputs)
     cn = corner_normalize(body)
     oracle = mixed_area_oracle(cn.body)
     rows = []
@@ -291,12 +291,12 @@ def cmd_reconstruct(args) -> int:
         "all_agree": all_agree,
         "trace": rows,
     }
-    return _report(args, [args.body], result)
+    return _report(args, result)
 
 
 def cmd_homothety(args) -> int:
-    first = io.load_body(args.body_a)
-    second = io.load_body(args.body_b)
+    first = io.load_body(args.body_a, digests=args.inputs)
+    second = io.load_body(args.body_b, digests=args.inputs)
     if args.via_projections:
         dirs = default_direction_set(first.dim, seed=2024 if args.seed is None else args.seed)
         report = homothetic_projections_conclude(first, second, dirs)
@@ -315,7 +315,7 @@ def cmd_homothety(args) -> int:
             result["witness"] = _witness_payload(decision.witness)
         else:
             result["reason"] = decision.reason
-    return _report(args, [args.body_a, args.body_b], result)
+    return _report(args, result)
 
 
 @functools.cache
@@ -405,6 +405,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.echo_args = list(argv if argv is not None else sys.argv[1:])[1:]
+    args.inputs = {}  # body file path -> sha256 of the bytes io.load_body parsed
     try:
         return args.func(args)
     except io.BodyFileError as exc:

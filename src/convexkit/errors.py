@@ -50,10 +50,6 @@ class NotHomotheticProjectionError(GeometryError):
     """Shadow-alignment requires homothetic hyperplane projections."""
 
 
-class QuadrantError(GeometryError):
-    """Probe direction must lie in the open positive quadrant."""
-
-
 class EmptyScheduleError(GeometryError):
     """Symmetrization schedule must contain at least one direction."""
 

@@ -69,11 +69,6 @@ class HomothetyDecision:
         return self.witness is not None
 
 
-def apply_witness(first: Polytope, witness: HomothetyWitness) -> Polytope:
-    """ratio * first + shift, in one pass by ``geometry._homothety``."""
-    return _homothety(first, witness.ratio, witness.shift)
-
-
 def _maps_onto(first: Polytope, second: Polytope, witness: HomothetyWitness) -> bool:
     """True when v -> a v + x carries first's rows onto second's, compared
     row by row with no body built; the map keeps the points' order, so the

@@ -104,22 +104,21 @@ def parse_body(data, *, allow_degenerate: bool = False) -> Polytope:
     return convex_hull(pts, allow_degenerate=allow_degenerate)
 
 
-def load_body(path, *, allow_degenerate: bool = False) -> Polytope:
+def load_body(path, *, allow_degenerate: bool = False, digests=None) -> Polytope:
+    """The body in a body file, read once.  A dict passed as ``digests``
+    receives the sha256 of the bytes parsed, under ``str(path)``."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise BodyFileError(f"cannot read {path}: {exc}") from exc
+    if digests is not None:
+        digests[str(path)] = hashlib.sha256(raw).hexdigest()
     try:
         data = json.loads(raw)
     except ValueError as exc:  # also integers past Python's 4300-digit limit
         raise BodyFileError(f"{path}: invalid JSON: {exc}") from exc
     return parse_body(data, allow_degenerate=allow_degenerate)
-
-
-def file_digest(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def dumps_report(report: dict) -> str:

@@ -6,13 +6,14 @@ lam_i * rot(n_i), where sum lam_i n_i = 0, has the mixed area
 
     2 A(K, T) = sum_i lam_i h_K(n_i)        (pseudo-length convention)
 
-so one probe exposes h_K(n_0) once h_K(n_1) and h_K(n_2) are known.  After
-sliding a polygon into the positive corner its support vanishes at -e1 and
--e2; these corner normals close every direction of the closed first
-quadrant, and one corner normal with a recovered first-quadrant normal
-closes every other direction.  The multipliers are 2x2 minors of the
-normals, so everything stays rational.
-"""
+so one probe exposes h_K(n_0) once h_K(n_1) and h_K(n_2) are known.
+``corner_normalize`` slides a polygon into the positive corner, where its
+support vanishes at -e1 and -e2.  ``recover_support_any``, the one entry
+point, reads h_K(w) off one probe that ``_probe`` builds: the corner normals
+close every w of the closed first quadrant, and any other w closes with
+(1, 1), whose support is recovered first, and -e2 when w_1 < w_2, -e1
+otherwise.  The multipliers are 2x2 minors of the normals, so everything
+stays rational."""
 
 from __future__ import annotations
 
@@ -26,22 +27,21 @@ from .errors import (
     GeometryError,
     InvariantError,
     OracleError,
-    QuadrantError,
     ZeroDirectionError,
 )
 from .geometry import Polytope, bodies_equal, convex_hull, support, translate
-from .linalg import as_scalar, as_vec, det2, dot, is_zero_vec, vadd, vscale
+from .linalg import as_scalar, as_vec, det2, is_zero_vec, vadd, vscale
 from .volumes import mixed_area
-
-# First-quadrant auxiliary normals tried when recovering a direction outside
-# the closed first quadrant.  (1, 1) alone closes every such w with one
-# corner normal: for w = (-a, b), -e2 gives the multipliers (1, a + b, a);
-# for w = (a, -b), -e1 gives (1, a + b, b); for w = (-a, -b), -e1 gives
-# (1, b - a, b) when b >= a and -e2 gives (1, a - b, a) when a >= b.
-_AUX_CANDIDATES = ((1, 1),)
 
 # Outward normals at which a corner-normalized body has support 0.
 _CORNER = ((-1, 0), (0, -1))
+
+# The first-quadrant normal that closes a probe with w and one corner normal
+# for every w outside the closed first quadrant: for w = (-a, b), -e2 gives
+# the multipliers (1, a + b, a); for w = (a, -b), -e1 gives (1, a + b, b);
+# for w = (-a, -b), -e2 gives (1, a - b, a) when a > b and -e1 gives
+# (1, b - a, b) otherwise.
+_AUX = (1, 1)
 
 
 @dataclass(frozen=True)
@@ -52,39 +52,20 @@ class CornerNormalizedBody:
     applied_translation: tuple
 
 
-@dataclass(frozen=True)
-class ProbeTriangle:
-    """Right probe with outward normals -e1, -e2 and w (positive quadrant).
-
-    ``hypotenuse_pseudo_length`` is |hypotenuse| * |w|, always rational.
-    """
-
-    triangle: Polytope
-    hypotenuse_pseudo_length: Fraction
-
-
-def corner_normalize(body: Polytope) -> CornerNormalizedBody:
-    """Slide a polygon into the positive corner; records the translation."""
+def _corner_shift(body: Polytope) -> tuple:
+    """(h_K(-e1), h_K(-e2)), the translation that slides a polygon into the
+    positive corner; (0, 0) exactly when it is already there."""
     if body.dim != 2:
         raise DimensionError("corner normalization is a planar operation")
     if not body.is_full_dimensional:
         raise DimensionError("corner normalization needs a full-dimensional polygon")
-    shift = (support(body, (-1, 0)), support(body, (0, -1)))
+    return tuple(support(body, n) for n in _CORNER)
+
+
+def corner_normalize(body: Polytope) -> CornerNormalizedBody:
+    """Slide a polygon into the positive corner; records the translation."""
+    shift = _corner_shift(body)
     return CornerNormalizedBody(translate(body, shift), shift)
-
-
-def probe_triangle(w, scale=Fraction(1)) -> ProbeTriangle:
-    """Triangle conv{0, (w2 c, 0), (0, w1 c)} whose hypotenuse normal is w."""
-    w = as_vec(w)
-    scale = as_scalar(scale)
-    if len(w) != 2:
-        raise DimensionError("probe triangles are planar")
-    if not (w[0] > 0 and w[1] > 0):
-        raise QuadrantError("probe normal must lie in the open positive quadrant")
-    if scale <= 0:
-        raise ValueError("probe scale must be positive")
-    tri = convex_hull([(0, 0), (w[1] * scale, 0), (0, w[0] * scale)])
-    return ProbeTriangle(tri, scale * dot(w, w))
 
 
 # An oracle is any exact mixed-area functional A(K, .); tests may feed
@@ -96,9 +77,9 @@ def mixed_area_oracle(body: Polytope) -> Oracle:
     """The canonical oracle A(K, .) for a corner-normalized body; it
     evaluates each distinct probe once, such as the auxiliary normal's.
     Recovery takes h_K(-e1) = h_K(-e2) = 0, so any other body raises:
-    ``DimensionError`` from ``corner_normalize`` unless it is a
-    full-dimensional polygon, else ``GeometryError``."""
-    if corner_normalize(body).applied_translation != (0, 0):
+    ``DimensionError`` unless it is a full-dimensional polygon, else
+    ``GeometryError``."""
+    if _corner_shift(body) != (0, 0):
         raise GeometryError("the mixed-area oracle needs a corner-normalized body")
     return functools.cache(lambda probe_body: mixed_area(body, probe_body))
 
@@ -118,14 +99,14 @@ def _cross(u, v):
 
 def _closing_solution(normals):
     """Multipliers lam with sum lam_i n_i = 0, the first positive and the
-    others nonnegative, or None when there are none.  They are the 2x2
-    minors of the normals, so integer normals give integer multipliers."""
+    others nonnegative.  They are the 2x2 minors of the normals, so integer
+    normals give integer multipliers."""
     n0, n1, n2 = normals
     lams = (_cross(n1, n2), _cross(n2, n0), _cross(n0, n1))
     if lams[0] < 0:
         lams = tuple(-lam for lam in lams)
     if lams[0] == 0 or min(lams) < 0:
-        return None
+        raise InvariantError(f"probe normals {normals} do not close")
     return lams
 
 
@@ -142,69 +123,29 @@ def _probe(normals, lams) -> Polytope:
     return convex_hull(pts, allow_degenerate=True)
 
 
-def _recover(oracle: Oracle, w, candidates) -> Fraction:
-    """h_K(w) from one probe with outward normals w and two normals of known
-    support: the corner pair inside the closed first quadrant, otherwise one
-    corner normal and the first candidate q that closes, with h_K(q)
-    recovered by the same routine."""
+def _recover(oracle: Oracle, w) -> Fraction:
+    """h_K(w) from one probe with outward normals w, n_1 and n_2 of known
+    support: the corner pair inside the closed first quadrant, otherwise
+    -e2 when w_1 < w_2 and -e1 when not, and n_2 = ``_AUX``, whose support
+    is recovered by the same routine.  h_K(n_1) is 0."""
     if w[0] >= 0 and w[1] >= 0:
-        normals = (w, *_CORNER)
-        lams, known = _closing_solution(normals), 0
+        normals, h2 = (w, *_CORNER), 0
     else:
-        for normals in ((w, axis, q) for q in candidates for axis in _CORNER):
-            lams = _closing_solution(normals)
-            if lams is not None:
-                break
-        else:
-            raise QuadrantError("no valid auxiliary normal closes a probe triangle")
-        known = lams[2] * _recover(oracle, normals[2], ())
+        normals = (w, _CORNER[1] if w[0] < w[1] else _CORNER[0], _AUX)
+        h2 = _recover(oracle, _AUX)
+    lams = _closing_solution(normals)
     area = _call_oracle(oracle, _probe(normals, lams))
-    return (2 * area - known) / lams[0]
-
-
-def recover_support(oracle: Oracle, w) -> Fraction:
-    """h_K(w) for w in the open positive quadrant, from mixed areas alone."""
-    w = as_vec(w)
-    if len(w) != 2:
-        raise DimensionError("recovery is planar")
-    if not (w[0] > 0 and w[1] > 0):
-        raise QuadrantError("probe normal must lie in the open positive quadrant")
-    return _recover(oracle, w, ())
-
-
-def recover_support_other_quadrants(
-    oracle: Oracle, w, aux: Optional[tuple] = None
-) -> Fraction:
-    """h_K(w) for w outside the open positive quadrant.
-
-    Positive-axis directions are closed by the corner normals -e1, -e2.
-    Otherwise a probe with outward normals {w, -e_i, q} is built for a
-    first-quadrant q (the first candidate that closes, or the supplied
-    ``aux``), and h_K(w) is solved from its mixed area using h_K(-e_i) = 0
-    and the separately recovered h_K(q).
-    """
-    w = as_vec(w)
-    if len(w) != 2:
-        raise DimensionError("recovery is planar")
-    if is_zero_vec(w):
-        raise ZeroDirectionError("direction must be nonzero")
-    if w[0] > 0 and w[1] > 0:
-        raise QuadrantError("direction lies in the open positive quadrant; "
-                            "use recover_support")
-    candidates = _AUX_CANDIDATES if aux is None else (as_vec(aux),)
-    if not all(q[0] > 0 and q[1] > 0 for q in candidates):
-        raise QuadrantError("auxiliary normal must lie in the open positive quadrant")
-    return _recover(oracle, w, candidates)
+    return (2 * area - lams[2] * h2) / lams[0]
 
 
 def recover_support_any(oracle: Oracle, w) -> Fraction:
-    """h_K(w) for any nonzero planar direction w."""
+    """h_K(w) for any nonzero planar direction w, from mixed areas alone."""
     w = as_vec(w)
     if len(w) != 2:
         raise DimensionError("recovery is planar")
     if is_zero_vec(w):
         raise ZeroDirectionError("direction must be nonzero")
-    return _recover(oracle, w, _AUX_CANDIDATES)
+    return _recover(oracle, w)
 
 
 def farey_fractions(order: int = 8):

@@ -1,3 +1,5 @@
+import builtins
+import hashlib
 import json
 import subprocess
 import sys
@@ -263,6 +265,33 @@ def test_reconstruct_and_homothety_subcommands(corpus, capsys):
         capsys, ["homothety", corpus["cube"], corpus["cube"], "--via-projections"]
     )
     assert json.loads(out)["result"]["conclusion"] == "Homothetic"
+
+
+def test_each_body_file_is_read_once(corpus, capsys, monkeypatch):
+    # The digests under "inputs" are taken from the bytes io.load_body parsed.
+    real = builtins.open
+    expected = {}
+    for path in corpus.values():
+        with real(path, "rb") as fh:
+            expected[path] = hashlib.sha256(fh.read()).hexdigest()
+    opened = []
+
+    def counting(file, *args, **kwargs):
+        opened.append(str(file))
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    for names, options in (
+        (["square", "rect"], ["check", "--form", "mmv"]),
+        (["square2t", "square"], ["homothety"]),
+        (["diamond"], ["reconstruct"]),
+    ):
+        paths = [corpus[name] for name in names]
+        opened.clear()
+        code, out, _ = run_cli(capsys, [options[0], *paths, *options[1:]])
+        assert code == 0
+        assert sorted(f for f in opened if f in expected) == sorted(paths)
+        assert json.loads(out)["inputs"] == {p: expected[p] for p in paths}
 
 
 def test_out_flag_writes_file(corpus, tmp_path, capsys):

@@ -9,11 +9,10 @@ from convexkit.errors import (
     NotHomotheticProjectionError,
     VolumeMismatchError,
 )
-from convexkit.geometry import bodies_equal, convex_hull, project, scale, translate
+from convexkit.geometry import _homothety, bodies_equal, convex_hull, project, scale, translate
 from convexkit.homothety import (
     ProjectionConclusion,
     SweepConclusion,
-    apply_witness,
     default_direction_set,
     detect_homothety,
     functional_equality_sweep,
@@ -70,7 +69,7 @@ def test_detect_witness_soundness(cube):
         moved = translate(scale(base, a), x)
         d = detect_homothety(base, moved)
         assert d.witness == type(d.witness)(a, x)
-        assert bodies_equal(moved, apply_witness(base, d.witness))
+        assert bodies_equal(moved, _homothety(base, d.witness.ratio, d.witness.shift))
 
 
 def test_normalize_shadows_cube(cube):
@@ -182,9 +181,11 @@ def test_projection_equality_step(cube, square):
 def test_base_case_equal_sweep_means_translates(square):
     # Planar base case: an all-equal sweep over probe triangles forces a
     # translate pair, confirmed by the reconstruction module's certificate.
-    from convexkit.reconstruction import probe_triangle, translates_decision
+    from convexkit.reconstruction import translates_decision
 
-    probes = tuple(probe_triangle(w).triangle for w in [(1, 1), (1, 2), (2, 1), (1, 3)])
+    # Triangles conv{0, (b, 0), (0, a)}, whose hypotenuse normal is (a, b).
+    normals = [(1, 1), (1, 2), (2, 1), (1, 3)]
+    probes = tuple(convex_hull([(0, 0), (b, 0), (0, a)]) for a, b in normals)
     moved = translate(square, (7, -2))
     trace = functional_equality_sweep(square, moved, (0, F(1, 2), 1), probes)
     assert trace.conclusion is SweepConclusion.HOMOTHETIC

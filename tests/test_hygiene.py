@@ -69,14 +69,20 @@ def _definitions(tree):
                     yield item, f"{node.name}.{item.name}"
 
 
+def _names_read_in(folders) -> set:
+    """Names the top-level nodes of the modules under ``folders`` read."""
+    read = set()
+    for path in sorted(p for folder in folders for p in folder.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            read |= _top_level_reads(node)
+    return read
+
+
 def dead_definitions() -> list:
     """Top-level functions and classes of the package, and methods of its
     classes, that nothing reads outside their own definition, as
     "file:line name"."""
-    read = set()
-    for path in sorted(p for folder in READERS for p in folder.rglob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            read |= _top_level_reads(node)
+    read = _names_read_in(READERS)
     return [
         f"{path.name}:{node.lineno} {name}"
         for path in sorted(SRC.glob("*.py"))
@@ -87,6 +93,26 @@ def dead_definitions() -> list:
 
 def test_no_dead_definitions():
     assert dead_definitions() == []
+
+
+def definitions_only_tests_read() -> list:
+    """Public top-level functions and classes of the package that only
+    tests read, as "file:line name".  ``__init__`` reads every name it
+    exports, so an export counts as read.  Methods are left out: a class's
+    methods may serve only its tests, as ``SurfaceArea``'s do."""
+    read = _names_read_in(folder for folder in READERS if folder.name != "tests")
+    return [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, DEFINITIONS)
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+
+
+def test_no_test_only_definitions():
+    assert definitions_only_tests_read() == []
 
 
 def _decorator_names(node) -> set:

@@ -20,7 +20,7 @@ symmetral and its containment test, and ``detect_homothety`` are checked
 against the ``Fraction`` definitions in ``oracles``, on subspaces of every
 dimension, directions and shifts with 61-bit prime denominators, and
 homothetic pairs next to near misses.  ``translate``, ``scale`` and
-``apply_witness`` must give the hull of the ``Fraction`` image points
+``geometry._homothety`` must give the hull of the ``Fraction`` image points
 a v + x: its rows, facets, volume and affine dimension.  On a seeded 2D-4D
 corpus, 61-bit prime denominators, flat bodies and homothety images among
 it, every facet's offset and pseudo-volume must be the brute-force
@@ -57,6 +57,7 @@ from convexkit.bodies import disc_polygon
 from convexkit.errors import DimensionMismatchError
 from convexkit.geometry import (
     Subspace,
+    _homothety,
     _hull_with_boundary,
     _lift,
     _point,
@@ -448,7 +449,7 @@ def expected_decision(first, second, centroid_shift=None):
     witness = homothety.HomothetyWitness(a, x)
     # The library's own definition of the check agrees with the oracle.
     holds = fraction_maps_onto(first.vertices, second.vertices, a, x)
-    assert holds == bodies_equal(second, homothety.apply_witness(first, witness))
+    assert holds == bodies_equal(second, _homothety(first, witness.ratio, witness.shift))
     return (witness, None) if holds else (None, "candidate-transform-mismatch")
 
 
@@ -523,7 +524,7 @@ def facet_triples(body):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 4).flatmap(bodies), st.data())
 def test_homotheties_match_the_hull_of_the_fraction_image(body, data):
-    # translate, scale and apply_witness against the hull of the points
+    # translate, scale and _homothety against the hull of the points
     # a v + x, formed in Fractions, with ratios and shifts over the 61-bit
     # prime among them; flat bodies and single points included.
     n = body.dim
@@ -533,7 +534,7 @@ def test_homotheties_match_the_hull_of_the_fraction_image(body, data):
     made = [
         (translate(body, x), F(1), x),
         (scale(body, a), a, zero),
-        (homothety.apply_witness(body, homothety.HomothetyWitness(a, x)), a, x),
+        (_homothety(body, a, x), a, x),
     ]
     for image, ratio, shift in made:
         expected = convex_hull(
@@ -550,14 +551,14 @@ def test_homothety_arguments_are_checked():
     body = convex_hull([(0, 0), (1, 0), (0, 1)])
     for ratio in (0, F(-1, 3)):
         with pytest.raises(ValueError, match="^scale factor must be positive$"):
-            homothety.apply_witness(body, homothety.HomothetyWitness(ratio, (0, 0)))
+            _homothety(body, ratio, (0, 0))
         with pytest.raises(ValueError, match="^scale factor must be positive$"):
             scale(body, ratio)
     for shift in ((1,), (1, 2, 3)):
         with pytest.raises(
             DimensionMismatchError, match="^translation length differs from dimension$"
         ):
-            homothety.apply_witness(body, homothety.HomothetyWitness(F(2), shift))
+            _homothety(body, F(2), shift)
         with pytest.raises(
             DimensionMismatchError, match="^translation length differs from dimension$"
         ):

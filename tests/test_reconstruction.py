@@ -3,23 +3,27 @@ from fractions import Fraction as F
 import pytest
 
 from convexkit.bodies import random_polytope, unit_cube, unit_square
-from convexkit.errors import DimensionError, GeometryError, QuadrantError
+import convexkit.reconstruction as reconstruction
+from convexkit import cli
+from convexkit.errors import (
+    DimensionError,
+    GeometryError,
+    OracleError,
+    ZeroDirectionError,
+    ZeroVolumeError,
+)
 from convexkit.geometry import bodies_equal, convex_hull, scale, support, translate
 from convexkit.reconstruction import (
-    _AUX_CANDIDATES,
-    _CORNER,
     _closing_solution,
+    _probe,
     corner_normalize,
     farey_directions,
     mixed_area_oracle,
-    probe_triangle,
-    recover_support,
     recover_support_any,
-    recover_support_other_quadrants,
     translates_decision,
 )
-from convexkit.volumes import mixed_volume_interp
-from conftest import make_rng
+from convexkit.volumes import mixed_area, mixed_volume_interp
+from conftest import make_rng, save_body
 
 
 def test_corner_normalize_examples(square):
@@ -33,27 +37,29 @@ def test_corner_normalize_examples(square):
 
 
 def test_probe_triangle_construction():
-    assert probe_triangle((1, 1)).triangle.vertices == (
-        (F(0), F(0)),
-        (F(0), F(1)),
-        (F(1), F(0)),
-    )
-    p = probe_triangle((1, 2))
-    assert bodies_equal(p.triangle, convex_hull([(0, 0), (2, 0), (0, 1)]))
-    hyp = [f for f in p.triangle.facets if f.normal == (F(1), F(2))]
-    assert len(hyp) == 1
-    p2 = probe_triangle((3, 1), 2)
-    assert bodies_equal(p2.triangle, convex_hull([(0, 0), (2, 0), (0, 6)]))
-    with pytest.raises(QuadrantError):
-        probe_triangle((-1, 1))
+    # The probe with outward normals w = (a, b), -e1 and -e2 and multipliers
+    # c (1, a, b) is conv{0, (c b, 0), (0, c a)} up to a translation.
+    corner = ((-1, 0), (0, -1))
+    for w, c in (((1, 1), 1), ((1, 2), 1), ((3, 1), 2)):
+        normals = (w, *corner)
+        assert _closing_solution(normals) == (1, *w)
+        probe = _probe(normals, (c, c * w[0], c * w[1]))
+        triangle = convex_hull([(0, 0), (c * w[1], 0), (0, c * w[0])])
+        assert bodies_equal(corner_normalize(probe).body, triangle)
+        assert sorted(f.normal for f in probe.facets) == sorted(normals)
+    # A zero multiplier leaves a segment.
+    normals = ((1, 0), *corner)
+    assert _closing_solution(normals) == (1, 1, 0)
+    segment = _probe(normals, (1, 1, 0))
+    assert segment.affine_dim == 1 and len(segment.vertices) == 2
 
 
 def test_recover_first_quadrant(square):
     k = convex_hull([(0, 0), (2, 0), (0, 3)])
-    assert recover_support(mixed_area_oracle(k), (1, 1)) == 3 == support(k, (1, 1))
+    assert recover_support_any(mixed_area_oracle(k), (1, 1)) == 3 == support(k, (1, 1))
     o = mixed_area_oracle(square)
-    assert recover_support(o, (1, 1)) == 2
-    assert recover_support(o, (1, 2)) == 3 == support(square, (1, 2))
+    assert recover_support_any(o, (1, 1)) == 2
+    assert recover_support_any(o, (1, 2)) == 3 == support(square, (1, 2))
 
 
 def test_oracle_needs_a_corner_normalized_polygon():
@@ -87,10 +93,10 @@ def expected_closing(w):
     return (-1, 0), (1, x - y, -y)
 
 
-def test_first_auxiliary_normal_closes_every_other_direction():
-    # With (1, 1), one of the corner normals closes a probe for every
-    # direction outside the closed first quadrant, so no later auxiliary
-    # candidate is ever tried.
+def test_first_auxiliary_normal_closes_every_other_direction(monkeypatch):
+    # Outside the closed first quadrant the probe's normals are w, -e2 when
+    # w_1 < w_2 and -e1 otherwise, and (1, 1): the choice a search over both
+    # corner normals with (1, 1) made first, axes included.
     rng = make_rng(20)
     signed = [
         (sx * F(rng.randint(1, 99), rng.randint(1, 9)), sy * F(rng.randint(1, 99), rng.randint(1, 9)))
@@ -100,53 +106,82 @@ def test_first_auxiliary_normal_closes_every_other_direction():
     diagonal = [(F(-k, 3), F(-k, 3)) for k in range(1, 4)]
     outside = [w for w in farey_directions() if w[0] < 0 or w[1] < 0]
     directions = outside + [(F(-1), F(0)), (F(0), F(-1))] + signed + diagonal
-    assert len(outside) == 47 and _AUX_CANDIDATES[0] == (1, 1)
+    assert len(outside) == 47
+    probes = []
+    monkeypatch.setattr(reconstruction, "_probe", lambda *probe: probes.append(probe))
     for w in directions:
-        closing = [
-            (axis, lams)
-            for axis in _CORNER
-            if (lams := _closing_solution((w, axis, (1, 1)))) is not None
-        ]
-        assert closing and closing[0] == expected_closing(w), w
+        recover_support_any(lambda probe: F(0), w)
+        normals, lams = probes[-1]
+        assert normals[0] == w and normals[2] == (1, 1), w
+        assert (normals[1], lams) == expected_closing(w), w
 
 
 def test_recover_scale_invariance(square):
-    # The recovered value must not depend on the probe scale.
-    from convexkit.volumes import mixed_area
-
+    # The recovered value must not depend on the probe scale: the probe
+    # with multipliers c lam has 2 A(K, T) = c lam_0 h_K(w) on a
+    # corner-normalized K.
     w = (2, 3)
+    normals = (w, (-1, 0), (0, -1))
+    lams = _closing_solution(normals)
     values = set()
     for c in (1, F(1, 3), 5):
-        probe = probe_triangle(w, c)
-        area = mixed_area(square, probe.triangle)
-        values.add(2 * area * (w[0] ** 2 + w[1] ** 2) / probe.hypotenuse_pseudo_length)
+        probe = _probe(normals, tuple(c * lam for lam in lams))
+        values.add(2 * mixed_area(square, probe) / (c * lams[0]))
     assert values == {support(square, w)}
 
 
 def test_recover_other_quadrants(square):
     o = mixed_area_oracle(square)
-    assert recover_support_other_quadrants(o, (-1, 1)) == 1
-    assert recover_support_other_quadrants(o, (1, -1)) == 1
+    assert recover_support_any(o, (-1, 1)) == 1
+    assert recover_support_any(o, (1, -1)) == 1
     k = convex_hull([(0, 0), (2, 0), (0, 3)])
-    assert recover_support_other_quadrants(mixed_area_oracle(k), (0, 1)) == 3
+    assert recover_support_any(mixed_area_oracle(k), (0, 1)) == 3
 
 
-def test_recover_auxiliary_independence(square):
-    o = mixed_area_oracle(square)
-    # (-1, -1) and (-2, -4) are antiparallel to a candidate: the probe is a segment.
-    for w in [(-2, 1), (-1, -3), (3, -2), (-1, -1), (-2, -4)]:
-        vals = {
-            recover_support_other_quadrants(o, w, aux=q)
-            for q in [(1, 1), (1, 2), (3, 1), (2, 3)]
-        }
-        assert vals == {support(square, w)}
+def test_recover_support_any_errors(square):
+    oracle = mixed_area_oracle(square)
+    with pytest.raises(DimensionError, match="^recovery is planar$"):
+        recover_support_any(oracle, (1, 1, 1))
+    with pytest.raises(ZeroDirectionError, match="^direction must be nonzero$"):
+        recover_support_any(oracle, (0, 0))
+
+    def dividing(probe):
+        return F(1) / 0
+
+    with pytest.raises(OracleError, match="^mixed-area oracle failed: ") as info:
+        recover_support_any(dividing, (1, 2))
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
+    error = ZeroVolumeError("the oracle's own error")
+
+    def refusing(probe):
+        raise error
+
+    # Geometry errors are the oracle's answer and pass through unchanged.
+    with pytest.raises(ZeroVolumeError) as info:
+        recover_support_any(refusing, (-1, 2))
+    assert info.value is error
 
 
-def test_recovery_with_interpolation_oracle(square):
-    # The oracle interface accepts any exact mixed-area functional.
-    oracle = lambda probe_body: mixed_volume_interp(square, probe_body)
-    assert recover_support(oracle, (1, 1)) == 2
-    assert recover_support_other_quadrants(oracle, (-1, 1)) == 1
+def test_each_body_is_corner_normalized_once(square, tmp_path, capsys, monkeypatch):
+    # The oracle checks the corner with two support calls and builds no
+    # translated body of its own.
+    moved = translate(square, (2, -1))
+    path = tmp_path / "moved.json"
+    save_body(moved, path)
+    shifts = []
+    real = reconstruction.translate
+
+    def counting(body, x):
+        shifts.append(x)
+        return real(body, x)
+
+    monkeypatch.setattr(reconstruction, "translate", counting)
+    assert cli.run(["reconstruct", str(path)]) == 0
+    assert '"all_agree": true' in capsys.readouterr().out
+    assert shifts == [(-2, 1)]
+    shifts.clear()
+    assert translates_decision(square, moved).translation == (2, -1)
+    assert shifts == [(0, 0), (-2, 1)]
 
 
 def test_farey_grid_shape():
