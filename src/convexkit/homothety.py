@@ -38,7 +38,7 @@ from .geometry import (
     translate,
     vertex_centroid,
 )
-from .inequalities import as_lambda, default_lambda_grid
+from .inequalities import default_lambda_grid
 from .linalg import (
     as_vec,
     rational_nth_root,
@@ -48,7 +48,7 @@ from .linalg import (
     vscale,
     vsub,
 )
-from .volumes import combine, mixed_volume_base_height, projection_prism_volume
+from .volumes import as_lambda, combine, mixed_volume_base_height, projection_prism_volume
 
 
 @dataclass(frozen=True)

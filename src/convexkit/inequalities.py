@@ -22,16 +22,11 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .errors import (
-    DimensionMismatchError,
-    LambdaRangeError,
-    LowerDimensionalError,
-    ZeroVolumeError,
-)
+from .errors import DimensionMismatchError, LowerDimensionalError, ZeroVolumeError
 from .geometry import Polytope
-from .linalg import as_scalar
 from .numeric import DEFAULT_DIGITS, format_fixed, nth_root_fraction, signed_root_combination
 from .volumes import (
+    as_lambda,
     combine,
     mixed_volume_base_height,
     mixed_volume_interp,
@@ -47,14 +42,6 @@ class Verdict(enum.Enum):
 
 # Verdict for the sign of (left side - right side).
 _VERDICTS = {1: Verdict.STRICT, 0: Verdict.EQUALITY, -1: Verdict.VIOLATION}
-
-
-def as_lambda(t) -> Fraction:
-    """An interpolation weight as a Fraction, checked to lie in [0, 1]."""
-    t = as_scalar(t)
-    if not 0 <= t <= 1:
-        raise LambdaRangeError(f"lambda {t} outside [0, 1]")
-    return t
 
 
 def _verdict(difference: Fraction) -> Verdict:
@@ -227,15 +214,17 @@ def profile_polynomial(first: Polytope, second: Polytope):
     """Exact coefficients of t -> V_n((1-t)K + tL).
 
     f(t) = (1-t)^n g(t / (1-t)) = sum_i c_i t^i (1-t)^(n-i) for the volume
-    polynomial g with coefficients c_i, expanded exactly via binomials.
+    polynomial g with coefficients c_i, expanded exactly via binomials on
+    the integer numerators of the c_i, with one Fraction built per output
+    coefficient over their denominator.
     """
-    coeffs = volume_polynomial(first, second).coefficients
-    n = len(coeffs) - 1
-    out = [Fraction(0)] * (n + 1)
-    for i, c in enumerate(coeffs):
+    poly = volume_polynomial(first, second)
+    n = len(poly.numerators) - 1
+    out = [0] * (n + 1)
+    for i, c in enumerate(poly.numerators):
         for j in range(n - i + 1):
             out[i + j] += c * comb(n - i, j) * (-1) ** j
-    return tuple(out)
+    return tuple(Fraction(c, poly.denominator) for c in out)
 
 
 def derivative_identity_check(first: Polytope, second: Polytope) -> Fraction:

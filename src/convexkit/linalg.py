@@ -5,8 +5,8 @@ predicates also run on lifted rows, integer tuples (X_1, ..., X_n, d) that
 stand for the rational points X / d, so every routine here is written to
 preserve the entry type: determinants use division-free minor expansion,
 and ``independent_rows`` is the one elimination loop, fraction-free.  Ranks
-count its kept rows, and ``solve`` back-substitutes over them; only ``solve``
-and the other explicitly named helpers use Fractions.
+count its kept rows, and ``solve`` back-substitutes over them into one
+(numerators, den) pair; only the explicitly named helpers use Fractions.
 
 The hull's predicates are straight-line code up to 4D.  ``cross_normal``
 has closed forms for three rows of length 4 and four rows of length 5, the
@@ -194,14 +194,15 @@ def mat_rank(rows) -> int:
 def solve(rows, rhs):
     """Solve a consistent linear system A x = b exactly.
 
-    ``rows`` may be rectangular (m >= n); returns the unique solution tuple
-    or None when the system is singular/inconsistent.  The augmented rows
-    (A | b) go through ``independent_rows``: a unique solution needs n kept
-    rows with no pivot on b, and back-substitution over them in reverse
-    order meets each pivot unknown after all the unknowns its row also holds.
-    It keeps the unknowns found so far as numerators over one common
-    denominator, so integer rows back-substitute in integers and one
-    Fraction is built per unknown at the end.
+    ``rows`` may be rectangular (m >= n); returns the unique solution as
+    the integer pair (numerators, den), unknown k being numerators[k] / den
+    with den > 0, or None when the system is singular/inconsistent.  The
+    augmented rows (A | b) go through ``independent_rows``: a unique
+    solution needs n kept rows with no pivot on b, and back-substitution
+    over them in reverse order meets each pivot unknown after all the
+    unknowns its row also holds.  It keeps the unknowns found so far as
+    numerators over one common denominator, so integer rows back-substitute
+    in integers and no Fraction is built; the pair is not reduced.
     """
     n = len(rows[0])
     kept = independent_rows([[*row, b] for row, b in zip(rows, rhs)])
@@ -214,7 +215,8 @@ def solve(rows, rhs):
             x[k] *= b[j]
         x[j] = num
         den *= b[j]
-    return tuple(Fraction(x[j], den) for j in range(n))
+    sign = 1 if den > 0 else -1
+    return tuple(sign * x[j] for j in range(n)), sign * den
 
 
 def gram_matrix(basis):
@@ -258,23 +260,30 @@ def primitive_int_vector(v) -> tuple:
 
 
 def integer_nth_root(x: int, n: int) -> int:
-    """Floor of the n-th root of a nonnegative integer."""
+    """Floor of the n-th root of a nonnegative integer.
+
+    Newton's method starts just above the root.  The float n-th root of
+    y = x >> (n k), x's top min(40 n, 960) bits, is below 2**40, where the
+    rounding of y, of 1/n and of the power leave it off by less than 1; as
+    x^(1/n) < (y + 1)^(1/n) 2^k <= (y^(1/n) + 1) 2^k, (that root + 3) << k
+    is an upper bound with about 38 correct bits, and a 600-bit cube root
+    takes 3 steps.  The float only picks the starting point: the exact
+    bracket r^n <= x < (r+1)^n decides the result.
+    """
     if x < 0:
         raise ValueError("negative radicand")
     if x == 0:
         return 0
     if n == 1:
         return x
-    if x.bit_length() <= 52:
-        r = int(round(x ** (1.0 / n)))
-    else:
-        r = 1 << ((x.bit_length() + n - 1) // n)
+    k = max(0, (x.bit_length() - min(40 * n, 960) + n - 1) // n)
+    r = (int(float(x >> (n * k)) ** (1.0 / n)) + 3) << k
     while True:
-        p = r**n
-        if p <= x < (r + 1) ** n:
+        q = r ** (n - 1)
+        if q * r > x:
+            r = ((n - 1) * r + x // q) // n
+        elif x < (r + 1) ** n:
             return r
-        if p > x:
-            r = (r * (n - 1) + x // r ** (n - 1)) // n
         else:
             r += 1
 

@@ -35,10 +35,14 @@ a x + b y that ``combine`` hulls for unequal coefficients, so no
 checks on the volume polynomial -- the redundant node, the end coefficients
 and the Aleksandrov-Fenchel inequalities -- run on every call, so a failed
 one raises ``InvariantError`` on every call, and ``python -O`` keeps them.
-That per-call work is integer arithmetic: the interpolation eliminates the
-node volumes scaled by their common denominator, and a combination volume
-is the Bernstein form evaluated over the coefficients' common denominator,
-each built into one Fraction at the end.
+That per-call work is integer arithmetic from the node volumes to the
+verdict: the interpolation eliminates the node volumes scaled by their
+common denominator into one (numerators, den) pair, the end coefficients
+are checked against V(K) and V(L) by cross-multiplication, and
+``VolumePolynomial`` keeps the pair in lowest terms and runs its sign and
+Aleksandrov-Fenchel checks on the numerators.  A combination volume is the
+Bernstein form evaluated over the stored denominator, and the interpolated
+mixed volume is numerators[1] / (den n): one Fraction per result.
 """
 
 from __future__ import annotations
@@ -46,12 +50,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 from .errors import (
     DimensionError,
     DimensionMismatchError,
     InvariantError,
+    LambdaRangeError,
     LowerDimensionalError,
     NegativeCoefficientError,
     PairPointsError,
@@ -80,18 +85,39 @@ from .linalg import (
 from .numeric import DEFAULT_DIGITS, format_fixed, root_combination
 
 
+def as_lambda(t) -> Fraction:
+    """An interpolation weight as a Fraction, checked to lie in [0, 1]."""
+    t = as_scalar(t)
+    if not 0 <= t <= 1:
+        raise LambdaRangeError(f"lambda {t} outside [0, 1]")
+    return t
+
+
 @dataclass(frozen=True)
 class VolumePolynomial:
-    """Coefficients c_0..c_n of V_n(K + eps L) as a polynomial in eps."""
+    """Coefficients c_i = numerators[i] / denominator, i = 0..n, of
+    V_n(K + eps L) as a polynomial in eps.
 
-    coefficients: tuple
+    The integers are stored in lowest terms with a positive denominator, so
+    two polynomials are equal exactly when their coefficients are, and the
+    checks below compare integers."""
+
+    numerators: tuple
+    denominator: int = 1
 
     def __post_init__(self):
-        if any(c < 0 for c in self.coefficients):
+        if self.denominator == 0:
+            raise InvariantError("volume polynomial has a zero denominator")
+        g = gcd(*self.numerators, self.denominator)
+        g = g if self.denominator > 0 else -g
+        c = tuple(a // g for a in self.numerators)
+        object.__setattr__(self, "numerators", c)
+        object.__setattr__(self, "denominator", self.denominator // g)
+        if any(a < 0 for a in c):
             raise InvariantError("negative Steiner coefficient")
         # c_i = C(n, i) W_i with W_i = V(K[n-i], L[i]); W_i^2 >= W_(i-1) W_(i+1)
-        # holds for all convex bodies, here cross-multiplied by the binomials.
-        c = self.coefficients
+        # holds for all convex bodies, here cross-multiplied by the binomials
+        # and, on both sides, by the squared denominator.
         n = len(c) - 1
         if any(
             c[i] ** 2 * comb(n, i - 1) * comb(n, i + 1) < c[i - 1] * c[i + 1] * comb(n, i) ** 2
@@ -99,15 +125,21 @@ class VolumePolynomial:
         ):
             raise InvariantError("volume polynomial violates the Aleksandrov-Fenchel inequalities")
 
+    @functools.cached_property
+    def coefficients(self) -> tuple:
+        """The coefficients as Fractions, built on first read."""
+        return tuple(Fraction(a, self.denominator) for a in self.numerators)
+
     def combination_volume(self, lam) -> Fraction:
-        """V((1-lam)K + lam L) = sum_i c_i lam^i (1-lam)^(n-i) for 0 <= lam <= 1,
-        in integers for lam = p/q: sum_i c_i p^i (q-p)^(n-i) / q^n with the
-        c_i over their common denominator, one Fraction built at the end."""
-        n = len(self.coefficients) - 1
+        """V((1-lam)K + lam L) = sum_i c_i lam^i (1-lam)^(n-i) for lam in [0, 1],
+        in integers for lam = p/q: sum_i c_i p^i (q-p)^(n-i) / q^n over the
+        stored denominator, one Fraction built at the end.  A lam outside
+        [0, 1] raises ``LambdaRangeError``."""
+        lam = as_lambda(lam)
+        n = len(self.numerators) - 1
         p, q = lam.numerator, lam.denominator
-        common, numerators = over_common_denominator(self.coefficients)
-        total = sum(c * p**i * (q - p) ** (n - i) for i, c in enumerate(numerators))
-        return Fraction(total, common * q**n)
+        total = sum(c * p**i * (q - p) ** (n - i) for i, c in enumerate(self.numerators))
+        return Fraction(total, self.denominator * q**n)
 
 
 def _pair_row(x_row, y_row) -> tuple:
@@ -194,21 +226,24 @@ def volume(body: Polytope) -> Fraction:
 
 
 def minkowski_interpolate(values) -> tuple:
-    """Exact polynomial coefficients through values at eps = 0, 1, 2, ...
+    """Exact polynomial coefficients through values at eps = 0, 1, 2, ...,
+    as the integer pair (numerators, den): coefficient i is
+    numerators[i] / den, with den > 0.
 
     The last node is redundant: the n+2 distinct nodes give the integer
     Vandermonde rows full column rank, so ``solve`` finds the n+1
     coefficients exactly when the extra node lies on the polynomial through
     the others -- a consistency check on the hull/volume pipeline.  The
     values are scaled by the lcm D of their denominators, so ``solve``
-    eliminates integer rows, and its solution is divided by D.
+    eliminates integer rows, and its denominator is multiplied by D.
     """
     n = len(values) - 2
     common, scaled = over_common_denominator(values)
-    coeffs = solve([[e**i for i in range(n + 1)] for e in range(n + 2)], scaled)
-    if coeffs is None:
+    solution = solve([[e**i for i in range(n + 1)] for e in range(n + 2)], scaled)
+    if solution is None:
         raise InvariantError("volume polynomial failed the redundant-node check")
-    return tuple(c / common for c in coeffs)
+    numerators, den = solution
+    return numerators, common * den
 
 
 def _cycle_volume(cycle, eps) -> Fraction:
@@ -237,21 +272,24 @@ def volume_polynomial(first: Polytope, second: Polytope) -> VolumePolynomial:
 
     The nodes come from the pair's record in ``_minkowski_sum``, so K + L
     is hulled once per recent ordered pair; the interpolation and its
-    checks run on every call.  The redundant node tests the cycle against
-    V(K) from K's own hull, and c_n = V(L) tests it against L's.
+    checks run on every call, in integers.  The redundant node tests the
+    cycle against V(K) from K's own hull, and c_n = V(L), checked by
+    cross-multiplication like c_0 = V(K), tests it against L's.
     """
     n = first.dim
     if second.dim != n:
         raise DimensionMismatchError("bodies live in different dimensions")
-    coeffs = minkowski_interpolate(_minkowski_sum(first, second)[2])
-    if coeffs[0] != first.volume or coeffs[n] != second.volume:
-        raise InvariantError("volume polynomial end coefficients differ from the volumes")
-    return VolumePolynomial(coeffs)
+    numerators, den = minkowski_interpolate(_minkowski_sum(first, second)[2])
+    for c, v in ((numerators[0], first.volume), (numerators[n], second.volume)):
+        if c * v.denominator != v.numerator * den:
+            raise InvariantError("volume polynomial end coefficients differ from the volumes")
+    return VolumePolynomial(numerators, den)
 
 
 def mixed_volume_interp(first: Polytope, second: Polytope) -> Fraction:
     """V_{n-1,1}(K, L) as (1/n) d/deps V_n(K + eps L) at eps = 0."""
-    return volume_polynomial(first, second).coefficients[1] / first.dim
+    poly = volume_polynomial(first, second)
+    return Fraction(poly.numerators[1], poly.denominator * first.dim)
 
 
 def mixed_volume_base_height(first: Polytope, second: Polytope) -> Fraction:

@@ -502,10 +502,26 @@ from convexkit.errors import InvariantError
 from convexkit.steiner import steiner_symmetral
 
 assert not __debug__, "run me under python -O"
+square = unit_square()
+
+
+def wrong_first_node():
+    # Nodes of (2 + eps)^2, consistent among themselves, but V(K) = 1.
+    real = volumes._minkowski_sum
+    volumes._minkowski_sum = lambda first, second: (None, None, (4, 9, 16, 25))
+    try:
+        volumes.volume_polynomial(square, square)
+    finally:
+        volumes._minkowski_sum = real
+
+
 for bad in (lambda: volumes.VolumePolynomial((-1,)),
             lambda: volumes.VolumePolynomial((1, 0, 1)),
+            lambda: volumes.VolumePolynomial((1, 0, 1), 3),
+            lambda: volumes.VolumePolynomial((1, 2, 1), 0),
             lambda: volumes.minkowski_interpolate([0, 1, 4, 10]),
-            lambda: steiner_symmetral(replace(unit_square(), volume=2), (1, 0))):
+            wrong_first_node,
+            lambda: steiner_symmetral(replace(square, volume=2), (1, 0))):
     try:
         bad()
     except InvariantError:

@@ -17,6 +17,7 @@ repeatable.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -225,11 +226,32 @@ def rref_solve(rows, rhs):
     return tuple(a[i][n] for i in range(n))
 
 
+def pair_values(pair):
+    """The values numerators[k] / den of a ``solve`` pair, or None."""
+    if pair is None:
+        return None
+    numerators, den = pair
+    return tuple(F(x) / den for x in numerators)
+
+
 @settings(max_examples=300, deadline=None)
 @given(systems())
 def test_solve_matches_oracle(system):
     rows, rhs = system
-    assert solve(rows, rhs) == rref_solve(rows, rhs)
+    expected = rref_solve(rows, rhs)
+    assert pair_values(solve(rows, rhs)) == expected
+    # Each equation times the lcm of its denominators: integer rows with the
+    # same solution, which ``solve`` returns as integers over a positive den.
+    scaled = []
+    for row, b in zip(rows, rhs):
+        common = math.lcm(*(F(x).denominator for x in (*row, b)))
+        scaled.append([int(F(x) * common) for x in (*row, b)])
+    pair = solve([row[:-1] for row in scaled], [row[-1] for row in scaled])
+    assert pair_values(pair) == expected
+    if pair is not None:
+        numerators, den = pair
+        assert all(type(x) is int for x in numerators)
+        assert type(den) is int and den > 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -245,7 +267,10 @@ def test_interpolation_checks_the_redundant_node(coeffs, nudge):
         with pytest.raises(InvariantError, match="^volume polynomial failed the redundant-node check$"):
             minkowski_interpolate(values)
     else:
-        assert minkowski_interpolate(values) == tuple(coeffs)
+        numerators, den = minkowski_interpolate(values)
+        assert all(type(x) is int for x in numerators)
+        assert type(den) is int and den > 0
+        assert tuple(F(x, den) for x in numerators) == tuple(coeffs)
 
 
 @st.composite

@@ -6,10 +6,13 @@ denominator in integers and compare the sign bracket in integers;
 ``minkowski_interpolate`` eliminates integer node values; and
 ``VolumePolynomial.combination_volume`` evaluates its Bernstein form in
 integers.  Each must give the same Fraction, sign and error as the oracle
-that works term by term in Fractions.  ``disc_polygon``'s integer best
+that works term by term in Fractions.  ``integer_nth_root``, whose Newton
+steps start from a float seed, must give the floor root that bisection
+(``math.isqrt`` for square roots) gives.  ``disc_polygon``'s integer best
 approximation must give what ``Fraction.limit_denominator`` gives.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -17,13 +20,15 @@ import pytest
 
 from convexkit import numeric
 from convexkit.bodies import _best_approximation, random_polytope
-from convexkit.errors import InvariantError
+from convexkit.errors import InvariantError, LambdaRangeError
 from convexkit.geometry import scale, translate
 from convexkit.inequalities import default_lambda_grid
+from convexkit.linalg import integer_nth_root
 from convexkit.numeric import root_combination, signed_root_combination
 from convexkit.volumes import VolumePolynomial, minkowski_interpolate, volume_polynomial
 
 from oracles import (
+    floor_root,
     fraction_combination_volume,
     fraction_interpolate,
     fraction_root_sum,
@@ -120,9 +125,11 @@ def test_interpolation_matches_fraction_elimination():
         if k % 4 == 0:
             coeffs = [c.numerator for c in coeffs]
         values = [sum(c * e**i for i, c in enumerate(coeffs)) for e in range(n + 2)]
-        got = minkowski_interpolate(values)
+        numerators, den = minkowski_interpolate(values)
+        assert all(type(c) is int for c in numerators)
+        assert type(den) is int and den > 0
+        got = tuple(F(c, den) for c in numerators)
         assert got == fraction_interpolate(values) == tuple(coeffs)
-        assert all(isinstance(c, F) for c in got)
         # A corrupted node makes the system inconsistent.
         bad = list(values)
         bad[rng.randint(0, n + 1)] += F(1, rng.randint(1, 9 * 10**9))
@@ -145,9 +152,56 @@ def test_combination_volume_matches_bernstein_form():
             assert got == fraction_combination_volume(poly.coefficients, lam)
         assert poly.combination_volume(F(0)) == first.volume
         assert poly.combination_volume(F(1)) == second.volume
-    # int and Fraction coefficients alike; (1 + eps)^3 gives 1 everywhere.
+    # (1 + eps)^3 gives 1 everywhere.
     cube = VolumePolynomial((1, 3, 3, 1))
     assert [cube.combination_volume(F(lam)) for lam in default_lambda_grid()] == [1] * 9
+
+
+def test_combination_volume_takes_lambda_in_unit_interval():
+    poly = VolumePolynomial((1, 0, 0))
+    for lam in (F(-1, 2), F(3, 2), -0.5, 2):
+        with pytest.raises(LambdaRangeError, match="outside \\[0, 1\\]"):
+            poly.combination_volume(lam)
+    # A float is read at its exact binary value: (1 - 1/2)^2 = 1/4.
+    assert poly.combination_volume(0.5) == F(1, 4)
+    assert poly.combination_volume(1) == 0
+
+
+def test_volume_polynomial_is_stored_in_lowest_terms():
+    # One polynomial, 1/2 + eps + eps^2 / 2, written four ways.
+    forms = [((1, 2, 1), 2), ((3, 6, 3), 6), ((-2, -4, -2), -4), ((10, 20, 10), 20)]
+    polys = [VolumePolynomial(*form) for form in forms]
+    assert {(p.numerators, p.denominator) for p in polys} == {((1, 2, 1), 2)}
+    assert polys[0] == polys[2] and hash(polys[0]) == hash(polys[3])
+    assert polys[1].coefficients == (F(1, 2), 1, F(1, 2))
+    assert VolumePolynomial((0, 0, 0), 5) == VolumePolynomial((0, 0, 0))
+    with pytest.raises(InvariantError, match="zero denominator"):
+        VolumePolynomial((1, 2, 1), 0)
+    with pytest.raises(InvariantError, match="negative Steiner coefficient"):
+        VolumePolynomial((1, 2, 1), -2)
+
+
+def nth_root_cases(rng):
+    """(x, n) for n = 1..6: at every bit length 1..140 and at a stride up to
+    2,000 bits, plus the bits where the float seed starts dropping low bits
+    (40 n) and 50..62, a random x and, around its root r, r^n - 1, r^n,
+    r^n + 1 and (r + 1)^n - 1."""
+    cases = []
+    for n in range(1, 7):
+        lengths = {*range(1, 141), *range(141, 2001, 31), *range(50, 63), 1999, 2000}
+        lengths |= {40 * n + d for d in (-1, 0, 1, n, n + 1)}
+        for bits in sorted(lengths):
+            x = rng.getrandbits(bits) | 1 << (bits - 1)
+            r = math.isqrt(x) if n == 2 else floor_root(x, n)
+            cases += [(y, n) for y in (x, r**n - 1, r**n, r**n + 1, (r + 1) ** n - 1) if y >= 0]
+    return cases
+
+
+def test_integer_nth_root_matches_bisection():
+    for x, n in nth_root_cases(random.Random(2700)):
+        r = integer_nth_root(x, n)
+        assert r == (math.isqrt(x) if n == 2 else floor_root(x, n)), (x, n)
+        assert r**n <= x < (r + 1) ** n
 
 
 def test_best_approximation_matches_limit_denominator():

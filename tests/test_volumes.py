@@ -79,9 +79,10 @@ def test_volume_polynomial_examples(square, cube):
 
 def test_aleksandrov_fenchel_guard(square, cube):
     # W_i = c_i / C(n, i) must be log-concave: (1, 0, 1) gives W_1^2 = 0 < 1.
-    for bad in ((1, 0, 1), (1, 3, 0, 1), (F(1, 2), 1, 1)):
+    # (1, 2, 2) / 2 is the polynomial 1/2 + eps + eps^2.
+    for bad in (((1, 0, 1), 1), ((1, 3, 0, 1), 1), ((1, 2, 2), 2)):
         with pytest.raises(InvariantError, match="Aleksandrov-Fenchel"):
-            VolumePolynomial(bad)
+            VolumePolynomial(*bad)
     # Equality cases, flat and segment second bodies and a flat first body pass.
     flat = convex_hull([(0, 0, 0), (1, 0, 0), (0, 2, 0)], allow_degenerate=True)
     pairs = [
