@@ -14,6 +14,14 @@ simplices meet in pairs along every ridge, with opposite orientations.
 So must the cyclic 4D polytope of 30 points, with every point a vertex and
 the most facets the Upper Bound Theorem allows.  The order is private and
 repeatable.
+
+The planar chain is checked on its own against the oracle's angular cycle,
+on pools of up to 40 points of a small grid (many collinear triples), with
+points on the line through the first and last sorted points, duplicates and
+61-bit prime denominators mixed in, and on the disc 4m-gons.  The support
+core is checked against the brute-force maximum in directions along facet
+normals and edges, where maximizers tie, and base-height against the
+interpolation route.
 """
 
 import itertools
@@ -27,11 +35,28 @@ from hypothesis import strategies as st
 
 from convexkit.bodies import disc_polygon
 from convexkit.errors import DimensionError, InvariantError
-from convexkit.geometry import _hull_with_boundary, _lift, convex_hull
+from convexkit.geometry import (
+    _chain_2d,
+    _hull_with_boundary,
+    _lift,
+    convex_hull,
+    support,
+    support_set,
+)
 from convexkit.linalg import independent_rows, mat_rank, solve
-from convexkit.volumes import minkowski_interpolate, mixed_volume_base_height
+from convexkit.volumes import minkowski_interpolate, mixed_volume_base_height, mixed_volume_interp
 
-from oracles import _rref, affine_rank, brute_hull, leibniz_det, shoelace_area
+from oracles import (
+    _rref,
+    affine_rank,
+    brute_facets,
+    brute_hull,
+    brute_support,
+    brute_volume,
+    ccw_cycle,
+    leibniz_det,
+    shoelace_area,
+)
 
 # Mersenne primes 2^89 - 1, 2^107 - 1 and 2^127 - 1: their product has 323 bits.
 BIG_PRIMES = (2**89 - 1, 2**107 - 1, 2**127 - 1)
@@ -365,3 +390,97 @@ def test_cyclic_4d_hull_has_the_upper_bound_facet_count():
     ridges = induced_ridges(simplices, 4)
     assert all(sorted(signs) == [-1, 1] for signs in ridges.values())
     assert body.volume == mixed_volume_base_height(body, body)
+
+
+# 2^61 - 1, 2^61 - 31 and 2^61 - 45, the three largest primes below 2^61.
+PRIMES_61 = (2**61 - 1, 2**61 - 31, 2**61 - 45)
+
+
+@st.composite
+def planar_pools(draw):
+    """Up to about 40 points of the {0, ..., 4}^2 grid, with points on the
+    line through the first and last sorted ones, duplicates, and some
+    points nudged off the grid by 61-bit prime denominators."""
+    grid = list(itertools.product(range(5), repeat=2))
+    pts = [tuple(F(x) for x in p) for p in draw(st.permutations(grid))[: draw(st.integers(3, 30))]]
+    if draw(st.booleans()):
+        for prime in draw(st.lists(st.sampled_from(PRIMES_61), max_size=3)):
+            i, axis = draw(st.integers(0, len(pts) - 1)), draw(st.integers(0, 1))
+            nudge = F(draw(st.integers(-3, 3)), prime)
+            pts[i] = tuple(x + nudge if k == axis else x for k, x in enumerate(pts[i]))
+    first, last = min(pts), max(pts)
+    for t in draw(st.lists(st.fractions(0, 1, max_denominator=6), max_size=6)):
+        pts.append(tuple(a + t * (b - a) for a, b in zip(first, last)))
+    for i in draw(st.lists(st.integers(0, len(pts) - 1), max_size=4)):
+        pts.append(pts[i])
+    return draw(st.permutations(pts))
+
+
+def check_planar_hull(points):
+    """The 2D kernel against the oracle: the distinct sorted rows, the chain
+    as the counterclockwise cycle of the extreme points from the least one,
+    the facets with their pseudo-volumes, the area and the outward edges."""
+    body, rows, simplices = _hull_with_boundary(_lift(points), 2)
+    assert rows == _lift(sorted(set(points)))
+    vertices, _ = brute_hull(points)
+    assert list(body.vertices) == vertices
+    oracle = ccw_cycle(vertices)
+    start = oracle.index(vertices[0])
+    cycle = _chain_2d(rows)
+    assert [rows[i] for i in cycle] == _lift(oracle[start:] + oracle[:start])
+    assert [(f.normal, f.offset, f.pseudo_volume) for f in body.facets] == brute_facets(points)
+    assert body.volume == shoelace_area(vertices) == brute_volume(points)
+    assert sorted(simplices) == sorted(zip(cycle[1:] + cycle[:1], cycle))
+    assert_outward(rows, simplices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(planar_pools())
+# Three and four points, each with a point on the line through the ends.
+@example([(F(0), F(0)), (F(2), F(0)), (F(1), F(1))])
+@example([(F(0), F(0)), (F(4), F(4)), (F(2), F(2)), (F(0), F(3))])
+@example([(F(0), F(0)), (F(2), F(1)), (F(1), F(-1)), (F(1), F(2))])
+@example([(F(0), F(1)), (F(4), F(1)), (F(2), F(1)), (F(1), F(1, PRIMES_61[0]))])
+def test_planar_chain_matches_brute_force(points):
+    assume(affine_rank(points) == 2)
+    check_planar_hull(points)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_disc_polygon_chain_matches_brute_force(m):
+    check_planar_hull(disc_polygon(m).vertices)
+
+
+def support_bodies(n):
+    """Full-dimensional bodies in R^n on a small grid, some coordinates with
+    denominator 2 or 3, so that faces are parallel to coordinate planes and
+    to each other."""
+    coord = st.sampled_from([F(0), F(1), F(2), F(1, 2), F(2, 3)])
+    pts = st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 4, unique=True)
+    return pts.filter(lambda p: affine_rank(p) == n).map(convex_hull)
+
+
+def tie_directions(body):
+    """Facet normals, sums of two of them (a lower face is tied along their
+    shared face), edge vectors between vertices, their negatives, and a
+    facet normal scaled by 2/3, which lifts with a denominator."""
+    normals = [f.normal for f in body.facets]
+    sums = [tuple(map(sum, zip(u, v))) for u, v in itertools.combinations(normals, 2)]
+    edges = [tuple(a - b for a, b in zip(p, q)) for p, q in itertools.combinations(body.vertices, 2)]
+    found = normals + sums + edges + [tuple(-c for c in u) for u in normals + edges]
+    found.append(tuple(F(2, 3) * c for c in normals[0]))
+    return [w for w in found if any(w)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(support_bodies(n), support_bodies(n))))
+def test_support_core_matches_brute_force(pair):
+    first, second = pair
+    for w in tie_directions(first):
+        h = brute_support(first.vertices, w)
+        assert support(first, w) == h
+        face = support_set(first, w)
+        assert face.vertices == tuple(v for v in first.vertices if brute_support([v], w) == h)
+    terms = (brute_support(second.vertices, f.normal) * f.pseudo_volume / f.normal_sq() for f in first.facets)
+    mixed = mixed_volume_base_height(first, second)
+    assert mixed == sum(terms, F(0)) / first.dim == mixed_volume_interp(first, second)
