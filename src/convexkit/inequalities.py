@@ -86,8 +86,8 @@ def bm_check(
 ) -> InequalityReport:
     """Concavity of V^(1/n) at one interpolation weight.
 
-    The volume of (1-lam)K + lam L is read from the pair's volume
-    polynomial.  The verdict is the exact sign of the slack
+    lam is checked once, here, and the volume of (1-lam)K + lam L is read
+    from the pair's volume polynomial at it.  The verdict is the exact sign of the slack
     V((1-lam)K + lam L)^(1/n) - (1-lam) V(K)^(1/n) - lam V(L)^(1/n), from
     `signed_root_combination`: 0 (Equality) exactly when the three volumes'
     roots cancel by radical class, which at lam = 0 or 1 they always do.
@@ -99,7 +99,7 @@ def bm_check(
     if not (first.is_full_dimensional and second.is_full_dimensional):
         raise LowerDimensionalError("concavity check needs full-dimensional bodies")
     n = first.dim
-    v_mid = volume_polynomial(first, second).combination_volume(lam)
+    v_mid = volume_polynomial(first, second)._combination_volume(lam)
     v_first, v_second = first.volume, second.volume
     sign, slack = signed_root_combination(
         [(Fraction(1), v_mid, n), (lam - 1, v_first, n), (-lam, v_second, n)],
@@ -190,14 +190,15 @@ def concavity_profile(
     first: Polytope, second: Polytope, grid=None, digits: int = DEFAULT_DIGITS
 ) -> ConcavityProfile:
     """Exact volume profile f(t) = V_n((1-t)K + tL), read from the pair's
-    volume polynomial, with midpoint certificates: each holds when the exact
-    sign of 2 f(t2)^(1/n) - f(t1)^(1/n) - f(t3)^(1/n) is not negative."""
+    volume polynomial at each grid point, checked once, with midpoint
+    certificates: each holds when the exact sign of
+    2 f(t2)^(1/n) - f(t1)^(1/n) - f(t3)^(1/n) is not negative."""
     if not (first.is_full_dimensional and second.is_full_dimensional):
         raise LowerDimensionalError("profile needs full-dimensional bodies")
-    grid = default_lambda_grid() if grid is None else tuple(map(as_lambda, grid))
+    grid = tuple(map(as_lambda, default_lambda_grid() if grid is None else grid))
     n = first.dim
     poly = volume_polynomial(first, second)
-    samples = tuple((t, poly.combination_volume(t)) for t in grid)
+    samples = tuple((t, poly._combination_volume(t)) for t in grid)
     roots = tuple(format_fixed(nth_root_fraction(f, n, digits), digits) for _, f in samples)
     certs = []
     for i in range(len(samples) - 2):

@@ -98,17 +98,23 @@ class VolumePolynomial:
     """Coefficients c_i = numerators[i] / denominator, i = 0..n, of
     V_n(K + eps L) as a polynomial in eps.
 
-    The integers are stored in lowest terms with a positive denominator, so
-    two polynomials are equal exactly when their coefficients are, and the
-    checks below compare integers."""
+    It takes integer numerators over a nonzero integer denominator: other
+    types raise ``TypeError``, which names that contract, and a zero
+    denominator ``InvariantError``.  The integers are stored in lowest terms
+    with a positive denominator, so two polynomials are equal exactly when
+    their coefficients are, and the checks below compare integers."""
 
     numerators: tuple
     denominator: int = 1
 
     def __post_init__(self):
+        try:
+            g = gcd(*self.numerators, self.denominator)
+        except TypeError:
+            message = "VolumePolynomial takes integer numerators over a nonzero integer denominator"
+            raise TypeError(message) from None
         if self.denominator == 0:
             raise InvariantError("volume polynomial has a zero denominator")
-        g = gcd(*self.numerators, self.denominator)
         g = g if self.denominator > 0 else -g
         c = tuple(a // g for a in self.numerators)
         object.__setattr__(self, "numerators", c)
@@ -131,11 +137,16 @@ class VolumePolynomial:
         return tuple(Fraction(a, self.denominator) for a in self.numerators)
 
     def combination_volume(self, lam) -> Fraction:
-        """V((1-lam)K + lam L) = sum_i c_i lam^i (1-lam)^(n-i) for lam in [0, 1],
-        in integers for lam = p/q: sum_i c_i p^i (q-p)^(n-i) / q^n over the
-        stored denominator, one Fraction built at the end.  A lam outside
-        [0, 1] raises ``LambdaRangeError``."""
-        lam = as_lambda(lam)
+        """V((1-lam)K + lam L) = sum_i c_i lam^i (1-lam)^(n-i) for lam in [0, 1].
+        A lam outside [0, 1] raises ``LambdaRangeError``."""
+        return self._combination_volume(as_lambda(lam))
+
+    def _combination_volume(self, lam: Fraction) -> Fraction:
+        """``combination_volume`` at a lam that ``as_lambda`` has already
+        checked, in integers for lam = p/q: sum_i c_i p^i (q-p)^(n-i) / q^n
+        over the stored denominator, one Fraction built at the end.  The
+        checkers that take lam from their caller check it once and come
+        here."""
         n = len(self.numerators) - 1
         p, q = lam.numerator, lam.denominator
         total = sum(c * p**i * (q - p) ** (n - i) for i, c in enumerate(self.numerators))
@@ -310,10 +321,9 @@ def mixed_volume_base_height(first: Polytope, second: Polytope) -> Fraction:
         raise LowerDimensionalError("base-height formula needs a full-dimensional body")
     if first.dim != second.dim:
         raise DimensionMismatchError("bodies live in different dimensions")
-    rows = second.lifted
     terms = []
     for f in first.facets:
-        _, (h, d) = _integer_support(rows, f.normal)
+        h, d = _integer_support(second.lifted, f.normal)
         pv_n, pv_d = f.pseudo_pair
         terms.append((h * pv_n, d * pv_d * sum(c * c for c in f.normal)))
     num, den = tree_sum(terms)

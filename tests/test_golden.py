@@ -11,6 +11,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -167,6 +169,34 @@ def test_expected_files_are_the_cases():
     # never be compared with anything.
     expected = {path.name for path in (GOLDEN / "expected").iterdir()}
     assert expected == {f"{name}.txt" for name in CASES}
+
+
+# Every case again under python -O, in one process: the package's checks
+# are no asserts, so the reports must not change.  The script takes the
+# package's parent folder and this folder, and prints each case that differs.
+OPTIMIZED_REPLAY = """
+import os
+import sys
+
+assert not __debug__, "run me under python -O"
+sys.path[:0] = sys.argv[1:]
+import test_golden
+
+os.chdir(test_golden.GOLDEN)
+for name, argv in sorted(test_golden.CASES.items()):
+    expected = (test_golden.GOLDEN / "expected" / f"{name}.txt").read_text(encoding="utf-8")
+    if test_golden.run_case(argv) != expected:
+        print(name)
+"""
+
+
+def test_golden_under_optimize():
+    paths = [str(Path(cli.__file__).parent.parent), str(Path(__file__).parent)]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_REPLAY, *paths], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
 
 
 REPORT_KEYS = {"command", "digits", "inputs", "result", "seed"}

@@ -14,15 +14,18 @@ approximation must give what ``Fraction.limit_denominator`` gives.
 
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from convexkit import numeric
-from convexkit.bodies import _best_approximation, random_polytope
+from convexkit import inequalities, numeric, volumes
+from convexkit.bodies import _best_approximation, box, random_polytope, unit_square
 from convexkit.errors import InvariantError, LambdaRangeError
 from convexkit.geometry import scale, translate
-from convexkit.inequalities import default_lambda_grid
+from convexkit.inequalities import bm_check, concavity_profile, default_lambda_grid
 from convexkit.linalg import integer_nth_root
 from convexkit.numeric import root_combination, signed_root_combination
 from convexkit.volumes import VolumePolynomial, minkowski_interpolate, volume_polynomial
@@ -165,6 +168,75 @@ def test_combination_volume_takes_lambda_in_unit_interval():
     # A float is read at its exact binary value: (1 - 1/2)^2 = 1/4.
     assert poly.combination_volume(0.5) == F(1, 4)
     assert poly.combination_volume(1) == 0
+
+
+def test_each_lambda_is_checked_once_per_call(monkeypatch):
+    # bm_check and concavity_profile check each lam once and evaluate the
+    # polynomial at the checked value; a direct combination_volume call
+    # checks its own.  A lam outside [0, 1] still raises on every route.
+    calls = []
+    real = volumes.as_lambda
+
+    def counting(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(inequalities, "as_lambda", counting)
+    monkeypatch.setattr(volumes, "as_lambda", counting)
+    square, rect = unit_square(), box(2, 1)
+    poly = volume_polynomial(square, rect)
+    for route in (
+        lambda lam: bm_check(square, rect, lam),
+        poly.combination_volume,
+        lambda lam: concavity_profile(square, rect, (lam,)),
+    ):
+        calls.clear()
+        route(F(1, 3))
+        assert calls == [F(1, 3)]
+        for lam in (F(-1, 2), F(3, 2)):
+            with pytest.raises(LambdaRangeError, match="outside \\[0, 1\\]"):
+                route(lam)
+    calls.clear()
+    concavity_profile(square, rect, (0, F(1, 2), 1))
+    assert calls == [0, F(1, 2), 1]
+    calls.clear()
+    concavity_profile(square, rect)
+    assert calls == list(default_lambda_grid())
+
+
+VOLUME_POLYNOMIAL_CONTRACT = """
+import sys
+from fractions import Fraction
+
+sys.path.insert(0, sys.argv[1])
+from convexkit.volumes import VolumePolynomial
+
+for args in (((Fraction(1, 2), 1, 1),), ((1.0, 2, 1),), ((1, 2, 1), 1.5), ((1, 2, 1), Fraction(2))):
+    try:
+        VolumePolynomial(*args)
+    except TypeError as exc:
+        print(exc)
+    else:
+        print("accepted", args)
+"""
+
+
+def test_volume_polynomial_names_its_contract():
+    # Non-integer numerators or denominators raise a TypeError that names
+    # the contract, not math.gcd's; the check is no assert, so python -O
+    # keeps it.
+    message = "VolumePolynomial takes integer numerators over a nonzero integer denominator"
+    for args in (((F(1, 2), 1, 1),), ((1.0, 2, 1),), ((1, 2, 1), 1.5), ((1, 2, 1), F(2))):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            VolumePolynomial(*args)
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", VOLUME_POLYNOMIAL_CONTRACT, str(Path(volumes.__file__).parent.parent)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{message}\n" * 4
 
 
 def test_volume_polynomial_is_stored_in_lowest_terms():
