@@ -87,9 +87,9 @@ def bm_check(
     """Concavity of V^(1/n) at one interpolation weight.
 
     lam is checked once, here, and the volume of (1-lam)K + lam L is read
-    from the pair's volume polynomial at it.  The verdict is the exact sign of the slack
-    V((1-lam)K + lam L)^(1/n) - (1-lam) V(K)^(1/n) - lam V(L)^(1/n), from
-    `signed_root_combination`: 0 (Equality) exactly when the three volumes'
+    from the pair's volume polynomial at it.  The verdict is the exact sign
+    of the slack V((1-lam)K + lam L)^(1/n) - (1-lam) V(K)^(1/n) -
+    lam V(L)^(1/n), from `signed_root_combination`: 0 (Equality) exactly when the three volumes'
     roots cancel by radical class, which at lam = 0 or 1 they always do.
     The displayed slack is that sum rendered at ``digits``, or exactly 0 when
     the sign is 0, so an Equality never shows the floored roots' "-0.000";

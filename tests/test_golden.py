@@ -3,8 +3,10 @@
 Each case runs ``cli.run`` in-process from ``tests/golden`` (so the report's
 ``command`` and ``inputs`` hold stable relative paths) and compares the exit
 code and stdout with ``expected/<name>.txt``: the first line is ``exit N``,
-the rest is stdout verbatim.  Run this file as a script to rewrite the
-expected files, and only when a report change is intended.
+the rest is stdout verbatim.  Every case also runs once more under
+``python -O``, all in one subprocess, against the same files.  Run this
+file as a script to rewrite the expected files, and only when a report
+change is intended.
 """
 
 import contextlib

@@ -461,9 +461,10 @@ def support_bodies(n):
 
 
 def tie_directions(body):
-    """Facet normals, sums of two of them (a lower face is tied along their
-    shared face), edge vectors between vertices, their negatives, and a
-    facet normal scaled by 2/3, which lifts with a denominator."""
+    """Facet normals, sums of two of them (for adjacent facets every vertex
+    of their shared face attains the maximum), edge vectors between
+    vertices, their negatives, and a facet normal scaled by 2/3, which
+    lifts with a denominator."""
     normals = [f.normal for f in body.facets]
     sums = [tuple(map(sum, zip(u, v))) for u, v in itertools.combinations(normals, 2)]
     edges = [tuple(a - b for a, b in zip(p, q)) for p, q in itertools.combinations(body.vertices, 2)]
@@ -481,6 +482,9 @@ def test_support_core_matches_brute_force(pair):
         assert support(first, w) == h
         face = support_set(first, w)
         assert face.vertices == tuple(v for v in first.vertices if brute_support([v], w) == h)
-    terms = (brute_support(second.vertices, f.normal) * f.pseudo_volume / f.normal_sq() for f in first.facets)
+    terms = [
+        brute_support(second.vertices, f.normal) * f.pseudo_volume / f.normal_sq()
+        for f in first.facets
+    ]
     mixed = mixed_volume_base_height(first, second)
     assert mixed == sum(terms, F(0)) / first.dim == mixed_volume_interp(first, second)

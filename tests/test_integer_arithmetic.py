@@ -10,6 +10,9 @@ that works term by term in Fractions.  ``integer_nth_root``, whose Newton
 steps start from a float seed, must give the floor root that bisection
 (``math.isqrt`` for square roots) gives.  ``disc_polygon``'s integer best
 approximation must give what ``Fraction.limit_denominator`` gives.
+Each routine that takes lam checks it once per call, and
+``VolumePolynomial`` names its integer contract when given other types,
+with and without ``python -O``.
 """
 
 import math
