@@ -142,9 +142,16 @@ def brute_hull(points):
     Facets are the supporting hyperplanes through affinely independent
     n-subsets; a point is a vertex when the normals of the facets through
     it have rank n.  Returns (sorted vertices, facets) with facets sorted
-    by outward primitive integer normal, each as (normal, offset).
+    by outward primitive integer normal, each as (normal, offset).  Recent
+    results are kept, keyed by the point set, since ``brute_facets`` and
+    ``brute_volume`` start from the same hulls, down to each facet's
+    chart; callers must not change the lists.
     """
-    pts = sorted({tuple(Fraction(x) for x in p) for p in points})
+    return _brute_hull(tuple(sorted({tuple(Fraction(x) for x in p) for p in points})))
+
+
+@functools.lru_cache(maxsize=256)
+def _brute_hull(pts):
     n = len(pts[0])
     offsets = {}
     for simplex in itertools.combinations(pts, n):

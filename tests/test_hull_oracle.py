@@ -12,8 +12,11 @@ against all the rows by the oracle's determinant.  Hulls of 9 to 14 points in 3D
 shuffled insertion order matters, must also close: their boundary
 simplices meet in pairs along every ridge, with opposite orientations.
 So must the cyclic 4D polytope of 30 points, with every point a vertex and
-the most facets the Upper Bound Theorem allows.  The order is private and
-repeatable.
+the most facets the Upper Bound Theorem allows.  So must the hulls of
+pair points x + y of two small bodies, the input of every pair record,
+with its repeated, interior and coplanar points; their facets and volume
+are also checked against the oracle's pyramid formula.  The order is
+private and repeatable.
 
 The planar chain is checked on its own against the oracle's angular cycle,
 on pools of up to 40 points of a small grid (many collinear triples), with
@@ -352,6 +355,43 @@ def test_larger_hulls_match_brute_force_and_close(points):
     assert all(sorted(signs) == [-1, 1] for signs in ridges.values())
     assert {i for simplex in simplices for i in simplex} <= set(range(len(rows)))
     assert body.volume == mixed_volume_base_height(body, body)
+
+
+@st.composite
+def pair_point_pools(draw):
+    """The pair points x + y of two bodies with 4 to 6 vertices each on the
+    {0, 1, 2}^3 grid, or 4 to 5 on the {0, 1}^4 grid: the shape of a pair
+    record's hull input, with many pair points repeated, interior or on a
+    common facet.  Some pair points are nudged off the grid by
+    ``BIG_PRIMES`` denominators.  4D pools are the smaller ones, as the
+    brute-force hull tries every 4-subset of the pair points."""
+    n = draw(st.sampled_from([3, 4]))
+    grid = st.tuples(*[st.sampled_from([F(x) for x in range(6 - n)])] * n)
+    size = 9 - n
+    first, second = (draw(st.lists(grid, min_size=4, max_size=size, unique=True)) for _ in range(2))
+    pts = [tuple(a + b for a, b in zip(x, y)) for x in first for y in second]
+    if draw(st.booleans()):
+        for prime in BIG_PRIMES:
+            i, axis = draw(st.integers(0, len(pts) - 1)), draw(st.integers(0, n - 1))
+            nudge = F(draw(st.sampled_from([-1, 1])), prime)
+            pts[i] = tuple(x + nudge if k == axis else x for k, x in enumerate(pts[i]))
+    return pts
+
+
+@settings(max_examples=15, deadline=None)
+@given(pair_point_pools())
+def test_pair_point_hulls_match_brute_force_and_close(points):
+    n = len(points[0])
+    assume(affine_rank(points) == n)
+    body, rows, simplices = _hull_with_boundary(_lift(points), n)
+    vertices, _ = brute_hull(points)
+    assert list(body.vertices) == vertices
+    facets = [(f.normal, f.offset, f.pseudo_volume) for f in body.facets]
+    assert facets == brute_facets(points)
+    assert body.volume == brute_volume(points)
+    assert_outward(rows, simplices)
+    ridges = induced_ridges(simplices, n)
+    assert all(sorted(signs) == [-1, 1] for signs in ridges.values())
 
 
 def test_hull_order_is_deterministic_and_private():
