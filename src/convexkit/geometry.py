@@ -318,7 +318,8 @@ def _incremental_hull(rows, n, base, interior):
     (a, p, c) and (a, b, p): the generic loop's keys and simplices, in its
     order, so the horizon and the simplices come out the same.  4D keeps
     the generic loop.  A ``sweep-3d`` pair record's hull inserts about 26
-    of its 30 rows and makes about 510 visibility tests.
+    of its 30 rows, each tested against every current simplex, and keeps
+    about 32 simplices.
     """
     facets = {}
     next_id = itertools.count()
@@ -429,9 +430,9 @@ def _build_full_dimensional(rows, n, base):
     """Canonical Polytope of the affinely spanning points of sorted, distinct
     lifted ``rows``, and its boundary simplices as outward-ordered index
     tuples into the rows; ``base`` indexes n+1 affinely independent ones.
-    Coplanar simplices merge into a facet keyed by their primitive normal,
-    and each adds the gcd of its cross normal's first n entries, taken
-    once, to the facet's pseudo-volume."""
+    Coplanar simplices merge into a facet keyed by their primitive normal;
+    the one gcd that makes a simplex's normal primitive is also the
+    numerator of its share of the facet's pseudo-volume."""
     if n == 2:
         return _build_polygon(rows)
     # A sum of rows stands for the average of its points weighted by their
@@ -443,11 +444,10 @@ def _build_full_dimensional(rows, n, base):
     # outward normal (unique per facet of a convex body).  For a simplex
     # whose row weights multiply to s, c = h[:n] / s is the outward cross
     # product of its edges and c.v = -h[n] / s at each of its vertices v.
-    # With h[:n] = g prim, g > 0, lam = g / s ties the stored primitive
-    # normal back to true areas, (n-1)-volume of the simplex =
+    # With g = gcd(h[:n]) > 0 and h[:n] = g prim, lam = g / s ties the stored
+    # primitive normal back to true areas, (n-1)-volume of the simplex =
     # lam * |prim| / (n-1)!, which makes the simplex's share of the facet's
-    # pseudo-volume lam * |prim|^2 / (n-1)!.  g is gcd(h[:n]), the one gcd
-    # that makes the normal primitive.  The cone over the simplex from
+    # pseudo-volume lam * |prim|^2 / (n-1)!.  The cone over the simplex from
     # the origin has signed volume -h[n] / (s * n!).  Both sums are integer
     # pairs from ``tree_sum``; the facet keeps its pair, and the volume is
     # the one Fraction built here.

@@ -25,9 +25,9 @@ def test_perfbench_smoke():
 def test_ab_passes_on_one_tree():
     # Both sides import this tree, each as modules of its own; one round
     # after the two warm passes each.
+    argv = ["scripts/ab_passes.py", ".", ".", "--workload", "sweep-3d", "--rounds", "1"]
     proc = subprocess.run(
-        [sys.executable, "scripts/ab_passes.py", ".", ".", "--workload", "sweep-3d", "--rounds", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=600,
+        [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     lines = proc.stdout.splitlines()
