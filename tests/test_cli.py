@@ -66,6 +66,9 @@ def test_exit_codes(corpus, capsys):
         cli.run(["random-body", "--dim", "5", "--vertices", "7", "--seed", "1"])
     capsys.readouterr()
     assert exc.value.code == 2
+    code, out, err = run_cli(capsys, ["steiner", corpus["square"], "--direction", "1,1,1"])
+    assert (code, out) == (3, "")
+    assert err == "DimensionMismatchError: direction length differs from ambient dimension\n"
 
 
 def test_mixedvol_agreement(corpus, capsys):

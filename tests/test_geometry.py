@@ -7,6 +7,7 @@ from convexkit.errors import (
     AmbientDimError,
     DegenerateBasisError,
     DimensionError,
+    DimensionMismatchError,
     ZeroDirectionError,
 )
 from convexkit.geometry import (
@@ -16,13 +17,22 @@ from convexkit.geometry import (
     polygon_cycle,
     project,
     projected_volume_sq,
+    reflect_through_hyperplane,
     scale,
     support,
     support_set,
     translate,
 )
 from convexkit import geometry
-from convexkit.volumes import combine
+from convexkit.homothety import detect_homothety
+from convexkit.inequalities import minkowski_check
+from convexkit.steiner import steiner_symmetral
+from convexkit.volumes import (
+    combine,
+    mixed_volume_base_height,
+    projection_prism_volume,
+    volume_polynomial,
+)
 
 from oracles import brute_support, shoelace_area, validate_polytope
 
@@ -86,6 +96,42 @@ def test_support_values(square):
     assert support(translate(square, (3, 4)), (0, 1)) == 5
     with pytest.raises(ZeroDirectionError):
         support(square, (0, 0))
+
+
+@pytest.mark.parametrize(
+    "routine",
+    [support, support_set, reflect_through_hyperplane, projection_prism_volume, steiner_symmetral],
+    ids=lambda routine: routine.__name__,
+)
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_direction_is_checked_by_one_rule(routine, n):
+    # Length first, then zero: a zero direction of the wrong length is a
+    # length error.
+    body = box(*(1,) * n)
+    with pytest.raises(ZeroDirectionError, match="^direction must be nonzero$"):
+        routine(body, (0,) * n)
+    for w in ((0,) * (n + 1), (1,) * (n - 1), (1,) * (n + 1), (0,) * (n - 1)):
+        with pytest.raises(
+            DimensionMismatchError, match="^direction length differs from ambient dimension$"
+        ):
+            routine(body, w)
+
+
+@pytest.mark.parametrize(
+    "routine",
+    [
+        lambda first, second: combine(1, first, 1, second),
+        volume_polynomial,
+        mixed_volume_base_height,
+        detect_homothety,
+        minkowski_check,
+    ],
+    ids=["combine", "volume_polynomial", "mixed_volume_base_height", "detect_homothety", "minkowski_check"],
+)
+def test_every_pair_routine_refuses_bodies_of_two_dimensions(routine, square, cube):
+    for first, second in ((square, cube), (cube, square)):
+        with pytest.raises(DimensionMismatchError, match="^bodies live in different dimensions$"):
+            routine(first, second)
 
 
 def test_support_matches_brute_force(square, cube):

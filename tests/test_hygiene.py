@@ -95,6 +95,29 @@ def test_no_dead_definitions():
     assert dead_definitions() == []
 
 
+def unread_exports() -> list:
+    """Names ``convexkit/__init__.py`` re-exports that nothing under
+    ``READERS`` reads outside ``__init__`` and outside their own
+    definition."""
+    init = SRC / "__init__.py"
+    exported = [
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    read = set()
+    for path in sorted(p for folder in READERS for p in folder.rglob("*.py")):
+        if path != init:
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                read |= _top_level_reads(node)
+    return [name for name in exported if name not in read]
+
+
+def test_every_export_is_read():
+    assert unread_exports() == []
+
+
 def definitions_only_tests_read() -> list:
     """Public top-level functions and classes of the package that only
     tests read, as "file:line name".  ``__init__`` reads every name it
@@ -161,6 +184,30 @@ def unread_dataclass_fields() -> list:
 def test_no_unread_dataclass_fields():
     assert len(dataclass_fields()) > 0
     assert unread_dataclass_fields() == []
+
+
+def io_importers() -> list:
+    """Package modules other than ``cli`` that import ``convexkit.io``, as
+    "file:line".  Body files and reports are the CLI's business; the
+    library takes bodies and returns values."""
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "cli":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+                names = {alias.name for alias in node.names}
+                if module in (".io", "convexkit.io") or module in (".", "convexkit") and "io" in names:
+                    hits.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Import):
+                if any(alias.name == "convexkit.io" for alias in node.names):
+                    hits.append(f"{path.name}:{node.lineno}")
+    return hits
+
+
+def test_only_cli_imports_io():
+    assert io_importers() == []
 
 
 def stray_asserts() -> list:
