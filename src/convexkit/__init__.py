@@ -59,7 +59,6 @@ from .inequalities import (
     mmv_implies_bm_trace,
     normalized_check,
 )
-from .linalg import vec
 from .reconstruction import (
     corner_normalize,
     farey_directions,

@@ -6,8 +6,7 @@ import math
 import random
 from fractions import Fraction
 
-from .errors import AmbientDimError
-from .geometry import MAX_AMBIENT, MIN_AMBIENT, Polytope, _hull_with_boundary, convex_hull
+from .geometry import Polytope, _check_ambient, _hull_with_boundary, convex_hull
 from .linalg import as_scalar, as_vec, primitive_int_vector, unit_vector
 
 
@@ -115,8 +114,7 @@ def random_polytope(dim: int, n_points: int, rng: random.Random) -> Polytope:
     Numerators lie in [-100, 100], denominators in [1, 10]; identical rng
     state yields an identical body.
     """
-    if not MIN_AMBIENT <= dim <= MAX_AMBIENT:
-        raise AmbientDimError(f"dim must be in {MIN_AMBIENT}..{MAX_AMBIENT}")
+    _check_ambient(dim)
     if n_points < dim + 1:
         raise ValueError("need at least dim + 1 points")
     while True:

@@ -529,6 +529,13 @@ def _check_ambient(n):
         raise AmbientDimError(f"ambient dimension {n} outside {MIN_AMBIENT}..{MAX_AMBIENT}")
 
 
+def _check_pair_dim(first, second):
+    """Raise ``DimensionMismatchError`` unless the two bodies share their
+    ambient dimension: the one check of every routine that takes a pair."""
+    if first.dim != second.dim:
+        raise DimensionMismatchError("bodies live in different dimensions")
+
+
 def _hull_with_boundary(rows, n):
     """``convex_hull``'s work on lifted rows, returning what it builds on the
     way: the canonical Polytope, the distinct rows in sorted order, and the
@@ -585,6 +592,11 @@ def convex_hull(points, *, allow_degenerate: bool = False):
 
 
 def _check_direction(body, w):
+    """w as a Fraction vector, checked against ``body``: a length other
+    than the body's dimension raises ``DimensionMismatchError``, and then a
+    zero direction ``ZeroDirectionError``.  Every routine that takes a body
+    and a direction checks it here; the routines' own checks (dimension 2
+    or 3 for Steiner, full-dimensional bodies) stay with them."""
     w = as_vec(w)
     if len(w) != body.dim:
         raise DimensionMismatchError("direction length differs from ambient dimension")

@@ -20,7 +20,6 @@ from typing import Optional
 from .bodies import axis_segment, box, random_direction, standard_simplex
 from .errors import (
     DimensionError,
-    DimensionMismatchError,
     InvariantError,
     LambdaRangeError,
     LowerDimensionalError,
@@ -29,6 +28,7 @@ from .errors import (
 )
 from .geometry import (
     Polytope,
+    _check_pair_dim,
     _homothety,
     _image_rows,
     bodies_equal,
@@ -84,8 +84,7 @@ def detect_homothety(first: Polytope, second: Polytope) -> HomothetyDecision:
     first's rows one by one and comparing them with second's, with no
     transformed body built.
     """
-    if first.dim != second.dim:
-        raise DimensionMismatchError("bodies live in different dimensions")
+    _check_pair_dim(first, second)
     if not (first.is_full_dimensional and second.is_full_dimensional):
         raise LowerDimensionalError("homothety detection needs full-dimensional bodies")
     ratio = rational_nth_root(second.volume / first.volume, first.dim)

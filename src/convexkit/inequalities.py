@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .errors import DimensionMismatchError, LowerDimensionalError, ZeroVolumeError
-from .geometry import Polytope
+from .errors import LowerDimensionalError, ZeroVolumeError
+from .geometry import Polytope, _check_pair_dim
 from .numeric import DEFAULT_DIGITS, format_fixed, nth_root_fraction, signed_root_combination
 from .volumes import (
     as_lambda,
@@ -129,8 +129,7 @@ def minkowski_check(
     ``degenerate`` flag and the conventional Equality verdict alongside the
     actual computed quantities.
     """
-    if first.dim != second.dim:
-        raise DimensionMismatchError("bodies live in different dimensions")
+    _check_pair_dim(first, second)
     mv, lhs, rhs = _mmv_sides(first, second)
     degenerate = first.volume == 0 or second.volume == 0
     return InequalityReport(

@@ -21,13 +21,6 @@ from .geometry import Polytope, convex_hull
 
 # Most vertex rows a body file may hold; `random-body --vertices` shares it.
 MAX_VERTICES = 1000
-# Most vertex pairs (x, y) of two bodies in R^n whose points x + y the pair
-# record in `volumes` may form; past it `volumes` raises PairPointsError.
-# Hulling the pair points costs more per point in higher dimensions; at each
-# cap the worst pairs measured (in 4D, cyclic polytopes whose every pair
-# point is a vertex of K + L) take at most about 2 s under `mixedvol` and
-# `check --form bm`.
-MAX_PAIR_POINTS = {2: 4096, 3: 1024, 4: 256}
 
 # Caps on one rational literal, checked before Fraction() builds it: "1e5000000"
 # takes seconds, and Python refuses int/str conversions past 4300 digits.
@@ -68,15 +61,11 @@ def parse_fraction(text) -> Fraction:
         raise BodyFileError(str(exc)) from exc
 
 
-def vector_to_json(v):
-    return [str(x) for x in v]
-
-
 def body_to_json(body: Polytope) -> dict:
     rows = sorted(
         body.vertices, key=lambda v: tuple((x.numerator, x.denominator) for x in v)
     )
-    return {"dim": body.dim, "vertices": [vector_to_json(v) for v in rows]}
+    return {"dim": body.dim, "vertices": [[str(x) for x in v] for v in rows]}
 
 
 def dumps_body(body: Polytope) -> str:

@@ -37,11 +37,6 @@ def unit_vector(n: int, i: int, length=1) -> tuple:
     return tuple(as_scalar(length) if k == i else Fraction(0) for k in range(n))
 
 
-def vec(*coords) -> tuple:
-    """Convenience constructor: vec(1, "1/2") -> (Fraction(1), Fraction(1, 2))."""
-    return as_vec(coords)
-
-
 def dot(u, v):
     return sum(map(mul, u, v))
 

@@ -93,16 +93,12 @@ def _call_oracle(oracle: Oracle, probe_body: Polytope) -> Fraction:
         raise OracleError(f"mixed-area oracle failed: {exc}") from exc
 
 
-def _cross(u, v):
-    return det2(u[0], v[0], u[1], v[1])
-
-
 def _closing_solution(normals):
     """Multipliers lam with sum lam_i n_i = 0, the first positive and the
     others nonnegative.  They are the 2x2 minors of the normals, so integer
     normals give integer multipliers."""
     n0, n1, n2 = normals
-    lams = (_cross(n1, n2), _cross(n2, n0), _cross(n0, n1))
+    lams = (det2(*n1, *n2), det2(*n2, *n0), det2(*n0, *n1))
     if lams[0] < 0:
         lams = tuple(-lam for lam in lams)
     if lams[0] == 0 or min(lams) < 0:
@@ -118,7 +114,7 @@ def _probe(normals, lams) -> Polytope:
     A zero multiplier leaves a segment.  The probe depends on nothing else,
     so it is built once for every body and direction that shares it."""
     pts = [(0, 0)]
-    for i in (0, 1) if _cross(normals[0], normals[1]) > 0 else (0, 2):
+    for i in (0, 1) if det2(*normals[0], *normals[1]) > 0 else (0, 2):
         pts.append(vadd(pts[-1], vscale(lams[i], (-normals[i][1], normals[i][0]))))
     return convex_hull(pts, allow_degenerate=True)
 

@@ -34,10 +34,9 @@ from .errors import (
     GeometryError,
     InvariantError,
     LowerDimensionalError,
-    ZeroDirectionError,
 )
-from .geometry import Polytope, _hull_with_boundary, _lift, polygon_cycle
-from .linalg import as_vec, dot, is_zero_vec, primitive_int_vector, vsub
+from .geometry import Polytope, _check_direction, _hull_with_boundary, _lift, polygon_cycle
+from .linalg import as_vec, dot, primitive_int_vector, vsub
 from .volumes import combine
 
 
@@ -81,14 +80,14 @@ def _chord_interval(cuts, row):
 
 
 def steiner_symmetral(body: Polytope, w) -> SteinerResult:
-    """Symmetrize a full-dimensional body in R^2 or R^3 along direction w."""
-    w = as_vec(w)
+    """Symmetrize a full-dimensional body in R^2 or R^3 along direction w.
+
+    A body in another dimension raises ``DimensionError``; then
+    ``_check_direction`` checks w, and a flat body raises
+    ``LowerDimensionalError``."""
     if body.dim not in (2, 3):
         raise DimensionError("symmetrization implemented for dimensions 2 and 3")
-    if len(w) != body.dim:
-        raise DimensionError("direction length differs from ambient dimension")
-    if is_zero_vec(w):
-        raise ZeroDirectionError("direction must be nonzero")
+    w = _check_direction(body, w)
     if not body.is_full_dimensional:
         raise LowerDimensionalError("symmetrization needs a full-dimensional body")
     *lifted_w, _ = _lift((w,))[0]

@@ -27,7 +27,7 @@ One pure function of an ordered pair of bodies, ``_minkowski_sum``, an
 (X d_y, Y d_x, d_x d_y) of the bodies' rows, and V(K + eps L),
 eps = 0..n+1, read off the boundary cycle right after the one hull.  It is
 the only place that pairs the vertices of two bodies, and it first checks
-their number against ``io.MAX_PAIR_POINTS``.  One routine,
+their number against ``MAX_PAIR_POINTS``.  One routine,
 ``_pair_points``, turns the triples into the rows of a x + b y: the pair
 points x + y, the moved points x + eps y of each node, and the vertices
 a x + b y that ``combine`` hulls for unequal coefficients, so no
@@ -54,27 +54,24 @@ from math import comb, factorial, gcd, prod
 
 from .errors import (
     DimensionError,
-    DimensionMismatchError,
     InvariantError,
     LambdaRangeError,
     LowerDimensionalError,
     NegativeCoefficientError,
     PairPointsError,
-    ZeroDirectionError,
 )
 from .geometry import (
     Polytope,
     _check_ambient,
+    _check_direction,
+    _check_pair_dim,
     _hull_with_boundary,
     _image_rows,
     _integer_support,
     scale,
 )
-from .io import MAX_PAIR_POINTS
 from .linalg import (
     as_scalar,
-    as_vec,
-    is_zero_vec,
     mat_det,
     over_common_denominator,
     primitive_int_vector,
@@ -83,6 +80,14 @@ from .linalg import (
     tree_sum,
 )
 from .numeric import DEFAULT_DIGITS, format_fixed, root_combination
+
+# Most vertex pairs (x, y) of two bodies in R^n whose points x + y the pair
+# record may form; past it ``_minkowski_sum`` raises PairPointsError.
+# Hulling the pair points costs more per point in higher dimensions; at each
+# cap the worst pairs measured (in 4D, cyclic polytopes whose every pair
+# point is a vertex of K + L) take at most about 2 s under `mixedvol` and
+# `check --form bm`.
+MAX_PAIR_POINTS = {2: 4096, 3: 1024, 4: 256}
 
 
 def as_lambda(t) -> Fraction:
@@ -175,9 +180,10 @@ def _pair_points(pairs, a, b) -> list:
 def _minkowski_sum(first: Polytope, second: Polytope) -> tuple:
     """K + L, the ``_pair_row`` triple of the one vertex pair (x, y) behind
     each of its vertices, and V(K + eps L) for eps = 0..n+1, each node past
-    eps = 1 off K + L's boundary cycle.  Past MAX_PAIR_POINTS vertex pairs
-    in the bodies' dimension it raises ``PairPointsError`` before forming
-    them, and outside dimensions 2..4 ``AmbientDimError``.
+    eps = 1 off K + L's boundary cycle.  Outside dimensions 2..4 it raises
+    ``AmbientDimError``, and past MAX_PAIR_POINTS vertex pairs in the
+    bodies' dimension ``PairPointsError``, before forming them.  The
+    caller has checked that the bodies share their dimension.
 
     The triples come from the bodies' lifted rows, and each pair point
     x + y is the primitive row of its ``_pair_points`` row
@@ -185,13 +191,13 @@ def _minkowski_sum(first: Polytope, second: Polytope) -> tuple:
     ``lifted`` is still its vertices' own rows.  The hull runs on these
     rows, and on a repeated point the last pair wins.
     """
+    _check_ambient(first.dim)
     count = len(first.lifted) * len(second.lifted)
-    cap = MAX_PAIR_POINTS.get(first.dim, count)
+    cap = MAX_PAIR_POINTS[first.dim]
     if count > cap:
         raise PairPointsError(
             f"{count} vertex pairs in dimension {first.dim}; at most {cap} may be combined"
         )
-    _check_ambient(first.dim)
     triples = [_pair_row(x, y) for x in first.lifted for y in second.lifted]
     origin = dict(zip(map(primitive_int_vector, _pair_points(triples, 1, 1)), triples))
     body, rows, simplices = _hull_with_boundary(list(origin), first.dim)
@@ -210,14 +216,15 @@ def combine(a, first: Polytope, b, second: Polytope) -> Polytope:
     A zero coefficient scales the other body, and equal ones scale K + L,
     which is hulled once per recent ordered pair; otherwise only the vertex
     pairs behind the vertices of K + L are combined, as rows from their
-    triples.  Past MAX_PAIR_POINTS vertex pairs, a combination that forms
-    them raises ``PairPointsError``.
+    triples.  A negative coefficient raises ``NegativeCoefficientError``,
+    then ``_check_pair_dim`` checks the bodies' dimensions; past
+    MAX_PAIR_POINTS vertex pairs, a combination that forms them raises
+    ``PairPointsError`` from ``_minkowski_sum``.
     """
     a, b = as_scalar(a), as_scalar(b)
     if a < 0 or b < 0:
         raise NegativeCoefficientError("combination coefficients must be >= 0")
-    if first.dim != second.dim:
-        raise DimensionMismatchError("bodies live in different dimensions")
+    _check_pair_dim(first, second)
     if a == b == 0:
         return _hull_with_boundary([(0,) * first.dim + (1,)], first.dim)[0]
     if a == 0:
@@ -287,9 +294,8 @@ def volume_polynomial(first: Polytope, second: Polytope) -> VolumePolynomial:
     cycle against V(K) from K's own hull, and c_n = V(L), checked by
     cross-multiplication like c_0 = V(K), tests it against L's.
     """
+    _check_pair_dim(first, second)
     n = first.dim
-    if second.dim != n:
-        raise DimensionMismatchError("bodies live in different dimensions")
     numerators, den = minkowski_interpolate(_minkowski_sum(first, second)[2])
     for c, v in ((numerators[0], first.volume), (numerators[n], second.volume)):
         if c * v.denominator != v.numerator * den:
@@ -319,8 +325,7 @@ def mixed_volume_base_height(first: Polytope, second: Polytope) -> Fraction:
     """
     if not first.is_full_dimensional:
         raise LowerDimensionalError("base-height formula needs a full-dimensional body")
-    if first.dim != second.dim:
-        raise DimensionMismatchError("bodies live in different dimensions")
+    _check_pair_dim(first, second)
     terms = []
     for f in first.facets:
         h, d = _integer_support(second.lifted, f.normal)
@@ -343,12 +348,9 @@ def mixed_area(first: Polytope, second: Polytope) -> Fraction:
 
 def projection_prism_volume(body: Polytope, w) -> Fraction:
     """V_n(K + [0, w]) - V_n(K) = |w| V_{n-1}(K_u); the rational scaled form
-    in which all projection-volume identities are stated."""
-    w = as_vec(w)
-    if is_zero_vec(w):
-        raise ZeroDirectionError("direction must be nonzero")
-    if len(w) != body.dim:
-        raise DimensionMismatchError("direction length differs from dimension")
+    in which all projection-volume identities are stated.  w is checked
+    by ``_check_direction``."""
+    w = _check_direction(body, w)
     # K + [0, w] is the hull of K's rows and those of its translate K + w.
     rows = body.lifted + _image_rows(body.lifted, 1, w)
     return _hull_with_boundary(rows, body.dim)[0].volume - body.volume

@@ -3,10 +3,11 @@
 Deliberately separate from the library code paths: the cycle ordering uses
 float angles around the centroid (safe for extreme points of a convex
 polygon at test scale) and the area is the plain shoelace sum on that
-cycle.  The brute-force hull tries every n-subset of the points as a facet
-and runs its own Fraction elimination; facet pseudo-volumes and volumes
-follow from it by the pyramid formula, one dimension down per facet.
-The determinant is the Leibniz permutation sum.  Sums of roots,
+cycle.  The brute-force hull tries every n-subset of the points as a facet:
+on the points scaled to integers, the subset's normal is the signed
+maximal minors of its edge rows, each a Leibniz permutation sum, and the
+points' levels are compared in integers.  Facet pseudo-volumes and volumes
+follow from it by the pyramid formula, one dimension down per facet.  Sums of roots,
 interpolation and combination volumes are evaluated by their Fraction
 definitions, with roots floored by integer bisection.  Projections, chords, containment and homotheties are their
 Fraction dot products and point maps; only the projection hands its
@@ -110,30 +111,17 @@ def affine_rank(points) -> int:
 
 
 def _hyperplane_normal(simplex):
-    """Normal of the hyperplane through n points in R^n, or None when the
-    points are affinely dependent."""
+    """Primitive integer normal of the hyperplane through n integer points
+    in R^n, or None when the points are affinely dependent: the signed
+    maximal minors of the n - 1 edge rows, which are all zero exactly when
+    the edges are dependent."""
     n = len(simplex[0])
     edges = [[x - y for x, y in zip(p, simplex[0])] for p in simplex[1:]]
-    a, pivots = _rref(edges)
-    if len(pivots) != n - 1:
-        return None
-    free = next(c for c in range(n) if c not in pivots)
-    normal = [Fraction(0)] * n
-    normal[free] = Fraction(1)
-    for r, col in enumerate(pivots):
-        normal[col] = -a[r][free]
-    return normal
-
-
-def _primitive(v):
-    scale = 1
-    for x in v:
-        scale = scale * x.denominator // math.gcd(scale, x.denominator)
-    ints = [int(x * scale) for x in v]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-    return tuple(x // g for x in ints)
+    normal = [
+        (-1) ** j * leibniz_det([row[:j] + row[j + 1 :] for row in edges]) for j in range(n)
+    ]
+    g = math.gcd(*normal)
+    return [a // g for a in normal] if g else None
 
 
 def brute_hull(points):
@@ -153,19 +141,25 @@ def brute_hull(points):
 @functools.lru_cache(maxsize=256)
 def _brute_hull(pts):
     n = len(pts[0])
+    # The points times the lcm of their denominators: the same hyperplanes,
+    # and every level an integer.
+    scale = math.lcm(*(x.denominator for p in pts for x in p))
+    ints = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in pts]
     offsets = {}
-    for simplex in itertools.combinations(pts, n):
+    for simplex in itertools.combinations(ints, n):
         normal = _hyperplane_normal(simplex)
         if normal is None:
             continue
         level = sum(a * b for a, b in zip(normal, simplex[0]))
-        values = [sum(a * b for a, b in zip(normal, p)) for p in pts]
-        if all(v >= level for v in values):
-            normal, level = [-a for a in normal], -level
-        elif not all(v <= level for v in values):
-            continue
-        prim = _primitive(normal)
-        offsets[prim] = max(sum(a * b for a, b in zip(prim, p)) for p in pts)
+        above = below = False
+        for p in ints:
+            v = sum(a * b for a, b in zip(normal, p))
+            above, below = above or v > level, below or v < level
+            if above and below:
+                break
+        else:
+            prim = tuple(-a for a in normal) if not below else tuple(normal)
+            offsets[prim] = Fraction(max(sum(a * b for a, b in zip(prim, p)) for p in ints), scale)
 
     def on(prim, p):
         return sum(a * b for a, b in zip(prim, p)) == offsets[prim]

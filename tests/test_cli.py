@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from convexkit import cli, io, numeric
+from convexkit import cli, io, numeric, volumes
 from convexkit.bodies import box, diamond, standard_simplex, unit_cube, unit_square
 from convexkit.errors import InvariantError
 from convexkit.geometry import bodies_equal, scale, translate
@@ -612,7 +612,7 @@ def test_pair_point_cap(tmp_path, capsys):
     # Two cyclic 4D bodies, every pair point a vertex of K + L: past the cap
     # each command that combines them ends with exit 3 and one line, before
     # any hull of the pairs.
-    assert io.MAX_PAIR_POINTS == {2: 4096, 3: 1024, 4: 256}
+    assert volumes.MAX_PAIR_POINTS == {2: 4096, 3: 1024, 4: 256}
     paths = []
     for name, shift in (("K", F(0)), ("L", F(1, 2))):
         path = tmp_path / f"{name}.json"

@@ -357,6 +357,16 @@ def test_larger_hulls_match_brute_force_and_close(points):
     assert body.volume == mixed_volume_base_height(body, body)
 
 
+def pair_sums(first, second):
+    """The pair points x + y of two vertex lists, as Fraction points."""
+    return [tuple(F(a + b) for a, b in zip(x, y)) for x in first for y in second]
+
+
+def nudge(pts, i, axis, amount):
+    """Move pair point i by ``amount`` along ``axis``."""
+    pts[i] = tuple(x + amount if k == axis else x for k, x in enumerate(pts[i]))
+
+
 @st.composite
 def pair_point_pools(draw):
     """The pair points x + y of two bodies with 4 to 6 vertices each on the
@@ -364,22 +374,40 @@ def pair_point_pools(draw):
     record's hull input, with many pair points repeated, interior or on a
     common facet.  Some pair points are nudged off the grid by
     ``BIG_PRIMES`` denominators.  4D pools are the smaller ones, as the
-    brute-force hull tries every 4-subset of the pair points."""
+    brute-force hull tries every 4-subset of the pair points; the 4D pairs
+    of two 6-vertex bodies are the fixed examples below."""
     n = draw(st.sampled_from([3, 4]))
-    grid = st.tuples(*[st.sampled_from([F(x) for x in range(6 - n)])] * n)
+    grid = st.tuples(*[st.sampled_from(range(6 - n))] * n)
     size = 9 - n
     first, second = (draw(st.lists(grid, min_size=4, max_size=size, unique=True)) for _ in range(2))
-    pts = [tuple(a + b for a, b in zip(x, y)) for x in first for y in second]
+    pts = pair_sums(first, second)
     if draw(st.booleans()):
         for prime in BIG_PRIMES:
             i, axis = draw(st.integers(0, len(pts) - 1)), draw(st.integers(0, n - 1))
-            nudge = F(draw(st.sampled_from([-1, 1])), prime)
-            pts[i] = tuple(x + nudge if k == axis else x for k, x in enumerate(pts[i]))
+            nudge(pts, i, axis, F(draw(st.sampled_from([-1, 1])), prime))
     return pts
+
+
+# Two pairs of 6-vertex bodies in 4D.  The first pair's 36 pair points on
+# the {0, 1, 2}^4 grid are distinct, and three of them are nudged by
+# ``BIG_PRIMES`` denominators.  The second pair, on the {0, 1}^4 grid, has
+# 31 distinct pair points, some repeated.
+WIDE_4D_PAIR = pair_sums(
+    [(0, 0, 2, 1), (0, 1, 0, 2), (0, 1, 0, 1), (1, 2, 0, 1), (0, 2, 1, 0), (1, 1, 1, 0)],
+    [(1, 0, 1, 2), (2, 2, 1, 2), (1, 0, 0, 0), (2, 2, 2, 1), (0, 0, 1, 1), (2, 2, 0, 2)],
+)
+for k, prime in enumerate(BIG_PRIMES):
+    nudge(WIDE_4D_PAIR, 7 * k, k, F((-1) ** k, prime))
+UNIT_4D_PAIR = pair_sums(
+    [(0, 1, 0, 0), (1, 0, 0, 1), (1, 1, 0, 1), (1, 1, 0, 0), (0, 0, 0, 1), (1, 1, 1, 1)],
+    [(0, 0, 1, 1), (0, 1, 1, 1), (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 0)],
+)
 
 
 @settings(max_examples=15, deadline=None)
 @given(pair_point_pools())
+@example(WIDE_4D_PAIR)
+@example(UNIT_4D_PAIR)
 def test_pair_point_hulls_match_brute_force_and_close(points):
     n = len(points[0])
     assume(affine_rank(points) == n)

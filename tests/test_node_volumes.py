@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_integer_rows import bodies
 
-from convexkit import io, volumes
+from convexkit import volumes
 from convexkit.bodies import (
     axis_segment,
     box,
@@ -36,7 +36,7 @@ from convexkit.volumes import combine, volume_polynomial
 
 
 def check_nodes(first, second):
-    if len(first.vertices) * len(second.vertices) > io.MAX_PAIR_POINTS[first.dim]:
+    if len(first.vertices) * len(second.vertices) > volumes.MAX_PAIR_POINTS[first.dim]:
         # Two bodies derived by ``combine`` can have this many vertices.
         with pytest.raises(PairPointsError):
             volumes._minkowski_sum(first, second)

@@ -21,7 +21,7 @@ from convexkit.errors import (
     NegativeCoefficientError,
     PairPointsError,
 )
-from convexkit import io
+from convexkit import volumes
 from convexkit.geometry import Subspace, bodies_equal, convex_hull, project, scale, translate
 from convexkit.volumes import (
     combine,
@@ -204,7 +204,7 @@ def moment_curve_body(n, count):
 def test_pair_point_cap_in_every_combination(n):
     # One vertex pair past the dimension's cap: every route that forms the
     # pair points refuses before forming them.
-    cap = io.MAX_PAIR_POINTS[n]
+    cap = volumes.MAX_PAIR_POINTS[n]
     side = math.isqrt(cap)
     first, second = moment_curve_body(n, side + 1), moment_curve_body(n, side)
     for route in (
@@ -235,7 +235,7 @@ def test_pair_record_keeps_the_ambient_check():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_zero_coefficient_scales_the_other_body(n, monkeypatch):
     # No pair point is formed, so a pair past the cap combines with no hull.
-    side = math.isqrt(io.MAX_PAIR_POINTS[n])
+    side = math.isqrt(volumes.MAX_PAIR_POINTS[n])
     first, second = moment_curve_body(n, side + 1), moment_curve_body(n, side)
     hulls = count_calls(monkeypatch, "_hull_with_boundary")
     assert combine(0, first, 1, second) == second
