@@ -82,7 +82,7 @@ from .linalg import (
 from .numeric import DEFAULT_DIGITS, format_fixed, root_combination
 
 # Most vertex pairs (x, y) of two bodies in R^n whose points x + y the pair
-# record may form; past it ``_minkowski_sum`` raises PairPointsError.
+# record may form; past it `_minkowski_sum` raises PairPointsError.
 # Hulling the pair points costs more per point in higher dimensions; at each
 # cap the worst pairs measured (in 4D, cyclic polytopes whose every pair
 # point is a vertex of K + L) take at most about 2 s under `mixedvol` and

@@ -7,9 +7,10 @@ cycle.  The brute-force hull tries every n-subset of the points as a facet:
 on the points scaled to integers, the subset's normal is the signed
 maximal minors of its edge rows, each a Leibniz permutation sum, and the
 points' levels are compared in integers.  Facet pseudo-volumes and volumes
-follow from it by the pyramid formula, one dimension down per facet.  Sums of roots,
-interpolation and combination volumes are evaluated by their Fraction
-definitions, with roots floored by integer bisection.  Projections, chords, containment and homotheties are their
+follow from it by the pyramid formula, one dimension down per facet.
+Sums of roots, interpolation and combination volumes are evaluated by
+their Fraction definitions, with roots floored by integer bisection.
+Projections, chords, containment and homotheties are their
 Fraction dot products and point maps; only the projection hands its
 shadow points to the library's hull kernel, which the brute-force hull
 checks on its own.
@@ -121,7 +122,7 @@ def _hyperplane_normal(simplex):
         (-1) ** j * leibniz_det([row[:j] + row[j + 1 :] for row in edges]) for j in range(n)
     ]
     g = math.gcd(*normal)
-    return [a // g for a in normal] if g else None
+    return tuple(a // g for a in normal) if g else None
 
 
 def brute_hull(points):
@@ -158,7 +159,7 @@ def _brute_hull(pts):
             if above and below:
                 break
         else:
-            prim = tuple(-a for a in normal) if not below else tuple(normal)
+            prim = normal if below else tuple(-a for a in normal)
             offsets[prim] = Fraction(max(sum(a * b for a, b in zip(prim, p)) for p in ints), scale)
 
     def on(prim, p):

@@ -69,12 +69,14 @@ def _definitions(tree):
                     yield item, f"{node.name}.{item.name}"
 
 
-def _names_read_in(folders) -> set:
-    """Names the top-level nodes of the modules under ``folders`` read."""
+def _names_read_in(folders, skip=()) -> set:
+    """Names the top-level nodes of the modules under ``folders`` read,
+    leaving out the files in ``skip``."""
     read = set()
     for path in sorted(p for folder in folders for p in folder.rglob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            read |= _top_level_reads(node)
+        if path not in skip:
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                read |= _top_level_reads(node)
     return read
 
 
@@ -106,11 +108,7 @@ def unread_exports() -> list:
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     ]
-    read = set()
-    for path in sorted(p for folder in READERS for p in folder.rglob("*.py")):
-        if path != init:
-            for node in ast.parse(path.read_text(encoding="utf-8")).body:
-                read |= _top_level_reads(node)
+    read = _names_read_in(READERS, skip={init})
     return [name for name in exported if name not in read]
 
 
