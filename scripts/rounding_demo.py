@@ -18,9 +18,8 @@ def main():
     args = parser.parse_args()
 
     schedule = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2)]
-    trace = rounding_iteration(standard_simplex(2), schedule, args.steps)
     print(f"{'step':>4}  {'direction':>12}  {'volume':>8}  {'perimeter^2/(4 pi area)':>24}")
-    for step, w, vol, ratio in trace.rows:
+    for step, w, vol, ratio in rounding_iteration(standard_simplex(2), schedule, args.steps):
         d = "-" if w is None else f"({w[0]},{w[1]})"
         print(f"{step:>4}  {d:>12}  {str(vol):>8}  {ratio:>24.9f}")
 

@@ -243,7 +243,6 @@ def cmd_steiner(args) -> int:
     body = io.load_body(args.body, digests=args.inputs)
     if args.steps:
         schedule = args.schedule or (args.direction,)
-        trace = rounding_iteration(body, schedule, args.steps)
         result = {
             "trace": [
                 {
@@ -252,14 +251,14 @@ def cmd_steiner(args) -> int:
                     "volume": str(vol),
                     "isoperimetric_ratio": f"{ratio:.12f}",
                 }
-                for step, w, vol, ratio in trace.rows
+                for step, w, vol, ratio in rounding_iteration(body, schedule, args.steps)
             ]
         }
     else:
         res = steiner_symmetral(body, args.direction)
         result = {
             "symmetral": io.body_to_json(res.symmetral),
-            "exactness": res.exactness.value,
+            "exactness": "Exact2D" if body.dim == 2 else "Triangulated3D",
             "inner_approximation": res.inner_approximation,
             "volume": str(res.symmetral.volume),
         }
@@ -300,8 +299,9 @@ def cmd_homothety(args) -> int:
     if args.via_projections:
         dirs = default_direction_set(first.dim, seed=2024 if args.seed is None else args.seed)
         report = homothetic_projections_conclude(first, second, dirs)
-        result = {"conclusion": report.conclusion.value}
-        if report.witness is not None:
+        homothetic = report.witness is not None
+        result = {"conclusion": "Homothetic" if homothetic else "NotHomothetic"}
+        if homothetic:
             result["witness"] = _witness_payload(report.witness)
         if report.failing_direction is not None:
             result["failing_direction"] = [str(c) for c in report.failing_direction]

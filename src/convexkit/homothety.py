@@ -11,7 +11,6 @@ be the matching row of L.
 
 from __future__ import annotations
 
-import enum
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -171,15 +170,9 @@ def _normalize_shadows(first: Polytope, second: Polytope, shadow):
     return first_n, second_n, transforms
 
 
-class ProjectionConclusion(enum.Enum):
-    HOMOTHETIC = "Homothetic"
-    NOT_HOMOTHETIC = "NotHomothetic"
-
-
 @dataclass(frozen=True)
 class ProjectionsReport:
-    conclusion: ProjectionConclusion
-    witness: Optional[HomothetyWitness] = None
+    witness: Optional[HomothetyWitness] = None  # set exactly when homothetic
     failing_direction: Optional[tuple] = None
     reason: Optional[str] = None
 
@@ -190,9 +183,9 @@ def homothetic_projections_conclude(
     """Hyperplane-shadow test: homothetic shadows in every listed direction,
     then shadow normalization as the complete certificate.
 
-    Finite direction sampling can only refute; the Homothetic conclusion is
-    earned by normalizing and comparing the bodies exactly, and its witness
-    is verified before being returned.
+    Finite direction sampling can only refute; a witness is earned by
+    normalizing and comparing the bodies exactly, and is verified before
+    being returned.
     """
     n = first.dim
     if n < 3:
@@ -205,38 +198,25 @@ def homothetic_projections_conclude(
         xi = hyperplane_subspace(w)
         decision = detect_homothety(project(first, xi), project(second, xi))
         if not decision.homothetic:
-            return ProjectionsReport(
-                ProjectionConclusion.NOT_HOMOTHETIC,
-                failing_direction=w,
-                reason=decision.reason,
-            )
+            return ProjectionsReport(failing_direction=w, reason=decision.reason)
         if bottom is None and w[-1] > 0 and not any(w[:-1]):
             # Every w on the ray of e_n has the floor's basis e_1..e_(n-1).
             bottom = decision.witness
     first_n, second_n, tf = _normalize_shadows(first, second, bottom)
     if not bodies_equal(first_n, second_n):
-        return ProjectionsReport(
-            ProjectionConclusion.NOT_HOMOTHETIC,
-            reason="normalized-bodies-differ",
-        )
+        return ProjectionsReport(reason="normalized-bodies-differ")
     # K + fs = a L + ss, solved for L.
     ratio = 1 / tf.ratio
     shift = vscale(ratio, vsub(tf.first_shift, tf.second_shift))
     witness = HomothetyWitness(ratio, shift)
     if not _maps_onto(first, second, witness):
         raise InvariantError("projection witness does not map the first body onto the second")
-    return ProjectionsReport(ProjectionConclusion.HOMOTHETIC, witness=witness)
+    return ProjectionsReport(witness=witness)
 
 
 # ---------------------------------------------------------------------------
 # equality-case functional sweep
 # ---------------------------------------------------------------------------
-
-
-class SweepConclusion(enum.Enum):
-    HOMOTHETIC = "Homothetic"
-    NOT_EQUALITY_CASE = "NotEqualityCase"
-    INCONCLUSIVE = "Inconclusive"
 
 
 @dataclass(frozen=True)
@@ -245,14 +225,15 @@ class EqualityCaseTrace:
 
     mixed_pairs rows are (lam, body_index, V_{n-1,1}(K_lam, M), V_{n-1,1}(L, M));
     direction_pairs rows are (lam, w, prism(K_lam, w), prism(L, w)).
-    Refutation is sound on its own; the Homothetic conclusion additionally
-    carries the exact witness (the sweep alone never confirms).
+    A ``refutation`` (the first failed row) is sound on its own and rules
+    out the equality case; with none, the pair is homothetic exactly when
+    ``witness`` is set (the sweep alone never confirms), and inconclusive
+    otherwise.
     """
 
     volumes: tuple
     mixed_pairs: tuple
     direction_pairs: tuple
-    conclusion: SweepConclusion
     witness: Optional[HomothetyWitness] = None
     refutation: Optional[dict] = None
 
@@ -313,19 +294,11 @@ def functional_equality_sweep(
             if pa != pb and refutation is None:
                 refutation = {"kind": "direction", "lambda": lam, "direction": w}
 
-    if refutation is not None:
-        conclusion, witness = SweepConclusion.NOT_EQUALITY_CASE, None
-    else:
-        decision = detect_homothety(first, second)
-        if decision.homothetic:
-            conclusion, witness = SweepConclusion.HOMOTHETIC, decision.witness
-        else:
-            conclusion, witness = SweepConclusion.INCONCLUSIVE, None
+    witness = None if refutation is not None else detect_homothety(first, second).witness
     return EqualityCaseTrace(
         volumes=tuple(volumes),
         mixed_pairs=tuple(mixed_pairs),
         direction_pairs=tuple(direction_pairs),
-        conclusion=conclusion,
         witness=witness,
         refutation=refutation,
     )

@@ -170,15 +170,10 @@ def normalized_check(
 
 
 @dataclass(frozen=True)
-class MidpointCertificate:
-    holds: bool
-
-
-@dataclass(frozen=True)
 class ConcavityProfile:
     samples: tuple  # (t, V_n(K_t)) pairs
     root_renderings: tuple  # fixed-point strings of the n-th roots
-    certificates: tuple  # MidpointCertificate per admissible triple
+    certificates: tuple  # per admissible triple, whether its midpoint sign is >= 0
 
 
 def default_lambda_grid():
@@ -206,7 +201,7 @@ def concavity_profile(
             continue
         terms = [(Fraction(2), f2, n), (Fraction(-1), f1, n), (Fraction(-1), f3, n)]
         sign, _ = signed_root_combination(terms, digits)
-        certs.append(MidpointCertificate(sign >= 0))
+        certs.append(sign >= 0)
     return ConcavityProfile(samples, roots, tuple(certs))
 
 

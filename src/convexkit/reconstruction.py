@@ -167,8 +167,7 @@ def farey_directions():
 
 @dataclass(frozen=True)
 class TranslateDecision:
-    are_translates: bool
-    translation: Optional[tuple]  # second = first + translation, when True
+    translation: Optional[tuple]  # second = first + translation; None unless translates
     witness_direction: Optional[tuple]
     trace: tuple  # (direction, recovered_first, recovered_second) rows
 
@@ -197,13 +196,12 @@ def translates_decision(
         rows.append((w, ha, hb))
         if ha != hb and witness is None:
             witness = w
-    equal = bodies_equal(cn_first.body, cn_second.body)
     translation = None
-    if equal:
+    if bodies_equal(cn_first.body, cn_second.body):
         if witness is not None:
             raise InvariantError("recovered supports disagree on equal bodies")
         translation = tuple(
             a - b
             for a, b in zip(cn_first.applied_translation, cn_second.applied_translation)
         )
-    return TranslateDecision(equal, translation, witness, tuple(rows))
+    return TranslateDecision(translation, witness, tuple(rows))

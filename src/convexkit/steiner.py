@@ -22,7 +22,6 @@ o_num d on the same rows.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,15 +39,9 @@ from .linalg import as_vec, dot, primitive_int_vector, vsub
 from .volumes import combine
 
 
-class SteinerExactness(enum.Enum):
-    EXACT_2D = "Exact2D"
-    TRIANGULATED_3D = "Triangulated3D"
-
-
 @dataclass(frozen=True)
 class SteinerResult:
-    symmetral: Polytope
-    exactness: SteinerExactness
+    symmetral: Polytope  # exact in 2D, the triangulated construction in 3D
     inner_approximation: bool  # False whenever volume was preserved exactly
 
 
@@ -113,41 +106,30 @@ def steiner_symmetral(body: Polytope, w) -> SteinerResult:
             end = (x * common + s * c for x, c in zip(row, lifted_w))
             rows.append(primitive_int_vector((*end, row[-1] * common)))
     symmetral = _hull_with_boundary(rows, body.dim)[0]
-    if body.dim == 2:
-        exactness = SteinerExactness.EXACT_2D
-        if symmetral.volume != body.volume:
-            raise InvariantError("planar symmetral must preserve area")
-        inner = False
-    else:
-        exactness = SteinerExactness.TRIANGULATED_3D
-        if symmetral.volume > body.volume:
-            raise InvariantError("inner approximant exceeded true volume")
-        inner = symmetral.volume < body.volume
-    return SteinerResult(symmetral, exactness, inner)
+    if body.dim == 2 and symmetral.volume != body.volume:
+        raise InvariantError("planar symmetral must preserve area")
+    if symmetral.volume > body.volume:
+        raise InvariantError("inner approximant exceeded true volume")
+    return SteinerResult(symmetral, symmetral.volume < body.volume)
 
 
-@dataclass(frozen=True)
-class ContainmentVerdict:
-    contained: bool
-    witness_vertex: tuple | None  # a vertex of the left body outside the right
-
-
-def _contains(outer: Polytope, inner: Polytope) -> ContainmentVerdict:
-    """Whether inner lies in outer, else the first of inner's vertices
-    outside a facet N.x <= o_num / o_den of outer, tested on the vertex's
-    row (X, d) as N.X o_den > o_num d.  (o_num, o_den) is the facet's
-    stored offset pair, whose o_den is positive; no Fraction is read."""
+def _contains(outer: Polytope, inner: Polytope):
+    """The first of inner's vertices outside a facet N.x <= o_num / o_den
+    of outer, or None when inner lies in outer, tested on the vertex's row
+    (X, d) as N.X o_den > o_num d.  (o_num, o_den) is the facet's stored
+    offset pair, whose o_den is positive; no Fraction is read."""
     bounds = [(f.normal, *f.offset_pair) for f in outer.facets]
     for k, row in enumerate(inner.lifted):
         d = row[-1]
         for normal, o_num, o_den in bounds:
             if sum(map(mul, normal, row)) * o_den > o_num * d:
-                return ContainmentVerdict(False, inner.vertices[k])
-    return ContainmentVerdict(True, None)
+                return inner.vertices[k]
+    return None
 
 
-def superadditivity_check(first: Polytope, second: Polytope, w) -> ContainmentVerdict:
-    """Exact check of st(K) + st(L) inside st(K + L).
+def superadditivity_check(first: Polytope, second: Polytope, w):
+    """Exact check of st(K) + st(L) inside st(K + L): a vertex of the left
+    side outside the right, or None when it is contained.
 
     In 3D both sides are the triangulated constructions, so the verdict
     refers to the computed bodies (exact on boxes and simplices).
@@ -157,11 +139,6 @@ def superadditivity_check(first: Polytope, second: Polytope, w) -> ContainmentVe
     )
     right = steiner_symmetral(combine(1, first, 1, second), w).symmetral
     return _contains(right, left)
-
-
-@dataclass(frozen=True)
-class RoundingTrace:
-    rows: tuple  # (step, direction or None, exact volume, isoperimetric ratio)
 
 
 def _isoperimetric_ratio(body: Polytope) -> float:
@@ -183,8 +160,10 @@ def _isoperimetric_ratio(body: Polytope) -> float:
     return ratio
 
 
-def rounding_iteration(body: Polytope, schedule, steps: int) -> RoundingTrace:
-    """Iterate planar symmetrization through a cyclic direction schedule.
+def rounding_iteration(body: Polytope, schedule, steps: int) -> tuple:
+    """Iterate planar symmetrization through a cyclic direction schedule;
+    one row (step, direction or None, exact volume, isoperimetric ratio)
+    per step, step 0 first.
 
     Only volume constancy is asserted; the isoperimetric ratio column is
     reported so the rounding trend can be inspected, never asserted.
@@ -205,4 +184,4 @@ def rounding_iteration(body: Polytope, schedule, steps: int) -> RoundingTrace:
         if current.volume != body.volume:
             raise InvariantError("symmetrization changed the volume")
         rows.append((step, w, current.volume, _isoperimetric_ratio(current)))
-    return RoundingTrace(tuple(rows))
+    return tuple(rows)

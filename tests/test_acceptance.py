@@ -33,8 +33,6 @@ from convexkit.geometry import (
     vertex_centroid,
 )
 from convexkit.homothety import (
-    ProjectionConclusion,
-    SweepConclusion,
     default_direction_set,
     detect_homothety,
     functional_equality_sweep,
@@ -206,7 +204,7 @@ def test_c06_support_reconstruction():
         body = random_polytope(2, 6, rng)
         moved = translate(body, _random_shift(rng, 2))
         decision = translates_decision(body, moved)
-        assert decision.are_translates
+        assert decision.translation is not None
         got = translate(body, decision.translation)
         assert bodies_equal(got, moved)
     rejected = 0
@@ -216,7 +214,7 @@ def test_c06_support_reconstruction():
         normalized = (corner_normalize(first).body, corner_normalize(second).body)
         if bodies_equal(*normalized):
             continue
-        assert not translates_decision(first, second).are_translates
+        assert translates_decision(first, second).translation is None
         rejected += 1
     _passed("[6] reconstruction identity on 25 polygons; 25 + 25 translate decisions")
 
@@ -233,7 +231,7 @@ def test_c07_projection_pipeline():
         x = _random_shift(rng, 3)
         moved = translate(scale(base, a), x)
         report = homothetic_projections_conclude(base, moved, dirs)
-        assert report.conclusion is ProjectionConclusion.HOMOTHETIC
+        assert report.witness is not None
         assert (report.witness.ratio, report.witness.shift) == (a, x)
     for _ in range(25):
         base = random_polytope(3, 6, rng)
@@ -243,7 +241,7 @@ def test_c07_projection_pipeline():
         pulled = tuple(c + o + F(1, 5) * (1 if o >= 0 else -1) for c, o in zip(v, outward))
         perturbed = convex_hull(list(base.vertices) + [pulled])
         report = homothetic_projections_conclude(base, perturbed, dirs)
-        assert report.conclusion is ProjectionConclusion.NOT_HOMOTHETIC
+        assert report.witness is None
         assert report.failing_direction is not None
     _passed("[7] projection pipeline on 25 homothetic + 25 perturbed 3D pairs")
 
@@ -258,7 +256,7 @@ def test_c08_functional_sweep():
         base = random_polytope(dim, dim + 3, rng)
         moved = translate(base, _random_shift(rng, dim))  # equal volume forces a = 1
         trace = functional_equality_sweep(base, moved, grid)
-        assert trace.conclusion is SweepConclusion.HOMOTHETIC
+        assert trace.refutation is None and trace.witness is not None
         assert all(v == volume(base) for _, v in trace.volumes)
         assert all(x == y for _, _, x, y in trace.mixed_pairs)
     strict_pairs = []
@@ -270,7 +268,7 @@ def test_c08_functional_sweep():
     for first, second in strict_pairs:
         assert minkowski_check(first, second).verdict is Verdict.STRICT
         trace = functional_equality_sweep(first, second, grid)
-        assert trace.conclusion is SweepConclusion.NOT_EQUALITY_CASE
+        assert trace.witness is None
         assert trace.refutation is not None
     _passed("[8] functional sweep on 10 homothetic + 10 strict equal-volume pairs")
 
@@ -291,7 +289,7 @@ def test_c09_steiner():
         first = random_polytope(2, 5, rng)
         second = random_polytope(2, 5, rng)
         w = random_direction(2, rng)
-        assert superadditivity_check(first, second, w).contained
+        assert superadditivity_check(first, second, w) is None
     exact_3d = [unit_cube(), box(2, 1, F(1, 2)), standard_simplex(3)]
     for body in exact_3d:
         for w in [(0, 0, 1), (1, 0, 0), (0, 1, 0)]:

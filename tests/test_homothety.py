@@ -11,8 +11,6 @@ from convexkit.errors import (
 )
 from convexkit.geometry import _homothety, bodies_equal, convex_hull, project, scale, translate
 from convexkit.homothety import (
-    ProjectionConclusion,
-    SweepConclusion,
     default_direction_set,
     detect_homothety,
     functional_equality_sweep,
@@ -103,7 +101,7 @@ def test_normalize_shadow_projections_agree_after(cube):
 def test_conclude_homothetic(cube):
     dirs = default_direction_set(3)
     rep = homothetic_projections_conclude(cube, translate(scale(cube, 3), (2, 0, 1)), dirs)
-    assert rep.conclusion is ProjectionConclusion.HOMOTHETIC
+    assert rep.witness is not None
     assert rep.witness.ratio == 3 and rep.witness.shift == (2, 0, 1)
 
 
@@ -115,7 +113,7 @@ def test_conclude_identity(cube):
 def test_conclude_pulled_vertex(cube):
     pulled = convex_hull(list(cube.vertices) + [(2, 2, 2)])
     rep = homothetic_projections_conclude(cube, pulled, default_direction_set(3))
-    assert rep.conclusion is ProjectionConclusion.NOT_HOMOTHETIC
+    assert rep.witness is None
     assert rep.failing_direction is not None
 
 
@@ -126,7 +124,7 @@ def test_conclude_requires_last_axis(cube):
 
 def test_sweep_translates(square):
     trace = functional_equality_sweep(square, translate(square, (4, 4)), (0, F(1, 2), 1))
-    assert trace.conclusion is SweepConclusion.HOMOTHETIC
+    assert trace.refutation is None and trace.witness is not None
     assert all(v == 1 for _, v in trace.volumes)
     assert all(a == b for _, _, a, b in trace.mixed_pairs)
 
@@ -134,7 +132,7 @@ def test_sweep_translates(square):
 def test_sweep_refutes_rectangle(square):
     flat = box(2, F(1, 2))  # area 1, not a translate of the square
     trace = functional_equality_sweep(square, flat, (0, F(1, 2), 1))
-    assert trace.conclusion is SweepConclusion.NOT_EQUALITY_CASE
+    assert trace.witness is None
     assert trace.refutation is not None
 
 
@@ -188,9 +186,9 @@ def test_base_case_equal_sweep_means_translates(square):
     probes = tuple(convex_hull([(0, 0), (b, 0), (0, a)]) for a, b in normals)
     moved = translate(square, (7, -2))
     trace = functional_equality_sweep(square, moved, (0, F(1, 2), 1), probes)
-    assert trace.conclusion is SweepConclusion.HOMOTHETIC
+    assert trace.refutation is None and trace.witness is not None
     assert trace.witness.ratio == 1
-    assert translates_decision(square, moved).are_translates
+    assert translates_decision(square, moved).translation is not None
 
 
 def test_conclude_decides_bottom_shadow_once(cube, monkeypatch):
@@ -209,7 +207,7 @@ def test_conclude_decides_bottom_shadow_once(cube, monkeypatch):
     dirs = default_direction_set(3)
     assert len(dirs) == 27
     rep = homothetic_projections_conclude(cube, translate(scale(cube, 3), (2, 0, 1)), dirs)
-    assert rep.conclusion is ProjectionConclusion.HOMOTHETIC
+    assert rep.witness is not None
     assert len(calls) == 27
 
 

@@ -184,6 +184,25 @@ def test_no_unread_dataclass_fields():
     assert unread_dataclass_fields() == []
 
 
+def one_field_records() -> list:
+    """Package dataclasses with exactly one field and no methods or
+    properties, as "file:line Class": such a record only wraps its value,
+    which callers can take as it is."""
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and "dataclass" in _decorator_names(node):
+                fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
+                methods = [item for item in node.body if isinstance(item, DEFINITIONS)]
+                if len(fields) == 1 and not methods:
+                    hits.append(f"{path.name}:{node.lineno} {node.name}")
+    return hits
+
+
+def test_no_one_field_records():
+    assert one_field_records() == []
+
+
 def io_importers() -> list:
     """Package modules other than ``cli`` that import ``convexkit.io``, as
     "file:line".  Body files and reports are the CLI's business; the

@@ -212,12 +212,12 @@ def test_reconstruction_identity_on_random_polygons():
 
 def test_translates_decision(square, tri):
     d = translates_decision(square, translate(square, (10, -3)))
-    assert d.are_translates and d.translation == (10, -3)
+    assert d.translation == (10, -3)
     flat_diamond = convex_hull([(1, 0), (-1, 0), (0, F(1, 2)), (0, -F(1, 2))])
     d2 = translates_decision(square, flat_diamond)  # both have area 1
-    assert not d2.are_translates and d2.witness_direction is not None
+    assert d2.translation is None and d2.witness_direction is not None
     d3 = translates_decision(tri, scale(tri, 2))
-    assert not d3.are_translates
+    assert d3.translation is None
 
 
 def _differential_directions(rng):
