@@ -8,15 +8,17 @@ does the same for the other tree, so both run side by side in one
 process, each on its own code.  Each tree is warmed with two passes.
 Every round then times one whole pass on each tree, and the tree that
 goes first alternates from round to round, so a slow spell of a shared
-host lands on both sides.  Every workload is built from seed 3.  A task
-that fails ends the script with exit 1.
+host lands on both sides.  Both trees build the workload from one seed,
+``--seed`` (default 3); workload inputs such as ``round-bodies``' disc
+sizes move with it.  A task that fails ends the script with exit 1.
 
-It prints each tree's median pass time, the speedup of NEW over OLD (the
-ratio of the medians, minus 1) and the number of rounds NEW won.  It reads
-``perfbench/`` and writes only body files under a temporary directory.
+It prints the workload, the seed and the round count, then each tree's
+median pass time, the speedup of NEW over OLD (the ratio of the medians,
+minus 1) and the number of rounds NEW won.  It reads ``perfbench/`` and
+writes only body files under a temporary directory.
 For the benchmark's own end-to-end figures run ``perfbench/run.py``.
 
-Usage: python3 scripts/ab_passes.py OLD NEW --workload W [--rounds N]
+Usage: python3 scripts/ab_passes.py OLD NEW --workload W [--rounds N] [--seed S]
 """
 
 import argparse
@@ -27,7 +29,6 @@ import time
 from pathlib import Path
 
 WARM_PASSES = 2
-SEED = 3
 TREE_MODULES = ("convexkit", "workloads", "tracer", "hostspeed")
 
 
@@ -61,14 +62,15 @@ def main(argv=None) -> int:
     p.add_argument("new", type=Path, help="the tree under test")
     p.add_argument("--workload", required=True, help="a workload name from perfbench/workloads.py")
     p.add_argument("--rounds", type=int, default=20)
+    p.add_argument("--seed", type=int, default=3, help="the workload seed for both trees")
     args = p.parse_args(argv)
     if args.rounds < 1:
         p.error("--rounds must be at least 1")
 
     with tempfile.TemporaryDirectory() as old_dir, tempfile.TemporaryDirectory() as new_dir:
         trees = [
-            load_workload(args.old.resolve(), args.workload, SEED, old_dir),
-            load_workload(args.new.resolve(), args.workload, SEED, new_dir),
+            load_workload(args.old.resolve(), args.workload, args.seed, old_dir),
+            load_workload(args.new.resolve(), args.workload, args.seed, new_dir),
         ]
         for workload in trees:
             for _ in range(WARM_PASSES):
@@ -80,7 +82,7 @@ def main(argv=None) -> int:
 
     old_s, new_s = map(statistics.median, times)
     won = sum(new < old for old, new in zip(*times))
-    print(f"workload {args.workload}, seed {SEED}, {args.rounds} rounds")
+    print(f"workload {args.workload}, seed {args.seed}, {args.rounds} rounds")
     print(f"OLD {args.old}: median pass {1000 * old_s:.1f} ms")
     print(f"NEW {args.new}: median pass {1000 * new_s:.1f} ms")
     print(f"speedup {100 * (old_s / new_s - 1):+.1f}%, NEW ahead in {won} of {args.rounds} rounds")

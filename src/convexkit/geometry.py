@@ -8,11 +8,13 @@ Conventions used throughout the package:
 * facet normals are outward primitive integer vectors, stored as ints
   (never normalized: unit normals of rational facets are irrational in
   general);
-* ``Facet.pseudo_volume`` is the facet's (n-1)-volume multiplied by the
-  euclidean length of the stored normal.  This product is always rational,
+* a facet's weight is its (n-1)-volume divided by the euclidean length of
+  the stored normal, and ``Facet.pseudo_volume`` is its (n-1)-volume times
+  that length, the weight times |normal|^2.  Both are always rational,
   which is what keeps every downstream volume formula exact.  A facet
-  stores it and its offset as the integer pairs (num, den) the hull forms
-  them from, unreduced, and builds each ``Fraction`` on first read;
+  stores its weight and its offset as the integer pairs (num, den) the
+  hull forms them from, unreduced, and builds each ``Fraction`` on first
+  read, ``pseudo_volume`` from the weight pair;
 * hull predicates run on lifted rows: a point p becomes the integer row
   (X_1, ..., X_n, d) with X / d == p and d the lcm of p's own
   denominators.  Determinants of such rows are the affine ones times the
@@ -110,14 +112,15 @@ class Facet:
     normal:      outward primitive integer normal, a tuple of ints
     offset_pair: integers (num, den), den > 0, with num / den = h_P(normal);
                  every vertex v satisfies v.normal <= offset
-    pseudo_pair: integers (num, den), den > 0, with num / den the
-                 (n-1)-volume of the facet times |normal|
+    weight_pair: integers (num, den), den > 0, with num / den the
+                 (n-1)-volume of the facet divided by |normal|
 
     The pairs are kept as the hull and ``_homothety`` form them, unreduced,
     so the hot readers (``mixed_volume_base_height``, the Steiner chords and
-    containment) take them as they are.  ``offset`` and ``pseudo_volume``
-    are their ``Fraction``s, built on first read, and equality compares the
-    values, not the pairs.
+    containment) take them as they are.  ``offset`` is the offset pair's
+    ``Fraction`` and ``pseudo_volume``, the (n-1)-volume times |normal|, is
+    the weight times |normal|^2; both are built on first read, and equality
+    compares the values, not the pairs.
 
     The hull builds each facet's orientation and normal with the facet: in
     2D off the counterclockwise chain, in 3D and 4D off simplices that are
@@ -127,7 +130,7 @@ class Facet:
 
     normal: tuple
     offset_pair: tuple
-    pseudo_pair: tuple
+    weight_pair: tuple
 
     @cached_property
     def offset(self) -> Fraction:
@@ -135,13 +138,13 @@ class Facet:
 
     @cached_property
     def pseudo_volume(self) -> Fraction:
-        return Fraction(*self.pseudo_pair)
+        return Fraction(*self.weight_pair) * self.normal_sq()
 
     def __eq__(self, other):
         if not isinstance(other, Facet):
             return NotImplemented
         (a, b), (c, d) = self.offset_pair, other.offset_pair
-        (e, f), (g, h) = self.pseudo_pair, other.pseudo_pair
+        (e, f), (g, h) = self.weight_pair, other.weight_pair
         return self.normal == other.normal and a * d == c * b and e * h == g * f
 
     def __hash__(self):
@@ -397,8 +400,8 @@ def _build_polygon(rows):
     rows (x_a, y_a, d_a) and (x_b, y_b, d_b) the edge vector scaled by
     d_a d_b is the integer e = (x_b d_a - x_a d_b, y_b d_a - y_a d_b); with
     g = gcd(e) the outward primitive normal is u = (e_y, -e_x) / g, the
-    edge's length is g |u| / (d_a d_b), so its pseudo-volume is
-    g |u|^2 / (d_a d_b), and the cone over it from the origin has signed area
+    edge's length is g |u| / (d_a d_b), so its weight is g / (d_a d_b),
+    and the cone over it from the origin has signed area
     (x_a y_b - x_b y_a) / (2 d_a d_b).  The boundary simplices are the
     edges (b, a), whose cross normal is outward.
     """
@@ -410,8 +413,7 @@ def _build_polygon(rows):
         ex, ey = xb * da - xa * db, yb * da - ya * db
         g = gcd(ex, ey)
         u = (ey // g, -ex // g)
-        pseudo = (g * (u[0] * u[0] + u[1] * u[1]), da * db)
-        facets.append(Facet(u, (u[0] * xa + u[1] * ya, da), pseudo))
+        facets.append(Facet(u, (u[0] * xa + u[1] * ya, da), (g, da * db)))
         cones.append((xa * yb - xb * ya, da * db))
         edges.append((b, a))
     facets.sort(key=lambda f: f.normal)
@@ -432,7 +434,7 @@ def _build_full_dimensional(rows, n, base):
     tuples into the rows; ``base`` indexes n+1 affinely independent ones.
     Coplanar simplices merge into a facet keyed by their primitive normal;
     the one gcd that makes a simplex's normal primitive is also the
-    numerator of its share of the facet's pseudo-volume."""
+    numerator of its share of the facet's weight."""
     if n == 2:
         return _build_polygon(rows)
     # A sum of rows stands for the average of its points weighted by their
@@ -442,15 +444,15 @@ def _build_full_dimensional(rows, n, base):
 
     # Merge coplanar simplices into maximal facets, keyed by the primitive
     # outward normal (unique per facet of a convex body).  For a simplex
-    # whose row weights multiply to s, c = h[:n] / s is the outward cross
+    # whose rows' d's multiply to s, c = h[:n] / s is the outward cross
     # product of its edges and c.v = -h[n] / s at each of its vertices v.
     # With g = gcd(h[:n]) > 0 and h[:n] = g prim, lam = g / s ties the stored
     # primitive normal back to true areas, (n-1)-volume of the simplex =
     # lam * |prim| / (n-1)!, which makes the simplex's share of the facet's
-    # pseudo-volume lam * |prim|^2 / (n-1)!.  The cone over the simplex from
-    # the origin has signed volume -h[n] / (s * n!).  Both sums are integer
-    # pairs from ``tree_sum``; the facet keeps its pair, and the volume is
-    # the one Fraction built here.
+    # weight, (n-1)-volume / |prim|, lam / (n-1)!.  The cone over the
+    # simplex from the origin has signed volume -h[n] / (s * n!).  Both sums
+    # are integer pairs from ``tree_sum``; the facet keeps its weight pair,
+    # and the volume is the one Fraction built here.
     merged = {}
     cones = []
     for verts, h in simplices:
@@ -479,8 +481,8 @@ def _build_full_dimensional(rows, n, base):
         pieces, members = merged[prim]
         row = rows[next(iter(members))]
         lam_n, lam_d = tree_sum(pieces)
-        pseudo = (lam_n * sum(c * c for c in prim), lam_d * factorial(n - 1))
-        facets.append(Facet(prim, (sum(map(mul, prim, row)), row[n]), pseudo))
+        weight = (lam_n, lam_d * factorial(n - 1))
+        facets.append(Facet(prim, (sum(map(mul, prim, row)), row[n]), weight))
     body = Polytope(
         dim=n,
         lifted=tuple(rows[i] for i in extreme),
@@ -698,12 +700,12 @@ def _image_rows(rows, a, x) -> tuple:
 
 def _homothety(body: Polytope, a, x) -> Polytope:
     """a K + x for a > 0 in one pass: rows by ``_image_rows``, each facet
-    (u, h, pv) to (u, a h + u.x, a^(n-1) pv), as h_(aK+x)(u) = a h_K(u) + u.x,
+    (u, h, w) to (u, a h + u.x, a^(n-1) w), as h_(aK+x)(u) = a h_K(u) + u.x,
     and the volume times a^n.  Every homothety of a body runs through here.
 
     The facets map in integers: with a = p / q and x = W / e, the pairs
-    h = (h_n, h_d) and pv = (pv_n, pv_d) become
-    (p h_n e + (u.W) q h_d, q h_d e) and (pv_n p^(n-1), pv_d q^(n-1))."""
+    h = (h_n, h_d) and w = (w_n, w_d) become
+    (p h_n e + (u.W) q h_d, q h_d e) and (w_n p^(n-1), w_d q^(n-1))."""
     a, x = as_scalar(a), as_vec(x)
     if a <= 0:
         raise ValueError("scale factor must be positive")
@@ -715,9 +717,9 @@ def _homothety(body: Polytope, a, x) -> Polytope:
     grow_n, grow_d = p ** (n - 1), q ** (n - 1)
     facets = []
     for f in body.facets:
-        (h_n, h_d), (pv_n, pv_d) = f.offset_pair, f.pseudo_pair
+        (h_n, h_d), (w_n, w_d) = f.offset_pair, f.weight_pair
         offset = (p * h_n * e + sum(map(mul, f.normal, shift)) * q * h_d, q * h_d * e)
-        facets.append(Facet(f.normal, offset, (pv_n * grow_n, pv_d * grow_d)))
+        facets.append(Facet(f.normal, offset, (w_n * grow_n, w_d * grow_d)))
     return Polytope(
         dim=n,
         lifted=_image_rows(body.lifted, a, x),

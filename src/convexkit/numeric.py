@@ -7,6 +7,7 @@ computed with integer arithmetic (floor semantics), so renderings are
 deterministic across platforms: a sum of roots is one integer over the
 common denominator of its coefficients times 10**p, built into one
 Fraction at the end, and the sign bracket around it compares integers.
+Every routine here refuses a negative digit count with a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,15 @@ _GUARD = 10  # extra digits carried through intermediate roots
 MAX_SIGN_DIGITS = 10_000
 
 
+def _check_digits(digits: int) -> None:
+    """Every routine here takes a digit count of at least 0."""
+    if digits < 0:
+        raise ValueError(f"digit count must be nonnegative, got {digits}")
+
+
 def format_fixed(q: Fraction, digits: int = DEFAULT_DIGITS) -> str:
     """Render a rational in fixed-point notation, truncated toward zero."""
+    _check_digits(digits)
     sign = "-" if q < 0 else ""
     q = abs(q)
     scaled = (q.numerator * 10**digits) // q.denominator
@@ -40,6 +48,7 @@ def _floored_root(q, n: int, p: int) -> int:
 
 def nth_root_fraction(q: Fraction, n: int, digits: int = DEFAULT_DIGITS) -> Fraction:
     """Rational lower approximation of q**(1/n), within 10**-digits."""
+    _check_digits(digits)
     return Fraction(_floored_root(q, n, digits), 10**digits)
 
 
@@ -54,6 +63,7 @@ def root_combination(
     denominator D of the coefficients times its floored root, and returned
     as the one Fraction (that sum) / (D * 10**p).
     """
+    _check_digits(digits)
     p = digits + _GUARD
     common, numerators = over_common_denominator([c for c, _, _ in terms])
     total = sum(a * _floored_root(q, n, p) for a, (_, q, n) in zip(numerators, terms))
@@ -97,6 +107,7 @@ def signed_root_combination(
     ``root_combination`` divides, and the bracket's ends add to it the
     integer sums of the negative and of the positive coefficients times D.
     """
+    _check_digits(digits)
     common, numerators = over_common_denominator([c for c, _, _ in terms])
     below = sum(a for a in numerators if a < 0)
     above = sum(a for a in numerators if a > 0)

@@ -7,7 +7,8 @@ computed by two independent routes that must agree exactly:
   evaluate it at integer nodes, interpolate exactly, and read off the
   linear coefficient (which equals n V_{n-1,1}(K, L));
 * base-height: (1/n) sum over facets of P of h_K(u) V_{n-1}(P^u), carried
-  out in the pseudo-volume convention so every summand is rational.
+  out on the primitive normals and the facets' weights V_{n-1}(P^u) / |u|,
+  so every summand is rational.
 
 By Minkowski's theorem on mixed volumes the same polynomial gives every
 combination volume, V((1-lam)K + lam L) = sum_i c_i lam^i (1-lam)^(n-i)
@@ -312,14 +313,14 @@ def mixed_volume_interp(first: Polytope, second: Polytope) -> Fraction:
 def mixed_volume_base_height(first: Polytope, second: Polytope) -> Fraction:
     """V_{n-1,1}(P, K) = (1/n) sum h_K(u) V_{n-1}(P^u) over facet normals of P.
 
-    With pseudo_volume = V_{n-1}(facet) |normal| and h_K evaluated on the
-    unnormalized normal, each summand h_K(normal) pseudo / |normal|^2 equals
-    the unit-normal summand exactly and stays rational.  Each facet's
+    With the facet's weight V_{n-1}(facet) / |normal| and h_K evaluated on
+    the unnormalized normal, each summand h_K(normal) weight equals the
+    unit-normal summand exactly and stays rational.  Each facet's
     primitive integer normal goes straight to the integer core of
     ``support``, which reads h_K = X.W / d off K's integer rows with no
-    re-lift and no direction check, and its pseudo-volume is read as the
-    facet's integer pair, so each summand is an integer pair built from
-    integers alone; the summands, whose denominators are unrelated (a
+    re-lift and no direction check, and its weight is read as the facet's
+    integer pair, so each summand is the product of two integer pairs, with
+    no |normal|^2 in it; the summands, whose denominators are unrelated (a
     400-gon has 400), are added by ``tree_sum``, and 1/n is folded into
     the one Fraction built from the sum.
     """
@@ -329,8 +330,8 @@ def mixed_volume_base_height(first: Polytope, second: Polytope) -> Fraction:
     terms = []
     for f in first.facets:
         h, d = _integer_support(second.lifted, f.normal)
-        pv_n, pv_d = f.pseudo_pair
-        terms.append((h * pv_n, d * pv_d * sum(c * c for c in f.normal)))
+        w_n, w_d = f.weight_pair
+        terms.append((h * w_n, d * w_d))
     num, den = tree_sum(terms)
     return Fraction(num, den * first.dim)
 

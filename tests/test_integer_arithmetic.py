@@ -12,7 +12,9 @@ steps start from a float seed, must give the floor root that bisection
 approximation must give what ``Fraction.limit_denominator`` gives.
 Each routine that takes lam checks it once per call, and
 ``VolumePolynomial`` names its integer contract when given other types,
-with and without ``python -O``.
+with and without ``python -O``.  Each rendering and sign routine refuses a
+negative digit count, the sign loop included, which once doubled p = 0
+forever.
 """
 
 import math
@@ -30,8 +32,18 @@ from convexkit.errors import InvariantError, LambdaRangeError
 from convexkit.geometry import scale, translate
 from convexkit.inequalities import bm_check, concavity_profile, default_lambda_grid
 from convexkit.linalg import integer_nth_root
-from convexkit.numeric import root_combination, signed_root_combination
-from convexkit.volumes import VolumePolynomial, minkowski_interpolate, volume_polynomial
+from convexkit.numeric import (
+    format_fixed,
+    nth_root_fraction,
+    root_combination,
+    signed_root_combination,
+)
+from convexkit.volumes import (
+    VolumePolynomial,
+    minkowski_interpolate,
+    surface_area,
+    volume_polynomial,
+)
 
 from oracles import (
     floor_root,
@@ -121,6 +133,52 @@ def test_sign_undecided_past_the_cap(monkeypatch):
     assert fraction_signed_root_sum(near, 2, 100) is None
     with pytest.raises(InvariantError):
         signed_root_combination(near, 2)
+
+
+NEGATIVE_DIGITS_BM = """
+import sys
+from fractions import Fraction
+
+sys.path.insert(0, sys.argv[1])
+from convexkit.bodies import box, unit_square
+from convexkit.inequalities import bm_check
+
+try:
+    bm_check(unit_square(), box(3, 1), Fraction(1, 2), digits=-10)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_negative_digit_count_is_refused():
+    terms = [(F(1), F(2), 2), (F(-1), F(3, 2), 2)]
+    perimeter = surface_area(scale(unit_square(), 2))
+    calls = [
+        lambda d: format_fixed(F(1, 3), d),
+        lambda d: nth_root_fraction(F(2), 3, d),
+        lambda d: root_combination(terms, d),
+        lambda d: signed_root_combination(terms, d),
+        lambda d: perimeter.numeric(d),
+        lambda d: bm_check(unit_square(), box(3, 1), F(1, 2), digits=d),
+    ]
+    for call in calls:
+        for digits in (-1, -3):
+            with pytest.raises(ValueError, match=f"^digit count must be nonnegative, got {digits}$"):
+                call(digits)
+    # Zero digits is legal and renders no decimal point.
+    assert (format_fixed(F(7, 3), 0), format_fixed(F(-7, 3), 0)) == ("2", "-2")
+    assert nth_root_fraction(F(10), 2, 0) == 3
+    assert signed_root_combination(terms, 0)[0] == 1
+    assert perimeter.numeric(0) == "8"
+    # The sign loop once doubled p = 0 forever on this call.
+    proc = subprocess.run(
+        [sys.executable, "-c", NEGATIVE_DIGITS_BM, str(Path(volumes.__file__).parent.parent)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "digit count must be nonnegative, got -10\n"
 
 
 def test_interpolation_matches_fraction_elimination():

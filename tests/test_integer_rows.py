@@ -3,9 +3,11 @@
 ``support``, ``support_set``, every facet's offset and ``normal_sq``, and
 ``mixed_volume_base_height`` are checked against their ``Fraction``
 definitions: the max of the dot products, the hull of the vertices that
-attain it, and the running sum over facets.  Facet pseudo-volumes must
-satisfy Minkowski's relation and give the body's volume by the pyramid
-formula.  Inputs mix small rationals,
+attain it, and the running sum over facets.  Facet weights must satisfy
+Minkowski's relation and give the body's volume by the pyramid formula,
+and each pseudo-volume must be its weight times |normal|^2.  The same
+checks run on homothety images by ratios p / q with q > 1, and on the disc
+polygon against the unit square in both orders.  Inputs mix small rationals,
 coordinates with 300-bit denominators (rational points on the unit circle
 and sphere among them), flat bodies and single points, bodies from
 ``translate``, ``scale`` and ``combine``, and directions with
@@ -25,7 +27,8 @@ a v + x: its rows, facets, volume and affine dimension.  On a seeded 2D-4D
 corpus, 61-bit prime denominators, flat bodies and homothety images among
 it, every facet's offset and pseudo-volume must be the brute-force
 oracle's, as ``Fraction``s, and facets must compare equal after a homothety
-and its inverse.  The disc polygon's rows must be those of its
+and its inverse, and after a body file round trip, and hash alike, though
+their unreduced pairs differ.  The disc polygon's rows must be those of its
 ``limit_denominator`` recipe for m = 1..200.  On the same corpus
 ``reflect_through_hyperplane`` must give the hull of the ``Fraction``
 mirror points v - 2 (v.w / w.w) w.
@@ -53,7 +56,7 @@ from oracles import (
 from test_hull_oracle import BIG_PRIMES
 
 from convexkit import homothety, io, volumes
-from convexkit.bodies import disc_polygon
+from convexkit.bodies import disc_polygon, unit_square
 from convexkit.errors import DimensionMismatchError
 from convexkit.geometry import (
     Subspace,
@@ -178,25 +181,58 @@ def test_support_and_support_set_match_fraction_definitions(case):
     assert face.affine_dim == expected.affine_dim and face.volume == expected.volume
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(2, 4).flatmap(lambda n: st.tuples(bodies(n), bodies(n))))
-def test_facets_and_base_height_match_fraction_definitions(pair):
-    first, second = pair
+def assert_fraction_definitions(first, second):
+    """``first``'s facets and ``mixed_volume_base_height(first, second)``
+    against their ``Fraction`` definitions."""
     for f in first.facets:
         assert type(f.offset) is F and all(type(c) is int for c in f.normal)
         assert f.offset == fraction_support(first, f.normal)
         nsq = f.normal_sq()
         assert type(nsq) is F and nsq == dot(f.normal, f.normal)
     if first.is_full_dimensional:
-        # With V(F) u_F = pseudo * normal / |normal|^2: Minkowski's relation
+        # With V(F) u_F = weight * normal: Minkowski's relation
         # sum V(F) u_F = 0, and the pyramid formula V = (1/n) sum h(u_F) V(F).
-        weights = [f.pseudo_volume / f.normal_sq() for f in first.facets]
-        assert all(f.pseudo_volume > 0 for f in first.facets)
+        weights = [F(*f.weight_pair) for f in first.facets]
+        assert all(wt > 0 for wt in weights)
+        assert [f.pseudo_volume for f in first.facets] == [
+            wt * f.normal_sq() for wt, f in zip(weights, first.facets)
+        ]
         for k in range(first.dim):
             assert sum(wt * f.normal[k] for wt, f in zip(weights, first.facets)) == 0
         assert sum(wt * f.offset for wt, f in zip(weights, first.facets)) / first.dim == first.volume
         mixed = mixed_volume_base_height(first, second)
         assert type(mixed) is F and mixed == fraction_base_height(first, second)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(bodies(n), bodies(n))))
+def test_facets_and_base_height_match_fraction_definitions(pair):
+    assert_fraction_definitions(*pair)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(bodies(n), bodies(n))), st.data())
+def test_fraction_definitions_hold_on_homothety_images(pair, data):
+    # a = p / q with q > 1 grows a facet's weight pair by (p^(n-1), q^(n-1)),
+    # unreduced, and a shift over the 61-bit prime grows its offset pair.
+    body, other = pair
+    n = body.dim
+    q = data.draw(st.integers(2, 9))
+    p = data.draw(st.integers(1, 40).filter(lambda p: math.gcd(p, q) == 1))
+    x = data.draw(st.tuples(*[entries] * n))
+    for image in (scale(body, F(p, q)), translate(scale(body, F(p, q)), x)):
+        assert_fraction_definitions(image, other)
+        assert_fraction_definitions(other, image)
+        assert_fraction_definitions(image, body)
+
+
+@pytest.mark.parametrize("m", [1, 3, 25, 100])
+def test_fraction_definitions_hold_for_discs_and_the_square(m):
+    # The disc's 4m edge normals have unrelated |normal|^2, so its weight
+    # and pseudo-volume pairs differ by a different factor on each edge.
+    disc, square = disc_polygon(m), unit_square()
+    assert_fraction_definitions(disc, square)
+    assert_fraction_definitions(square, disc)
 
 
 @settings(max_examples=60, deadline=None)
@@ -617,14 +653,33 @@ def test_facet_values_match_the_brute_force_oracle():
     assert flat >= 9
 
 
-def test_facets_survive_a_homothety_and_its_inverse():
-    # Facet equality is by value, however a homothety leaves its numbers.
+def test_facets_survive_a_homothety_and_its_inverse(tmp_path):
+    # Facet equality and hash are by value, however a homothety or a body
+    # file leaves the unreduced pairs: scale(scale(B, 3), 1/3) carries pairs
+    # 3^(n-1) times B's, and reloading it hulls its points afresh.
+    path = tmp_path / "body.json"
+    full = reloaded_apart = 0
     for body, _ in facet_corpus():
         n = body.dim
         x = tuple(F(k + 1, PRIME) for k in range(n))
         assert scale(scale(body, 2), F(1, 2)).facets == body.facets
         assert scale(scale(body, F(PRIME, 3)), F(3, PRIME)).facets == body.facets
         assert translate(translate(body, x), tuple(-c for c in x)).facets == body.facets
+        if not body.is_full_dimensional:
+            continue
+        rescaled = scale(scale(body, 3), F(1, 3))
+        path.write_text(io.dumps_body(rescaled))
+        reloaded = io.load_body(path)
+        for f, g in zip(body.facets, rescaled.facets, strict=True):
+            assert (f.weight_pair, f.offset_pair) != (g.weight_pair, g.offset_pair)
+        for image in (rescaled, reloaded):
+            assert image.facets == body.facets
+            assert [hash(f) for f in image.facets] == [hash(f) for f in body.facets]
+        full += 1
+        reloaded_apart += any(
+            f.weight_pair != g.weight_pair for f, g in zip(reloaded.facets, rescaled.facets)
+        )
+    assert full >= 60 and reloaded_apart >= full - 3
 
 
 def test_reflection_matches_the_hull_of_the_fraction_mirrors():

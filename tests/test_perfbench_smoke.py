@@ -3,8 +3,8 @@
 ``perfbench/smoke.py`` runs every workload at a tiny size, untraced and
 traced; it fails when the program stops calling a name the tracer wraps or
 a per-layer metric reads 0.  ``scripts/ab_passes.py`` runs one A/A round of
-this tree against itself on ``sweep-3d`` and on ``cli-mix``, and refuses
-zero rounds.
+this tree against itself on ``sweep-3d`` and on ``cli-mix`` at the default
+seed, and on ``round-bodies`` at another, and refuses zero rounds.
 """
 
 import re
@@ -52,6 +52,19 @@ def test_ab_passes_on_cli_mix():
     assert lines[0] == "workload cli-mix, seed 3, 1 rounds"
     assert re.fullmatch(rf"OLD {re.escape(str(ROOT))}: median pass \d+\.\d ms", lines[1])
     assert re.fullmatch(rf"NEW {re.escape(str(ROOT))}: median pass \d+\.\d ms", lines[2])
+    assert re.fullmatch(r"speedup [+-]\d+\.\d%, NEW ahead in [01] of 1 rounds", lines[3])
+
+
+def test_ab_passes_takes_a_seed():
+    # round-bodies' disc sizes move with the seed, which the first line names.
+    argv = ["scripts/ab_passes.py", ".", ".", "--workload", "round-bodies", "--rounds", "1"]
+    proc = subprocess.run(
+        [sys.executable, *argv, "--seed", "5"], cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4
+    assert lines[0] == "workload round-bodies, seed 5, 1 rounds"
     assert re.fullmatch(r"speedup [+-]\d+\.\d%, NEW ahead in [01] of 1 rounds", lines[3])
 
 
