@@ -30,8 +30,9 @@ class NegativeCoefficientError(GeometryError):
     """Minkowski combination coefficients must be nonnegative."""
 
 
-class LowerDimensionalError(GeometryError):
-    """Operation requires a full-dimensional polytope."""
+class LowerDimensionalError(DimensionError):
+    """Operation requires a full-dimensional polytope; raised only by
+    ``geometry._check_full_dimensional``."""
 
 
 class LambdaRangeError(GeometryError):

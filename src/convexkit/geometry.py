@@ -84,6 +84,7 @@ from .errors import (
     DegenerateBasisError,
     DimensionError,
     DimensionMismatchError,
+    LowerDimensionalError,
     ZeroDirectionError,
 )
 from .linalg import (
@@ -536,6 +537,13 @@ def _check_pair_dim(first, second):
     ambient dimension: the one check of every routine that takes a pair."""
     if first.dim != second.dim:
         raise DimensionMismatchError("bodies live in different dimensions")
+
+
+def _check_full_dimensional(*bodies):
+    """Raise ``LowerDimensionalError`` unless every body is full-dimensional:
+    the one check of every routine that needs volume-bearing bodies."""
+    if not all(body.is_full_dimensional for body in bodies):
+        raise LowerDimensionalError("bodies must be full-dimensional")
 
 
 def _hull_with_boundary(rows, n):

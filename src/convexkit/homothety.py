@@ -6,7 +6,9 @@ of the volume ratio (rational whenever a homothety exists, since a is a
 difference quotient of rational support values), x is forced by vertex
 centroids, and the candidate is confirmed by comparing integer rows: each
 of K's lifted rows, mapped by v -> a v + x (``geometry._image_rows``), must
-be the matching row of L.
+be the matching row of L.  That row map is the one certificate: the
+projection pipeline builds its candidate from the shadows and confirms it
+the same way.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ from .errors import (
     DimensionError,
     InvariantError,
     LambdaRangeError,
-    LowerDimensionalError,
     NotHomotheticProjectionError,
     VolumeMismatchError,
 )
 from .geometry import (
     Polytope,
+    _check_full_dimensional,
     _check_pair_dim,
     _homothety,
     _image_rows,
@@ -84,8 +86,7 @@ def detect_homothety(first: Polytope, second: Polytope) -> HomothetyDecision:
     transformed body built.
     """
     _check_pair_dim(first, second)
-    if not (first.is_full_dimensional and second.is_full_dimensional):
-        raise LowerDimensionalError("homothety detection needs full-dimensional bodies")
+    _check_full_dimensional(first, second)
     ratio = rational_nth_root(second.volume / first.volume, first.dim)
     if ratio is None:
         return HomothetyDecision(None, reason="volume-ratio-not-rational-power")
@@ -118,56 +119,37 @@ def default_direction_set(dim: int, seed: int = 2024):
     return tuple(dirs)
 
 
-@dataclass(frozen=True)
-class ShadowTransforms:
-    """Exact record of the normalization: K' = K + first_shift,
-    L' = ratio * L + second_shift."""
-
-    first_shift: tuple
-    ratio: Fraction
-    second_shift: tuple
-
-
 def normalize_shadows(first: Polytope, second: Polytope):
     """Translate K and scale-translate L so both rest on the upper halfspace
     of the last axis and share the same bottom shadow.
 
-    Requires n >= 3 and homothetic shadows onto the last coordinate
-    hyperplane (their scale pins the dilation).  Returns (K', L', transforms).
+    Requires n >= 3, full-dimensional bodies and homothetic shadows onto
+    the last coordinate hyperplane (their scale pins the dilation).
+    Returns (K', L', a) with K' = K + h_K(-e_n) e_n and L' = a L + y for
+    the shift y that sets L' on the same floor.
     """
-    floor = hyperplane_subspace(unit_vector(first.dim, first.dim - 1))
+    n = first.dim
+    if n < 3:
+        raise DimensionError("shadow normalization needs ambient dimension >= 3")
+    _check_full_dimensional(first, second)
+    floor = hyperplane_subspace(unit_vector(n, n - 1))
     decision = detect_homothety(project(first, floor), project(second, floor))
     if not decision.homothetic:
         raise NotHomotheticProjectionError(
             f"bottom shadows are not homothetic ({decision.reason})"
         )
-    return _normalize_shadows(first, second, decision.witness)
-
-
-def _normalize_shadows(first: Polytope, second: Polytope, shadow):
-    """``normalize_shadows`` given the bottom shadows' homothety
-    (L_shadow = ratio * K_shadow + shift)."""
-    n = first.dim
-    if n < 3:
-        raise DimensionError("shadow normalization needs ambient dimension >= 3")
-    if not (first.is_full_dimensional and second.is_full_dimensional):
-        raise LowerDimensionalError("shadow normalization needs full-dimensional bodies")
-    floor = hyperplane_subspace(unit_vector(n, n - 1))
     # Its inverse carries L's shadow onto K's: K_shadow = a L_shadow + v.
-    a = 1 / shadow.ratio
+    a = 1 / decision.witness.ratio
     # The floor basis is e_1..e_(n-1), so chart coordinates embed directly.
-    v_embedded = vscale(-a, shadow.shift) + (Fraction(0),)
+    v_embedded = vscale(-a, decision.witness.shift) + (Fraction(0),)
     # Both rest on x_n = 0 after their shifts; h_(aL+v)(-e_n) = a h_L(-e_n).
     e_last = unit_vector(n, n - 1)
     down = vneg(e_last)
-    first_shift = vscale(support(first, down), e_last)
-    second_shift = vadd(v_embedded, vscale(a * support(second, down), e_last))
-    first_n = translate(first, first_shift)
-    second_n = _homothety(second, a, second_shift)
+    first_n = translate(first, vscale(support(first, down), e_last))
+    second_n = _homothety(second, a, vadd(v_embedded, vscale(a * support(second, down), e_last)))
     if not bodies_equal(project(first_n, floor), project(second_n, floor)):
         raise InvariantError("normalized bottom shadows differ")
-    transforms = ShadowTransforms(first_shift=first_shift, ratio=a, second_shift=second_shift)
-    return first_n, second_n, transforms
+    return first_n, second_n, a
 
 
 @dataclass(frozen=True)
@@ -181,11 +163,13 @@ def homothetic_projections_conclude(
     first: Polytope, second: Polytope, directions
 ) -> ProjectionsReport:
     """Hyperplane-shadow test: homothetic shadows in every listed direction,
-    then shadow normalization as the complete certificate.
+    then one certificate.
 
-    Finite direction sampling can only refute; a witness is earned by
-    normalizing and comparing the bodies exactly, and is verified before
-    being returned.
+    Finite direction sampling can only refute.  Once every shadow matched,
+    the bottom shadow's witness L_shadow = a K_shadow + s fixes the only
+    candidate, L = a K + (s, a h_K(-e_n) - h_L(-e_n)), as the heights of the
+    two floors must match; it is returned exactly when it maps K's rows onto
+    L's (``_maps_onto``), the same row map ``detect_homothety`` confirms by.
     """
     n = first.dim
     if n < 3:
@@ -202,16 +186,13 @@ def homothetic_projections_conclude(
         if bottom is None and w[-1] > 0 and not any(w[:-1]):
             # Every w on the ray of e_n has the floor's basis e_1..e_(n-1).
             bottom = decision.witness
-    first_n, second_n, tf = _normalize_shadows(first, second, bottom)
-    if not bodies_equal(first_n, second_n):
-        return ProjectionsReport(reason="normalized-bodies-differ")
-    # K + fs = a L + ss, solved for L.
-    ratio = 1 / tf.ratio
-    shift = vscale(ratio, vsub(tf.first_shift, tf.second_shift))
-    witness = HomothetyWitness(ratio, shift)
-    if not _maps_onto(first, second, witness):
-        raise InvariantError("projection witness does not map the first body onto the second")
-    return ProjectionsReport(witness=witness)
+    _check_full_dimensional(first, second)
+    a = bottom.ratio
+    down = vneg(unit_vector(n, n - 1))
+    witness = HomothetyWitness(a, (*bottom.shift, a * support(first, down) - support(second, down)))
+    if _maps_onto(first, second, witness):
+        return ProjectionsReport(witness=witness)
+    return ProjectionsReport(reason="normalized-bodies-differ")
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +204,9 @@ def homothetic_projections_conclude(
 class EqualityCaseTrace:
     """Evidence collected by the functional sweep.
 
-    mixed_pairs rows are (lam, body_index, V_{n-1,1}(K_lam, M), V_{n-1,1}(L, M));
-    direction_pairs rows are (lam, w, prism(K_lam, w), prism(L, w)).
+    mixed_pairs rows are (lam, body_index, V_{n-1,1}(K_lam, M), V_{n-1,1}(L, M)).
+    A segment test body M = [0, w] gives the projection row in w, since
+    n V_{n-1,1}(K, [0, w]) = prism(K, w).
     A ``refutation`` (the first failed row) is sound on its own and rules
     out the equality case; with none, the pair is homothetic exactly when
     ``witness`` is set (the sweep alone never confirms), and inconclusive
@@ -233,14 +215,14 @@ class EqualityCaseTrace:
 
     volumes: tuple
     mixed_pairs: tuple
-    direction_pairs: tuple
     witness: Optional[HomothetyWitness] = None
     refutation: Optional[dict] = None
 
 
 def default_test_bodies(reference: Polytope):
     """Unit axis box, standard simplex, and axis segments; the sweep itself
-    prepends the pair under test.  Segments realize the projection step."""
+    prepends the pair under test.  The segments give the sweep its
+    projection rows."""
     n = reference.dim
     return (box(*[1] * n), standard_simplex(n), *(axis_segment(n, i) for i in range(n)))
 
@@ -250,7 +232,6 @@ def functional_equality_sweep(
     second: Polytope,
     lambda_grid=None,
     test_bodies=None,
-    directions=(),
 ) -> EqualityCaseTrace:
     """Check V_{n-1,1}(K_lam, M) = V_{n-1,1}(L, M) over a grid of weights and
     test bodies, plus constancy of V_n(K_lam); exact throughout.
@@ -265,18 +246,14 @@ def functional_equality_sweep(
     lambda_grid = tuple(map(as_lambda, lambda_grid))
     if first.volume != second.volume:
         raise VolumeMismatchError("sweep requires equal volumes")
-    if not (first.is_full_dimensional and second.is_full_dimensional):
-        raise LowerDimensionalError("sweep needs full-dimensional bodies")
+    _check_full_dimensional(first, second)
     if test_bodies is None:
         test_bodies = default_test_bodies(first)
     test_bodies = (second, first, *test_bodies)
-    directions = tuple(as_vec(w) for w in directions)
 
     reference = [mixed_volume_base_height(second, m) for m in test_bodies]
-    prisms = [projection_prism_volume(second, w) for w in directions]
     volumes = []
     mixed_pairs = []
-    direction_pairs = []
     refutation = None
     for lam in lambda_grid:
         mid = combine(1 - lam, first, lam, second)
@@ -288,17 +265,11 @@ def functional_equality_sweep(
             mixed_pairs.append((lam, idx, a, b))
             if a != b and refutation is None:
                 refutation = {"kind": "mixed", "lambda": lam, "body_index": idx}
-        for w, pb in zip(directions, prisms):
-            pa = projection_prism_volume(mid, w)
-            direction_pairs.append((lam, w, pa, pb))
-            if pa != pb and refutation is None:
-                refutation = {"kind": "direction", "lambda": lam, "direction": w}
 
     witness = None if refutation is not None else detect_homothety(first, second).witness
     return EqualityCaseTrace(
         volumes=tuple(volumes),
         mixed_pairs=tuple(mixed_pairs),
-        direction_pairs=tuple(direction_pairs),
         witness=witness,
         refutation=refutation,
     )

@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .errors import LowerDimensionalError, ZeroVolumeError
-from .geometry import Polytope, _check_pair_dim
+from .errors import ZeroVolumeError
+from .geometry import Polytope, _check_full_dimensional, _check_pair_dim
 from .numeric import DEFAULT_DIGITS, format_fixed, nth_root_fraction, signed_root_combination
 from .volumes import (
     as_lambda,
@@ -96,8 +96,7 @@ def bm_check(
     the digit count does not change the verdict.
     """
     lam = as_lambda(lam)
-    if not (first.is_full_dimensional and second.is_full_dimensional):
-        raise LowerDimensionalError("concavity check needs full-dimensional bodies")
+    _check_full_dimensional(first, second)
     n = first.dim
     v_mid = volume_polynomial(first, second)._combination_volume(lam)
     v_first, v_second = first.volume, second.volume
@@ -187,8 +186,7 @@ def concavity_profile(
     volume polynomial at each grid point, checked once, with midpoint
     certificates: each holds when the exact sign of
     2 f(t2)^(1/n) - f(t1)^(1/n) - f(t3)^(1/n) is not negative."""
-    if not (first.is_full_dimensional and second.is_full_dimensional):
-        raise LowerDimensionalError("profile needs full-dimensional bodies")
+    _check_full_dimensional(first, second)
     grid = tuple(map(as_lambda, default_lambda_grid() if grid is None else grid))
     n = first.dim
     poly = volume_polynomial(first, second)
@@ -230,8 +228,7 @@ def derivative_identity_check(first: Polytope, second: Polytope) -> Fraction:
     two evaluates -n V_n(K) + n V_{n-1,1}(K, L) with the base-height mixed
     volume.
     """
-    if not first.is_full_dimensional:
-        raise LowerDimensionalError("derivative identity needs full-dimensional first body")
+    _check_full_dimensional(first)
     symbolic = profile_polynomial(first, second)[1]
     n = first.dim
     independent = -n * first.volume + n * mixed_volume_base_height(first, second)
@@ -255,8 +252,7 @@ def mmv_implies_bm_trace(first: Polytope, second: Polytope, t) -> DecompositionT
     """Verify V_{n-1,1}(K_t, K_t) = (1-t) V_{n-1,1}(K_t, K) + t V_{n-1,1}(K_t, L)
     exactly, plus the mixed-volume inequality for each term."""
     t = as_lambda(t)
-    if not (first.is_full_dimensional and second.is_full_dimensional):
-        raise LowerDimensionalError("decomposition needs full-dimensional bodies")
+    _check_full_dimensional(first, second)
     n = first.dim
     mid = combine(1 - t, first, t, second)
     term_first = mixed_volume_base_height(mid, first)

@@ -29,7 +29,14 @@ from .errors import (
     OracleError,
     ZeroDirectionError,
 )
-from .geometry import Polytope, bodies_equal, convex_hull, support, translate
+from .geometry import (
+    Polytope,
+    _check_full_dimensional,
+    bodies_equal,
+    convex_hull,
+    support,
+    translate,
+)
 from .linalg import as_scalar, as_vec, det2, is_zero_vec, vadd, vscale
 from .volumes import mixed_area
 
@@ -57,8 +64,7 @@ def _corner_shift(body: Polytope) -> tuple:
     positive corner; (0, 0) exactly when it is already there."""
     if body.dim != 2:
         raise DimensionError("corner normalization is a planar operation")
-    if not body.is_full_dimensional:
-        raise DimensionError("corner normalization needs a full-dimensional polygon")
+    _check_full_dimensional(body)
     return tuple(support(body, n) for n in _CORNER)
 
 

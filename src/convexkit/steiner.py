@@ -32,9 +32,15 @@ from .errors import (
     EmptyScheduleError,
     GeometryError,
     InvariantError,
-    LowerDimensionalError,
 )
-from .geometry import Polytope, _check_direction, _hull_with_boundary, _lift, polygon_cycle
+from .geometry import (
+    Polytope,
+    _check_direction,
+    _check_full_dimensional,
+    _hull_with_boundary,
+    _lift,
+    polygon_cycle,
+)
 from .linalg import as_vec, dot, primitive_int_vector, vsub
 from .volumes import combine
 
@@ -81,8 +87,7 @@ def steiner_symmetral(body: Polytope, w) -> SteinerResult:
     if body.dim not in (2, 3):
         raise DimensionError("symmetrization implemented for dimensions 2 and 3")
     w = _check_direction(body, w)
-    if not body.is_full_dimensional:
-        raise LowerDimensionalError("symmetrization needs a full-dimensional body")
+    _check_full_dimensional(body)
     *lifted_w, _ = _lift((w,))[0]
     cuts = []
     for f in body.facets:

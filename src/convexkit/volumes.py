@@ -57,7 +57,6 @@ from .errors import (
     DimensionError,
     InvariantError,
     LambdaRangeError,
-    LowerDimensionalError,
     NegativeCoefficientError,
     PairPointsError,
 )
@@ -65,6 +64,7 @@ from .geometry import (
     Polytope,
     _check_ambient,
     _check_direction,
+    _check_full_dimensional,
     _check_pair_dim,
     _hull_with_boundary,
     _image_rows,
@@ -324,8 +324,7 @@ def mixed_volume_base_height(first: Polytope, second: Polytope) -> Fraction:
     400-gon has 400), are added by ``tree_sum``, and 1/n is folded into
     the one Fraction built from the sum.
     """
-    if not first.is_full_dimensional:
-        raise LowerDimensionalError("base-height formula needs a full-dimensional body")
+    _check_full_dimensional(first)
     _check_pair_dim(first, second)
     terms = []
     for f in first.facets:
@@ -384,6 +383,5 @@ class SurfaceArea:
 
 
 def surface_area(body: Polytope) -> SurfaceArea:
-    if not body.is_full_dimensional:
-        raise LowerDimensionalError("surface area needs a full-dimensional body")
+    _check_full_dimensional(body)
     return SurfaceArea(tuple((f.pseudo_volume, f.normal_sq()) for f in body.facets))

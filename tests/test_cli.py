@@ -40,6 +40,9 @@ def corpus(tmp_path):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json")
     paths["garbage"] = str(garbage)
+    array = tmp_path / "array.json"
+    array.write_text(json.dumps([["0", "0"], ["1", "0"], ["0", "1"]]))
+    paths["array"] = str(array)
     return paths
 
 
@@ -62,6 +65,8 @@ def test_exit_codes(corpus, capsys):
     assert code == 3 and "DimensionError" in err
     code, _, err = run_cli(capsys, ["volume", corpus["garbage"]])
     assert code == 2
+    code, out, err = run_cli(capsys, ["volume", corpus["array"]])
+    assert (code, out, err) == (2, "", "parse error: body file must be a JSON object\n")
     with pytest.raises(SystemExit) as exc:
         cli.run(["random-body", "--dim", "5", "--vertices", "7", "--seed", "1"])
     capsys.readouterr()
@@ -385,6 +390,13 @@ def test_parse_body_rejects_booleans():
     ):
         with pytest.raises(io.BodyFileError):
             io.parse_body(data)
+
+
+def test_parse_body_reads_json_integers_as_their_literals():
+    ints = io.parse_body({"dim": 2, "vertices": [[0, 0], [2, 0], [0, -3]]})
+    strings = io.parse_body({"dim": 2, "vertices": [["0", "0"], ["2", "0"], ["0", "-3"]]})
+    assert bodies_equal(ints, strings)
+    assert ints.vertices == ((0, -3), (0, 0), (2, 0))
 
 
 def test_boolean_body_file_exit_code(tmp_path, capsys):

@@ -8,6 +8,7 @@ from convexkit.errors import (
     DegenerateBasisError,
     DimensionError,
     DimensionMismatchError,
+    LowerDimensionalError,
     ZeroDirectionError,
 )
 from convexkit.geometry import (
@@ -24,13 +25,26 @@ from convexkit.geometry import (
     translate,
 )
 from convexkit import geometry
-from convexkit.homothety import detect_homothety
-from convexkit.inequalities import minkowski_check
+from convexkit.homothety import (
+    detect_homothety,
+    functional_equality_sweep,
+    homothetic_projections_conclude,
+    normalize_shadows,
+)
+from convexkit.inequalities import (
+    bm_check,
+    concavity_profile,
+    derivative_identity_check,
+    minkowski_check,
+    mmv_implies_bm_trace,
+)
+from convexkit.reconstruction import _corner_shift
 from convexkit.steiner import steiner_symmetral
 from convexkit.volumes import (
     combine,
     mixed_volume_base_height,
     projection_prism_volume,
+    surface_area,
     volume_polynomial,
 )
 
@@ -132,6 +146,33 @@ def test_every_pair_routine_refuses_bodies_of_two_dimensions(routine, square, cu
     for first, second in ((square, cube), (cube, square)):
         with pytest.raises(DimensionMismatchError, match="^bodies live in different dimensions$"):
             routine(first, second)
+
+
+# The unit square in the plane x_3 = 0: its shadow along e_3 is full.
+FLAT = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], allow_degenerate=True)
+FULL = unit_cube()
+FLAT_BODY_CALLS = {
+    "detect_homothety": lambda: detect_homothety(FLAT, FULL),
+    "normalize_shadows": lambda: normalize_shadows(FLAT, FULL),
+    "homothetic_projections_conclude": lambda: homothetic_projections_conclude(FLAT, FULL, [(0, 0, 1)]),
+    "functional_equality_sweep": lambda: functional_equality_sweep(FLAT, FLAT),
+    "bm_check": lambda: bm_check(FULL, FLAT, F(1, 2)),
+    "concavity_profile": lambda: concavity_profile(FLAT, FULL),
+    "derivative_identity_check": lambda: derivative_identity_check(FLAT, FULL),
+    "mmv_implies_bm_trace": lambda: mmv_implies_bm_trace(FLAT, FULL, F(1, 2)),
+    "mixed_volume_base_height": lambda: mixed_volume_base_height(FLAT, FULL),
+    "surface_area": lambda: surface_area(FLAT),
+    "steiner_symmetral": lambda: steiner_symmetral(FLAT, (1, 0, 0)),
+    "_corner_shift": lambda: _corner_shift(segment((0, 0), (1, 1))),
+}
+
+
+@pytest.mark.parametrize("call", FLAT_BODY_CALLS.values(), ids=FLAT_BODY_CALLS.keys())
+def test_every_flat_body_is_refused_by_one_rule(call):
+    # A DimensionError too, as callers catch it.
+    with pytest.raises(LowerDimensionalError, match="^bodies must be full-dimensional$") as error:
+        call()
+    assert isinstance(error.value, DimensionError)
 
 
 def test_support_matches_brute_force(square, cube):

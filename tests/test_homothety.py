@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from convexkit.bodies import box, random_polytope, unit_cube, unit_square
+from convexkit.bodies import box, random_polytope, segment, unit_cube, unit_square
 from convexkit.errors import (
     DimensionError,
     LambdaRangeError,
@@ -71,10 +71,10 @@ def test_detect_witness_soundness(cube):
 
 
 def test_normalize_shadows_cube(cube):
-    first, second, tf = normalize_shadows(cube, translate(scale(cube, 2), (1, 1, 1)))
+    first, second, ratio = normalize_shadows(cube, translate(scale(cube, 2), (1, 1, 1)))
     assert bodies_equal(first, second)
     assert bodies_equal(first, cube)
-    assert tf.ratio == F(1, 2)
+    assert ratio == F(1, 2)
 
 
 def test_normalize_shadows_vertical_translate(cube):
@@ -117,6 +117,27 @@ def test_conclude_pulled_vertex(cube):
     assert rep.failing_direction is not None
 
 
+@pytest.mark.parametrize(
+    "first, second, directions",
+    [
+        (unit_cube(), box(1, 1, 2), ((0, 0, 1),)),
+        # A vertical shear keeps the floor shadow and the volume.
+        (
+            box(1, 1, 1, 1),
+            convex_hull([(*p[:3], p[3] + p[0]) for p in box(1, 1, 1, 1).vertices]),
+            ((0, 0, 0, 1),),
+        ),
+    ],
+    ids=["cube-box", "4d-shear"],
+)
+def test_conclude_after_every_shadow_matched(first, second, directions):
+    # Every listed shadow is homothetic, so the bottom shadow's candidate is
+    # the certificate, and it fails to map the first body onto the second.
+    rep = homothetic_projections_conclude(first, second, directions)
+    assert rep.witness is None and rep.failing_direction is None
+    assert rep.reason == "normalized-bodies-differ"
+
+
 def test_conclude_requires_last_axis(cube):
     with pytest.raises(ValueError):
         homothetic_projections_conclude(cube, cube, [(1, 0, 0), (0, 1, 0)])
@@ -142,31 +163,39 @@ def test_sweep_volume_precondition(square, rect):
 
 
 def test_sweep_direction_pairs(cube):
+    # A segment test body [0, w] gives the projection row in w:
+    # n V_{n-1,1}(K, [0, w]) = prism(K, w).
     moved = translate(cube, (1, 2, 3))
-    trace = functional_equality_sweep(
-        cube, moved, (0, F(1, 2)), directions=((1, 0, 0), (1, 1, 0))
-    )
-    assert all(a == b for _, _, a, b in trace.direction_pairs)
+    directions = ((1, 0, 0), (1, 1, 0))
+    segments = tuple(segment((0, 0, 0), w) for w in directions)
+    trace = functional_equality_sweep(cube, moved, (0, F(1, 2)), segments)
+    rows = [row for row in trace.mixed_pairs if row[1] >= 2]
+    assert len(rows) == 4
+    for lam, idx, a, b in rows:
+        assert (3 * a, 3 * b) == projection_equality_step(cube, moved, lam, directions[idx - 2])
 
 
 def test_sweep_prisms_second_once_per_direction(cube, monkeypatch):
-    # prism(L, w) does not depend on lam: 5 lam x 3 directions take 15
-    # prisms of the combination and 3 of the second body, not 30.
+    # V_{n-1,1}(L, M) does not depend on lam: 5 lam x 5 bodies (the pair
+    # and 3 segments) take 25 values of the combination and 5 of the second
+    # body, not 50.
     import convexkit.homothety as homothety
 
     calls = []
-    real = homothety.projection_prism_volume
+    real = homothety.mixed_volume_base_height
 
-    def counting(body, w):
+    def counting(body, m):
         calls.append(1)
-        return real(body, w)
+        return real(body, m)
 
-    monkeypatch.setattr(homothety, "projection_prism_volume", counting)
+    monkeypatch.setattr(homothety, "mixed_volume_base_height", counting)
     directions = ((1, 0, 0), (0, 1, 0), (1, 1, 0))
-    trace = functional_equality_sweep(cube, translate(cube, (1, 2, 3)), directions=directions)
-    assert len(trace.direction_pairs) == 15
-    assert all(a == b for _, _, a, b in trace.direction_pairs)
-    assert len(calls) == 18
+    segments = tuple(segment((0, 0, 0), w) for w in directions)
+    trace = functional_equality_sweep(cube, translate(cube, (1, 2, 3)), test_bodies=segments)
+    rows = [row for row in trace.mixed_pairs if row[1] >= 2]
+    assert len(rows) == 15
+    assert all(a == b for _, _, a, b in rows)
+    assert len(calls) == 30
 
 
 def test_projection_equality_step(cube, square):

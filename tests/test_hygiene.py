@@ -324,3 +324,21 @@ def boundary_crossings() -> list:
 
 def test_library_hulls_take_rows():
     assert boundary_crossings() == []
+
+
+def lower_dimensional_raisers() -> list:
+    """Package functions that raise ``LowerDimensionalError``, as
+    "module.function".  One rule refuses flat bodies, with one message."""
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        for node, name in _functions(ast.parse(path.read_text(encoding="utf-8"))):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Raise) and sub.exc is not None:
+                    exc = sub.exc.func if isinstance(sub.exc, ast.Call) else sub.exc
+                    if getattr(exc, "id", getattr(exc, "attr", None)) == "LowerDimensionalError":
+                        hits.append(f"{path.stem}.{name}")
+    return hits
+
+
+def test_only_one_rule_raises_lower_dimensional_error():
+    assert lower_dimensional_raisers() == ["geometry._check_full_dimensional"]

@@ -72,8 +72,11 @@ def test_oracle_needs_a_corner_normalized_polygon():
     for w, h in (((1, 1), 6), ((-1, 2), 9), ((0, 1), 5)):
         assert support(k, w) == h
         assert recover_support_any(oracle, w) == h - w[0] - w[1]
-    for body in (convex_hull([(0, 0), (1, 0)], allow_degenerate=True), unit_cube()):
-        with pytest.raises(DimensionError, match="^corner normalization "):
+    for body, message in (
+        (convex_hull([(0, 0), (1, 0)], allow_degenerate=True), "^bodies must be full-dimensional$"),
+        (unit_cube(), "^corner normalization is a planar operation$"),
+    ):
+        with pytest.raises(DimensionError, match=message):
             mixed_area_oracle(body)
 
 

@@ -127,6 +127,7 @@ def test_mixed_area_symmetry(square, dia, tri):
     assert mixed_area(square, tri) == mixed_area(tri, square) == 1
     assert mixed_area(square, dia) == mixed_area(dia, square) == 2
     assert mixed_area(square, axis_segment(2, 1)) == F(1, 2)
+    assert mixed_area(axis_segment(2, 1), square) == F(1, 2)
     with pytest.raises(DimensionError):
         mixed_area(unit_cube(), unit_cube())
 
