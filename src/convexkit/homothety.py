@@ -128,6 +128,7 @@ def normalize_shadows(first: Polytope, second: Polytope):
     Returns (K', L', a) with K' = K + h_K(-e_n) e_n and L' = a L + y for
     the shift y that sets L' on the same floor.
     """
+    _check_pair_dim(first, second)
     n = first.dim
     if n < 3:
         raise DimensionError("shadow normalization needs ambient dimension >= 3")
@@ -171,6 +172,7 @@ def homothetic_projections_conclude(
     two floors must match; it is returned exactly when it maps K's rows onto
     L's (``_maps_onto``), the same row map ``detect_homothety`` confirms by.
     """
+    _check_pair_dim(first, second)
     n = first.dim
     if n < 3:
         raise DimensionError("projection pipeline needs ambient dimension >= 3")
@@ -241,6 +243,7 @@ def functional_equality_sweep(
     equality case; an all-equal sweep promotes to Homothetic only when the
     exact witness exists, otherwise the verdict stays Inconclusive.
     """
+    _check_pair_dim(first, second)
     if lambda_grid is None:
         lambda_grid = tuple(Fraction(k, 4) for k in range(5))
     lambda_grid = tuple(map(as_lambda, lambda_grid))

@@ -7,11 +7,12 @@ the exact sign of left side minus right side, through one table: the
 mixed-volume forms subtract rational powers, and the Brunn-Minkowski form
 and the midpoint certificates sign a sum of n-th roots of volumes with
 `numeric.signed_root_combination`.  The Brunn-Minkowski form reads the
-volume of (1-lam)K + lam L from the pair's volume polynomial, not from K's
-facets, so its verdict and the mixed-volume verdict are independent routes
-to the same answer.  Numeric slack strings (50 digits by default) are for
-display only and never change a verdict.  A Violation verdict is a bug
-signal, never a legitimate outcome.
+volume of (1-lam)K + lam L from the pair's volume polynomial, whose
+base-height coefficients are checked against every node volume off
+K + L's hull, so its verdict rests on that hull as well as on K's and L's
+facets.  Numeric slack strings (50 digits by default) are for display
+only and never change a verdict.  A Violation verdict is a bug signal,
+never a legitimate outcome.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import ZeroVolumeError
 from .geometry import Polytope, _check_full_dimensional, _check_pair_dim
 from .numeric import DEFAULT_DIGITS, format_fixed, nth_root_fraction, signed_root_combination
 from .volumes import (
+    _interpolated_polynomial,
     as_lambda,
     combine,
     mixed_volume_base_height,
@@ -95,6 +97,7 @@ def bm_check(
     the sign is 0, so an Equality never shows the floored roots' "-0.000";
     the digit count does not change the verdict.
     """
+    _check_pair_dim(first, second)
     lam = as_lambda(lam)
     _check_full_dimensional(first, second)
     n = first.dim
@@ -154,6 +157,7 @@ def normalized_check(
     Equivalent to checking the inequality after normalizing both bodies to
     unit volume, without ever forming irrational rescalings.
     """
+    _check_pair_dim(first, second)
     if first.volume == 0 or second.volume == 0:
         raise ZeroVolumeError("normalized form needs positive volumes")
     mv, lhs, rhs = _mmv_sides(first, second)
@@ -186,6 +190,7 @@ def concavity_profile(
     volume polynomial at each grid point, checked once, with midpoint
     certificates: each holds when the exact sign of
     2 f(t2)^(1/n) - f(t1)^(1/n) - f(t3)^(1/n) is not negative."""
+    _check_pair_dim(first, second)
     _check_full_dimensional(first, second)
     grid = tuple(map(as_lambda, default_lambda_grid() if grid is None else grid))
     n = first.dim
@@ -209,9 +214,12 @@ def profile_polynomial(first: Polytope, second: Polytope):
     f(t) = (1-t)^n g(t / (1-t)) = sum_i c_i t^i (1-t)^(n-i) for the volume
     polynomial g with coefficients c_i, expanded exactly via binomials on
     the integer numerators of the c_i, with one Fraction built per output
-    coefficient over their denominator.
+    coefficient over their denominator.  g is interpolated through the
+    pair's node volumes on every call (``_interpolated_polynomial``), not
+    read from the base-height assembly ``volume_polynomial`` keeps, so
+    ``derivative_identity_check`` compares two independent routes.
     """
-    poly = volume_polynomial(first, second)
+    poly = _interpolated_polynomial(first, second)
     n = len(poly.numerators) - 1
     out = [0] * (n + 1)
     for i, c in enumerate(poly.numerators):
@@ -224,10 +232,12 @@ def derivative_identity_check(first: Polytope, second: Polytope) -> Fraction:
     """Difference between the two routes to f'(0); must be exactly zero.
 
     Route one expands f(t) = (1-t)^n V_n(K + t/(1-t) L) symbolically from the
-    interpolated volume polynomial and reads the linear coefficient.  Route
-    two evaluates -n V_n(K) + n V_{n-1,1}(K, L) with the base-height mixed
-    volume.
+    volume polynomial ``profile_polynomial`` interpolates through the node
+    volumes, and reads the linear coefficient.  Route two evaluates
+    -n V_n(K) + n V_{n-1,1}(K, L) with the base-height mixed volume, which
+    route one never reads.
     """
+    _check_pair_dim(first, second)
     _check_full_dimensional(first)
     symbolic = profile_polynomial(first, second)[1]
     n = first.dim
@@ -251,6 +261,7 @@ class DecompositionTrace:
 def mmv_implies_bm_trace(first: Polytope, second: Polytope, t) -> DecompositionTrace:
     """Verify V_{n-1,1}(K_t, K_t) = (1-t) V_{n-1,1}(K_t, K) + t V_{n-1,1}(K_t, L)
     exactly, plus the mixed-volume inequality for each term."""
+    _check_pair_dim(first, second)
     t = as_lambda(t)
     _check_full_dimensional(first, second)
     n = first.dim

@@ -1,12 +1,13 @@
 """Independent oracle implementations used to freeze expected test values.
 
-Deliberately separate from the library code paths: the cycle ordering uses
-float angles around the centroid (safe for extreme points of a convex
-polygon at test scale) and the area is the plain shoelace sum on that
-cycle.  The brute-force hull tries every n-subset of the points as a facet:
-on the points scaled to integers, the subset's normal is the signed
-maximal minors of its edge rows, each a Leibniz permutation sum, and the
-points' levels are compared in integers.  Facet pseudo-volumes and volumes
+Deliberately separate from the library code paths: the cycle ordering
+sorts the extreme points by their exact angle around the centroid, a
+half-plane test and then the sign of a cross product on Fractions, and
+the area is the plain shoelace sum on that cycle.  The brute-force hull
+tries every n-subset of the points as a facet: on the points scaled to
+integers, the subset's normal is the signed maximal minors of its edge
+rows, each a Leibniz permutation sum, and the points' levels are
+compared in integers.  Facet pseudo-volumes and volumes
 follow from it by the pyramid formula, one dimension down per facet.
 Sums of roots, interpolation and combination volumes are evaluated by
 their Fraction definitions, with roots floored by integer bisection.
@@ -26,13 +27,26 @@ from convexkit.geometry import _hull_with_boundary, _lift
 
 def centroid(points):
     n = len(points)
-    return tuple(sum(p[i] for p in points) / n for i in range(len(points[0])))
+    return tuple(sum(Fraction(p[i]) for p in points) / n for i in range(len(points[0])))
+
+
+def _angle_order(u, v):
+    """Compare the angles of two nonzero vectors in [0, 2 pi): first by
+    half-plane (angle below pi or not), then by the sign of their cross
+    product, all in the entries' own exact arithmetic."""
+    lower = [y < 0 or (y == 0 and x < 0) for x, y in (u, v)]
+    if lower[0] != lower[1]:
+        return lower[0] - lower[1]
+    cross = u[0] * v[1] - u[1] * v[0]
+    return (cross < 0) - (cross > 0)
 
 
 def ccw_cycle(points):
-    """Extreme points assumed; order them counterclockwise by float angle."""
+    """Extreme points assumed; order them counterclockwise by their exact
+    angle around the centroid."""
     c = centroid(points)
-    return sorted(points, key=lambda p: math.atan2(float(p[1] - c[1]), float(p[0] - c[0])))
+    order = functools.cmp_to_key(_angle_order)
+    return sorted(points, key=lambda p: order((p[0] - c[0], p[1] - c[1])))
 
 
 def shoelace_area(points) -> Fraction:

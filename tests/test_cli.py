@@ -512,7 +512,7 @@ OPTIMIZED_INVARIANTS = """
 import sys
 from dataclasses import replace
 from convexkit import cli, volumes
-from convexkit.bodies import unit_square
+from convexkit.bodies import box, unit_square
 from convexkit.errors import InvariantError
 from convexkit.steiner import steiner_symmetral
 
@@ -530,12 +530,23 @@ def wrong_first_node():
         volumes._minkowski_sum = real
 
 
+def wrong_base_height():
+    # A wrong base-height fails the node check on a pair no call has kept.
+    real = volumes.mixed_volume_base_height
+    volumes.mixed_volume_base_height = lambda first, second: real(first, second) + 1
+    try:
+        volumes.volume_polynomial(square, box(2, 3))
+    finally:
+        volumes.mixed_volume_base_height = real
+
+
 for bad in (lambda: volumes.VolumePolynomial((-1,)),
             lambda: volumes.VolumePolynomial((1, 0, 1)),
             lambda: volumes.VolumePolynomial((1, 0, 1), 3),
             lambda: volumes.VolumePolynomial((1, 2, 1), 0),
             lambda: volumes.minkowski_interpolate([0, 1, 4, 10]),
             wrong_first_node,
+            wrong_base_height,
             lambda: steiner_symmetral(replace(square, volume=2), (1, 0))):
     try:
         bad()

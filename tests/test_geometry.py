@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from convexkit.bodies import axis_segment, box, segment, unit_cube, unit_square
+from convexkit.bodies import axis_segment, box, segment, standard_simplex, unit_cube, unit_square
 from convexkit.errors import (
     AmbientDimError,
     DegenerateBasisError,
@@ -37,6 +37,7 @@ from convexkit.inequalities import (
     derivative_identity_check,
     minkowski_check,
     mmv_implies_bm_trace,
+    normalized_check,
 )
 from convexkit.reconstruction import _corner_shift
 from convexkit.steiner import steiner_symmetral
@@ -131,26 +132,39 @@ def test_every_direction_is_checked_by_one_rule(routine, n):
             routine(body, w)
 
 
-@pytest.mark.parametrize(
-    "routine",
-    [
-        lambda first, second: combine(1, first, 1, second),
-        volume_polynomial,
-        mixed_volume_base_height,
-        detect_homothety,
-        minkowski_check,
-    ],
-    ids=["combine", "volume_polynomial", "mixed_volume_base_height", "detect_homothety", "minkowski_check"],
-)
-def test_every_pair_routine_refuses_bodies_of_two_dimensions(routine, square, cube):
-    for first, second in ((square, cube), (cube, square)):
-        with pytest.raises(DimensionMismatchError, match="^bodies live in different dimensions$"):
-            routine(first, second)
-
-
 # The unit square in the plane x_3 = 0: its shadow along e_3 is full.
 FLAT = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], allow_degenerate=True)
 FULL = unit_cube()
+PAIR_ROUTINES = {
+    "combine": lambda first, second: combine(1, first, 1, second),
+    "volume_polynomial": volume_polynomial,
+    "mixed_volume_base_height": mixed_volume_base_height,
+    "detect_homothety": detect_homothety,
+    "minkowski_check": minkowski_check,
+    "bm_check": lambda first, second: bm_check(first, second, F(1, 2)),
+    "normalized_check": normalized_check,
+    "concavity_profile": concavity_profile,
+    "derivative_identity_check": derivative_identity_check,
+    "mmv_implies_bm_trace": lambda first, second: mmv_implies_bm_trace(first, second, F(1, 2)),
+    "homothetic_projections_conclude": lambda first, second: homothetic_projections_conclude(
+        first, second, [(0, 0, 1)]
+    ),
+    "normalize_shadows": normalize_shadows,
+    "functional_equality_sweep": functional_equality_sweep,
+}
+
+
+@pytest.mark.parametrize("routine", PAIR_ROUTINES.values(), ids=PAIR_ROUTINES.keys())
+def test_every_pair_routine_refuses_bodies_of_two_dimensions(routine, square, cube):
+    # The pair rule comes before every other check, so a flat body of
+    # another dimension, or a pair of unit volumes, is refused by it too.
+    pairs = [(square, cube), (cube, standard_simplex(4)), (axis_segment(2, 0), cube), (FLAT, square)]
+    for pair in pairs:
+        for first, second in (pair, pair[::-1]):
+            with pytest.raises(DimensionMismatchError, match="^bodies live in different dimensions$"):
+                routine(first, second)
+
+
 FLAT_BODY_CALLS = {
     "detect_homothety": lambda: detect_homothety(FLAT, FULL),
     "normalize_shadows": lambda: normalize_shadows(FLAT, FULL),

@@ -104,6 +104,15 @@ def assert_outward(rows, simplices):
 @example(disc_polygon(1).vertices)
 @example(disc_polygon(2).vertices)
 @example(disc_polygon(5).vertices)
+# A thin quadrilateral whose float angles around the centroid misorder it.
+@example(
+    [
+        (F(-1, 2**89 - 1), F(0)),
+        (F(-1, 2**107 - 1), F(2)),
+        (F(-1, 2**127 - 1), F(1, 2)),
+        (F(0), F(1)),
+    ]
+)
 def test_hull_matches_brute_force(points):
     n = len(points[0])
     assume(affine_rank(points) == n)
