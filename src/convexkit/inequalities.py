@@ -7,12 +7,11 @@ the exact sign of left side minus right side, through one table: the
 mixed-volume forms subtract rational powers, and the Brunn-Minkowski form
 and the midpoint certificates sign a sum of n-th roots of volumes with
 `numeric.signed_root_combination`.  The Brunn-Minkowski form reads the
-volume of (1-lam)K + lam L from the pair's volume polynomial, whose
-base-height coefficients are checked against every node volume off
-K + L's hull, so its verdict rests on that hull as well as on K's and L's
-facets.  Numeric slack strings (50 digits by default) are for display
-only and never change a verdict.  A Violation verdict is a bug signal,
-never a legitimate outcome.
+volume of (1-lam)K + lam L from the pair's volume polynomial, not from K's
+facets, so its verdict and the mixed-volume verdict are independent routes
+to the same answer.  Numeric slack strings (50 digits by default) are for
+display only and never change a verdict.  A Violation verdict is a bug
+signal, never a legitimate outcome.
 """
 
 from __future__ import annotations
@@ -214,10 +213,9 @@ def profile_polynomial(first: Polytope, second: Polytope):
     f(t) = (1-t)^n g(t / (1-t)) = sum_i c_i t^i (1-t)^(n-i) for the volume
     polynomial g with coefficients c_i, expanded exactly via binomials on
     the integer numerators of the c_i, with one Fraction built per output
-    coefficient over their denominator.  g is interpolated through the
-    pair's node volumes on every call (``_interpolated_polynomial``), not
-    read from the base-height assembly ``volume_polynomial`` keeps, so
-    ``derivative_identity_check`` compares two independent routes.
+    coefficient over their denominator.  g is interpolated and checked on
+    every call (``_interpolated_polynomial``), not read from the copy
+    ``volume_polynomial`` keeps.
     """
     poly = _interpolated_polynomial(first, second)
     n = len(poly.numerators) - 1
@@ -232,10 +230,9 @@ def derivative_identity_check(first: Polytope, second: Polytope) -> Fraction:
     """Difference between the two routes to f'(0); must be exactly zero.
 
     Route one expands f(t) = (1-t)^n V_n(K + t/(1-t) L) symbolically from the
-    volume polynomial ``profile_polynomial`` interpolates through the node
-    volumes, and reads the linear coefficient.  Route two evaluates
-    -n V_n(K) + n V_{n-1,1}(K, L) with the base-height mixed volume, which
-    route one never reads.
+    volume polynomial ``profile_polynomial`` interpolates on every call,
+    and reads the linear coefficient.  Route two evaluates
+    -n V_n(K) + n V_{n-1,1}(K, L) with the base-height mixed volume.
     """
     _check_pair_dim(first, second)
     _check_full_dimensional(first)

@@ -34,26 +34,26 @@ points x + y, the moved points x + eps y of each node, and the vertices
 a x + b y that ``combine`` hulls for unequal coefficients, so no
 ``Fraction`` point is formed.
 
-The volume polynomial has two independent routes.  For two
-full-dimensional bodies ``volume_polynomial`` assembles it from the
-base-height mixed volumes of K and L in both orders (and, in 4D, from
-V(K + L)), then evaluates it at every record node; a pair with a flat
-body takes the interpolation route.  ``volume_polynomial`` is an
-``lru_cache`` of 8 ordered pairs too, so its checks -- the nodes, the
-sign of each coefficient and the Aleksandrov-Fenchel inequalities -- run
-once per pair, not on every call.  The cache keeps no exception, so a
-failed check raises ``InvariantError`` on every call, and ``python -O``
-keeps them, as they are explicit raises.  The interpolation route,
-``_interpolated_polynomial``, runs on every call of
-``mixed_volume_interp`` and ``profile_polynomial``, so each still
-compares two routes: it eliminates the node volumes scaled by their
-common denominator into one (numerators, den) pair and checks the end
-coefficients against V(K) and V(L) by cross-multiplication.  Either
-way ``VolumePolynomial`` keeps the pair in lowest terms and runs its
-sign and Aleksandrov-Fenchel checks on the numerators.  A combination
-volume is the Bernstein form evaluated over the stored denominator, and
-the interpolated mixed volume is numerators[1] / (den n): one Fraction
-per result.
+Nodes are cached before they are checked.  The checks on the volume
+polynomial -- the redundant node, the end coefficients and the
+Aleksandrov-Fenchel inequalities -- are integer arithmetic from the node
+volumes: the interpolation eliminates the node volumes scaled by their
+common denominator into one (numerators, den) pair, the end coefficients
+are checked against V(K) and V(L) by cross-multiplication, and
+``VolumePolynomial`` keeps the pair in lowest terms and runs its sign and
+Aleksandrov-Fenchel checks on the numerators.  ``_interpolated_polynomial``
+runs them on every call; ``volume_polynomial`` keeps its result in an
+``lru_cache`` of 8 ordered pairs, so for the Brunn-Minkowski forms they
+run once per pair.  The cache keys on the bodies' rows, so equal bodies
+share one polynomial, and a body whose ``volume`` field disagrees with
+its rows is caught only on a miss.  It keeps no exception, so a failed
+check raises ``InvariantError`` on every call; the checks are explicit
+raises, so ``python -O`` keeps them.  ``mixed_volume_interp`` and
+``profile_polynomial`` interpolate on every call, so each stays a route
+independent of the base-height one.  A combination volume is the
+Bernstein form evaluated over the stored denominator, and the
+interpolated mixed volume is numerators[1] / (den n): one Fraction per
+result.
 """
 
 from __future__ import annotations
@@ -303,9 +303,7 @@ def _interpolated_polynomial(first: Polytope, second: Polytope) -> VolumePolynom
     The nodes come from the pair's record in ``_minkowski_sum``, so K + L
     is hulled once per recent ordered pair.  The redundant node tests the
     cycle against V(K) from K's own hull, and c_n = V(L), checked by
-    cross-multiplication like c_0 = V(K), tests it against L's.  It never
-    reads a base-height, so the routes that compare with one stay
-    independent.
+    cross-multiplication like c_0 = V(K), tests it against L's.
     """
     _check_pair_dim(first, second)
     n = first.dim
@@ -318,50 +316,21 @@ def _interpolated_polynomial(first: Polytope, second: Polytope) -> VolumePolynom
 
 @functools.lru_cache(maxsize=8)
 def volume_polynomial(first: Polytope, second: Polytope) -> VolumePolynomial:
-    """V_n(K + eps L), built and checked once per recent ordered pair.
+    """V_n(K + eps L), interpolated and checked once per recent ordered pair.
 
-    For full-dimensional K and L in R^n, Minkowski's theorem on mixed
-    volumes gives c_0 = V(K), c_1 = n V(K[n-1], L), c_(n-1) = n V(L[n-1], K)
-    and c_n = V(L) (Schneider, Convex Bodies, 5.1), the middle two by
-    ``mixed_volume_base_height`` from K's and L's own hulls.  In 2D c_1 and
-    c_(n-1) are one coefficient, so the two base-heights must agree; in 4D
-    c_2 = V(K + L) - c_0 - c_1 - c_3 - c_4, V(K + L) the node at eps = 1.
-    The polynomial is then evaluated at each of the record's n + 2 nodes
-    V(K + eps L), in integers over one common denominator: agreeing at all
-    of them is agreeing with the polynomial the nodes interpolate.  A pair
-    with a flat body takes ``_interpolated_polynomial``, the one route for
-    flat bodies.  The record is read first, so past MAX_PAIR_POINTS the
-    call raises ``PairPointsError``.
+    It is ``_interpolated_polynomial`` kept in an ``lru_cache`` of 8 pairs,
+    the record cache's size.  The key is the two bodies' rows, so an equal
+    body (a ``load_body`` copy) reads the kept polynomial, and a body whose
+    ``volume`` field disagrees with its rows is caught only on a miss.  A
+    failed check raises on every call, as the cache keeps no exception.
     """
-    _check_pair_dim(first, second)
-    if not (first.is_full_dimensional and second.is_full_dimensional):
-        return _interpolated_polynomial(first, second)
-    nodes = _minkowski_sum(first, second)[2]
-    n = first.dim
-    low = n * mixed_volume_base_height(first, second)
-    high = n * mixed_volume_base_height(second, first)
-    if n == 2:
-        if low != high:
-            raise InvariantError("base-height mixed areas A(K, L) and A(L, K) differ")
-        inner = (low,)
-    elif n == 3:
-        inner = (low, high)
-    else:
-        inner = (low, nodes[1] - first.volume - low - high - second.volume, high)
-    den, scaled = over_common_denominator((first.volume, *inner, second.volume, *nodes))
-    numerators, values = scaled[: n + 1], scaled[n + 1 :]
-    if any(
-        sum(c * eps**i for i, c in enumerate(numerators)) != v for eps, v in enumerate(values)
-    ):
-        raise InvariantError("volume polynomial failed the redundant-node check")
-    return VolumePolynomial(tuple(numerators), den)
+    return _interpolated_polynomial(first, second)
 
 
 def mixed_volume_interp(first: Polytope, second: Polytope) -> Fraction:
     """V_{n-1,1}(K, L) as (1/n) d/deps V_n(K + eps L) at eps = 0, read off
-    the polynomial ``_interpolated_polynomial`` interpolates on every call,
-    never the cached ``volume_polynomial``, so it stays a route independent
-    of ``mixed_volume_base_height``."""
+    the polynomial ``_interpolated_polynomial`` interpolates and checks on
+    every call, not the one ``volume_polynomial`` keeps."""
     poly = _interpolated_polynomial(first, second)
     return Fraction(poly.numerators[1], poly.denominator * first.dim)
 

@@ -512,7 +512,7 @@ OPTIMIZED_INVARIANTS = """
 import sys
 from dataclasses import replace
 from convexkit import cli, volumes
-from convexkit.bodies import box, unit_square
+from convexkit.bodies import unit_square
 from convexkit.errors import InvariantError
 from convexkit.steiner import steiner_symmetral
 
@@ -520,24 +520,14 @@ assert not __debug__, "run me under python -O"
 square = unit_square()
 
 
-def wrong_first_node():
+def wrong_first_node(routine):
     # Nodes of (2 + eps)^2, consistent among themselves, but V(K) = 1.
     real = volumes._minkowski_sum
     volumes._minkowski_sum = lambda first, second: (None, None, (4, 9, 16, 25))
     try:
-        volumes.volume_polynomial(square, square)
+        routine(square, square)
     finally:
         volumes._minkowski_sum = real
-
-
-def wrong_base_height():
-    # A wrong base-height fails the node check on a pair no call has kept.
-    real = volumes.mixed_volume_base_height
-    volumes.mixed_volume_base_height = lambda first, second: real(first, second) + 1
-    try:
-        volumes.volume_polynomial(square, box(2, 3))
-    finally:
-        volumes.mixed_volume_base_height = real
 
 
 for bad in (lambda: volumes.VolumePolynomial((-1,)),
@@ -545,8 +535,11 @@ for bad in (lambda: volumes.VolumePolynomial((-1,)),
             lambda: volumes.VolumePolynomial((1, 0, 1), 3),
             lambda: volumes.VolumePolynomial((1, 2, 1), 0),
             lambda: volumes.minkowski_interpolate([0, 1, 4, 10]),
-            wrong_first_node,
-            wrong_base_height,
+            # volume_polynomial twice, as its cache keeps no exception, and
+            # mixed_volume_interp, which interpolates on every call.
+            lambda: wrong_first_node(volumes.volume_polynomial),
+            lambda: wrong_first_node(volumes.volume_polynomial),
+            lambda: wrong_first_node(volumes.mixed_volume_interp),
             lambda: steiner_symmetral(replace(square, volume=2), (1, 0))):
     try:
         bad()

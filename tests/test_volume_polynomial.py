@@ -1,14 +1,14 @@
-"""The volume polynomial's two routes, and the one copy kept per pair.
+"""The volume polynomial kept once per pair, and the routes it must agree with.
 
-For two full-dimensional bodies ``volumes.volume_polynomial`` assembles
-V(K + eps L) from base-height mixed volumes and checks it against every
-node of the pair's record; ``volumes._interpolated_polynomial`` interpolates
-the same nodes.  The two must be equal on every pair, each route must
-still stand when the other is wrong, and a repeat call on an equal pair
-must do no work.
+``volumes.volume_polynomial`` keeps ``volumes._interpolated_polynomial``'s
+result for the last 8 ordered pairs.  The kept polynomial must equal a
+fresh interpolation, its inner coefficients must equal the base-height
+mixed volumes by Minkowski's theorem, its checks must still fire on every
+call when they fail, and a repeat call on an equal pair must do no work.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -38,15 +38,16 @@ def cyclic_body(n, count, shift):
 
 
 def assert_routes_agree(first, second):
-    assembled = volume_polynomial(first, second)
-    assert assembled == _interpolated_polynomial(first, second)
+    kept = volume_polynomial(first, second)
+    assert kept == _interpolated_polynomial(first, second)
+    # Minkowski's theorem: c_1 = n V(K[n-1], L) and c_(n-1) = n V(L[n-1], K).
     n = first.dim
-    assert assembled.coefficients[1] == n * mixed_volume_base_height(first, second)
-    assert assembled.coefficients[n - 1] == n * mixed_volume_base_height(second, first)
+    assert kept.coefficients[1] == n * mixed_volume_base_height(first, second)
+    assert kept.coefficients[n - 1] == n * mixed_volume_base_height(second, first)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_assembled_polynomial_equals_node_interpolation(n):
+def test_kept_polynomial_matches_interpolation_and_base_heights(n):
     rng = random.Random(f"assembled/{n}")
     for k in range({2: 40, 3: 24, 4: 8}[n]):
         first = random_polytope(n, rng.randint(n + 1, n + 4), rng)
@@ -60,14 +61,14 @@ def test_assembled_polynomial_equals_node_interpolation(n):
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 3).flatmap(lambda n: st.tuples(bodies(n), bodies(n))))
-def test_assembled_polynomial_on_integer_row_bodies(pair):
+def test_kept_polynomial_on_integer_row_bodies(pair):
     first, second = pair
     assume(first.is_full_dimensional and second.is_full_dimensional)
     assume(len(first.lifted) * len(second.lifted) <= volumes.MAX_PAIR_POINTS[first.dim])
     assert_routes_agree(first, second)
 
 
-def test_assembled_polynomial_on_boxes_and_at_the_cap():
+def test_kept_polynomial_on_boxes_and_at_the_cap():
     cube = unit_cube()
     assert volume_polynomial(cube, box(1, 2, 3)).coefficients == (1, 6, 11, 6)
     assert volume_polynomial(box(1, 2, 3), cube).coefficients == (6, 11, 6, 1)
@@ -82,33 +83,52 @@ def test_assembled_polynomial_on_boxes_and_at_the_cap():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_a_wrong_base_height_fails_only_the_assembled_route(n, monkeypatch):
+def test_a_wrong_node_fails_on_every_call(n, monkeypatch):
     first, second = box(*range(1, n + 1)), standard_simplex(n)
+    volume_polynomial.cache_clear()
+    real = volumes._minkowski_sum
+
+    def wrong_last_node(a, b):
+        total, pairs, nodes = real(a, b)
+        return total, pairs, nodes[:-1] + (nodes[-1] + 1,)
+
+    monkeypatch.setattr(volumes, "_minkowski_sum", wrong_last_node)
+    for routine in (volume_polynomial, volume_polynomial, mixed_volume_interp, profile_polynomial):
+        # The cache keeps no exception: the check fails on every call.
+        with pytest.raises(InvariantError, match="^volume polynomial failed the redundant-node check$"):
+            routine(first, second)
+    assert volume_polynomial.cache_info().currsize == 0
+    monkeypatch.setattr(volumes, "_minkowski_sum", real)
+    assert_routes_agree(first, second)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_wrong_base_height_fails_only_the_derivative_identity(n, monkeypatch):
+    first, second = box(*range(1, n + 1)), standard_simplex(n)
+    poly = volume_polynomial(first, second)
     interp = mixed_volume_interp(first, second)
     profile = profile_polynomial(first, second)
     real = volumes.mixed_volume_base_height
     monkeypatch.setattr(volumes, "mixed_volume_base_height", lambda a, b: real(a, b) + 1)
+    monkeypatch.setattr("convexkit.inequalities.mixed_volume_base_height", volumes.mixed_volume_base_height)
     volume_polynomial.cache_clear()
-    for _ in range(2):
-        # The cache keeps no exception: the check fails on every call.
-        with pytest.raises(InvariantError, match="^volume polynomial failed the redundant-node check$"):
-            volume_polynomial(first, second)
+    assert volume_polynomial(first, second) == poly
     assert mixed_volume_interp(first, second) == interp
     assert profile_polynomial(first, second) == profile
     # c10 compares the true interpolation with the wrong base-height.
-    monkeypatch.setattr("convexkit.inequalities.mixed_volume_base_height", volumes.mixed_volume_base_height)
     assert derivative_identity_check(first, second) == -n
 
 
-def test_mixed_areas_that_differ_are_an_invariant_error(monkeypatch):
-    first, second = unit_square(), box(2, 3)
-    real = volumes.mixed_volume_base_height
-    monkeypatch.setattr(
-        volumes, "mixed_volume_base_height", lambda a, b: real(a, b) + (a == first)
-    )
+def test_a_wrong_volume_field_is_caught_on_a_miss():
+    first, second = unit_cube(), box(1, 2, 3)
+    wrong = replace(first, volume=F(2))
+    assert wrong == first
     volume_polynomial.cache_clear()
-    with pytest.raises(InvariantError, match="^base-height mixed areas A\\(K, L\\) and A\\(L, K\\) differ$"):
-        volume_polynomial(first, second)
+    with pytest.raises(InvariantError, match="^volume polynomial end coefficients differ from the volumes$"):
+        volume_polynomial(wrong, second)
+    # The key is the bodies' rows: an equal body reads the kept polynomial.
+    poly = volume_polynomial(first, second)
+    assert volume_polynomial(wrong, second) is poly
 
 
 def test_repeat_pair_reads_the_kept_polynomial(tmp_path, monkeypatch):
@@ -118,14 +138,13 @@ def test_repeat_pair_reads_the_kept_polynomial(tmp_path, monkeypatch):
     copy = io.load_body(tmp_path / "first.json")
     assert copy is not first and copy == first
     volume_polynomial.cache_clear()
-    heights = count_calls(monkeypatch, "mixed_volume_base_height")
     solves = count_calls(monkeypatch, "solve")
     poly = volume_polynomial(first, second)
-    assert (len(heights), len(solves)) == (2, 0)
+    assert len(solves) == 1
     assert volume_polynomial(copy, second) is poly
-    assert (len(heights), len(solves)) == (2, 0)
+    assert len(solves) == 1
     for k in range(1, 4):
         assert mixed_volume_interp(copy, second) == poly.coefficients[1] / 3
-        assert (len(heights), len(solves)) == (2, k)
+        assert len(solves) == 1 + k
     info = volume_polynomial.cache_info()
     assert (info.hits, info.misses, info.maxsize) == (1, 1, 8)
