@@ -24,7 +24,6 @@ from .geometry import (
     Facet,
     Polytope,
     Subspace,
-    bodies_equal,
     convex_hull,
     hyperplane_subspace,
     polygon_cycle,
@@ -67,7 +66,6 @@ from .reconstruction import (
     translates_decision,
 )
 from .steiner import (
-    SteinerResult,
     rounding_iteration,
     steiner_symmetral,
     superadditivity_check,
@@ -80,7 +78,6 @@ from .volumes import (
     mixed_volume_interp,
     projection_prism_volume,
     surface_area,
-    volume,
     volume_polynomial,
 )
 

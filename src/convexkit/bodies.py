@@ -32,10 +32,9 @@ def standard_simplex(n: int) -> Polytope:
     return convex_hull([(Fraction(0),) * n, *(unit_vector(n, i) for i in range(n))])
 
 
-def diamond(r=1) -> Polytope:
-    """2D cross-polytope conv{(+-r, 0), (0, +-r)}; area 2 r^2."""
-    r = as_scalar(r)
-    return convex_hull([(r, 0), (-r, 0), (0, r), (0, -r)])
+def diamond() -> Polytope:
+    """2D cross-polytope conv{(+-1, 0), (0, +-1)}; area 2."""
+    return convex_hull([(1, 0), (-1, 0), (0, 1), (0, -1)])
 
 
 def segment(a, b) -> Polytope:

@@ -44,11 +44,7 @@ from .reconstruction import (
     recover_support_any,
 )
 from .steiner import rounding_iteration, steiner_symmetral
-from .volumes import (
-    mixed_volume_base_height,
-    mixed_volume_interp,
-    volume,
-)
+from .volumes import mixed_volume_base_height, mixed_volume_interp
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -154,7 +150,7 @@ def _verdict_payload(report) -> dict:
 
 def cmd_volume(args) -> int:
     body = io.load_body(args.body, digests=args.inputs)
-    return _report(args, {"volume": str(volume(body))})
+    return _report(args, {"volume": str(body.volume)})
 
 
 def cmd_mixedvol(args) -> int:
@@ -255,12 +251,12 @@ def cmd_steiner(args) -> int:
             ]
         }
     else:
-        res = steiner_symmetral(body, args.direction)
+        symmetral = steiner_symmetral(body, args.direction)
         result = {
-            "symmetral": io.body_to_json(res.symmetral),
+            "symmetral": io.body_to_json(symmetral),
             "exactness": "Exact2D" if body.dim == 2 else "Triangulated3D",
-            "inner_approximation": res.inner_approximation,
-            "volume": str(res.symmetral.volume),
+            "inner_approximation": symmetral.volume < body.volume,
+            "volume": str(symmetral.volume),
         }
     return _report(args, result)
 
@@ -297,16 +293,15 @@ def cmd_homothety(args) -> int:
     first = io.load_body(args.body_a, digests=args.inputs)
     second = io.load_body(args.body_b, digests=args.inputs)
     if args.via_projections:
-        dirs = default_direction_set(first.dim, seed=2024 if args.seed is None else args.seed)
-        report = homothetic_projections_conclude(first, second, dirs)
-        homothetic = report.witness is not None
-        result = {"conclusion": "Homothetic" if homothetic else "NotHomothetic"}
-        if homothetic:
-            result["witness"] = _witness_payload(report.witness)
-        if report.failing_direction is not None:
-            result["failing_direction"] = [str(c) for c in report.failing_direction]
-        if report.reason:
-            result["reason"] = report.reason
+        dirs = default_direction_set(first.dim, seed=args.seed)
+        decision = homothetic_projections_conclude(first, second, dirs)
+        result = {"conclusion": "Homothetic" if decision.homothetic else "NotHomothetic"}
+        if decision.homothetic:
+            result["witness"] = _witness_payload(decision.witness)
+        if decision.failing_direction is not None:
+            result["failing_direction"] = [str(c) for c in decision.failing_direction]
+        if decision.reason:
+            result["reason"] = decision.reason
     else:
         # This report reads its witness as first = a * second + x.
         decision = detect_homothety(second, first)

@@ -92,7 +92,6 @@ from .linalg import (
     as_vec,
     cross_normal,
     dot,
-    gram_matrix,
     independent_rows,
     is_zero_vec,
     mat_det,
@@ -213,7 +212,7 @@ class Subspace:
         return len(self.basis)
 
     def gram(self):
-        return gram_matrix(self.basis)
+        return tuple(tuple(dot(u, v) for v in self.basis) for u in self.basis)
 
     def gram_det(self) -> Fraction:
         return as_scalar(mat_det([list(r) for r in self.gram()]))
@@ -685,11 +684,6 @@ def projected_volume_sq(body: Polytope, xi: Subspace) -> Fraction:
     if shadow.affine_dim < xi.dim:
         return Fraction(0)
     return shadow.volume**2 / xi.gram_det()
-
-
-def bodies_equal(a: Polytope, b: Polytope) -> bool:
-    """Exact set equality, via identical canonical representations."""
-    return a.dim == b.dim and a.lifted == b.lifted
 
 
 def _image_rows(rows, a, x) -> tuple:

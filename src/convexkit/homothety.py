@@ -32,7 +32,6 @@ from .geometry import (
     _check_pair_dim,
     _homothety,
     _image_rows,
-    bodies_equal,
     hyperplane_subspace,
     project,
     support,
@@ -64,6 +63,7 @@ class HomothetyWitness:
 class HomothetyDecision:
     witness: Optional[HomothetyWitness]
     reason: Optional[str] = None  # set when witness is None
+    failing_direction: Optional[tuple] = None  # the projections' first failed shadow
 
     @property
     def homothetic(self) -> bool:
@@ -97,8 +97,9 @@ def detect_homothety(first: Polytope, second: Polytope) -> HomothetyDecision:
     return HomothetyDecision(None, reason="candidate-transform-mismatch")
 
 
-def default_direction_set(dim: int, seed: int = 2024):
-    """Axes, all (+-1)-diagonals, and 20 seeded random rational directions.
+def default_direction_set(dim: int, seed: Optional[int] = None):
+    """Axes, all (+-1)-diagonals, and 20 seeded random rational directions,
+    seeded by 2024 when ``seed`` is None (0 is a seed like any other).
 
     The last axis direction e_n comes first, as the projection pipeline
     requires it to be present.
@@ -108,7 +109,7 @@ def default_direction_set(dim: int, seed: int = 2024):
     for _ in range(dim - 1):
         diag = [d + [s] for d in diag for s in (Fraction(1), Fraction(-1))]
     dirs.extend(tuple(d) for d in diag)
-    rng = random.Random(seed)
+    rng = random.Random(2024 if seed is None else seed)
     seen = set(dirs)
     target = len(dirs) + 20
     while len(dirs) < target:
@@ -148,25 +149,19 @@ def normalize_shadows(first: Polytope, second: Polytope):
     down = vneg(e_last)
     first_n = translate(first, vscale(support(first, down), e_last))
     second_n = _homothety(second, a, vadd(v_embedded, vscale(a * support(second, down), e_last)))
-    if not bodies_equal(project(first_n, floor), project(second_n, floor)):
+    if project(first_n, floor) != project(second_n, floor):
         raise InvariantError("normalized bottom shadows differ")
     return first_n, second_n, a
 
 
-@dataclass(frozen=True)
-class ProjectionsReport:
-    witness: Optional[HomothetyWitness] = None  # set exactly when homothetic
-    failing_direction: Optional[tuple] = None
-    reason: Optional[str] = None
-
-
 def homothetic_projections_conclude(
     first: Polytope, second: Polytope, directions
-) -> ProjectionsReport:
+) -> HomothetyDecision:
     """Hyperplane-shadow test: homothetic shadows in every listed direction,
     then one certificate.
 
-    Finite direction sampling can only refute.  Once every shadow matched,
+    Finite direction sampling can only refute; the decision then names the
+    first direction whose shadows failed.  Once every shadow matched,
     the bottom shadow's witness L_shadow = a K_shadow + s fixes the only
     candidate, L = a K + (s, a h_K(-e_n) - h_L(-e_n)), as the heights of the
     two floors must match; it is returned exactly when it maps K's rows onto
@@ -184,7 +179,7 @@ def homothetic_projections_conclude(
         xi = hyperplane_subspace(w)
         decision = detect_homothety(project(first, xi), project(second, xi))
         if not decision.homothetic:
-            return ProjectionsReport(failing_direction=w, reason=decision.reason)
+            return HomothetyDecision(None, decision.reason, failing_direction=w)
         if bottom is None and w[-1] > 0 and not any(w[:-1]):
             # Every w on the ray of e_n has the floor's basis e_1..e_(n-1).
             bottom = decision.witness
@@ -193,8 +188,8 @@ def homothetic_projections_conclude(
     down = vneg(unit_vector(n, n - 1))
     witness = HomothetyWitness(a, (*bottom.shift, a * support(first, down) - support(second, down)))
     if _maps_onto(first, second, witness):
-        return ProjectionsReport(witness=witness)
-    return ProjectionsReport(reason="normalized-bodies-differ")
+        return HomothetyDecision(witness)
+    return HomothetyDecision(None, reason="normalized-bodies-differ")
 
 
 # ---------------------------------------------------------------------------

@@ -214,10 +214,6 @@ def solve(rows, rhs):
     return tuple(sign * x[j] for j in range(n)), sign * den
 
 
-def gram_matrix(basis):
-    return tuple(tuple(dot(u, v) for v in basis) for u in basis)
-
-
 def tree_sum(terms) -> tuple[int, int]:
     """The exact sum of n / d over integer pairs (n, d), d != 0, as one
     unreduced integer pair; each caller folds its own divisor into the pair

@@ -32,7 +32,6 @@ from .errors import (
 from .geometry import (
     Polytope,
     _check_full_dimensional,
-    bodies_equal,
     convex_hull,
     support,
     translate,
@@ -174,40 +173,31 @@ def farey_directions():
 @dataclass(frozen=True)
 class TranslateDecision:
     translation: Optional[tuple]  # second = first + translation; None unless translates
-    witness_direction: Optional[tuple]
     trace: tuple  # (direction, recovered_first, recovered_second) rows
 
 
-def translates_decision(
-    first: Polytope, second: Polytope, direction_grid=None
-) -> TranslateDecision:
+def translates_decision(first: Polytope, second: Polytope) -> TranslateDecision:
     """Decide whether two polygons are translates of each other.
 
     The complete certificate is canonical equality after corner
-    normalization; the per-direction trace of recovered support values is
-    the constructive evidence (refutation is sound on any differing row).
+    normalization; the trace of recovered support values over the Farey
+    grid is the constructive evidence (refutation is sound on any row whose
+    two values differ).
     """
     cn_first = corner_normalize(first)
     cn_second = corner_normalize(second)
-    grid = farey_directions() if direction_grid is None else tuple(
-        as_vec(w) for w in direction_grid
-    )
     oracle_first = mixed_area_oracle(cn_first.body)
     oracle_second = mixed_area_oracle(cn_second.body)
-    rows = []
-    witness = None
-    for w in grid:
-        ha = recover_support_any(oracle_first, w)
-        hb = recover_support_any(oracle_second, w)
-        rows.append((w, ha, hb))
-        if ha != hb and witness is None:
-            witness = w
+    rows = tuple(
+        (w, recover_support_any(oracle_first, w), recover_support_any(oracle_second, w))
+        for w in farey_directions()
+    )
     translation = None
-    if bodies_equal(cn_first.body, cn_second.body):
-        if witness is not None:
+    if cn_first.body == cn_second.body:
+        if any(ha != hb for _, ha, hb in rows):
             raise InvariantError("recovered supports disagree on equal bodies")
         translation = tuple(
             a - b
             for a, b in zip(cn_first.applied_translation, cn_second.applied_translation)
         )
-    return TranslateDecision(translation, witness, tuple(rows))
+    return TranslateDecision(translation, rows)

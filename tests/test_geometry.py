@@ -1,8 +1,18 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from convexkit.bodies import axis_segment, box, segment, standard_simplex, unit_cube, unit_square
+from convexkit.bodies import (
+    axis_segment,
+    box,
+    disc_polygon,
+    random_polytope,
+    segment,
+    standard_simplex,
+    unit_cube,
+    unit_square,
+)
 from convexkit.errors import (
     AmbientDimError,
     DegenerateBasisError,
@@ -13,8 +23,8 @@ from convexkit.errors import (
 )
 from convexkit.geometry import (
     Subspace,
-    bodies_equal,
     convex_hull,
+    hyperplane_subspace,
     polygon_cycle,
     project,
     projected_volume_sq,
@@ -76,15 +86,26 @@ def test_hull_ambient_range():
         convex_hull([(0,), (1,)])
     with pytest.raises(AmbientDimError):
         convex_hull([(0,) * 5, tuple(range(1, 6))])
+    with pytest.raises(DimensionError, match="^no points given$"):
+        convex_hull([])
+    with pytest.raises(DimensionMismatchError, match="^points of unequal length$"):
+        convex_hull([(0, 0), (1, 0, 0)])
+
+
+def test_body_constructors_refuse_too_few_points():
+    with pytest.raises(ValueError, match="^need m >= 1$"):
+        disc_polygon(0)
+    with pytest.raises(ValueError, match=r"^need at least dim \+ 1 points$"):
+        random_polytope(3, 3, random.Random(0))
 
 
 def test_hull_canonical_across_orderings(square):
     shuffled = convex_hull([(1, 1), (0, 1), (1, 0), (0, 0), (1, 1)])
-    assert bodies_equal(square, shuffled)
+    assert square == shuffled
 
 
 def test_hull_idempotent(cube):
-    assert bodies_equal(convex_hull(cube.vertices), cube)
+    assert convex_hull(cube.vertices) == cube
 
 
 def test_cube_facets(cube):
@@ -102,7 +123,7 @@ def test_hull_merges_coplanar_triangles():
         (F(1, 3), F(1, 3), F(1)),
     ]
     body = convex_hull(pts)
-    assert bodies_equal(body, unit_cube())
+    assert body == unit_cube()
 
 
 def test_support_values(square):
@@ -207,7 +228,7 @@ def test_support_set(square, tri):
 
 def test_project_cube_to_plane(cube, square):
     shadow = project(cube, Subspace(((1, 0, 0), (0, 1, 0))))
-    assert bodies_equal(shadow, square)
+    assert shadow == square
 
 
 def test_project_gram_chart(square):
@@ -225,6 +246,7 @@ def test_project_degenerate_image():
     shadow = project(seg, Subspace(((0, 1),)))
     assert shadow.affine_dim == 0
     assert shadow.volume == 0
+    assert projected_volume_sq(seg, Subspace(((0, 1),))) == 0
 
 
 def test_subspace_validation():
@@ -232,18 +254,24 @@ def test_subspace_validation():
         Subspace(((1, 0), (2, 0)))
     with pytest.raises(DegenerateBasisError):
         Subspace(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(DegenerateBasisError, match="^empty basis$"):
+        Subspace(())
+    with pytest.raises(DimensionMismatchError, match="^basis vectors of unequal length$"):
+        Subspace(((1, 0), (0, 1, 0)))
+    with pytest.raises(ZeroDirectionError, match="^direction must be nonzero$"):
+        hyperplane_subspace((0, 0, 0))
 
 
 def test_bodies_equal_exact(square):
     nudged = translate(square, (0, F(1, 1000000)))
-    assert not bodies_equal(square, nudged)
-    assert bodies_equal(scale(square, 2), combine(1, square, 1, square))
+    assert square != nudged
+    assert scale(square, 2) == combine(1, square, 1, square)
 
 
 def test_translate_scale_consistency(cube):
     moved = translate(scale(cube, F(3, 2)), (1, -2, F(1, 3)))
     rebuilt = convex_hull(moved.vertices)
-    assert bodies_equal(moved, rebuilt)
+    assert moved == rebuilt
     assert moved.volume == rebuilt.volume
     assert {f.normal for f in moved.facets} == {f.normal for f in rebuilt.facets}
     for f_a, f_b in zip(moved.facets, rebuilt.facets):
@@ -264,17 +292,20 @@ def test_segment_and_degenerate_flags():
     assert flat2.vertices == ((F(0), F(0), F(0)), (F(2), F(0), F(0)))
 
 
-def test_polygon_cycle(square):
+def test_polygon_cycle(square, cube):
     cyc = polygon_cycle(square)
     assert len(cyc) == 4
     assert cyc[0] == (F(0), F(0))
+    assert polygon_cycle(axis_segment(2, 0)) == [(F(0), F(0)), (F(1), F(0))]
+    with pytest.raises(DimensionError, match="^polygon cycle requires ambient dimension 2$"):
+        polygon_cycle(cube)
 
 
 def test_extremality_removal_shrinks(cube):
     for i in range(len(cube.vertices)):
         rest = [v for j, v in enumerate(cube.vertices) if j != i]
         smaller = convex_hull(rest, allow_degenerate=True)
-        assert not bodies_equal(smaller, cube)
+        assert smaller != cube
 
 
 def test_4d_hull_box():
@@ -307,7 +338,7 @@ def test_hull_edge_point_on_many_facets(monkeypatch):
     real = geometry.mat_det
     monkeypatch.setattr(geometry, "mat_det", counting)
     body = convex_hull(ends + [(0, 0, 0, 0)] + gon)
-    assert bodies_equal(body, without_m)
+    assert body == without_m
     assert len(body.facets) == m + 2
     # vol(S * P) = |S| * area(P) * 1! 2! / 4! for unit separation.
     assert body.volume == shoelace_area(polygon) / 6

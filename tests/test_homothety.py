@@ -9,7 +9,7 @@ from convexkit.errors import (
     NotHomotheticProjectionError,
     VolumeMismatchError,
 )
-from convexkit.geometry import _homothety, bodies_equal, convex_hull, project, scale, translate
+from convexkit.geometry import _homothety, convex_hull, project, scale, translate
 from convexkit.homothety import (
     default_direction_set,
     detect_homothety,
@@ -67,19 +67,19 @@ def test_detect_witness_soundness(cube):
         moved = translate(scale(base, a), x)
         d = detect_homothety(base, moved)
         assert d.witness == type(d.witness)(a, x)
-        assert bodies_equal(moved, _homothety(base, d.witness.ratio, d.witness.shift))
+        assert moved == _homothety(base, d.witness.ratio, d.witness.shift)
 
 
 def test_normalize_shadows_cube(cube):
     first, second, ratio = normalize_shadows(cube, translate(scale(cube, 2), (1, 1, 1)))
-    assert bodies_equal(first, second)
-    assert bodies_equal(first, cube)
+    assert first == second
+    assert first == cube
     assert ratio == F(1, 2)
 
 
 def test_normalize_shadows_vertical_translate(cube):
     first, second, _ = normalize_shadows(cube, translate(cube, (0, 0, 9)))
-    assert bodies_equal(first, cube) and bodies_equal(second, cube)
+    assert first == cube and second == cube
 
 
 def test_normalize_shadows_rejects(cube):
@@ -95,7 +95,7 @@ def test_normalize_shadow_projections_agree_after(cube):
     first, second, _ = normalize_shadows(cube, translate(scale(cube, 3), (2, -1, 5)))
     for w in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -2, 0)]:
         xi = hyperplane_subspace(w)
-        assert bodies_equal(project(first, xi), project(second, xi))
+        assert project(first, xi) == project(second, xi)
 
 
 def test_conclude_homothetic(cube):

@@ -136,6 +136,51 @@ def test_no_test_only_definitions():
     assert definitions_only_tests_read() == []
 
 
+def _defaulted_parameters(node, method) -> list:
+    """(position, name) of each parameter of ``node`` that has a default;
+    position counts the positional parameters after ``self`` for a method,
+    and is None for a keyword-only one."""
+    args = node.args
+    positional = [*args.posonlyargs, *args.args][1 if method else 0 :]
+    found = list(enumerate(a.arg for a in positional))[len(positional) - len(args.defaults) :]
+    found += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def unset_defaults() -> list:
+    """Defaulted parameters of package functions and methods that no call
+    under ``READERS`` sets, by position or keyword, as "module.function
+    parameter": a default that no caller overrides is a constant.  A call
+    is matched by the callee's name, and one with ``*args`` or ``**kwargs``
+    may set anything."""
+    calls = {}
+    for path in sorted(p for folder in READERS for p in folder.rglob("*.py")):
+        for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(sub, ast.Call):
+                calls.setdefault(getattr(sub.func, "id", getattr(sub.func, "attr", None)), []).append(sub)
+
+    def sets(call, position, name):
+        return (
+            any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg in (None, name) for k in call.keywords)
+            or position is not None and position < len(call.args)
+        )
+
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        for node, name in _functions(ast.parse(path.read_text(encoding="utf-8"))):
+            if node.name.startswith("__"):
+                continue
+            for position, param in _defaulted_parameters(node, "." in name):
+                if not any(sets(call, position, param) for call in calls.get(node.name, ())):
+                    hits.append(f"{path.stem}.{name} {param}")
+    return hits
+
+
+def test_every_default_is_set_by_some_caller():
+    assert unset_defaults() == []
+
+
 def _decorator_names(node) -> set:
     """The names a definition is decorated with, called or not, with any
     module prefix dropped: ``functools.lru_cache(8)`` is "lru_cache"."""

@@ -180,6 +180,9 @@ def test_concavity_profile_rectangle(square, rect):
     p = concavity_profile(square, rect, (0, F(1, 2), 1))
     assert [f for _, f in p.samples] == [1, F(3, 2), 2]
     assert all(p.certificates)
+    # Only evenly spaced triples get a certificate: (1/4, 1/2, 1) gets none.
+    uneven = concavity_profile(square, rect, (0, F(1, 4), F(1, 2), 1))
+    assert len(uneven.samples) == 4 and uneven.certificates == (True,)
 
 
 @pytest.mark.parametrize("ratio", [2, F(7, 3)])

@@ -335,6 +335,8 @@ def test_integer_nth_root_matches_bisection():
         r = integer_nth_root(x, n)
         assert r == (math.isqrt(x) if n == 2 else floor_root(x, n)), (x, n)
         assert r**n <= x < (r + 1) ** n
+    with pytest.raises(ValueError, match="^negative radicand$"):
+        integer_nth_root(-1, 2)
 
 
 def test_best_approximation_matches_limit_denominator():
