@@ -26,14 +26,20 @@ Conventions used throughout the package:
   ``convex_hull`` is the way in for points from outside (body files,
   constructor arguments, probes), which it checks and lifts once, and
   ``Polytope.vertices`` the way out, for reports and files.  The kernel
-  sorts and deduplicates the rows on integer keys, inserts them into the
-  hull in a seeded shuffled order, and sums volumes as integer pairs.  Its
-  3D and 4D insertion loop is straight-line code: each visibility test is
+  runs in two steps with a seam between them.  ``_hull_rows`` sorts and
+  deduplicates the rows on integer keys, and ``_incremental_hull`` inserts
+  them into the hull in a seeded shuffled order, giving the outward
+  boundary simplices with their cross normals.  ``_canonical_body`` then
+  merges the simplices into facets, keeps the extreme points and sums the
+  volume as integer pairs.  ``volumes``' pair record takes only the first
+  step, and builds K + L's body by the second when it is read.  The 3D
+  and 4D insertion loop is straight-line code: each visibility test is
   one sum of products on the unpacked row and cross normal, and a 3D
   simplex's ridges are keyed as ordered pairs;
 * a full-dimensional hull is built as boundary simplices whose vertex
   order is outward (n >= 2); ``_hull_with_boundary`` returns them with the
-  Polytope, so ``volumes`` can read K + eps L's volume off K + L's hull.
+  Polytope, and the pair record keeps them, so ``volumes`` can read
+  K + eps L's volume off K + L's boundary.
   The orientation is built in, not tested afterwards: a 2D hull's facets
   are the edges of its counterclockwise monotone chain (Andrew's, with the
   rows split first by the line through the first and last of them, and
@@ -288,8 +294,9 @@ def _oriented(rows, interior, vert_ids):
     return vert_ids, h
 
 
-def _incremental_hull(rows, n, base, interior):
-    """Simplicial boundary of a full-dimensional set, as oriented simplices.
+def _incremental_hull(rows, n, base):
+    """Simplicial boundary of a full-dimensional set, as outward simplices
+    (verts, h): an index tuple into the rows and its cross normal.
 
     ``rows`` are lifted points affinely spanning R^n, and ``base`` indexes
     n+1 of them that are affinely independent.  The other points are
@@ -301,7 +308,9 @@ def _incremental_hull(rows, n, base, interior):
     is left as it was.  The facets and the canonical body do not depend on
     the order; only the triangulation of each facet may.
 
-    Only the base simplex's facets are oriented against ``interior``.  A new
+    Only the base simplex's facets are oriented, against the sum of its
+    rows, which stands for the average of its points weighted by their d's
+    and so lies inside the simplex on ``base``, inside the hull.  A new
     simplex on a horizon ridge is the visible simplex's own vertex tuple
     with the dropped vertex r_k replaced by the new point p, and it is
     outward by construction.  dot(cross_normal(r_0, ..., r_(n-1)), x) is,
@@ -324,6 +333,7 @@ def _incremental_hull(rows, n, base, interior):
     of its 30 rows, each tested against every current simplex, and keeps
     about 32 simplices.
     """
+    interior = [sum(col) for col in zip(*(rows[i] for i in base))]
     facets = {}
     next_id = itertools.count()
     for subset in itertools.combinations(base, n):
@@ -393,7 +403,9 @@ def _point(row) -> tuple:
 
 
 def _build_polygon(rows):
-    """``_build_full_dimensional`` for n == 2, read straight off the chain.
+    """The polygon on sorted, distinct lifted ``rows`` and its edges, read
+    straight off the chain in one pass: ``_canonical_body``'s work for
+    n == 2, which needs no simplices and no merge.
 
     The chain is the counterclockwise cycle of exactly the extreme points,
     so each of its edges a -> b is a facet, with the hull on its left.  For
@@ -428,20 +440,21 @@ def _build_polygon(rows):
     return body, tuple(edges)
 
 
-def _build_full_dimensional(rows, n, base):
+def _cone_volume(rows, n, simplices) -> Fraction:
+    """The volume inside outward simplices (verts, h) that close up: the
+    cone over a simplex from the origin has signed volume -h[n] / (s n!),
+    for s the product of its rows' d's.  The cones are summed as integer
+    pairs by ``tree_sum``, and n! is folded into the one Fraction."""
+    num, den = tree_sum((-h[n], prod(rows[i][n] for i in verts)) for verts, h in simplices)
+    return Fraction(num, den * factorial(n))
+
+
+def _canonical_body(rows, n, simplices):
     """Canonical Polytope of the affinely spanning points of sorted, distinct
-    lifted ``rows``, and its boundary simplices as outward-ordered index
-    tuples into the rows; ``base`` indexes n+1 affinely independent ones.
+    lifted ``rows``, from ``_incremental_hull``'s outward simplices on them.
     Coplanar simplices merge into a facet keyed by their primitive normal;
     the one gcd that makes a simplex's normal primitive is also the
     numerator of its share of the facet's weight."""
-    if n == 2:
-        return _build_polygon(rows)
-    # A sum of rows stands for the average of its points weighted by their
-    # d's, so this one lies inside the simplex on ``base``, inside the hull.
-    interior = [sum(col) for col in zip(*(rows[i] for i in base))]
-    simplices = _incremental_hull(rows, n, base, interior)
-
     # Merge coplanar simplices into maximal facets, keyed by the primitive
     # outward normal (unique per facet of a convex body).  For a simplex
     # whose rows' d's multiply to s, c = h[:n] / s is the outward cross
@@ -449,22 +462,16 @@ def _build_full_dimensional(rows, n, base):
     # With g = gcd(h[:n]) > 0 and h[:n] = g prim, lam = g / s ties the stored
     # primitive normal back to true areas, (n-1)-volume of the simplex =
     # lam * |prim| / (n-1)!, which makes the simplex's share of the facet's
-    # weight, (n-1)-volume / |prim|, lam / (n-1)!.  The cone over the
-    # simplex from the origin has signed volume -h[n] / (s * n!).  Both sums
-    # are integer pairs from ``tree_sum``; the facet keeps its weight pair,
-    # and the volume is the one Fraction built here.
+    # weight, (n-1)-volume / |prim|, lam / (n-1)!.  The sum is an integer
+    # pair from ``tree_sum``, and the facet keeps its weight pair.
     merged = {}
-    cones = []
     for verts, h in simplices:
         s = prod(rows[i][n] for i in verts)
-        cones.append((-h[n], s))
         g = gcd(*h[:n])
         prim = tuple(x // g for x in h[:n])
         pieces, members = merged.setdefault(prim, ([], set()))
         pieces.append((g, s))
         members.update(verts)
-    num, den = tree_sum(cones)
-    volume = Fraction(num, den * factorial(n))
 
     # Every vertex of a facet is a vertex of its triangulation, so a member
     # is extreme iff the normals of the facets it is a member of span R^n.
@@ -483,14 +490,13 @@ def _build_full_dimensional(rows, n, base):
         lam_n, lam_d = tree_sum(pieces)
         weight = (lam_n, lam_d * factorial(n - 1))
         facets.append(Facet(prim, (sum(map(mul, prim, row)), row[n]), weight))
-    body = Polytope(
+    return Polytope(
         dim=n,
         lifted=tuple(rows[i] for i in extreme),
         facets=tuple(facets),
         affine_dim=n,
-        volume=volume,
+        volume=_cone_volume(rows, n, simplices),
     )
-    return body, tuple(verts for verts, _ in simplices)
 
 
 def _build_degenerate(rows, n, rank, basis_ids):
@@ -545,12 +551,9 @@ def _check_full_dimensional(*bodies):
         raise LowerDimensionalError("bodies must be full-dimensional")
 
 
-def _hull_with_boundary(rows, n):
-    """``convex_hull``'s work on lifted rows, returning what it builds on the
-    way: the canonical Polytope, the distinct rows in sorted order, and the
-    hull's boundary simplices as index tuples into those rows, none for a
-    flat hull.  For n >= 2 each simplex's vertex order is outward: the cross
-    normal of its rows in that order points out of the hull.
+def _hull_rows(rows, n):
+    """The distinct rows in sorted point order, and the indices of the first
+    affinely independent ones among them: the first step of every hull.
 
     ``rows`` are the rows (X, d) of points in R^n as ``_lift`` makes them:
     d is the least positive integer with X / d == the point, so equal
@@ -561,17 +564,37 @@ def _hull_with_boundary(rows, n):
     sort as the points do and are equal exactly when the points are.  Keys
     over the lcm of all the d's would do the same, but on a rational circle
     that lcm has a factor per point, and the keys grow with the point count.
+    Points are affinely independent exactly when their rows are linearly
+    so, so the points span R^n exactly when n+1 indices come back.
     """
     shift = 2 * max(row[n] for row in rows).bit_length()
     distinct = {tuple((x << shift) // row[n] for x in row[:n]): row for row in rows}
     rows = [distinct[key] for key in sorted(distinct)]
-    # Points are affinely independent exactly when their rows are linearly so.
-    basis_ids = [i for i, _, _ in independent_rows(rows)]
+    return rows, [i for i, _, _ in independent_rows(rows)]
+
+
+def _hull_with_boundary(rows, n):
+    """``convex_hull``'s work on lifted rows, returning what it builds on the
+    way: the canonical Polytope, the distinct rows in sorted order, and the
+    hull's boundary simplices as index tuples into those rows, none for a
+    flat hull.  For n >= 2 each simplex's vertex order is outward: the cross
+    normal of its rows in that order points out of the hull.
+
+    The rows are sorted and deduplicated by ``_hull_rows``.  A flat hull is
+    ``_build_degenerate``'s and a polygon ``_build_polygon``'s; otherwise
+    ``_incremental_hull`` builds the boundary and ``_canonical_body`` the
+    body on it, the two steps a caller that needs only the boundary takes
+    apart.
+    """
+    rows, basis_ids = _hull_rows(rows, n)
     rank = len(basis_ids) - 1
     if rank < n:
         return _build_degenerate(rows, n, rank, basis_ids), rows, ()
-    body, simplices = _build_full_dimensional(rows, n, basis_ids)
-    return body, rows, simplices
+    if n == 2:
+        body, edges = _build_polygon(rows)
+        return body, rows, edges
+    simplices = _incremental_hull(rows, n, basis_ids)
+    return _canonical_body(rows, n, simplices), rows, tuple(verts for verts, _ in simplices)
 
 
 def convex_hull(points, *, allow_degenerate: bool = False):

@@ -20,20 +20,25 @@ vertex pairs (x, y) give the vertices a x + b y of aK + bL does not depend
 on a and b, and each vertex has exactly one such pair.  For the same reason
 K + eps L has the normal fan of K + L for every eps > 0, and moving each
 pair point x + y to x + eps y carries the boundary simplices of K + L's
-hull onto a boundary cycle of K + eps L: one hull per pair gives every
-node, each later one at one n x n integer determinant per simplex.
+hull onto a boundary cycle of K + eps L: one hull boundary per pair gives
+every node, each later one at one n x n integer determinant per simplex.
 
 One pure function of an ordered pair of bodies, ``_minkowski_sum``, an
-``lru_cache`` of 8 pairs, holds what a pair has shown: K + L, the pair
-(x, y) behind each of its vertices as the integer triple
-(X d_y, Y d_x, d_x d_y) of the bodies' rows, and V(K + eps L),
-eps = 0..n+1, read off the boundary cycle right after the one hull.  It is
+``lru_cache`` of 8 pairs, holds what a pair has shown in a ``_PairRecord``:
+K + L's boundary cycle, that is its sorted distinct pair points x + y,
+the outward boundary simplices on them and the pair (x, y) behind each
+point on the cycle as the integer triple (X d_y, Y d_x, d_x d_y) of the
+bodies' rows, and
+V(K + eps L), eps = 0..n+1, read off the cycle.  In 3D and 4D a miss runs
+only the hull's first steps, and K + L's body, with its facet merge and
+extreme-point test, is built from the kept cycle when ``combine`` first
+reads it for equal coefficients; no other caller reads it.  The record is
 the only place that pairs the vertices of two bodies, and it first checks
-their number against ``MAX_PAIR_POINTS``.  One routine,
-``_pair_points``, turns the triples into the rows of a x + b y: the pair
-points x + y, the moved points x + eps y of each node, and the vertices
-a x + b y that ``combine`` hulls for unequal coefficients, so no
-``Fraction`` point is formed.
+their number against ``MAX_PAIR_POINTS``.  One routine, ``_pair_points``,
+turns the triples into the rows of a x + b y: the pair points x + y, the
+moved points x + eps y of each node, and the points a x + b y that
+``combine`` hulls for unequal coefficients, so no ``Fraction`` point is
+formed.
 
 Nodes are cached before they are checked.  The checks on the volume
 polynomial -- the redundant node, the end coefficients and the
@@ -77,12 +82,17 @@ from .errors import (
 )
 from .geometry import (
     Polytope,
+    _build_degenerate,
+    _canonical_body,
     _check_ambient,
     _check_direction,
     _check_full_dimensional,
     _check_pair_dim,
+    _cone_volume,
+    _hull_rows,
     _hull_with_boundary,
     _image_rows,
+    _incremental_hull,
     _integer_support,
     scale,
 )
@@ -192,50 +202,106 @@ def _pair_points(pairs, a, b) -> list:
     return [(*(x * ps + y * rq for x, y in zip(xs, ys)), w * qs) for xs, ys, w in pairs]
 
 
+@dataclass(frozen=True)
+class _PairRecord:
+    """What one ordered pair of bodies (K, L) has shown: K + L's boundary
+    cycle, the node volumes read off it, and K + L itself on first read.
+
+    rows:      the sorted distinct pair points x + y, as their primitive rows
+    pairs:     the ``_pair_row`` triple of one vertex pair (x, y) behind
+               each row on K + L's boundary cycle (each row when K + L is
+               flat), the last one formed where pairs share a point
+    simplices: K + L's outward boundary simplices (verts, h) on the rows,
+               with their cross normals, as ``_incremental_hull`` gives them
+    nodes:     V(K + eps L) for eps = 0..n+1
+
+    In 3D and 4D ``body`` is built by ``_canonical_body`` from the rows and
+    simplices when first read, and kept; two threads that read it at once
+    build equal bodies.  In 2D the chain builds the polygon with its edges
+    in one pass, and for a flat K + L the hull is the body, so there the
+    record starts with the body in place and no simplices.
+    """
+
+    rows: tuple
+    pairs: tuple
+    simplices: tuple
+    nodes: tuple
+
+    @functools.cached_property
+    def body(self) -> Polytope:
+        return _canonical_body(self.rows, len(self.rows[0]) - 1, self.simplices)
+
+
 @functools.lru_cache(maxsize=8)
-def _minkowski_sum(first: Polytope, second: Polytope) -> tuple:
-    """K + L, the ``_pair_row`` triple of the one vertex pair (x, y) behind
-    each of its vertices, and V(K + eps L) for eps = 0..n+1, each node past
-    eps = 1 off K + L's boundary cycle.  Outside dimensions 2..4 it raises
-    ``AmbientDimError``, and past MAX_PAIR_POINTS vertex pairs in the
-    bodies' dimension ``PairPointsError``, before forming them.  The
-    caller has checked that the bodies share their dimension.
+def _minkowski_sum(first: Polytope, second: Polytope) -> _PairRecord:
+    """The ``_PairRecord`` of K and L: the pair points x + y, K + L's
+    boundary cycle on them with the ``_pair_row`` triple behind each of its
+    points, and V(K + eps L) for eps = 0..n+1, each node past eps = 1 off
+    the cycle.
+    Outside dimensions 2..4 it raises ``AmbientDimError``, and past
+    MAX_PAIR_POINTS vertex pairs in the bodies' dimension
+    ``PairPointsError``, before forming them.  The caller has checked that
+    the bodies share their dimension.
 
     The triples come from the bodies' lifted rows, and each pair point
     x + y is the primitive row of its ``_pair_points`` row
     (X d_y + Y d_x, d_x d_y): the row ``_lift`` makes of x + y, so K + L's
-    ``lifted`` is still its vertices' own rows.  The hull runs on these
-    rows, and on a repeated point the last pair wins.
+    ``lifted`` is still its vertices' own rows.  On a repeated point the
+    last pair wins.  In 3D and 4D only the hull's first steps run here,
+    ``_hull_rows`` and ``_incremental_hull``, and node 1 is the cycle's own
+    cone sum; no facet is merged and no vertex is tested for extremeness
+    until the record's ``body`` is read.  In 2D and for a flat K + L the
+    whole hull runs, and node 1 is the body's volume.
     """
-    _check_ambient(first.dim)
+    n = first.dim
+    _check_ambient(n)
     count = len(first.lifted) * len(second.lifted)
-    cap = MAX_PAIR_POINTS[first.dim]
+    cap = MAX_PAIR_POINTS[n]
     if count > cap:
         raise PairPointsError(
-            f"{count} vertex pairs in dimension {first.dim}; at most {cap} may be combined"
+            f"{count} vertex pairs in dimension {n}; at most {cap} may be combined"
         )
     triples = [_pair_row(x, y) for x in first.lifted for y in second.lifted]
     origin = dict(zip(map(primitive_int_vector, _pair_points(triples, 1, 1)), triples))
-    body, rows, simplices = _hull_with_boundary(list(origin), first.dim)
+    simplices = ()
+    if n == 2:
+        body, rows, edges = _hull_with_boundary(list(origin), n)
+    else:
+        rows, basis_ids = _hull_rows(list(origin), n)
+        rank = len(basis_ids) - 1
+        if rank < n:
+            body, edges = _build_degenerate(rows, n, rank, basis_ids), ()
+        else:
+            body, simplices = None, tuple(_incremental_hull(rows, n, basis_ids))
+            edges = [verts for verts, _ in simplices]
+    volume = _cone_volume(rows, n, simplices) if body is None else body.volume
     # The boundary cycle: each sorted pair point x + y once as its triple,
     # and the hull's outward simplices as indices into those.
-    cycle = (tuple(origin[row] for row in rows), simplices)
-    nodes = (first.volume, body.volume) + tuple(
-        _cycle_volume(cycle, eps) for eps in range(2, first.dim + 2)
+    pairs = [origin[row] for row in rows]
+    nodes = (first.volume, volume) + tuple(
+        _cycle_volume((pairs, edges), eps) for eps in range(2, n + 2)
     )
-    return body, tuple(origin[row] for row in body.lifted), nodes
+    # Every vertex of K + L is on a simplex, so its pair is kept; a flat
+    # K + L has no simplices, and keeps every pair.
+    on_cycle = sorted({i for simplex in edges for i in simplex}) or range(len(rows))
+    record = _PairRecord(tuple(rows), tuple(pairs[i] for i in on_cycle), simplices, nodes)
+    if body is not None:
+        # The one fill of ``body``'s slot, where the cached_property keeps it.
+        vars(record)["body"] = body
+    return record
 
 
 def combine(a, first: Polytope, b, second: Polytope) -> Polytope:
     """Minkowski combination a*K + b*L (hull of pairwise point combinations).
 
     A zero coefficient scales the other body, and equal ones scale K + L,
-    which is hulled once per recent ordered pair; otherwise only the vertex
-    pairs behind the vertices of K + L are combined, as rows from their
-    triples.  A negative coefficient raises ``NegativeCoefficientError``,
-    then ``_check_pair_dim`` checks the bodies' dimensions; past
-    MAX_PAIR_POINTS vertex pairs, a combination that forms them raises
-    ``PairPointsError`` from ``_minkowski_sum``.
+    which the pair's record builds on first read and keeps.  Otherwise the
+    points a x + b y of the record's vertex pairs are hulled: each lies in
+    aK + bL, and every vertex of aK + bL is one of them, as its pair is the
+    one behind a vertex of K + L.  A negative coefficient raises
+    ``NegativeCoefficientError``, then ``_check_pair_dim`` checks the
+    bodies' dimensions; past MAX_PAIR_POINTS vertex pairs, a combination
+    that forms them raises ``PairPointsError`` from ``_minkowski_sum``.
     """
     a, b = as_scalar(a), as_scalar(b)
     if a < 0 or b < 0:
@@ -247,10 +313,10 @@ def combine(a, first: Polytope, b, second: Polytope) -> Polytope:
         return scale(second, b)
     if b == 0:
         return scale(first, a)
-    total, pairs, _ = _minkowski_sum(first, second)
+    record = _minkowski_sum(first, second)
     if a == b:
-        return scale(total, a)
-    rows = [primitive_int_vector(row) for row in _pair_points(pairs, a, b)]
+        return scale(record.body, a)
+    rows = [primitive_int_vector(row) for row in _pair_points(record.pairs, a, b)]
     return _hull_with_boundary(rows, first.dim)[0]
 
 
@@ -300,14 +366,14 @@ def _interpolated_polynomial(first: Polytope, second: Polytope) -> VolumePolynom
     """V_n(K + eps L) interpolated through the record's node volumes at
     eps = 0..n+1, on every call, in integers.
 
-    The nodes come from the pair's record in ``_minkowski_sum``, so K + L
-    is hulled once per recent ordered pair.  The redundant node tests the
-    cycle against V(K) from K's own hull, and c_n = V(L), checked by
-    cross-multiplication like c_0 = V(K), tests it against L's.
+    The nodes come from the pair's record in ``_minkowski_sum``, so K + L's
+    boundary is hulled once per recent ordered pair.  The redundant node
+    tests the cycle against V(K) from K's own hull, and c_n = V(L), checked
+    by cross-multiplication like c_0 = V(K), tests it against L's.
     """
     _check_pair_dim(first, second)
     n = first.dim
-    numerators, den = minkowski_interpolate(_minkowski_sum(first, second)[2])
+    numerators, den = minkowski_interpolate(_minkowski_sum(first, second).nodes)
     for c, v in ((numerators[0], first.volume), (numerators[n], second.volume)):
         if c * v.denominator != v.numerator * den:
             raise InvariantError("volume polynomial end coefficients differ from the volumes")

@@ -511,8 +511,9 @@ def test_rounding_ratio_at_extreme_scales(tmp_path, capsys):
 OPTIMIZED_INVARIANTS = """
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from convexkit import cli, volumes
-from convexkit.bodies import unit_square
+from convexkit.bodies import unit_cube, unit_square
 from convexkit.errors import InvariantError
 from convexkit.steiner import steiner_symmetral
 
@@ -523,7 +524,7 @@ square = unit_square()
 def wrong_first_node(routine):
     # Nodes of (2 + eps)^2, consistent among themselves, but V(K) = 1.
     real = volumes._minkowski_sum
-    volumes._minkowski_sum = lambda first, second: (None, None, (4, 9, 16, 25))
+    volumes._minkowski_sum = lambda first, second: volumes._PairRecord((), (), (), (4, 9, 16, 25))
     try:
         routine(square, square)
     finally:
@@ -540,7 +541,8 @@ for bad in (lambda: volumes.VolumePolynomial((-1,)),
             lambda: wrong_first_node(volumes.volume_polynomial),
             lambda: wrong_first_node(volumes.volume_polynomial),
             lambda: wrong_first_node(volumes.mixed_volume_interp),
-            lambda: steiner_symmetral(replace(square, volume=2), (1, 0))):
+            lambda: steiner_symmetral(replace(square, volume=2), (1, 0)),
+            lambda: steiner_symmetral(replace(unit_cube(), volume=Fraction(1, 2)), (1, 0, 0))):
     try:
         bad()
     except InvariantError:

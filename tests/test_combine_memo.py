@@ -144,11 +144,11 @@ def test_combine_shared_pairs_across_threads():
         sys.setswitchinterval(interval)
 
 
-def count_calls(monkeypatch, name):
+def count_calls(monkeypatch, name, owner=volumes):
     """Count the calls made through the global ``name`` of every convexkit
-    module that binds the same object as ``volumes`` does."""
+    module that binds the same object as ``owner`` does."""
     calls = []
-    real = getattr(volumes, name)
+    real = getattr(owner, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
@@ -161,21 +161,26 @@ def count_calls(monkeypatch, name):
 
 
 def test_minkowski_sum_is_hulled_once_per_pair(monkeypatch):
-    # K + L is hulled from all vertex pairs once; a later unequal positive
-    # combination hulls only the pairs behind the vertices of K + L, and the
-    # pair's volume polynomial hulls nothing.  Every hull, convex_hull's
-    # too, is built by geometry._hull_with_boundary.
+    # K + L's boundary is hulled from all vertex pairs once, and its body is
+    # built from that boundary once, when first read; a later unequal
+    # positive combination hulls only the record's pair points, and the
+    # pair's volume polynomial hulls nothing.  Every 3D hull's boundary is
+    # built by geometry._incremental_hull, and every hull but the record's
+    # by geometry._hull_with_boundary.
     first, second = (random_polytope(3, 6, random.Random(seed)) for seed in (9101, 9102))
+    boundaries = count_calls(monkeypatch, "_incremental_hull")
+    built = count_calls(monkeypatch, "_canonical_body")
     hulls = count_calls(monkeypatch, "_hull_with_boundary")
     total = combine(1, first, 1, second)
     assert combine(1, first, 1, second) == total
-    assert len(hulls) == 1
+    assert (len(boundaries), len(built), len(hulls)) == (1, 1, 0)
     third = combine(F(1, 3), first, F(2, 3), second)
-    assert len(hulls) == 2 and len(hulls[1][0]) == len(total.vertices)
+    pairs = volumes._minkowski_sum(first, second).pairs
+    assert len(boundaries) == len(hulls) + 1 == 2 and len(hulls[0][0]) == len(pairs)
     poly = volume_polynomial(first, second)
     assert poly.coefficients[0] == first.volume
     assert mixed_volume_interp(first, second) == poly.coefficients[1] / 3
-    assert len(hulls) == 2
+    assert len(boundaries) == 2
     assert snapshot(third) == snapshot(pairwise_hull(F(1, 3), first, F(2, 3), second))
 
 

@@ -392,3 +392,42 @@ def lower_dimensional_raisers() -> list:
 
 def test_only_one_rule_raises_lower_dimensional_error():
     assert lower_dimensional_raisers() == ["geometry._check_full_dimensional"]
+
+
+def invariant_messages() -> list:
+    """The literal text of each ``InvariantError`` message the package
+    raises, as (module, text); each literal part of an f-string counts as
+    one text."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(sub, ast.Raise)
+                and isinstance(sub.exc, ast.Call)
+                and getattr(sub.exc.func, "id", None) == "InvariantError"
+            ):
+                message = sub.exc.args[0]
+                parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+                found += [
+                    (path.stem, part.value.strip())
+                    for part in parts
+                    if isinstance(part, ast.Constant) and part.value.strip()
+                ]
+    return found
+
+
+def untested_invariant_messages() -> list:
+    """``invariant_messages`` that no test file other than this one spells
+    out, as "module: text".  A check whose message no test names is most
+    likely a check that no test trips."""
+    tests = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        if path.name != Path(__file__).name
+    )
+    return [f"{module}: {text}" for module, text in invariant_messages() if text not in tests]
+
+
+def test_every_invariant_message_is_named_by_a_test():
+    assert len(invariant_messages()) > 0
+    assert untested_invariant_messages() == []

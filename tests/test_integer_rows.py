@@ -310,12 +310,14 @@ def test_half_integer_pair_rows_reduce_to_the_vertices_rows(n):
 
     first, second = half_integer_body(), half_integer_body()
     assert {row[-1] for row in first.lifted + second.lifted} == {2}
-    total, pairs, _ = volumes._minkowski_sum(first, second)
+    record = volumes._minkowski_sum(first, second)
+    total = record.body
     assert total.lifted == tuple(_lift(total.vertices))
     assert {row[-1] for row in total.lifted} == {1}
-    # The record keeps each pair (x, y) as its triple (X d_y, Y d_x, d_x d_y).
-    pairs = [(_point((*x, w)), _point((*y, w))) for x, y, w in pairs]
-    assert [vadd(x, y) for x, y in pairs] == list(total.vertices)
+    # The record keeps each pair (x, y) as its triple (X d_y, Y d_x, d_x d_y),
+    # one behind each row on the boundary cycle, which holds the vertices.
+    pairs = [(_point((*x, w)), _point((*y, w))) for x, y, w in record.pairs]
+    assert set(total.lifted) <= set(_lift([vadd(x, y) for x, y in pairs])) <= set(record.rows)
 
 
 def assert_canonical(body):

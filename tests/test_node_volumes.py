@@ -1,6 +1,6 @@
 """Differential test of the node volumes behind the volume polynomial.
 
-The record ``volumes._minkowski_sum(K, L)`` ends with V(K + eps L) for
+The record ``volumes._minkowski_sum(K, L)`` keeps V(K + eps L) for
 eps = 0..n+1.  Each node must equal the hull-per-node oracle
 ``combine(1, K, eps, L).volume``, and the volume polynomial through the
 nodes must pass all of its checks.  Inputs are the 2D and 3D bodies of
@@ -41,7 +41,7 @@ def check_nodes(first, second):
         with pytest.raises(PairPointsError):
             volumes._minkowski_sum(first, second)
         return
-    nodes = volumes._minkowski_sum(first, second)[2]
+    nodes = volumes._minkowski_sum(first, second).nodes
     expected = tuple(combine(1, first, eps, second).volume for eps in range(first.dim + 2))
     assert nodes == expected
     assert all(type(v) is F for v in nodes)

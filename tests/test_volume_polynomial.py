@@ -89,8 +89,8 @@ def test_a_wrong_node_fails_on_every_call(n, monkeypatch):
     real = volumes._minkowski_sum
 
     def wrong_last_node(a, b):
-        total, pairs, nodes = real(a, b)
-        return total, pairs, nodes[:-1] + (nodes[-1] + 1,)
+        record = real(a, b)
+        return replace(record, nodes=record.nodes[:-1] + (record.nodes[-1] + 1,))
 
     monkeypatch.setattr(volumes, "_minkowski_sum", wrong_last_node)
     for routine in (volume_polynomial, volume_polynomial, mixed_volume_interp, profile_polynomial):
