@@ -26,13 +26,16 @@ Conventions used throughout the package:
   ``convex_hull`` is the way in for points from outside (body files,
   constructor arguments, probes), which it checks and lifts once, and
   ``Polytope.vertices`` the way out, for reports and files.  The kernel
-  runs in two steps with a seam between them.  ``_hull_rows`` sorts and
-  deduplicates the rows on integer keys, and ``_incremental_hull`` inserts
-  them into the hull in a seeded shuffled order, giving the outward
-  boundary simplices with their cross normals.  ``_canonical_body`` then
-  merges the simplices into facets, keeps the extreme points and sums the
-  volume as integer pairs.  ``volumes``' pair record takes only the first
-  step, and builds K + L's body by the second when it is read.  The 3D
+  runs in two steps with a seam between them.  ``_hull_boundary`` is the
+  first: ``_hull_rows`` sorts and deduplicates the rows on integer keys,
+  and in 3D and 4D ``_incremental_hull`` inserts them into the hull in a
+  seeded shuffled order, giving the outward boundary simplices with their
+  cross normals; a flat hull and a polygon get their bodies here, from
+  builders that make them in the same pass.  ``_canonical_body`` is the
+  second: it merges the simplices into facets, keeps the extreme points
+  and sums the volume as integer pairs.  ``volumes``' pair record takes
+  only the first step, and builds K + L's body by the second when it is
+  read.  The 3D
   and 4D insertion loop is straight-line code: each visibility test is
   one sum of products on the unpacked row and cross normal, and a 3D
   simplex's ridges are keyed as ordered pairs;
@@ -444,7 +447,9 @@ def _cone_volume(rows, n, simplices) -> Fraction:
     """The volume inside outward simplices (verts, h) that close up: the
     cone over a simplex from the origin has signed volume -h[n] / (s n!),
     for s the product of its rows' d's.  The cones are summed as integer
-    pairs by ``tree_sum``, and n! is folded into the one Fraction."""
+    pairs by ``tree_sum``, and n! is folded into the one Fraction.
+    ``_canonical_body`` forms the same sum in its own loop over the
+    simplices, where it needs each s anyway."""
     num, den = tree_sum((-h[n], prod(rows[i][n] for i in verts)) for verts, h in simplices)
     return Fraction(num, den * factorial(n))
 
@@ -462,16 +467,22 @@ def _canonical_body(rows, n, simplices):
     # With g = gcd(h[:n]) > 0 and h[:n] = g prim, lam = g / s ties the stored
     # primitive normal back to true areas, (n-1)-volume of the simplex =
     # lam * |prim| / (n-1)!, which makes the simplex's share of the facet's
-    # weight, (n-1)-volume / |prim|, lam / (n-1)!.  The sum is an integer
-    # pair from ``tree_sum``, and the facet keeps its weight pair.
+    # weight, (n-1)-volume / |prim|, lam / (n-1)!.  The cone over the
+    # simplex from the origin has signed volume -h[n] / (s * n!), as in
+    # ``_cone_volume``.  Both sums are integer pairs from ``tree_sum``; the
+    # facet keeps its weight pair, and the volume is the one Fraction built
+    # here.
     merged = {}
+    cones = []
     for verts, h in simplices:
         s = prod(rows[i][n] for i in verts)
+        cones.append((-h[n], s))
         g = gcd(*h[:n])
         prim = tuple(x // g for x in h[:n])
         pieces, members = merged.setdefault(prim, ([], set()))
         pieces.append((g, s))
         members.update(verts)
+    num, den = tree_sum(cones)
 
     # Every vertex of a facet is a vertex of its triangulation, so a member
     # is extreme iff the normals of the facets it is a member of span R^n.
@@ -495,7 +506,7 @@ def _canonical_body(rows, n, simplices):
         lifted=tuple(rows[i] for i in extreme),
         facets=tuple(facets),
         affine_dim=n,
-        volume=_cone_volume(rows, n, simplices),
+        volume=Fraction(num, den * factorial(n)),
     )
 
 
@@ -573,6 +584,29 @@ def _hull_rows(rows, n):
     return rows, [i for i, _, _ in independent_rows(rows)]
 
 
+def _hull_boundary(rows, n):
+    """A hull's boundary, and its body where building the boundary builds
+    it: the one place that picks the builder for a rank and dimension.
+
+    Returns the distinct rows in sorted order (``_hull_rows``), the body or
+    None, and the outward boundary simplices as pairs (verts, h) of an
+    index tuple into the rows and its cross normal.  A flat hull is
+    ``_build_degenerate``'s body, with no simplices.  A polygon is
+    ``_build_polygon``'s, which reads the body and its edges off the chain
+    in one pass; an edge's h is None, as no caller needs its normal.  In 3D
+    and 4D ``_incremental_hull`` builds the simplices and the body is None:
+    ``_canonical_body`` builds it from them when a caller needs it.
+    """
+    rows, basis_ids = _hull_rows(rows, n)
+    rank = len(basis_ids) - 1
+    if rank < n:
+        return rows, _build_degenerate(rows, n, rank, basis_ids), ()
+    if n == 2:
+        body, edges = _build_polygon(rows)
+        return rows, body, tuple((edge, None) for edge in edges)
+    return rows, None, tuple(_incremental_hull(rows, n, basis_ids))
+
+
 def _hull_with_boundary(rows, n):
     """``convex_hull``'s work on lifted rows, returning what it builds on the
     way: the canonical Polytope, the distinct rows in sorted order, and the
@@ -580,21 +614,13 @@ def _hull_with_boundary(rows, n):
     flat hull.  For n >= 2 each simplex's vertex order is outward: the cross
     normal of its rows in that order points out of the hull.
 
-    The rows are sorted and deduplicated by ``_hull_rows``.  A flat hull is
-    ``_build_degenerate``'s and a polygon ``_build_polygon``'s; otherwise
-    ``_incremental_hull`` builds the boundary and ``_canonical_body`` the
-    body on it, the two steps a caller that needs only the boundary takes
-    apart.
+    ``_hull_boundary`` builds the boundary, and ``_canonical_body`` the body
+    on it where the boundary's builder did not.
     """
-    rows, basis_ids = _hull_rows(rows, n)
-    rank = len(basis_ids) - 1
-    if rank < n:
-        return _build_degenerate(rows, n, rank, basis_ids), rows, ()
-    if n == 2:
-        body, edges = _build_polygon(rows)
-        return body, rows, edges
-    simplices = _incremental_hull(rows, n, basis_ids)
-    return _canonical_body(rows, n, simplices), rows, tuple(verts for verts, _ in simplices)
+    rows, body, simplices = _hull_boundary(rows, n)
+    if body is None:
+        body = _canonical_body(rows, n, simplices)
+    return body, rows, tuple(verts for verts, _ in simplices)
 
 
 def convex_hull(points, *, allow_degenerate: bool = False):

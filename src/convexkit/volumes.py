@@ -25,14 +25,16 @@ every node, each later one at one n x n integer determinant per simplex.
 
 One pure function of an ordered pair of bodies, ``_minkowski_sum``, an
 ``lru_cache`` of 8 pairs, holds what a pair has shown in a ``_PairRecord``:
-K + L's boundary cycle, that is its sorted distinct pair points x + y,
-the outward boundary simplices on them and the pair (x, y) behind each
-point on the cycle as the integer triple (X d_y, Y d_x, d_x d_y) of the
-bodies' rows, and
-V(K + eps L), eps = 0..n+1, read off the cycle.  In 3D and 4D a miss runs
-only the hull's first steps, and K + L's body, with its facet merge and
-extreme-point test, is built from the kept cycle when ``combine`` first
-reads it for equal coefficients; no other caller reads it.  The record is
+K + L's boundary cycle, that is its sorted distinct pair points x + y and
+the outward boundary simplices on them; V(K + eps L), eps = 0..n+1, read
+off the cycle; and the pairs (x, y) that ``combine`` reads, as the integer
+triples (X d_y, Y d_x, d_x d_y) of the bodies' rows.  In 3D and 4D a miss
+builds only the cycle and keeps the pair behind each point on it, and
+K + L's body, with its facet merge and extreme-point test, is built from
+the kept cycle when ``combine`` first reads it for equal coefficients; no
+other caller reads it.  In 2D and for a flat K + L the hull's builder
+makes the body with the cycle, and the record keeps the pair behind each
+of its vertices.  The record is
 the only place that pairs the vertices of two bodies, and it first checks
 their number against ``MAX_PAIR_POINTS``.  One routine, ``_pair_points``,
 turns the triples into the rows of a x + b y: the pair points x + y, the
@@ -82,17 +84,15 @@ from .errors import (
 )
 from .geometry import (
     Polytope,
-    _build_degenerate,
     _canonical_body,
     _check_ambient,
     _check_direction,
     _check_full_dimensional,
     _check_pair_dim,
     _cone_volume,
-    _hull_rows,
+    _hull_boundary,
     _hull_with_boundary,
     _image_rows,
-    _incremental_hull,
     _integer_support,
     scale,
 )
@@ -209,17 +209,19 @@ class _PairRecord:
 
     rows:      the sorted distinct pair points x + y, as their primitive rows
     pairs:     the ``_pair_row`` triple of one vertex pair (x, y) behind
-               each row on K + L's boundary cycle (each row when K + L is
-               flat), the last one formed where pairs share a point
-    simplices: K + L's outward boundary simplices (verts, h) on the rows,
-               with their cross normals, as ``_incremental_hull`` gives them
+               each point ``combine`` hulls for unequal coefficients: each
+               vertex of K + L where the record starts with the body, and
+               each point on K + L's boundary cycle in 3D and 4D; the last
+               one formed where pairs share a point
+    simplices: in 3D and 4D, K + L's outward boundary simplices (verts, h)
+               on the rows, with their cross normals; otherwise none
     nodes:     V(K + eps L) for eps = 0..n+1
 
     In 3D and 4D ``body`` is built by ``_canonical_body`` from the rows and
     simplices when first read, and kept; two threads that read it at once
     build equal bodies.  In 2D the chain builds the polygon with its edges
     in one pass, and for a flat K + L the hull is the body, so there the
-    record starts with the body in place and no simplices.
+    record starts with the body in place.
     """
 
     rows: tuple
@@ -235,10 +237,9 @@ class _PairRecord:
 @functools.lru_cache(maxsize=8)
 def _minkowski_sum(first: Polytope, second: Polytope) -> _PairRecord:
     """The ``_PairRecord`` of K and L: the pair points x + y, K + L's
-    boundary cycle on them with the ``_pair_row`` triple behind each of its
-    points, and V(K + eps L) for eps = 0..n+1, each node past eps = 1 off
-    the cycle.
-    Outside dimensions 2..4 it raises ``AmbientDimError``, and past
+    boundary cycle on them, the ``_pair_row`` triples ``combine`` reads,
+    and V(K + eps L) for eps = 0..n+1, each node past eps = 1 off the
+    cycle.  Outside dimensions 2..4 it raises ``AmbientDimError``, and past
     MAX_PAIR_POINTS vertex pairs in the bodies' dimension
     ``PairPointsError``, before forming them.  The caller has checked that
     the bodies share their dimension.
@@ -247,11 +248,13 @@ def _minkowski_sum(first: Polytope, second: Polytope) -> _PairRecord:
     x + y is the primitive row of its ``_pair_points`` row
     (X d_y + Y d_x, d_x d_y): the row ``_lift`` makes of x + y, so K + L's
     ``lifted`` is still its vertices' own rows.  On a repeated point the
-    last pair wins.  In 3D and 4D only the hull's first steps run here,
-    ``_hull_rows`` and ``_incremental_hull``, and node 1 is the cycle's own
-    cone sum; no facet is merged and no vertex is tested for extremeness
-    until the record's ``body`` is read.  In 2D and for a flat K + L the
-    whole hull runs, and node 1 is the body's volume.
+    last pair wins.  ``geometry._hull_boundary`` builds the cycle.  In 3D
+    and 4D it builds no body, and node 1 is the cycle's own cone sum: no
+    facet is merged and no vertex is tested for extremeness until the
+    record's ``body`` is read, and the pairs kept are those of the points
+    on the cycle, a set that holds every vertex's.  In 2D and for a flat
+    K + L it builds the body too, node 1 is the body's volume, and the
+    pairs kept are those of its vertices.
     """
     n = first.dim
     _check_ambient(n)
@@ -263,31 +266,19 @@ def _minkowski_sum(first: Polytope, second: Polytope) -> _PairRecord:
         )
     triples = [_pair_row(x, y) for x in first.lifted for y in second.lifted]
     origin = dict(zip(map(primitive_int_vector, _pair_points(triples, 1, 1)), triples))
-    simplices = ()
-    if n == 2:
-        body, rows, edges = _hull_with_boundary(list(origin), n)
-    else:
-        rows, basis_ids = _hull_rows(list(origin), n)
-        rank = len(basis_ids) - 1
-        if rank < n:
-            body, edges = _build_degenerate(rows, n, rank, basis_ids), ()
-        else:
-            body, simplices = None, tuple(_incremental_hull(rows, n, basis_ids))
-            edges = [verts for verts, _ in simplices]
-    volume = _cone_volume(rows, n, simplices) if body is None else body.volume
+    rows, body, simplices = _hull_boundary(list(origin), n)
     # The boundary cycle: each sorted pair point x + y once as its triple,
     # and the hull's outward simplices as indices into those.
-    pairs = [origin[row] for row in rows]
-    nodes = (first.volume, volume) + tuple(
-        _cycle_volume((pairs, edges), eps) for eps in range(2, n + 2)
-    )
-    # Every vertex of K + L is on a simplex, so its pair is kept; a flat
-    # K + L has no simplices, and keeps every pair.
-    on_cycle = sorted({i for simplex in edges for i in simplex}) or range(len(rows))
-    record = _PairRecord(tuple(rows), tuple(pairs[i] for i in on_cycle), simplices, nodes)
-    if body is not None:
-        # The one fill of ``body``'s slot, where the cached_property keeps it.
-        vars(record)["body"] = body
+    cycle = ([origin[row] for row in rows], [verts for verts, _ in simplices])
+    volume = _cone_volume(rows, n, simplices) if body is None else body.volume
+    nodes = (first.volume, volume) + tuple(_cycle_volume(cycle, eps) for eps in range(2, n + 2))
+    if body is None:
+        # Every vertex of K + L is on a simplex, so its pair is kept.
+        on_cycle = sorted({i for verts in cycle[1] for i in verts})
+        return _PairRecord(tuple(rows), tuple(cycle[0][i] for i in on_cycle), simplices, nodes)
+    record = _PairRecord(tuple(rows), tuple(origin[row] for row in body.lifted), (), nodes)
+    # The one fill of ``body``'s slot, where the cached_property keeps it.
+    vars(record)["body"] = body
     return record
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexkit import io, volumes
+from convexkit import geometry, io, volumes
 from convexkit.bodies import random_polytope
 from convexkit.geometry import convex_hull, scale, translate
 from convexkit.linalg import vadd, vscale
@@ -161,26 +161,23 @@ def count_calls(monkeypatch, name, owner=volumes):
 
 
 def test_minkowski_sum_is_hulled_once_per_pair(monkeypatch):
-    # K + L's boundary is hulled from all vertex pairs once, and its body is
-    # built from that boundary once, when first read; a later unequal
-    # positive combination hulls only the record's pair points, and the
-    # pair's volume polynomial hulls nothing.  Every 3D hull's boundary is
-    # built by geometry._incremental_hull, and every hull but the record's
-    # by geometry._hull_with_boundary.
+    # K + L is hulled from all vertex pairs once, and its body is built from
+    # that hull's boundary once, when first read; a later unequal positive
+    # combination hulls only the pairs behind the vertices of K + L, and the
+    # pair's volume polynomial hulls nothing.  Every hull, the record's too,
+    # starts with geometry._hull_rows.
     first, second = (random_polytope(3, 6, random.Random(seed)) for seed in (9101, 9102))
-    boundaries = count_calls(monkeypatch, "_incremental_hull")
-    built = count_calls(monkeypatch, "_canonical_body")
-    hulls = count_calls(monkeypatch, "_hull_with_boundary")
+    hulls = count_calls(monkeypatch, "_hull_rows", geometry)
+    built = count_calls(monkeypatch, "_canonical_body", geometry)
     total = combine(1, first, 1, second)
     assert combine(1, first, 1, second) == total
-    assert (len(boundaries), len(built), len(hulls)) == (1, 1, 0)
+    assert (len(hulls), len(built)) == (1, 1)
     third = combine(F(1, 3), first, F(2, 3), second)
-    pairs = volumes._minkowski_sum(first, second).pairs
-    assert len(boundaries) == len(hulls) + 1 == 2 and len(hulls[0][0]) == len(pairs)
+    assert len(hulls) == 2 and len(hulls[1][0]) == len(total.vertices)
     poly = volume_polynomial(first, second)
     assert poly.coefficients[0] == first.volume
     assert mixed_volume_interp(first, second) == poly.coefficients[1] / 3
-    assert len(boundaries) == 2
+    assert len(hulls) == 2
     assert snapshot(third) == snapshot(pairwise_hull(F(1, 3), first, F(2, 3), second))
 
 

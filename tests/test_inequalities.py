@@ -118,28 +118,28 @@ def test_bm_volume_matches_combination_differential():
                     assert got == combine(1 - lam, first, lam, other).volume
 
 def test_bm_sweep_combines_nothing_after_interpolation(monkeypatch):
-    # The interpolated mixed volume builds one hull boundary, of K + L, and
-    # reads its later nodes off that boundary cycle; a bm sweep over the
+    # The interpolated mixed volume builds one hull, of K + L, and reads its
+    # later nodes off that hull's boundary cycle; a bm sweep over the
     # 9-point grid then reads every volume from that pair's polynomial and
-    # builds no hull.  Every 3D hull's boundary is built by
-    # geometry._incremental_hull.
+    # builds no hull.  Every hull starts with geometry._hull_rows.
     first, second = (random_polytope(3, 6, random.Random(seed)) for seed in (7001, 7002))
     built = []
-    real = geometry._incremental_hull
+    real = geometry._hull_rows
 
-    def counting(rows, n, base):
-        simplices = real(rows, n, base)
-        built.append((rows, n, simplices))
-        return simplices
+    def counting(*args):
+        built.append(args)
+        return real(*args)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("convexkit") and getattr(module, "_incremental_hull", None) is real:
-            monkeypatch.setattr(module, "_incremental_hull", counting)
+        if name.startswith("convexkit") and getattr(module, "_hull_rows", None) is real:
+            monkeypatch.setattr(module, "_hull_rows", counting)
     mixed_volume_interp(first, second)
     assert len(built) == 1
     for lam in default_lambda_grid():
         bm_check(first, second, lam)
-    assert [geometry._canonical_body(*args) for args in built] == [combine(1, first, 1, second)]
+    total = combine(1, first, 1, second)
+    assert len(built) == 1
+    assert geometry._hull_with_boundary(*built[0])[0] == total
 
 
 def test_minkowski_strict(square, dia):

@@ -6,12 +6,14 @@ own cone sum, and K + L's body is built from the kept rows and simplices
 when first read.  Each record must match the kernel run whole on the rows
 of every pair point x + y, formed here from the bodies' ``Fraction``
 vertices: node 1 is that hull's volume, the body is that hull, and the
-record keeps the vertex pair behind each of its vertices.  Inputs
-are seeded 3D and 4D pools with homothetic pairs among them, coplanar
-simplices (cube + cube), a flat K + L (two segments), a point plus a body,
-and two 4D moment-curve pairs at the 16 x 16 cap.  On a fresh pair the node
-volumes, both polynomials and a Brunn-Minkowski sweep must build no body
-and test no vertex for extremeness; ``combine(1, K, 1, L)`` builds it once.
+record keeps the vertex pair behind each of its vertices, and only those
+where it starts with the body (2D, or a flat K + L).  Inputs are seeded
+3D and 4D pools with homothetic pairs among them, coplanar simplices
+(cube + cube), a flat K + L (two segments), a point plus a body, two 2D
+pairs, and two 4D moment-curve pairs at the 16 x 16 cap.  On a fresh pair
+the node volumes, both polynomials and a Brunn-Minkowski sweep must build
+no body and test no vertex for extremeness; ``combine(1, K, 1, L)`` builds
+it once.
 """
 
 import random
@@ -22,7 +24,7 @@ from test_combine_memo import count_calls, snapshot
 from test_volume_polynomial import cyclic_body
 
 from convexkit import geometry, volumes
-from convexkit.bodies import box, random_polytope, segment, unit_cube
+from convexkit.bodies import box, random_polytope, segment, unit_cube, unit_square
 from convexkit.geometry import _hull_with_boundary, _lift, convex_hull, scale, translate
 from convexkit.inequalities import bm_check, default_lambda_grid
 from convexkit.linalg import primitive_int_vector, vadd
@@ -45,6 +47,9 @@ def check_record(first, second):
     # The kept pairs, which unequal combinations hull, are behind every vertex.
     kept = {primitive_int_vector(row) for row in volumes._pair_points(record.pairs, 1, 1)}
     assert set(whole.lifted) <= kept <= set(record.rows)
+    if not record.simplices:
+        # A record that starts with its body keeps exactly the vertices' pairs.
+        assert kept == set(whole.lifted)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -69,6 +74,8 @@ def test_records_match_the_kernel_on_seeded_pools(n):
         (segment((0, 0, 0, 0), (1, 2, 3, 4)), segment((0, 0, 0, 0), (2, 4, 6, 8))),
         (point((1, F(1, 2), -2)), random_polytope(3, 6, random.Random(5))),
         (random_polytope(4, 6, random.Random(6)), point((1, 2, 3, 4))),
+        (unit_square(), box(2, 1)),
+        (segment((0, 0), (1, 1)), segment((0, 0), (2, 2))),
     ],
     ids=[
         "cube-cube",
@@ -77,6 +84,8 @@ def test_records_match_the_kernel_on_seeded_pools(n):
         "parallel-segments-4d",
         "point-body",
         "body-point",
+        "square-rectangle-2d",
+        "parallel-segments-2d",
     ],
 )
 def test_records_match_the_kernel_on_unusual_cycles(first, second):
