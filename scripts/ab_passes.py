@@ -14,8 +14,11 @@ sizes move with it.  A task that fails ends the script with exit 1.
 
 It prints the workload, the seed and the round count, then each tree's
 median pass time, the speedup of NEW over OLD (the ratio of the medians,
-minus 1) and the number of rounds NEW won.  It reads ``perfbench/`` and
-writes only body files under a temporary directory.
+minus 1) and the number of rounds NEW won.  A fifth line gives the median
+of the per-round ratios OLD / NEW and each tree's fastest pass: a slow
+spell of the host moves a tree's median pass between runs, while both
+passes of one round share the spell.  It reads ``perfbench/`` and writes
+only body files under a temporary directory.
 For the benchmark's own end-to-end figures run ``perfbench/run.py``.
 
 Usage: python3 scripts/ab_passes.py OLD NEW --workload W [--rounds N] [--seed S]
@@ -86,6 +89,9 @@ def main(argv=None) -> int:
     print(f"OLD {args.old}: median pass {1000 * old_s:.1f} ms")
     print(f"NEW {args.new}: median pass {1000 * new_s:.1f} ms")
     print(f"speedup {100 * (old_s / new_s - 1):+.1f}%, NEW ahead in {won} of {args.rounds} rounds")
+    ratio = statistics.median(old / new for old, new in zip(*times))
+    fastest = ", ".join(f"{tree} {1000 * min(t):.1f} ms" for tree, t in zip(("OLD", "NEW"), times))
+    print(f"median round ratio OLD/NEW {ratio:.3f}, fastest pass {fastest}")
     return 0
 
 

@@ -34,15 +34,16 @@ Conventions used throughout the package:
   builders that make them in the same pass.  ``_canonical_body`` is the
   second: it merges the simplices into facets, keeps the extreme points
   and sums the volume as integer pairs.  ``volumes``' pair record takes
-  only the first step, and builds K + L's body by the second when it is
-  read.  The 3D
-  and 4D insertion loop is straight-line code: each visibility test is
-  one sum of products on the unpacked row and cross normal, and a 3D
-  simplex's ridges are keyed as ordered pairs;
+  only the first step, reads its node volumes off the simplices in its
+  own pass, and builds K + L's body by the second step when it is read.
+  The 3D and 4D insertion loop is straight-line code: each visibility
+  test is one sum of products on the unpacked row and cross normal, and a
+  3D simplex's ridges are keyed as ordered pairs;
 * a full-dimensional hull is built as boundary simplices whose vertex
   order is outward (n >= 2); ``_hull_with_boundary`` returns them with the
   Polytope, and the pair record keeps them, so ``volumes`` can read
-  K + eps L's volume off K + L's boundary.
+  K + eps L's volume off K + L's boundary for every eps > 0, eps = 1
+  included; a polygon's boundary simplices are its edges.
   The orientation is built in, not tested afterwards: a 2D hull's facets
   are the edges of its counterclockwise monotone chain (Andrew's, with the
   rows split first by the line through the first and last of them, and
@@ -443,17 +444,6 @@ def _build_polygon(rows):
     return body, tuple(edges)
 
 
-def _cone_volume(rows, n, simplices) -> Fraction:
-    """The volume inside outward simplices (verts, h) that close up: the
-    cone over a simplex from the origin has signed volume -h[n] / (s n!),
-    for s the product of its rows' d's.  The cones are summed as integer
-    pairs by ``tree_sum``, and n! is folded into the one Fraction.
-    ``_canonical_body`` forms the same sum in its own loop over the
-    simplices, where it needs each s anyway."""
-    num, den = tree_sum((-h[n], prod(rows[i][n] for i in verts)) for verts, h in simplices)
-    return Fraction(num, den * factorial(n))
-
-
 def _canonical_body(rows, n, simplices):
     """Canonical Polytope of the affinely spanning points of sorted, distinct
     lifted ``rows``, from ``_incremental_hull``'s outward simplices on them.
@@ -468,10 +458,10 @@ def _canonical_body(rows, n, simplices):
     # primitive normal back to true areas, (n-1)-volume of the simplex =
     # lam * |prim| / (n-1)!, which makes the simplex's share of the facet's
     # weight, (n-1)-volume / |prim|, lam / (n-1)!.  The cone over the
-    # simplex from the origin has signed volume -h[n] / (s * n!), as in
-    # ``_cone_volume``.  Both sums are integer pairs from ``tree_sum``; the
-    # facet keeps its weight pair, and the volume is the one Fraction built
-    # here.
+    # simplex from the origin has signed volume -h[n] / (s * n!), the sum
+    # ``volumes._cycle_nodes`` forms at eps = 1 from the pair rows.  Both
+    # sums are integer pairs from ``tree_sum``; the facet keeps its weight
+    # pair, and the volume is the one Fraction built here.
     merged = {}
     cones = []
     for verts, h in simplices:

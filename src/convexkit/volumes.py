@@ -21,7 +21,8 @@ on a and b, and each vertex has exactly one such pair.  For the same reason
 K + eps L has the normal fan of K + L for every eps > 0, and moving each
 pair point x + y to x + eps y carries the boundary simplices of K + L's
 hull onto a boundary cycle of K + eps L: one hull boundary per pair gives
-every node, each later one at one n x n integer determinant per simplex.
+every node past V(K) at one n x n integer determinant per simplex and
+node, all of them in one pass over the simplices, ``_cycle_nodes``.
 
 One pure function of an ordered pair of bodies, ``_minkowski_sum``, an
 ``lru_cache`` of 8 pairs, holds what a pair has shown in a ``_PairRecord``:
@@ -36,11 +37,12 @@ other caller reads it.  In 2D and for a flat K + L the hull's builder
 makes the body with the cycle, and the record keeps the pair behind each
 of its vertices.  The record is
 the only place that pairs the vertices of two bodies, and it first checks
-their number against ``MAX_PAIR_POINTS``.  One routine, ``_pair_points``,
-turns the triples into the rows of a x + b y: the pair points x + y, the
-moved points x + eps y of each node, and the points a x + b y that
-``combine`` hulls for unequal coefficients, so no ``Fraction`` point is
-formed.
+their number against ``MAX_PAIR_POINTS``.  Its one loop over the bodies'
+rows forms each triple and the primitive row of its pair point x + y; the
+node pass adds Y d_x to the cycle points' X d_y once per node for the
+moved points x + eps y; and ``_pair_points`` turns the triples into the
+rows of the points a x + b y that ``combine`` hulls for unequal
+coefficients.  No ``Fraction`` point is formed.
 
 Nodes are cached before they are checked.  The checks on the volume
 polynomial -- the redundant node, the end coefficients and the
@@ -73,7 +75,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import comb, factorial, gcd, prod
+from operator import add, mul
 
 from .errors import (
     DimensionError,
@@ -89,7 +93,6 @@ from .geometry import (
     _check_direction,
     _check_full_dimensional,
     _check_pair_dim,
-    _cone_volume,
     _hull_boundary,
     _hull_with_boundary,
     _image_rows,
@@ -184,17 +187,8 @@ class VolumePolynomial:
         return Fraction(total, self.denominator * q**n)
 
 
-def _pair_row(x_row, y_row) -> tuple:
-    """The integer triple (X d_y, Y d_x, d_x d_y) of the pair (x, y), from
-    the lifted rows (X, d_x) of x and (Y, d_y) of y: x and y over the one
-    weight d_x d_y."""
-    *x, dx = x_row
-    *y, dy = y_row
-    return tuple(a * dy for a in x), tuple(b * dx for b in y), dx * dy
-
-
 def _pair_points(pairs, a, b) -> list:
-    """The row of a x + b y for each ``_pair_row`` triple (X', Y', w), for
+    """The row of a x + b y for each pair triple (X', Y', w), for
     rational a, b >= 0, unreduced: with a = p / q and b = r / s it is
     (X' p s + Y' r q, w q s)."""
     (p, q), (r, s) = a.as_integer_ratio(), b.as_integer_ratio()
@@ -208,14 +202,15 @@ class _PairRecord:
     cycle, the node volumes read off it, and K + L itself on first read.
 
     rows:      the sorted distinct pair points x + y, as their primitive rows
-    pairs:     the ``_pair_row`` triple of one vertex pair (x, y) behind
-               each point ``combine`` hulls for unequal coefficients: each
-               vertex of K + L where the record starts with the body, and
-               each point on K + L's boundary cycle in 3D and 4D; the last
-               one formed where pairs share a point
+    pairs:     the triple (X d_y, Y d_x, d_x d_y) of one vertex pair
+               (x, y) behind each point ``combine`` hulls for unequal
+               coefficients: each vertex of K + L where the record starts
+               with the body, and each point on K + L's boundary cycle in
+               3D and 4D; the last one formed where pairs share a point
     simplices: in 3D and 4D, K + L's outward boundary simplices (verts, h)
                on the rows, with their cross normals; otherwise none
-    nodes:     V(K + eps L) for eps = 0..n+1
+    nodes:     V(K + eps L) for eps = 0..n+1: V(K) from K's own hull, the
+               others from one ``_cycle_nodes`` pass over the cycle
 
     In 3D and 4D ``body`` is built by ``_canonical_body`` from the rows and
     simplices when first read, and kept; two threads that read it at once
@@ -237,24 +232,25 @@ class _PairRecord:
 @functools.lru_cache(maxsize=8)
 def _minkowski_sum(first: Polytope, second: Polytope) -> _PairRecord:
     """The ``_PairRecord`` of K and L: the pair points x + y, K + L's
-    boundary cycle on them, the ``_pair_row`` triples ``combine`` reads,
-    and V(K + eps L) for eps = 0..n+1, each node past eps = 1 off the
-    cycle.  Outside dimensions 2..4 it raises ``AmbientDimError``, and past
+    boundary cycle on them, the pair triples ``combine`` reads, and
+    V(K + eps L) for eps = 0..n+1, each node past V(K) off the cycle.
+    Outside dimensions 2..4 it raises ``AmbientDimError``, and past
     MAX_PAIR_POINTS vertex pairs in the bodies' dimension
     ``PairPointsError``, before forming them.  The caller has checked that
     the bodies share their dimension.
 
-    The triples come from the bodies' lifted rows, and each pair point
-    x + y is the primitive row of its ``_pair_points`` row
-    (X d_y + Y d_x, d_x d_y): the row ``_lift`` makes of x + y, so K + L's
-    ``lifted`` is still its vertices' own rows.  On a repeated point the
-    last pair wins.  ``geometry._hull_boundary`` builds the cycle.  In 3D
-    and 4D it builds no body, and node 1 is the cycle's own cone sum: no
-    facet is merged and no vertex is tested for extremeness until the
-    record's ``body`` is read, and the pairs kept are those of the points
-    on the cycle, a set that holds every vertex's.  In 2D and for a flat
-    K + L it builds the body too, node 1 is the body's volume, and the
-    pairs kept are those of its vertices.
+    One loop over the bodies' lifted rows (X, d_x) and (Y, d_y) forms
+    each pair's triple (X d_y, Y d_x, d_x d_y) and its pair point x + y,
+    the primitive row of (X d_y + Y d_x, d_x d_y): the row ``_lift``
+    makes of x + y, so K + L's ``lifted`` is still its vertices' own rows.
+    On a repeated point the last pair wins.  ``geometry._hull_boundary``
+    builds the cycle, and ``_cycle_nodes`` reads every node past V(K) off
+    it in one pass, node 1 among them.  In 3D and 4D the hull builds no
+    body: no facet is merged and no vertex is tested for extremeness until
+    the record's ``body`` is read, and the pairs kept are those of the
+    points on the cycle, a set that holds every vertex's.  In 2D and for a
+    flat K + L it builds the body too, and the pairs kept are those of its
+    vertices.
     """
     n = first.dim
     _check_ambient(n)
@@ -264,18 +260,19 @@ def _minkowski_sum(first: Polytope, second: Polytope) -> _PairRecord:
         raise PairPointsError(
             f"{count} vertex pairs in dimension {n}; at most {cap} may be combined"
         )
-    triples = [_pair_row(x, y) for x in first.lifted for y in second.lifted]
-    origin = dict(zip(map(primitive_int_vector, _pair_points(triples, 1, 1)), triples))
+    origin = {}
+    for *x, dx in first.lifted:
+        for *y, dy in second.lifted:
+            xs, ys, w = tuple(map(mul, x, repeat(dy))), tuple(map(mul, y, repeat(dx))), dx * dy
+            origin[primitive_int_vector((*map(add, xs, ys), w))] = xs, ys, w
     rows, body, simplices = _hull_boundary(list(origin), n)
-    # The boundary cycle: each sorted pair point x + y once as its triple,
-    # and the hull's outward simplices as indices into those.
-    cycle = ([origin[row] for row in rows], [verts for verts, _ in simplices])
-    volume = _cone_volume(rows, n, simplices) if body is None else body.volume
-    nodes = (first.volume, volume) + tuple(_cycle_volume(cycle, eps) for eps in range(2, n + 2))
+    # The boundary cycle: each sorted pair point x + y once as its triple.
+    triples = [origin[row] for row in rows]
+    nodes = (first.volume, *_cycle_nodes(triples, simplices, n))
     if body is None:
         # Every vertex of K + L is on a simplex, so its pair is kept.
-        on_cycle = sorted({i for verts in cycle[1] for i in verts})
-        return _PairRecord(tuple(rows), tuple(cycle[0][i] for i in on_cycle), simplices, nodes)
+        on_cycle = sorted({i for verts, _ in simplices for i in verts})
+        return _PairRecord(tuple(rows), tuple(triples[i] for i in on_cycle), simplices, nodes)
     record = _PairRecord(tuple(rows), tuple(origin[row] for row in body.lifted), (), nodes)
     # The one fill of ``body``'s slot, where the cached_property keeps it.
     vars(record)["body"] = body
@@ -332,25 +329,59 @@ def minkowski_interpolate(values) -> tuple:
     return numerators, common * den
 
 
-def _cycle_volume(cycle, eps) -> Fraction:
-    """V(K + eps L) for eps > 0 off K + L's boundary cycle.
+def _cycle_nodes(triples, simplices, n) -> tuple:
+    """V(K + eps L) for eps = 1..n+1 off K + L's boundary cycle, in one pass
+    over its outward simplices (verts, h) on the pair triples.
 
     K + eps L has the normal fan of K + L, and a pair point x + y on a face
     F_u(K + L) has x in F_u(K) and y in F_u(L), so moving every pair point
     to x + eps y carries the boundary simplices of K + L onto a boundary
     cycle of K + eps L.  Its volume is the sum of the signed cones from the
-    origin, (-1)^(n+1) det(X_i + eps Y_i) / prod(w_i) / n! over the
-    simplices' ``_pair_points`` rows (X_i + eps Y_i, w_i), summed as integer
-    pairs by ``tree_sum``, with n! folded into the pair's one Fraction.
+    origin, (-1)^(n+1) det(X_i + eps Y_i) / prod(w_i) / n! over the rows
+    (X_i + eps Y_i, w_i) of the simplices' moved points, where (X, Y, w)
+    is a point's triple; each point on the cycle adds its Y once per node.
+    Each simplex gives its weight product once and its n+1 determinants,
+    written out in 3D as ``mat_det`` writes them.  The columns are summed together in
+    ``tree_sum``'s tree, pairwise halving over the lcm of the weights, with
+    one gcd per merge shared by every column: terms with unrelated weights
+    still meet in a balanced tree.  n! is folded into each node's one
+    Fraction.  In 2D the simplices are K + L's edges, and a flat K + L has
+    none, so its nodes are 0.
     """
-    rows, simplices = cycle
-    n = len(rows[0][0])
-    moved = [row[:n] for row in _pair_points(rows, 1, eps)]
-    num, den = tree_sum(
-        (mat_det([moved[i] for i in simplex]), prod(rows[i][2] for i in simplex))
-        for simplex in simplices
-    )
-    return Fraction(num if n % 2 else -num, den * factorial(n))
+    moved = [[None] * len(triples) for _ in range(n + 1)]
+    for i in {i for verts, _ in simplices for i in verts}:
+        row, ys, _ = triples[i]
+        for rows in moved:
+            row = tuple(map(add, row, ys))
+            rows[i] = row
+    terms = []
+    for verts, _ in simplices:
+        if n == 3:
+            a, b, c = verts
+            w = triples[a][2] * triples[b][2] * triples[c][2]
+            dets = []
+            for rows in moved:
+                (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows[a], rows[b], rows[c]
+                dets.append(
+                    a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+                )
+        else:
+            w = prod(triples[i][2] for i in verts)
+            dets = [mat_det([rows[i] for i in verts]) for rows in moved]
+        terms.append((w, dets))
+    terms = terms or [(1, [0] * (n + 1))]
+    while len(terms) > 1:
+        paired = []
+        for (p, xs), (q, ys) in zip(terms[::2], terms[1::2]):
+            g = gcd(p, q)
+            p, q = p // g, q // g
+            paired.append((p * q * g, [x * q + y * p for x, y in zip(xs, ys)]))
+        if len(terms) % 2:
+            paired.append(terms[-1])
+        terms = paired
+    den, nums = terms[0]
+    den *= factorial(n)
+    return tuple(Fraction(num if n % 2 else -num, den) for num in nums)
 
 
 def _interpolated_polynomial(first: Polytope, second: Polytope) -> VolumePolynomial:

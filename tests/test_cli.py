@@ -552,8 +552,15 @@ for bad in (lambda: volumes.VolumePolynomial((-1,)),
 
 # Corrupt the last interpolation node, read off K + L's boundary cycle: the
 # redundant-node check must fire inside a real CLI call and end it with exit 4.
-real = volumes._cycle_volume
-volumes._cycle_volume = lambda cycle, eps: 2 * real(cycle, eps) if eps == 3 else real(cycle, eps)
+real = volumes._cycle_nodes
+
+
+def doubled_last(*args):
+    *nodes, last = real(*args)
+    return (*nodes, 2 * last)
+
+
+volumes._cycle_nodes = doubled_last
 sys.exit(cli.run(["mixedvol", sys.argv[1], sys.argv[1], "--method", "interp"]))
 """
 

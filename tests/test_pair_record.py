@@ -1,9 +1,9 @@
 """Differential test of the pair record against the hull kernel.
 
 ``volumes._minkowski_sum(K, L)`` keeps K + L's boundary cycle.  In 3D and
-4D a record miss runs only the hull's first steps, node 1 is the cycle's
-own cone sum, and K + L's body is built from the kept rows and simplices
-when first read.  Each record must match the kernel run whole on the rows
+4D a record miss runs only the hull's first steps, node 1 is read off the
+cycle with the later nodes, and K + L's body is built from the kept rows
+and simplices when first read.  Each record must match the kernel run whole on the rows
 of every pair point x + y, formed here from the bodies' ``Fraction``
 vertices: node 1 is that hull's volume, the body is that hull, and the
 record keeps the vertex pair behind each of its vertices, and only those
@@ -13,7 +13,8 @@ where it starts with the body (2D, or a flat K + L).  Inputs are seeded
 pairs, and two 4D moment-curve pairs at the 16 x 16 cap.  On a fresh pair
 the node volumes, both polynomials and a Brunn-Minkowski sweep must build
 no body and test no vertex for extremeness; ``combine(1, K, 1, L)`` builds
-it once.
+it once.  A record miss reads all n + 1 nodes past V(K) in one pass over
+the cycle, in 2D, 3D and 4D alike.
 """
 
 import random
@@ -125,3 +126,17 @@ def test_a_fresh_record_builds_its_body_only_for_equal_coefficients(n, monkeypat
     assert combine(F(1, 2), first, F(1, 2), second) == scale(total, F(1, 2))
     assert len(built) == 1 and extreme != []
     assert volumes._minkowski_sum.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_record_miss_reads_its_nodes_in_one_pass(n, monkeypatch):
+    rng = random.Random(f"node-pass/{n}")
+    first, second = (random_polytope(n, n + 3, rng) for _ in range(2))
+    volumes._minkowski_sum.cache_clear()
+    passes = count_calls(monkeypatch, "_cycle_nodes")
+    record = volumes._minkowski_sum(first, second)
+    assert len(passes) == 1 and len(record.nodes) == n + 2
+    assert volumes._minkowski_sum(first, second) is record
+    assert len(passes) == 1
+    # Node 1 comes from the same pass, not from a cone sum of its own.
+    assert not hasattr(geometry, "_cone_volume")

@@ -36,6 +36,9 @@ def test_ab_passes_on_one_tree():
     assert re.fullmatch(r"OLD \.: median pass \d+\.\d ms", lines[1])
     assert re.fullmatch(r"NEW \.: median pass \d+\.\d ms", lines[2])
     assert re.fullmatch(r"speedup [+-]\d+\.\d%, NEW ahead in [01] of 1 rounds", lines[3])
+    assert re.fullmatch(
+        r"median round ratio OLD/NEW \d+\.\d{3}, fastest pass OLD \d+\.\d ms, NEW \d+\.\d ms", lines[4]
+    )
 
 
 def test_ab_passes_on_cli_mix():
@@ -48,11 +51,14 @@ def test_ab_passes_on_cli_mix():
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     lines = proc.stdout.splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 5
     assert lines[0] == "workload cli-mix, seed 3, 1 rounds"
     assert re.fullmatch(rf"OLD {re.escape(str(ROOT))}: median pass \d+\.\d ms", lines[1])
     assert re.fullmatch(rf"NEW {re.escape(str(ROOT))}: median pass \d+\.\d ms", lines[2])
     assert re.fullmatch(r"speedup [+-]\d+\.\d%, NEW ahead in [01] of 1 rounds", lines[3])
+    assert re.fullmatch(
+        r"median round ratio OLD/NEW \d+\.\d{3}, fastest pass OLD \d+\.\d ms, NEW \d+\.\d ms", lines[4]
+    )
 
 
 def test_ab_passes_takes_a_seed():
@@ -63,9 +69,12 @@ def test_ab_passes_takes_a_seed():
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     lines = proc.stdout.splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 5
     assert lines[0] == "workload round-bodies, seed 5, 1 rounds"
     assert re.fullmatch(r"speedup [+-]\d+\.\d%, NEW ahead in [01] of 1 rounds", lines[3])
+    assert re.fullmatch(
+        r"median round ratio OLD/NEW \d+\.\d{3}, fastest pass OLD \d+\.\d ms, NEW \d+\.\d ms", lines[4]
+    )
 
 
 def test_ab_passes_needs_a_round():
